@@ -29,15 +29,6 @@ def sl2_mul(m: SL2, n: SL2) -> SL2:
     )
 
 
-def sl2_inv(m: SL2) -> SL2:
-    # determinant 1, so the adjugate is the inverse
-    return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-
-
-def sl2_det(m: SL2) -> int:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
 def _letter_matrix(tag: str, exp: int) -> SL2:
     # closed forms: a^n is unipotent upper, b^n unipotent lower
     if tag == "a":
@@ -87,8 +78,11 @@ def words_equal_in_group(w1: Word, w2: Word) -> bool:
 
 def parse_word(text: str) -> Word:
     """Parse word syntax: letters a, b, A (=a^-1), B (=b^-1), `^` exponents,
-    and parenthesized groups, e.g. "a^7", "(ab)^6", "A^4 b a^4".
+    and parenthesized groups, e.g. "a^7", "(ab)^6", "A^4 b a^4".  "1" is the
+    identity word, as `word_to_str` prints it.
     """
+    if text.strip() == "1":
+        return ()
     tokens = list(text)
     pos = 0
 

@@ -3,8 +3,10 @@
 A scenario declares an ambient lattice, builds curves through blow-ups and
 smoothings, extracts plumbing chains, blows them down, and runs the
 Seiberg-Witten ledger pipeline alongside, checking assertions as it goes.
-Scenarios are plain text (one directive per line, `#` comments, quoted
-strings allowed), so the bundled corpus doubles as documentation.
+Scenarios are plain text (one directive per line, `#` comments, shell-style
+quoting), so the bundled corpus doubles as documentation.  The printer
+double-quotes a label, flag or basis name unless it is a plain word, escaping
+backslash and double quote.
 
 Directives:
 
@@ -23,19 +25,19 @@ Directives:
     sw chambered-blowdown <new> <ledger> <chain> [label <l>]
     assert <kind> <args>...
 
-Assertion kinds: chain, identify, euler, signature, label, fingerprint,
-pairing, square, square-class, dp, mcg-pass, mcg-cycles-equal,
-mcg-word-equal, sw-entries, sw-value, sw-value-set, sw-unverified,
-sw-restriction, sw-minimal.
+The assertion kinds are the keys of `_ASSERTIONS`, which gives each kind's
+argument slots (how each argument is read, checked and printed) and its check.
 
 Reports are byte-deterministic; parse(print(parse(text))) == parse(text).
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import shlex
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from . import hirzebruch, homcalc, mcg, swledger
 
@@ -93,21 +95,6 @@ def resolve_lincomb(lc: Lincomb, basis) -> tuple[int, ...]:
             raise ValueError(f"unknown generator {name!r}")
         vec[index[name]] += coef
     return tuple(vec)
-
-
-def _compact_word(w: mcg.Word) -> str:
-    parts = []
-    for tag, exp in w:
-        letter = tag if exp > 0 else tag.upper()
-        e = abs(exp)
-        parts.append(letter if e == 1 else f"{letter}^{e}")
-    return "".join(parts)
-
-
-def _linexpr_compact(v: swledger.LinExpr) -> str:
-    if v.c1 >= 0:
-        return f"{v.c0}+{v.c1}*n"
-    return f"{v.c0}-{-v.c1}*n"
 
 
 # --- directive records -------------------------------------------------------
@@ -190,7 +177,7 @@ class TwistSpec:
         if self.multiplicity != 1:
             out += f"*{self.multiplicity}"
         if self.conjugator:
-            out += f"~{_compact_word(self.conjugator)}"
+            out += f"~{_WORD.show(self.conjugator)}"
         return out
 
 
@@ -252,21 +239,11 @@ class Scenario:
 
 # --- parsing -----------------------------------------------------------------
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_().#-]*")
-_ASSERT_KINDS = {
-    "chain", "identify", "euler", "signature", "label", "fingerprint",
-    "pairing", "square", "square-class", "dp", "mcg-pass", "mcg-cycles-equal",
-    "mcg-word-equal", "sw-entries", "sw-value", "sw-value-set",
-    "sw-unverified", "sw-restriction", "sw-minimal",
-}
-
-
 class _Tokens:
-    def __init__(self, tokens, lineno, text):
+    def __init__(self, tokens, lineno):
         self.tokens = tokens
         self.pos = 0
         self.lineno = lineno
-        self.text = text
 
     def done(self) -> bool:
         return self.pos >= len(self.tokens)
@@ -288,10 +265,25 @@ class _Tokens:
         except ValueError:
             raise ScenarioError(f"line {self.lineno}: expected {what}, got {tok!r}") from None
 
+    def take_parsed(self, what: str, parse):
+        """Take a token and parse it; a ValueError from `parse` is reported at this line."""
+        tok = self.take(what)
+        try:
+            return parse(tok)
+        except ValueError as exc:
+            raise ScenarioError(f"line {self.lineno}: {exc}") from None
+
     def take_keyword(self, word: str):
         tok = self.take(f"keyword {word!r}")
         if tok != word:
             raise ScenarioError(f"line {self.lineno}: expected {word!r}, got {tok!r}")
+
+    def optional(self, word: str, what: str) -> str | None:
+        """The token after keyword `word` when the line continues with it, else None."""
+        if self.peek() != word:
+            return None
+        self.pos += 1
+        return self.take(what)
 
     def rest(self) -> list[str]:
         out = self.tokens[self.pos:]
@@ -331,27 +323,6 @@ def _parse_knots(tok: str, lineno: int) -> tuple[int | None, ...]:
             )
         out.append(None if m.group(1) == "n" else int(m.group(1)))
     return tuple(out)
-
-
-def _parse_lincomb_tok(tok: str, lineno: int) -> Lincomb:
-    try:
-        return parse_lincomb(tok)
-    except ValueError as exc:
-        raise ScenarioError(f"line {lineno}: {exc}") from None
-
-
-def _parse_chain_literal(tok: str, lineno: int) -> tuple[int, ...]:
-    try:
-        return hirzebruch.parse_chain(tok)
-    except ValueError as exc:
-        raise ScenarioError(f"line {lineno}: {exc}") from None
-
-
-def _parse_linexpr_tok(tok: str, lineno: int) -> swledger.LinExpr:
-    try:
-        return swledger.parse_linexpr(tok)
-    except ValueError as exc:
-        raise ScenarioError(f"line {lineno}: {exc}") from None
 
 
 class _ParseChecker:
@@ -396,22 +367,22 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         if not tokens:
             continue
         head, rest = tokens[0], tokens[1:]
-        t = _Tokens(rest, lineno, raw)
+        t = _Tokens(rest, lineno)
         if head == "sw":
             sub = t.take("sw directive")
             head = f"sw {sub}"
         builder = _DIRECTIVE_PARSERS.get(head)
         if builder is None:
             raise ScenarioError(f"line {lineno}: unknown directive {tokens[0]!r}")
-        if head != "ambient" and not chk.have_ambient:
-            raise ScenarioError("no ambient declared")
+        chk.need(head == "ambient" or chk.have_ambient, lineno, "no ambient declared")
         directives.append(builder(t, chk, lineno))
         t.end()
 
-    if not chk.have_ambient:
+    if not directives:
         raise ScenarioError("no ambient declared")
-    if not directives or not isinstance(directives[-1], AssertStep):
-        raise ScenarioError("scenario must end with at least one assertion")
+    last = directives[-1]
+    chk.need(isinstance(last, AssertStep), last.lineno,
+             "scenario must end with at least one assertion")
     return Scenario(name=name, directives=tuple(directives))
 
 
@@ -451,7 +422,7 @@ def _parse_curve(t: _Tokens, chk: _ParseChecker, lineno: int) -> CurveDecl:
     name = t.take("curve name")
     chk.need(name not in chk.curves, lineno, f"curve {name!r} already declared")
     t.take_keyword("class")
-    lc = _parse_lincomb_tok(t.take("class expression"), lineno)
+    lc = t.take_parsed("class expression", parse_lincomb)
     chk.need_lincomb(lc, lineno)
     genus = 0
     dp = 0
@@ -474,7 +445,6 @@ def _parse_blowup(t: _Tokens, chk: _ParseChecker, lineno: int) -> BlowupStep:
     chk.need(name not in chk.gens, lineno, f"generator {name!r} already declared")
     chk.need(name not in chk.curves, lineno, f"curve {name!r} already declared")
     at: list[tuple[str, int]] = []
-    doublepoint = None
     if t.peek() == "at":
         t.take("at")
         spec = t.take("incidence list")
@@ -488,9 +458,8 @@ def _parse_blowup(t: _Tokens, chk: _ParseChecker, lineno: int) -> BlowupStep:
                 raise ScenarioError(f"line {lineno}: bad multiplicity in {item!r}") from None
             chk.need_curve(cname, lineno)
             at.append((cname, mult))
-    if t.peek() == "doublepoint":
-        t.take("doublepoint")
-        doublepoint = t.take("curve name")
+    doublepoint = t.optional("doublepoint", "curve name")
+    if doublepoint is not None:
         chk.need_curve(doublepoint, lineno)
     chk.gens.add(name)
     chk.curves.add(name)
@@ -540,10 +509,7 @@ def _parse_blowdown(t: _Tokens, chk: _ParseChecker, lineno: int) -> BlowdownStep
     chk.need(not chk.blown_down, lineno, "already blown down")
     chain = t.take("chain name")
     chk.need(chain in chk.chains, lineno, f"unknown chain {chain!r}")
-    label = None
-    if t.peek() == "label":
-        t.take("label")
-        label = t.take("manifold label")
+    label = t.optional("label", "manifold label")
     chk.blown_down = True
     chk.curves.clear()
     return BlowdownStep(chain, label, lineno)
@@ -569,7 +535,7 @@ def _parse_sw_ledger(t: _Tokens, chk: _ParseChecker, lineno: int) -> SwLedgerSte
     t.take_keyword("sigma")
     sigma = t.take_int("signature")
     t.take_keyword("fiber")
-    fiber = _parse_lincomb_tok(t.take("fiber class"), lineno)
+    fiber = t.take_parsed("fiber class", parse_lincomb)
     chk.need_lincomb(fiber, lineno)
     t.take_keyword("knots")
     knots = _parse_knots(t.take("knot list"), lineno)
@@ -590,127 +556,30 @@ def _parse_sw_blowups(t: _Tokens, chk: _ParseChecker, lineno: int) -> SwBlowupsS
     return SwBlowupsStep(name, source, gens, lineno)
 
 
-def _parse_sw_blowdown(t: _Tokens, chk: _ParseChecker, lineno: int) -> SwBlowdownStep:
+def _parse_sw_blowdown(
+    t: _Tokens, chk: _ParseChecker, lineno: int, chambered: bool = False
+) -> SwBlowdownStep:
     name = t.take("ledger name")
     chk.need(name not in chk.ledgers, lineno, f"ledger {name!r} already declared")
     source = t.take("source ledger")
     chk.need(source in chk.ledgers, lineno, f"unknown ledger {source!r}")
     chain = t.take("chain name")
     chk.need(chain in chk.chains, lineno, f"unknown chain {chain!r}")
-    t.take_keyword("vanishing-r")
-    t.take_keyword("vanishing-background")
-    label = None
-    if t.peek() == "label":
-        t.take("label")
-        label = t.take("manifold label")
+    if not chambered:
+        t.take_keyword("vanishing-r")
+        t.take_keyword("vanishing-background")
+    label = t.optional("label", "manifold label")
     chk.ledgers.add(name)
     chk.blowdown_ledgers.add(name)
-    return SwBlowdownStep(name, source, chain, False, label, lineno)
-
-
-def _parse_sw_chambered(t: _Tokens, chk: _ParseChecker, lineno: int) -> SwBlowdownStep:
-    name = t.take("ledger name")
-    chk.need(name not in chk.ledgers, lineno, f"ledger {name!r} already declared")
-    source = t.take("source ledger")
-    chk.need(source in chk.ledgers, lineno, f"unknown ledger {source!r}")
-    chain = t.take("chain name")
-    chk.need(chain in chk.chains, lineno, f"unknown chain {chain!r}")
-    label = None
-    if t.peek() == "label":
-        t.take("label")
-        label = t.take("manifold label")
-    chk.ledgers.add(name)
-    chk.blowdown_ledgers.add(name)
-    return SwBlowdownStep(name, source, chain, True, label, lineno)
+    return SwBlowdownStep(name, source, chain, chambered, label, lineno)
 
 
 def _parse_assert(t: _Tokens, chk: _ParseChecker, lineno: int) -> AssertStep:
     kind = t.take("assertion kind")
-    if kind not in _ASSERT_KINDS:
+    if kind not in _ASSERTIONS:
         raise ScenarioError(f"line {lineno}: unknown assertion kind {kind!r}")
-    args: tuple
-    if kind == "chain":
-        name = t.take("chain name")
-        chk.need(name in chk.chains, lineno, f"unknown chain {name!r}")
-        args = (name, _parse_chain_literal(t.take("weights"), lineno))
-    elif kind == "identify":
-        name = t.take("chain name")
-        chk.need(name in chk.chains, lineno, f"unknown chain {name!r}")
-        args = (name, t.take_int("p"), t.take_int("q"))
-    elif kind in ("euler", "signature"):
-        args = (t.take_int("integer"),)
-    elif kind == "label":
-        args = (t.take("label"),)
-    elif kind == "fingerprint":
-        tok = t.take("fingerprint string or none")
-        args = (None if tok == "none" else tok,)
-    elif kind == "pairing":
-        c1 = t.take("curve name")
-        c2 = t.take("curve name")
-        chk.need_curve(c1, lineno)
-        chk.need_curve(c2, lineno)
-        args = (c1, c2, t.take_int("pairing value"))
-    elif kind in ("square", "dp"):
-        c = t.take("curve name")
-        chk.need_curve(c, lineno)
-        args = (c, t.take_int("integer"))
-    elif kind == "square-class":
-        lc = _parse_lincomb_tok(t.take("class expression"), lineno)
-        chk.need_lincomb(lc, lineno)
-        args = (lc, t.take_int("integer"))
-    elif kind == "mcg-pass":
-        name = t.take("mcg report name")
-        chk.need(name in chk.mcgs, lineno, f"unknown mcg report {name!r}")
-        args = (name,)
-    elif kind == "mcg-cycles-equal":
-        name = t.take("mcg report name")
-        chk.need(name in chk.mcgs, lineno, f"unknown mcg report {name!r}")
-        args = (name, t.take_int("twist index"), t.take_int("twist index"))
-    elif kind == "mcg-word-equal":
-        name = t.take("mcg report name")
-        chk.need(name in chk.mcgs, lineno, f"unknown mcg report {name!r}")
-        word_text = t.take("word")
-        try:
-            word = mcg.parse_word(word_text)
-        except ValueError as exc:
-            raise ScenarioError(f"line {lineno}: {exc}") from None
-        args = (name, word)
-    elif kind == "sw-entries":
-        name = t.take("ledger name")
-        chk.need(name in chk.ledgers, lineno, f"unknown ledger {name!r}")
-        args = (name, t.take_int("entry count"))
-    elif kind == "sw-value":
-        name = t.take("ledger name")
-        chk.need(name in chk.ledgers, lineno, f"unknown ledger {name!r}")
-        lc = _parse_lincomb_tok(t.take("class expression"), lineno)
-        args = (name, lc, _parse_linexpr_tok(t.take("value"), lineno))
-    elif kind == "sw-value-set":
-        name = t.take("ledger name")
-        chk.need(name in chk.blowdown_ledgers, lineno,
-                 f"ledger {name!r} has no blow-down value sets")
-        lc = _parse_lincomb_tok(t.take("class expression"), lineno)
-        values = tuple(sorted(
-            _parse_linexpr_tok(tok, lineno) for tok in t.take("value set").split(",")
-        ))
-        args = (name, lc, values)
-    elif kind == "sw-unverified":
-        name = t.take("ledger name")
-        chk.need(name in chk.ledgers, lineno, f"unknown ledger {name!r}")
-        args = (name, _parse_lincomb_tok(t.take("class expression"), lineno))
-    elif kind == "sw-restriction":
-        name = t.take("ledger name")
-        chk.need(name in chk.blowdown_ledgers, lineno,
-                 f"ledger {name!r} has no blow-down restrictions")
-        lc = _parse_lincomb_tok(t.take("class expression"), lineno)
-        args = (name, lc, _parse_chain_literal(t.take("restriction vector"), lineno))
-    elif kind == "sw-minimal":
-        name = t.take("ledger name")
-        chk.need(name in chk.blowdown_ledgers, lineno,
-                 f"ledger {name!r} is not a blow-down result")
-        args = (name, t.take_int("concrete n"))
-    else:  # pragma: no cover - kinds are exhausted above
-        raise ScenarioError(f"line {lineno}: unhandled assertion kind {kind!r}")
-    return AssertStep(kind, args, lineno)
+    slots, _check = _ASSERTIONS[kind]
+    return AssertStep(kind, tuple(slot.read(t, chk) for slot in slots), lineno)
 
 
 _DIRECTIVE_PARSERS = {
@@ -726,7 +595,7 @@ _DIRECTIVE_PARSERS = {
     "sw ledger": _parse_sw_ledger,
     "sw blowups": _parse_sw_blowups,
     "sw blowdown": _parse_sw_blowdown,
-    "sw chambered-blowdown": _parse_sw_chambered,
+    "sw chambered-blowdown": functools.partial(_parse_sw_blowdown, chambered=True),
     "assert": _parse_assert,
 }
 
@@ -734,15 +603,23 @@ _DIRECTIVE_PARSERS = {
 # --- printing ----------------------------------------------------------------
 
 def _q(token: str) -> str:
-    return f'"{token}"' if any(ch.isspace() for ch in token) else token
+    """Free text (labels, flags, basis names) as one token that reads back verbatim:
+    double-quoted, with backslash and double quote escaped, unless it is a plain word."""
+    if token and not any(ch.isspace() or ch in "\"'\\#" for ch in token):
+        return token
+    return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _words(tokens) -> str:
+    return " ".join(_q(tok) for tok in tokens)
 
 
 def print_directive(d: Directive) -> str:
     if isinstance(d, AmbientDecl):
         out = f"ambient {_q(d.label)} e {d.e} sigma {d.sigma}"
         if d.flags:
-            out += " flags " + " ".join(d.flags)
-        return out + " basis " + " ".join(d.basis)
+            out += " flags " + _words(d.flags)
+        return out + " basis " + _words(d.basis)
     if isinstance(d, PairDecl):
         return f"pair {d.g1} {d.g2} {d.value}"
     if isinstance(d, CurveDecl):
@@ -759,13 +636,13 @@ def print_directive(d: Directive) -> str:
     if isinstance(d, SurgeryStep):
         out = f"surgery {_q(d.label)}"
         if d.flags:
-            out += " flags " + " ".join(d.flags)
+            out += " flags " + _words(d.flags)
         return out
     if isinstance(d, ChainDecl):
         return f"chain {d.name} = " + ",".join(d.curves)
     if isinstance(d, BlowdownStep):
         out = f"blowdown {d.chain}"
-        if d.label:
+        if d.label is not None:
             out += f" label {_q(d.label)}"
         return out
     if isinstance(d, McgStep):
@@ -787,52 +664,13 @@ def print_directive(d: Directive) -> str:
                 f"sw blowdown {d.name} {d.source} {d.chain} "
                 "vanishing-r vanishing-background"
             )
-        if d.label:
+        if d.label is not None:
             out += f" label {_q(d.label)}"
         return out
     if isinstance(d, AssertStep):
-        return "assert " + _print_assert(d)
+        slots, _check = _ASSERTIONS[d.kind]
+        return " ".join(["assert", d.kind] + [s.show(a) for s, a in zip(slots, d.args)])
     raise TypeError(f"unknown directive {d!r}")
-
-
-def _print_assert(d: AssertStep) -> str:
-    k, a = d.kind, d.args
-    if k == "chain":
-        return f"chain {a[0]} {hirzebruch.chain_to_str(a[1])}"
-    if k == "identify":
-        return f"identify {a[0]} {a[1]} {a[2]}"
-    if k in ("euler", "signature"):
-        return f"{k} {a[0]}"
-    if k == "label":
-        return f"label {_q(a[0])}"
-    if k == "fingerprint":
-        return f"fingerprint {_q(a[0]) if a[0] is not None else 'none'}"
-    if k == "pairing":
-        return f"pairing {a[0]} {a[1]} {a[2]}"
-    if k in ("square", "dp"):
-        return f"{k} {a[0]} {a[1]}"
-    if k == "square-class":
-        return f"square-class {lincomb_to_str(a[0])} {a[1]}"
-    if k == "mcg-pass":
-        return f"mcg-pass {a[0]}"
-    if k == "mcg-cycles-equal":
-        return f"mcg-cycles-equal {a[0]} {a[1]} {a[2]}"
-    if k == "mcg-word-equal":
-        return f"mcg-word-equal {a[0]} {_compact_word(a[1])}"
-    if k == "sw-entries":
-        return f"sw-entries {a[0]} {a[1]}"
-    if k == "sw-value":
-        return f"sw-value {a[0]} {lincomb_to_str(a[1])} {_linexpr_compact(a[2])}"
-    if k == "sw-value-set":
-        vals = ",".join(_linexpr_compact(v) for v in a[2])
-        return f"sw-value-set {a[0]} {lincomb_to_str(a[1])} {vals}"
-    if k == "sw-unverified":
-        return f"sw-unverified {a[0]} {lincomb_to_str(a[1])}"
-    if k == "sw-restriction":
-        return f"sw-restriction {a[0]} {lincomb_to_str(a[1])} {hirzebruch.chain_to_str(a[2])}"
-    if k == "sw-minimal":
-        return f"sw-minimal {a[0]} {a[1]}"
-    raise TypeError(f"unknown assertion kind {k!r}")
 
 
 def print_scenario(s: Scenario) -> str:
@@ -1029,7 +867,8 @@ class _Runner:
         elif isinstance(d, SwBlowdownStep):
             self._exec_sw_blowdown(d)
         elif isinstance(d, AssertStep):
-            self.records.append(self._evaluate(d))
+            _slots, check = _ASSERTIONS[d.kind]
+            self.records.append(check(self, *d.args))
             return
         else:  # pragma: no cover
             raise TypeError(f"unknown directive {d!r}")
@@ -1066,157 +905,177 @@ class _Runner:
             gen_names=src.gen_names, result=result,
         )
 
-    # --- assertions ---
-
-    def _evaluate(self, d: AssertStep) -> AssertionRecord:
-        k, a = d.kind, d.args
-        if k == "chain":
-            rec = self.chains[a[0]]
-            expected = hirzebruch.chain_to_str(a[1])
-            actual = hirzebruch.chain_to_str(rec.weights)
-            return AssertionRecord(f"chain {a[0]} weights", expected, actual,
-                                   rec.weights == a[1])
-        if k == "identify":
-            rec = self.chains[a[0]]
-            got = hirzebruch.identify_cpq(rec.weights)
-            expected = f"C_{{{a[1]},{a[2]}}}"
-            actual = f"C_{{{got[0]},{got[1]}}}" if got else "none"
-            return AssertionRecord(f"chain {a[0]} identified", expected, actual,
-                                   got == (a[1], a[2]))
-        if k == "euler":
-            actual = self.cfg.ambient.e
-            return AssertionRecord("euler characteristic", str(a[0]), str(actual),
-                                   actual == a[0])
-        if k == "signature":
-            actual = self.cfg.ambient.sigma
-            return AssertionRecord("signature", str(a[0]), str(actual), actual == a[0])
-        if k == "label":
-            actual = self.cfg.ambient.label
-            return AssertionRecord("manifold label", a[0], actual, actual == a[0])
-        if k == "fingerprint":
-            got = homcalc.homeo_fingerprint(self.cfg.ambient)
-            expected = a[0] if a[0] is not None else "none"
-            actual = got if got is not None else "none"
-            return AssertionRecord("homeomorphism fingerprint", expected, actual,
-                                   got == a[0])
-        if k == "pairing":
-            got = homcalc.pairing(self.cfg, a[0], a[1])
-            return AssertionRecord(f"pairing {a[0]}.{a[1]}", str(a[2]), str(got),
-                                   got == a[2])
-        if k == "square":
-            got = homcalc.square(self.cfg, a[0])
-            return AssertionRecord(f"square of {a[0]}", str(a[1]), str(got), got == a[1])
-        if k == "square-class":
-            vec = self._class_vec(a[0])
-            got = homcalc.pair_vectors(self.live_gram, vec, vec)
-            return AssertionRecord(f"square of class {lincomb_to_str(a[0])}",
-                                   str(a[1]), str(got), got == a[1])
-        if k == "dp":
-            got = self.cfg.curve(a[0]).double_points
-            return AssertionRecord(f"double points of {a[0]}", str(a[1]), str(got),
-                                   got == a[1])
-        if k == "mcg-pass":
-            rep = self.mcgs[a[0]]
-            actual = (
-                "pass" if rep.passed
-                else f"fail (identity={rep.is_identity}, twists={rep.twist_count})"
-            )
-            return AssertionRecord(f"mcg {a[0]} verifies as a fibration word",
-                                   "pass", actual, rep.passed)
-        if k == "mcg-cycles-equal":
-            rep = self.mcgs[a[0]]
-            i, j = a[1], a[2]
-            if not (1 <= i <= len(rep.cycles) and 1 <= j <= len(rep.cycles)):
-                return AssertionRecord(
-                    f"mcg {a[0]} vanishing cycles {i} and {j} isotopic",
-                    "equal", f"index out of range (1..{len(rep.cycles)})", False,
-                )
-            ci, cj = rep.cycles[i - 1], rep.cycles[j - 1]
-            return AssertionRecord(
-                f"mcg {a[0]} vanishing cycles {i} and {j} isotopic",
-                "equal", f"{ci} vs {cj}", ci == cj,
-            )
-        if k == "mcg-word-equal":
-            rep = self.mcgs[a[0]]
-            ok = mcg.words_equal_in_group(rep.word, a[1])
-            return AssertionRecord(
-                f"mcg {a[0]} word equals {_compact_word(a[1])} in the group",
-                "equal", "equal" if ok else f"distinct (word is {mcg.word_to_str(rep.word)})",
-                ok,
-            )
-        if k == "sw-entries":
-            ledger = self.sw[a[0]].ledger
-            got = len(ledger.entries)
-            return AssertionRecord(f"sw {a[0]} entry count", str(a[1]), str(got),
-                                   got == a[1])
-        if k == "sw-value":
-            ledger = self.sw[a[0]].ledger
-            vec = resolve_lincomb(a[1], ledger.basis)
-            expected = str(a[2])
-            if not ledger.has_entry(vec):
-                return AssertionRecord(
-                    f"sw {a[0]} value at {lincomb_to_str(a[1])}", expected, "absent", False
-                )
-            got = ledger.entry(vec).value
-            return AssertionRecord(
-                f"sw {a[0]} value at {lincomb_to_str(a[1])}", expected, str(got),
-                got == a[2],
-            )
-        if k == "sw-value-set":
-            rec = self.sw[a[0]]
-            ledger = rec.ledger
-            vec = resolve_lincomb(a[1], ledger.basis)
-            expected = ", ".join(str(v) for v in a[2])
-            try:
-                got = tuple(sorted(rec.result.value_set_of(vec)))
-            except KeyError:
-                return AssertionRecord(
-                    f"sw {a[0]} value set at {lincomb_to_str(a[1])}", expected, "absent",
-                    False,
-                )
-            actual = ", ".join(str(v) for v in got)
-            return AssertionRecord(
-                f"sw {a[0]} value set at {lincomb_to_str(a[1])}", expected, actual,
-                got == a[2],
-            )
-        if k == "sw-unverified":
-            ledger = self.sw[a[0]].ledger
-            vec = resolve_lincomb(a[1], ledger.basis)
-            if not ledger.has_entry(vec):
-                return AssertionRecord(
-                    f"sw {a[0]} entry {lincomb_to_str(a[1])} marked unverified",
-                    "unverified", "absent", False,
-                )
-            got = ledger.entry(vec).verified
-            return AssertionRecord(
-                f"sw {a[0]} entry {lincomb_to_str(a[1])} marked unverified",
-                "unverified", "verified" if got else "unverified", not got,
-            )
-        if k == "sw-restriction":
-            rec = self.sw[a[0]]
-            ledger = rec.ledger
-            vec = resolve_lincomb(a[1], ledger.basis)
-            expected = hirzebruch.chain_to_str(a[2])
-            try:
-                got = rec.result.restriction_of(vec)
-            except KeyError:
-                return AssertionRecord(
-                    f"sw {a[0]} restriction of {lincomb_to_str(a[1])}", expected,
-                    "absent", False,
-                )
-            return AssertionRecord(
-                f"sw {a[0]} restriction of {lincomb_to_str(a[1])}", expected,
-                hirzebruch.chain_to_str(got), got == a[2],
-            )
-        if k == "sw-minimal":
-            ledger = self.sw[a[0]].ledger
-            got = swledger.minimality_report(swledger.substitute(ledger, a[1]))
-            return AssertionRecord(
-                f"sw {a[0]} minimality at n={a[1]}", "minimal",
-                "minimal" if got else "not established", got,
-            )
-        raise TypeError(f"unknown assertion kind {k!r}")  # pragma: no cover
-
 
 def run_scenario(s: Scenario) -> Report:
     return _Runner(s).run()
+
+
+# --- assertion kinds ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Slot:
+    """One assertion argument: `read(tokens, checker)` takes it from the line,
+    checking any name it refers to; `show(value)` prints it back as one token.
+
+    Package functions are looked up when a slot runs, not when it is built, so a
+    wrapper installed on a module attribute sees the call.
+    """
+
+    read: Callable[[_Tokens, _ParseChecker], Any]
+    show: Callable[[Any], str] = str
+
+
+def _declared(what: str, pool: str, message: str) -> _Slot:
+    """A name already declared in the checker's set `pool`; `message` formats its repr."""
+
+    def read(t: _Tokens, chk: _ParseChecker) -> str:
+        name = t.take(what)
+        chk.need(name in getattr(chk, pool), t.lineno, message.format(repr(name)))
+        return name
+
+    return _Slot(read)
+
+
+def _int(what: str) -> _Slot:
+    return _Slot(lambda t, chk: t.take_int(what))
+
+
+def _weights(what: str) -> _Slot:
+    return _Slot(lambda t, chk: t.take_parsed(what, hirzebruch.parse_chain),
+                 lambda w: hirzebruch.chain_to_str(w))
+
+
+def _read_class(t: _Tokens, chk: _ParseChecker) -> Lincomb:
+    lc = t.take_parsed("class expression", parse_lincomb)
+    chk.need_lincomb(lc, t.lineno)
+    return lc
+
+
+def _read_values(tok: str) -> tuple[swledger.LinExpr, ...]:
+    return tuple(sorted(swledger.parse_linexpr(v) for v in tok.split(",")))
+
+
+_CHAIN = _declared("chain name", "chains", "unknown chain {}")
+_CURVE = _declared("curve name", "curves", "unknown curve {}")
+_MCG = _declared("mcg report name", "mcgs", "unknown mcg report {}")
+_LEDGER = _declared("ledger name", "ledgers", "unknown ledger {}")
+_BLOWN_DOWN = _declared("ledger name", "blowdown_ledgers", "ledger {} is not a blow-down result")
+_CLASS = _Slot(_read_class, lambda lc: lincomb_to_str(lc))
+# Ledger classes are over the ledger's own basis, which is only known at run time.
+_LEDGER_CLASS = _Slot(lambda t, chk: t.take_parsed("class expression", parse_lincomb),
+                      lambda lc: lincomb_to_str(lc))
+_WORD = _Slot(lambda t, chk: t.take_parsed("word", mcg.parse_word),
+              lambda w: mcg.word_to_str(w).replace(" ", ""))
+_VALUE = _Slot(lambda t, chk: t.take_parsed("value", swledger.parse_linexpr),
+               lambda v: str(v).replace(" ", ""))
+_VALUES = _Slot(lambda t, chk: t.take_parsed("value set", _read_values),
+                lambda vs: ",".join(_VALUE.show(v) for v in vs))
+_LABEL = _Slot(lambda t, chk: t.take("label"), _q)
+_FINGERPRINT = _Slot(
+    lambda t, chk: t.take_parsed("fingerprint string or none",
+                                 lambda s: None if s == "none" else s),
+    lambda s: "none" if s is None else _q(s),
+)
+
+
+def _equal(description: str, expected, actual, show=str) -> AssertionRecord:
+    return AssertionRecord(description, show(expected), show(actual), actual == expected)
+
+
+def _check_square_class(run: _Runner, lc: Lincomb, expected: int) -> AssertionRecord:
+    vec = run._class_vec(lc)
+    return _equal(f"square of class {lincomb_to_str(lc)}", expected,
+                  homcalc.pair_vectors(run.live_gram, vec, vec))
+
+
+def _check_mcg_pass(run: _Runner, name: str) -> AssertionRecord:
+    rep = run.mcgs[name]
+    actual = ("pass" if rep.passed
+              else f"fail (identity={rep.is_identity}, twists={rep.twist_count})")
+    return _equal(f"mcg {name} verifies as a fibration word", "pass", actual)
+
+
+def _check_mcg_cycles(run: _Runner, name: str, i: int, j: int) -> AssertionRecord:
+    cycles = run.mcgs[name].cycles
+    description = f"mcg {name} vanishing cycles {i} and {j} isotopic"
+    if not (1 <= i <= len(cycles) and 1 <= j <= len(cycles)):
+        return AssertionRecord(description, "equal",
+                               f"index out of range (1..{len(cycles)})", False)
+    ci, cj = cycles[i - 1], cycles[j - 1]
+    return AssertionRecord(description, "equal", f"{ci} vs {cj}", ci == cj)
+
+
+def _check_mcg_word(run: _Runner, name: str, word: mcg.Word) -> AssertionRecord:
+    rep = run.mcgs[name]
+    ok = mcg.words_equal_in_group(rep.word, word)
+    actual = "equal" if ok else f"distinct (word is {mcg.word_to_str(rep.word)})"
+    return _equal(f"mcg {name} word equals {_WORD.show(word)} in the group", "equal", actual)
+
+
+def _sw_class_check(description: str, lookup, show=str):
+    """The check of a per-class ledger assertion: `lookup(sw record, class vector)`
+    gives the actual value, and a class the ledger does not hold reads `absent`.
+    `description` is formatted with the ledger name and the class."""
+
+    def check(run: _Runner, name: str, lc: Lincomb, expected) -> AssertionRecord:
+        rec = run.sw[name]
+        desc = description.format(name, lincomb_to_str(lc))
+        try:
+            actual = lookup(rec, resolve_lincomb(lc, rec.ledger.basis))
+        except KeyError:
+            return AssertionRecord(desc, show(expected), "absent", False)
+        return _equal(desc, expected, actual, show)
+
+    return check
+
+
+_check_unverified = _sw_class_check(
+    "sw {} entry {} marked unverified",
+    lambda rec, vec: "verified" if rec.ledger.entry(vec).verified else "unverified",
+)
+
+# kind -> (argument slots, check(runner, *arguments) -> AssertionRecord)
+_ASSERTIONS: dict[str, tuple[tuple[_Slot, ...], Callable[..., AssertionRecord]]] = {
+    "chain": ((_CHAIN, _weights("weights")), lambda run, name, weights: _equal(
+        f"chain {name} weights", weights, run.chains[name].weights,
+        lambda w: hirzebruch.chain_to_str(w))),
+    "identify": ((_CHAIN, _int("p"), _int("q")), lambda run, name, p, q: _equal(
+        f"chain {name} identified", (p, q), hirzebruch.identify_cpq(run.chains[name].weights),
+        lambda pq: f"C_{{{pq[0]},{pq[1]}}}" if pq else "none")),
+    "euler": ((_int("integer"),), lambda run, e: _equal(
+        "euler characteristic", e, run.cfg.ambient.e)),
+    "signature": ((_int("integer"),), lambda run, sigma: _equal(
+        "signature", sigma, run.cfg.ambient.sigma)),
+    "label": ((_LABEL,), lambda run, label: _equal(
+        "manifold label", label, run.cfg.ambient.label)),
+    "fingerprint": ((_FINGERPRINT,), lambda run, fp: _equal(
+        "homeomorphism fingerprint", fp, homcalc.homeo_fingerprint(run.cfg.ambient),
+        lambda s: "none" if s is None else s)),
+    "pairing": ((_CURVE, _CURVE, _int("pairing value")), lambda run, c1, c2, n: _equal(
+        f"pairing {c1}.{c2}", n, homcalc.pairing(run.cfg, c1, c2))),
+    "square": ((_CURVE, _int("integer")), lambda run, c, n: _equal(
+        f"square of {c}", n, homcalc.square(run.cfg, c))),
+    "square-class": ((_CLASS, _int("integer")), _check_square_class),
+    "dp": ((_CURVE, _int("integer")), lambda run, c, n: _equal(
+        f"double points of {c}", n, run.cfg.curve(c).double_points)),
+    "mcg-pass": ((_MCG,), _check_mcg_pass),
+    "mcg-cycles-equal": ((_MCG, _int("twist index"), _int("twist index")), _check_mcg_cycles),
+    "mcg-word-equal": ((_MCG, _WORD), _check_mcg_word),
+    "sw-entries": ((_LEDGER, _int("entry count")), lambda run, name, n: _equal(
+        f"sw {name} entry count", n, len(run.sw[name].ledger.entries))),
+    "sw-value": ((_LEDGER, _LEDGER_CLASS, _VALUE), _sw_class_check(
+        "sw {} value at {}", lambda rec, vec: rec.ledger.entry(vec).value)),
+    "sw-value-set": ((_BLOWN_DOWN, _LEDGER_CLASS, _VALUES), _sw_class_check(
+        "sw {} value set at {}", lambda rec, vec: tuple(sorted(rec.result.value_set_of(vec))),
+        lambda vs: ", ".join(str(v) for v in vs))),
+    "sw-unverified": ((_LEDGER, _LEDGER_CLASS), lambda run, name, lc: _check_unverified(
+        run, name, lc, "unverified")),
+    "sw-restriction": ((_BLOWN_DOWN, _LEDGER_CLASS, _weights("restriction vector")),
+                       _sw_class_check("sw {} restriction of {}",
+                                       lambda rec, vec: rec.result.restriction_of(vec),
+                                       lambda w: hirzebruch.chain_to_str(w))),
+    "sw-minimal": ((_BLOWN_DOWN, _int("concrete n")), lambda run, name, n: _equal(
+        f"sw {name} minimality at n={n}", True,
+        swledger.minimality_report(swledger.substitute(run.sw[name].ledger, n)),
+        lambda ok: "minimal" if ok else "not established")),
+}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
-from . import hirzebruch
+from . import hirzebruch, homcalc
 
 
 @dataclass(frozen=True, order=True)
@@ -204,22 +204,18 @@ def _sorted_entries(entries) -> tuple[Entry, ...]:
     return tuple(sorted(entries, key=lambda ent: ent.cls))
 
 
-def _pair(gram, v1, v2) -> int:
-    return sum(v1[i] * gram[i][j] * v2[j] for i in range(len(v1)) for j in range(len(v2)))
-
-
 def dimension_from_square(square: int, e: int, sigma: int) -> Fraction:
     return Fraction(square - 3 * sigma - 2 * e, 4)
 
 
 def dimension(cls, gram, e: int, sigma: int) -> Fraction:
     """Formal dimension (K^2 - 3*sigma - 2*e)/4, as an exact rational."""
-    return dimension_from_square(_pair(gram, cls, cls), e, sigma)
+    return dimension_from_square(homcalc.pair_vectors(gram, cls, cls), e, sigma)
 
 
 def restrict_to_chain(cls, chain_classes, gram) -> tuple[int, ...]:
     """Pairings of a class with each chain sphere, in chain order."""
-    return tuple(_pair(gram, cls, u) for u in chain_classes)
+    return tuple(homcalc.pair_vectors(gram, cls, u) for u in chain_classes)
 
 
 def knot_surgery_ledger(polys, label: str, e: int = 12, sigma: int = -8) -> Ledger:
@@ -464,7 +460,7 @@ def _blowup_partition_exists(ledger: Ledger) -> bool:
         half = [d // 2 for d in diff]
         if all(h == 0 for h in half):
             return False
-        return _pair(ledger.gram, half, half) == -1
+        return homcalc.pair_vectors(ledger.gram, half, half) == -1
 
     def match(rest) -> bool:
         if not rest:

@@ -135,7 +135,8 @@ def test_discriminant_matches_recurrence(pq):
 
 
 def test_discriminant_rejects_non_cyclic():
-    # two disjoint (-2)'s: cokernel Z_2 x Z_2
+    # an adjacent (-2,-2) pair: |det| = 3 is not a perfect square, so this
+    # exercises the non-square rejection, not the non-cyclic one
     with pytest.raises(ValueError):
         hj.discriminant((-2, -2))
 

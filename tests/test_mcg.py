@@ -27,7 +27,7 @@ def test_parse_word_rejects_garbage():
 
 
 def test_word_to_str_round_trip():
-    for text in ["a^3 b a^3 b", "A^4 b a^4", "b", "a^-2 b a^2"]:
+    for text in ["a^3 b a^3 b", "A^4 b a^4", "b", "a^-2 b a^2", "a A"]:
         w = mcg.parse_word(text)
         assert mcg.parse_word(mcg.word_to_str(w)) == w
 

@@ -1,6 +1,7 @@
 import json
 import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ def corpus_texts() -> dict[str, str]:
 
 
 CORPUS = corpus_texts()
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 MINIMAL = """\
 ambient X e 4 sigma 0 basis S
@@ -83,8 +85,8 @@ def test_report_text_format():
 
 @pytest.mark.parametrize("text,message", [
     ("", "no ambient declared"),
-    ("curve c class S\n", "no ambient declared"),
-    ("ambient X e 4 sigma 0 basis S\n", "scenario must end with at least one assertion"),
+    ("curve c class S\n", "line 1: no ambient declared"),
+    ("ambient X e 4 sigma 0 basis S\n", "line 1: scenario must end with at least one assertion"),
     ("ambient X e 4 sigma 0 basis S\nblowdwn C label Y\n",
      "line 2: unknown directive 'blowdwn'"),
     ("ambient X e 4 sigma 0 basis S\nambient Y e 4 sigma 0 basis T\n",
@@ -189,6 +191,16 @@ def test_cli_corpus(capsys):
     assert m.group(3) == "10"
 
 
+@pytest.mark.parametrize("argv,golden", [
+    (["corpus"], "corpus.txt"),
+    (["--json", "corpus"], "corpus.json"),
+])
+def test_cli_corpus_matches_golden(argv, golden, capsys):
+    # the reports captured when the benchmark was defined; they must not drift
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
+
+
 def test_cli_corpus_seed_does_not_change_output(capsys):
     assert cli.main(["corpus"]) == 0
     base = capsys.readouterr().out
@@ -254,6 +266,23 @@ def test_print_scenario_quotes_whitespace():
     printed = print_scenario(s)
     assert '"X Y"' in printed
     assert parse_scenario(printed).directives == s.directives
+
+
+@pytest.mark.parametrize("text", [
+    'ambient "" e 4 sigma 0 basis S\nassert label ""\n',
+    'ambient "#X" e 4 sigma 0 basis S\nassert label "#X"\n',
+    'ambient "it\'s" e 4 sigma 0 basis S\nassert fingerprint "it\'s"\n',
+    'ambient "a\\"b\\\\c" e 4 sigma 0 flags "f g" "x#y" basis "S T" U\nassert euler 4\n',
+    'ambient X e 4 sigma 0 basis S\nsurgery Y flags "a b" c\nassert euler 4\n',
+    'ambient X e 4 sigma 0 basis S\npair S S -4\ncurve c class S\nchain C = c\n'
+    'blowdown C label ""\nassert label ""\n',
+    'ambient X e 4 sigma 0 basis S\nmcg m expected 1 twists a\nassert mcg-word-equal m aA\n',
+])
+def test_parse_print_parse_round_trip(text):
+    first = parse_scenario(text)
+    printed = print_scenario(first)
+    assert parse_scenario(printed).directives == first.directives
+    assert print_scenario(parse_scenario(printed)) == printed
 
 
 def test_scenario_module_reexports():
