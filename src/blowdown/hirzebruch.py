@@ -11,6 +11,12 @@ blow-down.  This module computes the chains, recognizes them, and presents
 the discriminant group (cokernel of the Gram matrix) concretely enough to
 decide which restriction vectors extend over the ball.
 
+The discriminant group is cyclic, with a closed form: from the prefix
+continuants D_0 = 1, D_1 = w_1, D_i = w_i*D_{i-1} - D_{i-2} (det = D_k), the
+map v -> sum v_i*phi_i mod |det|, phi_i = (-1)^(i-1)*D_{i-1}, kills every Gram
+column (phi_{i-1} + w_i*phi_i + phi_{i+1} = 0, phi_0 = 0, phi_{k+1} = +-det)
+and is onto since phi_1 = 1; as |coker| = |det|, it is the cokernel.
+
 The extension criterion (characteristic + discriminant image divisible by p)
 is calibrated against brute-force coset enumeration on the two smallest
 chains; see the acceptance tests.  If it ever disagrees with a filtering
@@ -112,100 +118,25 @@ def gram_matrix(chain: Chain) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in g)
 
 
+def _continuants(chain: Chain) -> list[int]:
+    """D_0..D_k: D_i is the Gram determinant of the first i spheres."""
+    out = [0, 1]
+    for w in chain:
+        out.append(w * out[-1] - out[-2])
+    return out[1:]
+
+
 def gram_det(chain: Chain) -> int:
-    # continuant recurrence for a tridiagonal matrix with unit off-diagonal
-    dm2, dm1 = 1, chain[0]
-    for w in chain[1:]:
-        dm2, dm1 = dm1, w * dm1 - dm2
-    return dm1
-
-
-@dataclass(frozen=True)
-class ChainLattice:
-    weights: Chain
-    k: int
-    det: int
-
-    @property
-    def gram(self) -> list[list[int]]:
-        return gram_matrix(self.weights)
-
-
-def gram(chain: Chain) -> ChainLattice:
-    if not chain:
-        raise ValueError("empty chain")
-    return ChainLattice(weights=tuple(chain), k=len(chain), det=gram_det(chain))
-
-
-def _smith_left(mat):
-    """Diagonalize an integer matrix by row and column operations.
-
-    Returns (diag, U) with U * mat * V = diag(d_1..d_k) for some unimodular V,
-    d_i >= 0 and d_i | d_{i+1}.  Only the row transform U is tracked; it is
-    what presents the cokernel Z^k / im(mat).
-    """
-    a = [list(row) for row in mat]
-    k = len(a)
-    u = [[int(i == j) for j in range(k)] for i in range(k)]
-
-    def add_row(i, j, c):
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, c):
-        for row in a:
-            row[i] += c * row[j]
-
-    for t in range(k):
-        while True:
-            piv = None
-            for i in range(t, k):
-                for j in range(t, k):
-                    if a[i][j] and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                        piv = (i, j)
-            if piv is None:
-                break
-            if piv[0] != t:
-                a[t], a[piv[0]] = a[piv[0]], a[t]
-                u[t], u[piv[0]] = u[piv[0]], u[t]
-            if piv[1] != t:
-                for row in a:
-                    row[t], row[piv[1]] = row[piv[1]], row[t]
-            clean = True
-            for i in range(t + 1, k):
-                if a[i][t]:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
-                    clean = clean and a[i][t] == 0
-            for j in range(t + 1, k):
-                if a[t][j]:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-                    clean = clean and a[t][j] == 0
-            if not clean:
-                continue
-            # pivot divides everything below-right, or pull a bad row up
-            bad = None
-            for i in range(t + 1, k):
-                for j in range(t + 1, k):
-                    if a[i][j] % a[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            add_row(t, bad, 1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-    return [a[i][i] for i in range(k)], u
+    return _continuants(chain)[-1]
 
 
 @dataclass(frozen=True)
 class DiscriminantData:
-    """Cyclic presentation of coker(Gram): order p^2, and coefficients so that
+    """Cyclic presentation of coker(Gram): v maps to sum(v_i * coeffs_i) mod order.
 
-    a value vector v maps to sum(v_i * coeffs_i) mod order.  Normalized so
-    coeffs[0] = 1 (the first sphere's dual generates).
+    order = p^2 = |D_k| and coeffs_i = (-1)^(i-1) * D_{i-1} mod order, so
+    coeffs[0] = 1: the map kills every Gram column and is onto, so it is the
+    cokernel (see the module docstring), and the first sphere's dual generates.
     """
 
     order: int
@@ -219,26 +150,23 @@ class DiscriminantData:
 
 def discriminant(chain: Chain) -> DiscriminantData:
     # pure in an immutable argument, and hammered by the ledger filters
-    # (once per candidate class), so cache the Smith reduction
+    # (once per candidate class), so cache it
     return _discriminant_cached(tuple(chain))
 
 
 @functools.lru_cache(maxsize=None)
 def _discriminant_cached(chain: Chain) -> DiscriminantData:
-    lat = gram(chain)
-    order = abs(lat.det)
+    if not chain:
+        raise ValueError("empty chain")
+    d = _continuants(chain)
+    order = abs(d[-1])
+    if order == 0:
+        raise ValueError("det = 0: the Gram matrix is singular; not a C_{p,q} chain")
     p = math.isqrt(order)
     if p * p != order:
         raise ValueError(f"|det| = {order} is not a perfect square; not a C_{{p,q}} chain")
-    diag, u = _smith_left(lat.gram)
-    if any(d != 1 for d in diag[:-1]) or diag[-1] != order:
-        raise ValueError(f"cokernel {diag} is not cyclic of order {order}")
-    coeffs = [c % order for c in u[-1]]
-    try:
-        unit = pow(coeffs[0], -1, order)
-    except ValueError:
-        raise ValueError("first coordinate does not generate the discriminant group") from None
-    return DiscriminantData(order=order, coeffs=tuple(c * unit % order for c in coeffs))
+    coeffs = tuple((-1) ** i * d[i] % order for i in range(len(chain)))
+    return DiscriminantData(order=order, coeffs=coeffs)
 
 
 def canonical_vector(chain: Chain) -> tuple[int, ...]:

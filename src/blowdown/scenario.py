@@ -6,7 +6,7 @@ Seiberg-Witten ledger pipeline alongside, checking assertions as it goes.
 Scenarios are plain text (one directive per line, `#` comments, shell-style
 quoting), so the bundled corpus doubles as documentation.  The printer
 double-quotes a label, flag or basis name unless it is a plain word, escaping
-backslash and double quote.
+backslash and double quote; declared names must be plain words without , or :.
 
 Directives:
 
@@ -258,6 +258,14 @@ class _Tokens:
         self.pos += 1
         return tok
 
+    def take_name(self, what: str) -> str:
+        """A declared name: printed bare, so it must read back as one plain token."""
+        tok = self.take(what)
+        if not tok or any(ch.isspace() or ch in "\"'\\#,:" for ch in tok):
+            raise ScenarioError(f"line {self.lineno}: bad {what} {tok!r} (no whitespace, "
+                                "quotes, backslash, '#', ',' or ':')")
+        return tok
+
     def take_int(self, what: str) -> int:
         tok = self.take(what)
         try:
@@ -419,7 +427,7 @@ def _parse_pair(t: _Tokens, chk: _ParseChecker, lineno: int) -> PairDecl:
 
 def _parse_curve(t: _Tokens, chk: _ParseChecker, lineno: int) -> CurveDecl:
     chk.need(not chk.blown_down, lineno, "curve data was dropped by the blow-down")
-    name = t.take("curve name")
+    name = t.take_name("curve name")
     chk.need(name not in chk.curves, lineno, f"curve {name!r} already declared")
     t.take_keyword("class")
     lc = t.take_parsed("class expression", parse_lincomb)
@@ -441,7 +449,7 @@ def _parse_curve(t: _Tokens, chk: _ParseChecker, lineno: int) -> CurveDecl:
 
 def _parse_blowup(t: _Tokens, chk: _ParseChecker, lineno: int) -> BlowupStep:
     chk.need(not chk.blown_down, lineno, "cannot blow up after the blow-down")
-    name = t.take("exceptional name")
+    name = t.take_name("exceptional name")
     chk.need(name not in chk.gens, lineno, f"generator {name!r} already declared")
     chk.need(name not in chk.curves, lineno, f"curve {name!r} already declared")
     at: list[tuple[str, int]] = []
@@ -469,7 +477,7 @@ def _parse_blowup(t: _Tokens, chk: _ParseChecker, lineno: int) -> BlowupStep:
 
 def _parse_smooth(t: _Tokens, chk: _ParseChecker, lineno: int) -> SmoothStep:
     chk.need(not chk.blown_down, lineno, "cannot smooth after the blow-down")
-    name = t.take("new curve name")
+    name = t.take_name("new curve name")
     c1 = t.take("curve name")
     c2 = t.take("curve name")
     chk.need_curve(c1, lineno)
@@ -495,7 +503,7 @@ def _parse_surgery(t: _Tokens, chk: _ParseChecker, lineno: int) -> SurgeryStep:
 
 def _parse_chain(t: _Tokens, chk: _ParseChecker, lineno: int) -> ChainDecl:
     chk.need(not chk.blown_down, lineno, "curve data was dropped by the blow-down")
-    name = t.take("chain name")
+    name = t.take_name("chain name")
     chk.need(name not in chk.chains, lineno, f"chain {name!r} already declared")
     t.take_keyword("=")
     curves = tuple(t.take("curve list").split(","))
@@ -516,7 +524,7 @@ def _parse_blowdown(t: _Tokens, chk: _ParseChecker, lineno: int) -> BlowdownStep
 
 
 def _parse_mcg(t: _Tokens, chk: _ParseChecker, lineno: int) -> McgStep:
-    name = t.take("report name")
+    name = t.take_name("report name")
     chk.need(name not in chk.mcgs, lineno, f"mcg report {name!r} already declared")
     t.take_keyword("expected")
     expected = t.take_int("expected twist count")
@@ -528,7 +536,7 @@ def _parse_mcg(t: _Tokens, chk: _ParseChecker, lineno: int) -> McgStep:
 
 
 def _parse_sw_ledger(t: _Tokens, chk: _ParseChecker, lineno: int) -> SwLedgerStep:
-    name = t.take("ledger name")
+    name = t.take_name("ledger name")
     chk.need(name not in chk.ledgers, lineno, f"ledger {name!r} already declared")
     t.take_keyword("e")
     e = t.take_int("Euler characteristic")
@@ -544,7 +552,7 @@ def _parse_sw_ledger(t: _Tokens, chk: _ParseChecker, lineno: int) -> SwLedgerSte
 
 
 def _parse_sw_blowups(t: _Tokens, chk: _ParseChecker, lineno: int) -> SwBlowupsStep:
-    name = t.take("ledger name")
+    name = t.take_name("ledger name")
     chk.need(name not in chk.ledgers, lineno, f"ledger {name!r} already declared")
     source = t.take("source ledger")
     chk.need(source in chk.ledgers, lineno, f"unknown ledger {source!r}")
@@ -559,7 +567,7 @@ def _parse_sw_blowups(t: _Tokens, chk: _ParseChecker, lineno: int) -> SwBlowupsS
 def _parse_sw_blowdown(
     t: _Tokens, chk: _ParseChecker, lineno: int, chambered: bool = False
 ) -> SwBlowdownStep:
-    name = t.take("ledger name")
+    name = t.take_name("ledger name")
     chk.need(name not in chk.ledgers, lineno, f"ledger {name!r} already declared")
     source = t.take("source ledger")
     chk.need(source in chk.ledgers, lineno, f"unknown ledger {source!r}")
@@ -621,7 +629,7 @@ def print_directive(d: Directive) -> str:
             out += " flags " + _words(d.flags)
         return out + " basis " + _words(d.basis)
     if isinstance(d, PairDecl):
-        return f"pair {d.g1} {d.g2} {d.value}"
+        return f"pair {_q(d.g1)} {_q(d.g2)} {d.value}"
     if isinstance(d, CurveDecl):
         return f"curve {d.name} class {lincomb_to_str(d.cls)} genus {d.genus} dp {d.dp}"
     if isinstance(d, BlowupStep):
@@ -655,7 +663,7 @@ def print_directive(d: Directive) -> str:
             f"fiber {lincomb_to_str(d.fiber)} knots {knots}"
         )
     if isinstance(d, SwBlowupsStep):
-        return f"sw blowups {d.name} {d.source} " + " ".join(d.gens)
+        return f"sw blowups {d.name} {d.source} " + _words(d.gens)
     if isinstance(d, SwBlowdownStep):
         if d.chambered:
             out = f"sw chambered-blowdown {d.name} {d.source} {d.chain}"

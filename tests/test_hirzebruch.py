@@ -1,3 +1,7 @@
+import itertools
+import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -103,12 +107,13 @@ def test_discriminant_frozen(pq):
 
 
 def recurrence_coeffs(weights):
-    """Independent route to the discriminant coefficients.
+    """The discriminant coefficients by the continuant recurrence.
 
-    Walking the chain from the far end, phi_1 = 1 and
+    Walking the chain from the first sphere, phi_1 = 1 and
     phi_{i+1} = -w_i * phi_i - phi_{i-1} (mod p^2) sends each basis vector
-    to its image in the cyclic cokernel; this never touches the Smith-form
-    code.
+    to its image in the cyclic cokernel.  This is the algorithm `discriminant`
+    itself runs, so it checks the sign convention, not the mathematics; the
+    independent oracle is the Smith reduction below.
     """
     pq = hj.identify_cpq(tuple(weights))
     assert pq is not None
@@ -134,11 +139,111 @@ def test_discriminant_matches_recurrence(pq):
     assert data.coeffs == rec
 
 
-def test_discriminant_rejects_non_cyclic():
-    # an adjacent (-2,-2) pair: |det| = 3 is not a perfect square, so this
-    # exercises the non-square rejection, not the non-cyclic one
+def _smith_left(mat):
+    """Diagonalize an integer matrix by row and column operations.
+
+    Returns (diag, U) with U * mat * V = diag(d_1..d_k) for some unimodular V,
+    d_i >= 0 and d_i | d_{i+1}.  Only the row transform U is tracked; it is
+    what presents the cokernel Z^k / im(mat).
+    """
+    a = [list(row) for row in mat]
+    k = len(a)
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+
+    def add_row(i, j, c):
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+
+    def add_col(i, j, c):
+        for row in a:
+            row[i] += c * row[j]
+
+    for t in range(k):
+        while True:
+            piv = None
+            for i in range(t, k):
+                for j in range(t, k):
+                    if a[i][j] and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
+                        piv = (i, j)
+            if piv is None:
+                break
+            if piv[0] != t:
+                a[t], a[piv[0]] = a[piv[0]], a[t]
+                u[t], u[piv[0]] = u[piv[0]], u[t]
+            if piv[1] != t:
+                for row in a:
+                    row[t], row[piv[1]] = row[piv[1]], row[t]
+            clean = True
+            for i in range(t + 1, k):
+                if a[i][t]:
+                    add_row(i, t, -(a[i][t] // a[t][t]))
+                    clean = clean and a[i][t] == 0
+            for j in range(t + 1, k):
+                if a[t][j]:
+                    add_col(j, t, -(a[t][j] // a[t][t]))
+                    clean = clean and a[t][j] == 0
+            if not clean:
+                continue
+            # pivot divides everything below-right, or pull a bad row up
+            bad = None
+            for i in range(t + 1, k):
+                for j in range(t + 1, k):
+                    if a[i][j] % a[t][t]:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            add_row(t, bad, 1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+    return [a[i][i] for i in range(k)], u
+
+
+def smith_coeffs(chain):
+    """(order, coefficients) of coker(Gram) from its Smith form, first entry 1."""
+    diag, u = _smith_left(hj.gram_matrix(chain))
+    order = diag[-1]
+    assert all(d == 1 for d in diag[:-1]), f"cokernel {diag} is not cyclic"
+    coeffs = [c % order for c in u[-1]]
+    unit = pow(coeffs[0], -1, order)
+    return order, tuple(c * unit % order for c in coeffs)
+
+
+def test_discriminant_matches_smith():
+    rng = random.Random(20041216)
+    seen = set()
+    while len(seen) < 200:
+        p = rng.randint(2, 400)
+        q = rng.randint(1, p - 1)
+        if math.gcd(p, q) != 1 or len(hj.chain_for_cpq(p, q)) > 30:
+            continue
+        seen.add((p, q))
+    for pq in sorted(seen):
+        chain = hj.chain_for_cpq(*pq)
+        data = hj.discriminant(chain)
+        assert (data.order, data.coeffs) == smith_coeffs(chain), pq
+
+
+@pytest.mark.parametrize("chain", [(-2, -2), (0,), (-1, -1)])
+def test_discriminant_rejects_bad_chains(chain):
+    # |det| = 3 is not a perfect square; (0,) and (-1,-1) have det 0
     with pytest.raises(ValueError):
-        hj.discriminant((-2, -2))
+        hj.discriminant(chain)
+
+
+def test_discriminant_is_fast_on_long_chains():
+    chain = hj.chain_for_cpq(401, 1)
+    assert len(chain) == 400
+    start = time.perf_counter()
+    data = hj.discriminant(chain)
+    assert time.perf_counter() - start < 0.25
+    assert data.order == 401 ** 2
+    assert data.coeffs[0] == 1
+    for column in hj.gram_matrix(chain):
+        assert data.image(column) == 0
 
 
 def test_discriminant_image():
@@ -223,3 +328,23 @@ def test_box_enumeration_c71_counts():
     assert len(box) == 2430
     accepted = [v for v in box if hj.extends_over_ball(chain, v)]
     assert len(accepted) == 348
+
+
+def wahl_chains(max_len, min_weight):
+    """C_{p,q} chains grown from (-4) by the two Wahl moves, within the box."""
+    out, todo = set(), [(-4,)]
+    while todo:
+        c = todo.pop()
+        if c in out or len(c) > max_len or min(c) < min_weight:
+            continue
+        out.add(c)
+        todo.append((-2,) + c[:-1] + (c[-1] - 1,))
+        todo.append((c[0] - 1,) + c[1:] + (-2,))
+    return out
+
+
+def test_identify_cpq_matches_wahl_moves():
+    box = (c for k in range(1, 6) for c in itertools.product(range(-9, -1), repeat=k))
+    identified = {c for c in box if hj.identify_cpq(c) is not None}
+    assert identified == wahl_chains(5, -9)
+    assert len(identified) == 31

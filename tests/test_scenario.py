@@ -107,6 +107,8 @@ def test_report_text_format():
      "line 2: unexpected trailing token 'extra'"),
     ("ambient X e 4 sigma 0 basis S\nassert euler 4\nsw blowups b l E1\n",
      "line 3: unknown ledger 'l'"),
+    ('ambient X e 4 sigma 0 basis S\ncurve "c d" class S\n',
+     "line 2: bad curve name 'c d' (no whitespace, quotes, backslash, '#', ',' or ':')"),
 ])
 def test_parse_errors(text, message):
     with pytest.raises(ScenarioError) as exc:
@@ -277,6 +279,8 @@ def test_print_scenario_quotes_whitespace():
     'ambient X e 4 sigma 0 basis S\npair S S -4\ncurve c class S\nchain C = c\n'
     'blowdown C label ""\nassert label ""\n',
     'ambient X e 4 sigma 0 basis S\nmcg m expected 1 twists a\nassert mcg-word-equal m aA\n',
+    'ambient X e 4 sigma 0 basis "a b" S\npair "a b" "a b" -1\n'
+    'sw ledger l e 4 sigma 0 fiber S knots none\nsw blowups m l "a b"\nassert euler 4\n',
 ])
 def test_parse_print_parse_round_trip(text):
     first = parse_scenario(text)
