@@ -55,7 +55,14 @@ class CurveConfig:
 
 
 def pair_vectors(gram, v1, v2) -> int:
-    return sum(v1[i] * gram[i][j] * v2[j] for i in range(len(v1)) for j in range(len(v2)))
+    """v1^T G v2, summed over the nonzero coordinates of both vectors only."""
+    support2 = [(j, y) for j, y in enumerate(v2) if y]
+    total = 0
+    for i, x in enumerate(v1):
+        if x:
+            row = gram[i]
+            total += x * sum(row[j] * y for j, y in support2)
+    return total
 
 
 def _resolve(cfg: CurveConfig, c) -> Curve:

@@ -25,6 +25,9 @@ Directives:
     sw chambered-blowdown <new> <ledger> <chain> [label <l>]
     assert <kind> <args>...
 
+The flag list of `ambient` ends at the word `basis`, so neither its flags nor
+its generators can be named `basis`.
+
 The assertion kinds are the keys of `_ASSERTIONS`, which gives each kind's
 argument slots (how each argument is read, checked and printed) and its check.
 
@@ -409,6 +412,7 @@ def _parse_ambient(t: _Tokens, chk: _ParseChecker, lineno: int) -> AmbientDecl:
     t.take_keyword("basis")
     basis = t.rest()
     chk.need(bool(basis), lineno, "ambient needs at least one basis generator")
+    chk.need("basis" not in basis, lineno, "'basis' is reserved and cannot name a generator")
     chk.need(len(set(basis)) == len(basis), lineno, "duplicate basis generator")
     chk.gens.update(basis)
     chk.have_ambient = True

@@ -8,6 +8,14 @@ value attached to each characteristic class vector.  The pipeline operations
 mirror the geometric ones: knot surgery seeds a ledger from Alexander
 polynomials, blow-ups spawn +-E twins, and rational blow-down keeps exactly
 the classes whose restriction to the chain extends over the rational ball.
+
+The restriction of a class c is sum c_j*row_j over the tracked generators'
+chain-pairing rows, and extension depends only on its parity mask (r mod 2)
+and its residue (discriminant image mod p); see `hirzebruch.BallTest`.  Both
+reductions are ring maps, so the mask is the XOR of the row masks with odd c_j
+and the residue is sum c_j*residue_j mod p, exactly.  The filter computes one
+(mask, residue) per generator, once per blow-down, tests each entry in O(rank)
+small-int steps and builds the full restriction only for survivors.
 """
 
 from __future__ import annotations
@@ -268,12 +276,12 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
     gram = tuple(row + (0,) * count for row in ledger.gram)
     for i in range(count):
         gram += ((0,) * (old_rank + i) + (-1,) + (0,) * (count - i - 1),)
-    entries = []
-    for ent in ledger.entries:
-        for signs in product((1, -1), repeat=count):
-            entries.append(
-                replace(ent, cls=ent.cls + signs, square=ent.square - count)
-            )
+    # ascending signs keep the descendants of sorted entries sorted
+    entries = [
+        Entry(ent.cls + signs, ent.value, ent.square - count, ent.verified)
+        for ent in ledger.entries
+        for signs in product((-1, 1), repeat=count)
+    ]
     return Ledger(
         label=ledger.label,
         e=ledger.e + count,
@@ -314,32 +322,48 @@ def _survivors(ledger: Ledger, chain, chain_pairings):
     for row in chain_pairings:
         if len(row) != len(chain):
             raise ValueError("chain-pairing row length does not match the chain")
+    test = hirzebruch.ball_test(chain)
+    # generators whose row has mask 0 and residue 0 cannot change the outcome
+    active = [
+        (j, mask, residue)
+        for j, (mask, residue) in enumerate(test.invariants(row) for row in chain_pairings)
+        if mask or residue
+    ]
     kept = []
     for ent in ledger.entries:
-        r = tuple(
-            sum(c * row[i] for c, row in zip(ent.cls, chain_pairings))
-            for i in range(len(chain))
-        )
-        if hirzebruch.extends_over_ball(tuple(chain), r):
+        cls = ent.cls
+        mask = residue = 0
+        for j, row_mask, row_residue in active:
+            c = cls[j]
+            if c & 1:
+                mask ^= row_mask
+            residue += c * row_residue
+        if test.accepts(mask, residue):
+            r = tuple(
+                sum(c * row[i] for c, row in zip(cls, chain_pairings))
+                for i in range(len(chain))
+            )
             kept.append((ent, r))
     return kept
 
 
 def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: bool):
     chain = tuple(chain)
-    kept = _survivors(ledger, chain, chain_pairings)
+    kept = sorted(_survivors(ledger, chain, chain_pairings), key=lambda item: item[0].cls)
     k = len(chain)
     new_entries = []
     restrictions = []
     value_sets = []
+    inverse_forms: dict[tuple[int, ...], Fraction] = {}  # one per distinct restriction
     for ent, r in kept:
         d = dimension_from_square(ent.square, ledger.e, ledger.sigma)
         if d.denominator != 1 or d < 0:
             raise ValueError(
                 f"class {ent.cls} has formal dimension {d}; need a nonnegative integer"
             )
-        correction = hirzebruch.gram_inverse_form(chain, r)
-        new_square = Fraction(ent.square) - correction
+        if r not in inverse_forms:
+            inverse_forms[r] = hirzebruch.gram_inverse_form(chain, r)
+        new_square = ent.square - inverse_forms[r]
         if new_square.denominator != 1:
             raise ValueError(f"extension of {ent.cls} has non-integral square {new_square}")
         new_entries.append(replace(ent, square=int(new_square)))
@@ -355,11 +379,8 @@ def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: 
         sigma=ledger.sigma + k,
         basis=ledger.basis,
         gram=ledger.gram,
-        entries=_sorted_entries(new_entries),
+        entries=tuple(new_entries),
     )
-    order = {ent.cls: i for i, ent in enumerate(out.entries)}
-    restrictions.sort(key=lambda item: order[item[0]])
-    value_sets.sort(key=lambda item: order[item[0]])
     return BlowdownResult(
         ledger=out,
         restrictions=tuple(restrictions),
@@ -487,21 +508,3 @@ def ledger_report(ledger: Ledger) -> str:
         lines.append(f"  {cls} -> {ent.value}{mark}")
     return "\n".join(lines)
 
-
-def class_to_str(cls, basis) -> str:
-    """Human form of a class vector, e.g. 3T+E1+E2."""
-    parts = []
-    for c, name in zip(cls, basis):
-        if c == 0:
-            continue
-        sign = "+" if c > 0 else "-"
-        mag = abs(c)
-        term = name if mag == 1 else f"{mag}{name}"
-        parts.append((sign, term))
-    if not parts:
-        return "0"
-    first_sign, first_term = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_term
-    for sign, term in parts[1:]:
-        out += sign + term
-    return out

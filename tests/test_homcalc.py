@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from blowdown import homcalc
@@ -175,3 +177,23 @@ def test_homeo_fingerprint():
     amb5 = Ambient(basis=(), gram=(), e=2, sigma=-1, label="tiny",
                    flags=frozenset({"simply-connected", "odd"}))
     assert homcalc.homeo_fingerprint(amb5) is None
+
+
+def test_pair_vectors_matches_dense_sum():
+    rng = random.Random(4127)
+
+    def vector(rank):
+        if rng.random() < 0.2:
+            return (0,) * rank
+        return tuple(rng.randint(-3, 3) if rng.random() < 0.4 else 0 for _ in range(rank))
+
+    for trial in range(400):
+        rank = 1 if trial < 40 else rng.randint(1, 12)
+        upper = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
+        gram = tuple(tuple(upper[min(i, j)][max(i, j)] for j in range(rank)) for i in range(rank))
+        v1, v2 = vector(rank), vector(rank)
+        dense = 0
+        for i in range(rank):
+            for j in range(rank):
+                dense += v1[i] * gram[i][j] * v2[j]
+        assert homcalc.pair_vectors(gram, v1, v2) == dense, (gram, v1, v2)

@@ -109,6 +109,8 @@ def test_report_text_format():
      "line 3: unknown ledger 'l'"),
     ('ambient X e 4 sigma 0 basis S\ncurve "c d" class S\n',
      "line 2: bad curve name 'c d' (no whitespace, quotes, backslash, '#', ',' or ':')"),
+    ("ambient X e 4 sigma 0 flags basis basis S\n",
+     "line 1: 'basis' is reserved and cannot name a generator"),
 ])
 def test_parse_errors(text, message):
     with pytest.raises(ScenarioError) as exc:

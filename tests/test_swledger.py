@@ -1,7 +1,16 @@
+import math
+import random
+import time
+from dataclasses import replace
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from blowdown import hirzebruch, swledger as sw
 from blowdown.swledger import LaurentPoly, LinExpr
+from test_acceptance import XN_ROWS
+from test_hirzebruch import smith_coeffs
 
 
 def test_linexpr_arithmetic():
@@ -257,12 +266,6 @@ def test_ledger_report_deterministic():
     )
 
 
-def test_class_to_str():
-    assert sw.class_to_str((3, 1, 1), ("T", "E1", "E2")) == "3T+E1+E2"
-    assert sw.class_to_str((-3, -1, -1), ("T", "E1", "E2")) == "-3T-E1-E2"
-    assert sw.class_to_str((0, 0, 0), ("T", "E1", "E2")) == "0"
-
-
 def test_conjugation_symmetry_concrete():
     """Charge conjugation: the ledger is symmetric under negating classes."""
     led = sw.knot_surgery_ledger(
@@ -271,3 +274,153 @@ def test_conjugation_symmetry_concrete():
         mirror = led.entry(tuple(-x for x in ent.cls))
         assert mirror.value == -ent.value
         assert mirror.verified == ent.verified
+
+
+# --- independent oracles for the fast paths --------------------------------------
+
+
+def random_ledger(rng, rank):
+    """Distinct random classes in [-3, 3]^rank (so +-T, +-3T, even and negative
+    coefficients), random values and flags; squares 0 on e = 12, sigma = -8,
+    so every class has formal dimension 0, as on a knot-surgery seed."""
+    classes = {tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rng.randint(1, 12))}
+    entries = tuple(
+        sw.Entry(cls, LinExpr(rng.randint(-3, 3), rng.randint(-2, 2)), 0, rng.random() < 0.5)
+        for cls in sorted(classes)
+    )
+    gram = tuple(tuple(rng.randint(-2, 2) if i == j else 0 for j in range(rank))
+                 for i in range(rank))
+    return sw.Ledger("seed", 12, -8, tuple(f"G{i}" for i in range(rank)), gram, entries)
+
+
+def eager_blow_up(ledger, count, names):
+    """The blow-up as a sorted `replace` over every sign pattern."""
+    entries = [
+        replace(ent, cls=ent.cls + signs, square=ent.square - count)
+        for ent in ledger.entries
+        for signs in product((1, -1), repeat=count)
+    ]
+    rank = len(ledger.basis) + count
+    gram = tuple(
+        tuple(ledger.gram[i][j] if max(i, j) < len(ledger.basis) else -int(i == j)
+              for j in range(rank))
+        for i in range(rank)
+    )
+    return sw.Ledger(ledger.label, ledger.e + count, ledger.sigma - count,
+                     ledger.basis + names, gram, tuple(sorted(entries, key=lambda e: e.cls)))
+
+
+def test_blow_up_ledger_matches_eager_construction():
+    rng = random.Random(1997)
+    for _ in range(60):
+        base = random_ledger(rng, rng.randint(1, 3))
+        count = rng.randint(1, 4)
+        names = tuple(f"E{i}" for i in range(1, count + 1))
+        assert sw.blow_up_ledger(base, count, names) == eager_blow_up(base, count, names)
+
+
+def dense_inverse_form(chain, v):
+    """v^T G^-1 v by Gauss-Jordan elimination on the dense chain Gram matrix."""
+    k = len(chain)
+    a = [[Fraction(w if i == j else int(abs(i - j) == 1)) for j in range(k)] + [Fraction(v[i])]
+         for i, w in enumerate(chain)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(k):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return sum(x * a[i][k] for i, x in enumerate(v))
+
+
+def eager_blowdown(ledger, chain, rows, chambered):
+    """Survivors by scanning every entry: the dense restriction sum, then the
+    characteristic test and the Smith-form discriminant image mod p."""
+    order, coeffs = smith_coeffs(chain)
+    p = math.isqrt(order)
+    entries, restrictions, value_sets = [], [], []
+    for ent in sorted(ledger.entries, key=lambda e: e.cls):
+        r = tuple(sum(c * row[i] for c, row in zip(ent.cls, rows)) for i in range(len(chain)))
+        if any((x - w) % 2 for x, w in zip(r, chain)):
+            continue
+        if sum(x * c for x, c in zip(r, coeffs)) % p:
+            continue
+        square = ent.square - dense_inverse_form(chain, r)
+        assert square.denominator == 1, (chain, r)
+        entries.append((ent.cls, ent.value, int(square), ent.verified))
+        restrictions.append((ent.cls, r))
+        v = ent.value
+        shifted = (LinExpr(v.c0 - 1, v.c1), v, LinExpr(v.c0 + 1, v.c1))
+        value_sets.append((ent.cls, tuple(sorted(shifted)) if chambered else (v,)))
+    return entries, restrictions, value_sets
+
+
+def cpq_chains_by_length(max_len):
+    out = {}
+    for p in range(2, 40):
+        for q in range(1, p):
+            if math.gcd(p, q) == 1:
+                chain = hirzebruch.chain_for_cpq(p, q)
+                if len(chain) <= max_len:
+                    out.setdefault(len(chain), set()).add(chain)
+    return {k: sorted(v) for k, v in out.items()}
+
+
+def test_blowdown_filter_matches_eager_scan():
+    rng = random.Random(20040528)
+    chains = cpq_chains_by_length(8)
+
+    def row(chain):
+        # zero, even and weight-parity rows all occur in the bundled constructions
+        kind = rng.randrange(4)
+        if kind == 0:
+            return (0,) * len(chain)
+        if kind == 1:
+            return tuple(rng.choice((-2, 0, 2)) for _ in chain)
+        if kind == 2:
+            return tuple(rng.choice((-3, -1, 1, 3) if w % 2 else (-2, 0, 2)) for w in chain)
+        return tuple(rng.randint(-3, 3) for _ in chain)
+
+    survivors = cases_with_survivors = tested = 0
+    for _ in range(100):
+        chain = rng.choice(chains[rng.randint(1, 8)])
+        ledger = random_ledger(rng, rng.randint(1, 3))
+        blowups = rng.choice((0, 0, 1, 2, 3, 4))
+        if blowups:
+            ledger = sw.blow_up_ledger(ledger, blowups)
+        rows = [row(chain) for _ in ledger.basis]
+        for chambered in (False, True):
+            if chambered:
+                result = sw.chambered_blowdown_ledger(ledger, chain, rows)
+            else:
+                result = sw.rational_blowdown_ledger(ledger, chain, rows, corrections=(True, True))
+            entries, restrictions, value_sets = eager_blowdown(ledger, chain, rows, chambered)
+            assert [(e.cls, e.value, e.square, e.verified)
+                    for e in result.ledger.entries] == entries, (chain, rows)
+            assert list(result.restrictions) == restrictions
+            assert list(result.value_sets) == value_sets
+            assert (result.ledger.e, result.ledger.sigma) == (
+                ledger.e - len(chain), ledger.sigma + len(chain))
+        tested += len(ledger.entries)
+        survivors += len(entries)
+        cases_with_survivors += bool(entries)
+    # the comparison is not vacuous: both outcomes occur often
+    assert cases_with_survivors >= 20 and 150 <= survivors <= tested // 2
+
+
+def test_blowdown_filter_cost_follows_entries_and_rank():
+    # X_n's seed +-T blown up at E1..E11 (the scenario's rows) and at Z1..Z4
+    # away from the chain: 65,536 entries.  The Z signs are free, so the
+    # survivors are X_n's two classes times 16 sign patterns.
+    seed = sw.knot_surgery_ledger([sw.alexander_twist()], label="Y_n")
+    names = tuple(f"E{i}" for i in range(1, 12)) + ("Z1", "Z2", "Z3", "Z4")
+    blown = sw.blow_up_ledger(seed, 15, names)
+    assert len(blown.entries) == 65536
+    rows = XN_ROWS + ((0,) * 15,) * 4
+    start = time.perf_counter()
+    result = sw.chambered_blowdown_ledger(blown, hirzebruch.chain_for_cpq(71, 8), rows)
+    assert time.perf_counter() - start < 0.5
+    assert {e.cls for e in result.ledger.entries} == {
+        (s,) * 12 + z for s in (1, -1) for z in product((1, -1), repeat=4)}
