@@ -5,10 +5,17 @@ two standard curves map to
 
     a -> ((1, 1), (0, 1))        b -> ((1, 0), (-1, 1))
 
-and equality of mapping classes is equality of integer matrices.  Words are
-stored run-length encoded; products are taken left to right, so a
-factorization reads exactly like the notation it came from.  Everything here
-is a pure function over immutable values and all integers are exact.
+and equality of mapping classes is equality of integer matrices.  A word is a
+tuple of syllables; products are taken left to right, so a factorization reads
+exactly like the notation it came from.  A syllable is either a run-length
+letter (generator tag, nonzero exponent) or a power (base word, e): the base is
+a normalized word of at least two syllables and e >= 2.  `parse_word` writes a
+power `(w)^e` out in full when that takes at most EXPAND_LIMIT letters, so
+short words print letter by letter; a larger power stays symbolic, prints as
+`(w)^e` and is evaluated by repeated squaring in O(log e) products.
+Parentheses nest at most MAX_DEPTH deep, which also bounds the recursion of
+every function here over nested powers.  Everything here is a pure function
+over immutable values and all integers are exact.
 """
 
 from __future__ import annotations
@@ -17,9 +24,15 @@ from dataclasses import dataclass, field
 
 SL2 = tuple[tuple[int, int], tuple[int, int]]
 Letter = tuple[str, int]  # generator tag, nonzero exponent
-Word = tuple[Letter, ...]
+Power = tuple[tuple, int]  # base word, exponent >= 2
+Word = tuple[Letter | Power, ...]
 
 IDENTITY: SL2 = ((1, 0), (0, 1))
+
+# A power is written out when its expansion has at most this many letters:
+# long enough for the relations in this module, short enough for a report line.
+EXPAND_LIMIT = 64
+MAX_DEPTH = 32
 
 
 def sl2_mul(m: SL2, n: SL2) -> SL2:
@@ -29,19 +42,23 @@ def sl2_mul(m: SL2, n: SL2) -> SL2:
     )
 
 
-def _letter_matrix(tag: str, exp: int) -> SL2:
-    # closed forms: a^n is unipotent upper, b^n unipotent lower
-    if tag == "a":
-        return ((1, exp), (0, 1))
-    if tag == "b":
-        return ((1, 0), (-exp, 1))
-    raise ValueError(f"unknown generator {tag!r}")
+def _sl2_pow(m: SL2, e: int) -> SL2:
+    out = IDENTITY
+    while True:
+        if e & 1:
+            out = sl2_mul(out, m)
+        e >>= 1
+        if not e:
+            return out
+        m = sl2_mul(m, m)
 
 
-def normalize(letters) -> Word:
-    """Run-length normal form: merge adjacent equal generators, drop exponent 0."""
-    out: list[Letter] = []
-    for tag, exp in letters:
+def normalize(syllables) -> Word:
+    """Run-length normal form: merge adjacent syllables with the same tag (a
+    generator, or a power's base), drop exponent 0.  A power is opaque: letters
+    never merge across it or into it."""
+    out: list = []
+    for tag, exp in syllables:
         if exp == 0:
             continue
         if out and out[-1][0] == tag:
@@ -55,21 +72,49 @@ def normalize(letters) -> Word:
 
 
 def invert_word(w: Word) -> Word:
-    return tuple((tag, -exp) for tag, exp in reversed(w))
+    return tuple((tag, -exp) if isinstance(tag, str) else (invert_word(tag), exp)
+                 for tag, exp in reversed(w))
 
 
 def concat(*words: Word) -> Word:
-    letters: list[Letter] = []
+    letters: list = []
     for w in words:
         letters.extend(w)
     return normalize(letters)
 
 
+def _power(base: Word, e: int) -> Word:
+    """base^e as syllables: written out when short, else one symbolic power."""
+    if e < 0:
+        base, e = invert_word(base), -e
+    if e == 0 or not base:
+        return ()
+    if len(base) == 1:
+        tag, exp = base[0]
+        return ((tag, exp * e),)
+    # A base holding a power expands to more than EXPAND_LIMIT letters already.
+    if e == 1 or (len(base) * e <= EXPAND_LIMIT
+                  and all(isinstance(tag, str) for tag, _ in base)):
+        return base * e
+    return ((base, e),)
+
+
 def eval_word(w: Word) -> SL2:
-    m = IDENTITY
+    """The matrix of w.  Each letter is a unipotent column operation in closed
+    form; a power is its base's matrix raised by repeated squaring."""
+    (p, q), (r, s) = IDENTITY
     for tag, exp in w:
-        m = sl2_mul(m, _letter_matrix(tag, exp))
-    return m
+        if tag == "a":  # right factor ((1, exp), (0, 1))
+            q += exp * p
+            s += exp * r
+        elif tag == "b":  # right factor ((1, 0), (-exp, 1))
+            p -= exp * q
+            r -= exp * s
+        elif isinstance(tag, tuple):
+            (p, q), (r, s) = sl2_mul(((p, q), (r, s)), _sl2_pow(eval_word(tag), exp))
+        else:
+            raise ValueError(f"unknown generator {tag!r}")
+    return ((p, q), (r, s))
 
 
 def words_equal_in_group(w1: Word, w2: Word) -> bool:
@@ -79,7 +124,8 @@ def words_equal_in_group(w1: Word, w2: Word) -> bool:
 def parse_word(text: str) -> Word:
     """Parse word syntax: letters a, b, A (=a^-1), B (=b^-1), `^` exponents,
     and parenthesized groups, e.g. "a^7", "(ab)^6", "A^4 b a^4".  "1" is the
-    identity word, as `word_to_str` prints it.
+    identity word, as `word_to_str` prints it.  Parentheses nested deeper than
+    MAX_DEPTH raise ValueError.
     """
     if text.strip() == "1":
         return ()
@@ -110,9 +156,9 @@ def parse_word(text: str) -> Word:
             return int(digits)
         return 1
 
-    def parse_seq(depth: int) -> list[Letter]:
+    def parse_seq(depth: int) -> list:
         nonlocal pos
-        items: list[Letter] = []
+        items: list = []
         while True:
             skip_ws()
             if pos >= len(tokens):
@@ -125,17 +171,16 @@ def parse_word(text: str) -> Word:
                     raise ValueError(f"unbalanced parenthesis at position {pos} in {text!r}")
                 break
             if ch == "(":
+                if depth == MAX_DEPTH:
+                    raise ValueError(f"parentheses nested deeper than {MAX_DEPTH} "
+                                     f"at position {pos}")
                 pos += 1
-                inner = parse_seq(depth + 1)
+                inner = normalize(parse_seq(depth + 1))
                 skip_ws()
                 if pos >= len(tokens) or tokens[pos] != ")":
                     raise ValueError(f"unbalanced parenthesis in {text!r}")
                 pos += 1
-                exp = read_exponent()
-                block = tuple(inner)
-                if exp < 0:
-                    block, exp = invert_word(block), -exp
-                items.extend(block * exp)
+                items.extend(_power(inner, read_exponent()))
             elif ch in "abAB":
                 pos += 1
                 exp = read_exponent()
@@ -151,10 +196,14 @@ def parse_word(text: str) -> Word:
 
 
 def word_to_str(w: Word) -> str:
+    """Letters as `a^3`, `B`; a power as `(...)^e`.  `parse_word` reads it back."""
     if not w:
         return "1"
     parts = []
     for tag, exp in w:
+        if isinstance(tag, tuple):
+            parts.append(f"({word_to_str(tag)})^{exp}")
+            continue
         letter = tag if exp > 0 else tag.upper()
         e = abs(exp)
         parts.append(letter if e == 1 else f"{letter}^{e}")

@@ -452,9 +452,9 @@ def substitute(ledger: Ledger, n: int) -> Ledger:
 def minimality_report(ledger: Ledger) -> bool:
     """True when the ledger pins minimality: exactly two classes +-L with
 
-    nonzero opposite values, and no partition into blow-up pairs {K+E, K-E}
-    of equal value with E a square-(-1) direction in the tracked lattice
-    (such a partition is what the blow-up formula would force).
+    nonzero opposite values.  Such a ledger has no partition into blow-up
+    pairs {K+E, K-E} of equal value, which is what the blow-up formula would
+    force: its only pair is {L, -L}, and L's value v != 0 differs from -v.
     """
     for ent in ledger.entries:
         if ent.value.c1 != 0:
@@ -462,38 +462,7 @@ def minimality_report(ledger: Ledger) -> bool:
     if len(ledger.entries) != 2:
         return False
     a, b = ledger.entries
-    if b.cls != tuple(-x for x in a.cls) or b.value != -a.value:
-        return False
-    if a.value.is_zero():
-        return False
-    return not _blowup_partition_exists(ledger)
-
-
-def _blowup_partition_exists(ledger: Ledger) -> bool:
-    entries = list(ledger.entries)
-
-    def candidate(x: Entry, y: Entry) -> bool:
-        if x.value != y.value:
-            return False
-        diff = [p - q for p, q in zip(x.cls, y.cls)]
-        if any(d % 2 for d in diff):
-            return False
-        half = [d // 2 for d in diff]
-        if all(h == 0 for h in half):
-            return False
-        return homcalc.pair_vectors(ledger.gram, half, half) == -1
-
-    def match(rest) -> bool:
-        if not rest:
-            return True
-        first, tail = rest[0], rest[1:]
-        for i, other in enumerate(tail):
-            if candidate(first, other):
-                if match(tail[:i] + tail[i + 1 :]):
-                    return True
-        return False
-
-    return match(entries)
+    return b.cls == tuple(-x for x in a.cls) and b.value == -a.value and not a.value.is_zero()
 
 
 def ledger_report(ledger: Ledger) -> str:

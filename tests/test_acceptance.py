@@ -14,6 +14,7 @@ from importlib import resources
 
 from blowdown import hirzebruch, homcalc, mcg, scenario, swledger as sw
 from blowdown.swledger import LinExpr
+from ledger_rows import QN_ROWS, XN_ROWS
 
 
 def _corpus() -> dict[str, str]:
@@ -35,30 +36,6 @@ def report_for(name: str) -> scenario.Report:
 
 def records(name: str, description: str):
     return [r for r in report_for(name).records if r.description == description]
-
-
-# pairings of the ledger basis classes with the chain spheres, as computed
-# from the curve geometry by the bundled scenarios (Q_n: T,E1,E2 against
-# C_{7,1}; X_n: T,E1..E11 against C_{71,8})
-QN_ROWS = (
-    (1, 0, 0, 0, 0, 0),
-    (2, 0, 0, 0, 0, 0),
-    (2, 0, 0, 0, 0, 0),
-)
-XN_ROWS = (
-    (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    (2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    (2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    (2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    (0, 1, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0),
-    (0, 1, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0),
-    (0, 1, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0),
-    (0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0),
-    (0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0),
-    (0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0),
-    (0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1),
-    (0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-)
 
 
 def test_acceptance_1_mcg_identity_suite():

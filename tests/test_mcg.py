@@ -1,3 +1,8 @@
+import random
+import re
+import time
+import tracemalloc
+
 import pytest
 
 from blowdown import mcg
@@ -9,6 +14,8 @@ def test_letter_matrices():
     assert mcg.eval_word(mcg.parse_word("b")) == ((1, 0), (-1, 1))
     assert mcg.eval_word(mcg.parse_word("a^5")) == ((1, 5), (0, 1))
     assert mcg.eval_word(mcg.parse_word("B^3")) == ((1, 0), (3, 1))
+    with pytest.raises(ValueError):
+        mcg.eval_word((("c", 1),))
 
 
 def test_word_algebra():
@@ -18,16 +25,26 @@ def test_word_algebra():
     # parse accepts parenthesized powers and compact/spaced forms alike
     assert mcg.parse_word("(ab)^2") == mcg.parse_word("a b a b")
     assert mcg.parse_word("(a^3b)^3") == mcg.parse_word("a^3 b a^3 b a^3 b")
+    # a power is written out up to EXPAND_LIMIT letters and kept symbolic above
+    ab = (("a", 1), ("b", 1))
+    assert mcg.parse_word("(ab)^32") == ab * 32
+    assert mcg.parse_word("(ab)^33") == ((ab, 33),)
+    assert mcg.parse_word("(ab)^-33") == (((("b", -1), ("a", -1)), 33),)
+    assert mcg.parse_word("((ab)^100)^-10") == mcg.invert_word(mcg.parse_word("(ab)^1000"))
+    assert mcg.parse_word("(a^3)^1000 (B)^99") == (("a", 3000), ("b", -99))
+    assert mcg.concat(mcg.parse_word("a (ab)^100"), mcg.parse_word("(ab)^50 A")) == (
+        ("a", 1), (ab, 150), ("a", -1))
 
 
 def test_parse_word_rejects_garbage():
-    for bad in ["c", "a^", "(ab", "a**2", "3a"]:
+    for bad in ["c", "a^", "(ab", "a**2", "3a", "(" * 1000 + "a" + ")" * 1000]:
         with pytest.raises(ValueError):
             mcg.parse_word(bad)
 
 
 def test_word_to_str_round_trip():
-    for text in ["a^3 b a^3 b", "A^4 b a^4", "b", "a^-2 b a^2", "a A"]:
+    for text in ["a^3 b a^3 b", "A^4 b a^4", "b", "a^-2 b a^2", "a A", "(ab)^1000",
+                 "a (a b)^-100 B", "((a^2 B)^40 b)^3", "(((ab)^1000)^1000)^1000"]:
         w = mcg.parse_word(text)
         assert mcg.parse_word(mcg.word_to_str(w)) == w
 
@@ -128,3 +145,115 @@ def test_braid_style_identity():
     ab = mcg.parse_word("ab")
     rhs = mcg.concat(ab, mcg.parse_word("a"), mcg.invert_word(ab))
     assert mcg.words_equal_in_group(lhs, rhs)
+
+
+# --- an independent reading of word powers --------------------------------------
+# The oracle expands a word text letter by letter with its own small parser and
+# multiplies full 2x2 matrices; it shares no code with mcg.
+
+ORACLE_PRIME = 2**61 - 1
+_EXPONENT = re.compile(r"\^([+-]?\d+)")
+
+
+def oracle_letters(text: str) -> list:
+    """Every power of `text` written out: a flat list of (generator, exponent)."""
+    pos = 0
+
+    def exponent() -> int:
+        nonlocal pos
+        m = _EXPONENT.match(text, pos)
+        if not m:
+            return 1
+        pos = m.end()
+        return int(m.group(1))
+
+    def seq() -> list:
+        nonlocal pos
+        out = []
+        while pos < len(text) and text[pos] != ")":
+            ch = text[pos]
+            pos += 1
+            if ch == " ":
+                continue
+            if ch == "(":
+                inner = seq()
+                pos += 1  # the closing parenthesis
+                e = exponent()
+                if e < 0:
+                    inner = [(g, -x) for g, x in reversed(inner)]
+                out.extend(inner * abs(e))
+            else:
+                e = exponent()
+                out.append((ch.lower(), -e if ch.isupper() else e))
+        return out
+
+    letters = seq()
+    assert pos == len(text), text
+    return letters
+
+
+def oracle_matrix(letters, modulus=None):
+    """Product of a^e = ((1, e), (0, 1)) and b^e = ((1, 0), (-e, 1)), optionally mod `modulus`."""
+    p, q, r, s = 1, 0, 0, 1
+    for g, e in letters:
+        (w, x), (y, z) = ((1, e), (0, 1)) if g == "a" else ((1, 0), (-e, 1))
+        p, q, r, s = p * w + q * y, p * x + q * z, r * w + s * y, r * x + s * z
+        if modulus:
+            p, q, r, s = p % modulus, q % modulus, r % modulus, s % modulus
+    return ((p, q), (r, s))
+
+
+def random_power_text(rng: random.Random, depth: int) -> tuple[str, int]:
+    """A random word text with powers nested up to `depth` deep, and its letter count."""
+    parts, size = [], 0
+    for _ in range(rng.randint(1, 4)):
+        if depth and rng.random() < 0.6:
+            inner, inner_size = random_power_text(rng, depth - 1)
+            e = rng.randint(-60, 60)
+            parts.append(f"({inner})^{e}")
+            size += inner_size * abs(e)
+        else:
+            parts.append(rng.choice("abAB") + rng.choice(("", "", f"^{rng.randint(-4, 4)}")))
+            size += 1
+    return rng.choice(("", " ")).join(parts), size
+
+
+def test_power_words_match_expanded_oracle():
+    rng = random.Random(20260406)
+    sizes, symbolic = [], 0
+    while len(sizes) < 60:
+        text, size = random_power_text(rng, 3)
+        if size > 100_000:
+            continue
+        sizes.append(size)
+        w = mcg.parse_word(text)
+        m = mcg.eval_word(w)
+        letters = oracle_letters(text)
+        assert len(letters) == size
+        if size <= 2_000:
+            assert m == oracle_matrix(letters), text
+        else:
+            reduced = tuple(tuple(x % ORACLE_PRIME for x in row) for row in m)
+            assert reduced == oracle_matrix(letters, ORACLE_PRIME), text
+        assert mcg.parse_word(mcg.word_to_str(w)) == w, text
+        assert mcg.eval_word(mcg.concat(w, mcg.invert_word(w))) == mcg.IDENTITY, text
+        symbolic += any(isinstance(tag, tuple) for tag, _ in w)
+    assert max(sizes) >= 20_000 and symbolic >= 20, (sorted(sizes), symbolic)
+
+
+def test_large_powers_cost_log_exponent():
+    # (ab)^6 = 1 and 10^6 = 10^9 = 4 mod 6, so both powers equal (ab)^4;
+    # a^3 b a^-3 is parabolic, and its e-th power is conjugate to b^e.
+    e = 10**6
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        got = [mcg.eval_word(mcg.parse_word(t))
+               for t in ("(ab)^1000000", "(((ab)^1000)^1000)^1000", "(a^3 b A^3)^1000000")]
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [((0, -1), (1, -1)), ((0, -1), (1, -1)), ((1 - 3 * e, 9 * e), (-e, 1 + 3 * e))]
+    assert elapsed < 0.25, elapsed
+    assert peak < 1_000_000, peak

@@ -111,6 +111,9 @@ def test_report_text_format():
      "line 2: bad curve name 'c d' (no whitespace, quotes, backslash, '#', ',' or ':')"),
     ("ambient X e 4 sigma 0 flags basis basis S\n",
      "line 1: 'basis' is reserved and cannot name a generator"),
+    pytest.param("ambient X e 4 sigma 0 basis S\nmcg m expected 1 twists a\n"
+                 "assert mcg-word-equal m " + "(" * 1000 + "a" + ")" * 1000 + "\n",
+                 "line 3: parentheses nested deeper than 32 at position 32", id="deep-word"),
 ])
 def test_parse_errors(text, message):
     with pytest.raises(ScenarioError) as exc:
@@ -283,6 +286,8 @@ def test_print_scenario_quotes_whitespace():
     'ambient X e 4 sigma 0 basis S\nmcg m expected 1 twists a\nassert mcg-word-equal m aA\n',
     'ambient X e 4 sigma 0 basis "a b" S\npair "a b" "a b" -1\n'
     'sw ledger l e 4 sigma 0 fiber S knots none\nsw blowups m l "a b"\nassert euler 4\n',
+    'ambient X e 4 sigma 0 basis S\nmcg m expected 1 twists b~(ab)^1000\n'
+    'assert mcg-word-equal m (ab)^100000\n',
 ])
 def test_parse_print_parse_round_trip(text):
     first = parse_scenario(text)

@@ -9,7 +9,7 @@ import pytest
 
 from blowdown import hirzebruch, swledger as sw
 from blowdown.swledger import LaurentPoly, LinExpr
-from test_acceptance import XN_ROWS
+from ledger_rows import QN_ROWS, XN_ROWS
 from test_hirzebruch import smith_coeffs
 
 
@@ -158,12 +158,6 @@ def qn_blown_ledger():
 
 
 QN_CHAIN = hirzebruch.chain_for_cpq(7, 1)
-# pairings of T, E1, E2 with the six chain spheres
-QN_ROWS = (
-    (1, 0, 0, 0, 0, 0),
-    (2, 0, 0, 0, 0, 0),
-    (2, 0, 0, 0, 0, 0),
-)
 
 
 def test_rational_blowdown_ledger_survivors():
