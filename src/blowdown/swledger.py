@@ -9,17 +9,30 @@ mirror the geometric ones: knot surgery seeds a ledger from Alexander
 polynomials, blow-ups spawn +-E twins, and rational blow-down keeps exactly
 the classes whose restriction to the chain extends over the rational ball.
 
+A blown-up ledger is never written out: its entries are a `BlownEntries` view
+over (sorted base entries, m trailing exceptional signs), so blowing up costs
+O(1) and a ledger of base * 2^m entries holds only its base.
+
 The restriction of a class c is sum c_j*row_j over the tracked generators'
 chain-pairing rows, and extension depends only on its parity mask (r mod 2)
 and its residue (discriminant image mod p); see `hirzebruch.BallTest`.  Both
 reductions are ring maps, so the mask is the XOR of the row masks with odd c_j
 and the residue is sum c_j*residue_j mod p, exactly.  The filter computes one
-(mask, residue) per generator, once per blow-down, tests each entry in O(rank)
-small-int steps and builds the full restriction only for survivors.
+(mask, residue) per generator, once per blow-down, and scans only the base
+entries.  Every exceptional sign is odd, so the exceptional rows add one fixed
+mask, and a sign pattern a survives iff res(base) + sum a_i*residue_i lands on
+an accepted residue: a subset sum mod p.  Per level i the filter keeps the
+residues, reachable from the base entries, from which the remaining signs can
+still land there (at most p of them), then walks the signs -1 before +1
+through those sets only.  Survivors come out sorted, each restriction is the
+base entry's plus one signed row per step, and the cost is O(m*p +
+survivors*m) instead of O(2^m * rank).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
@@ -189,23 +202,106 @@ class Entry:
     verified: bool = True
 
 
+def _descendant(ent: Entry, signs: tuple[int, ...]) -> Entry:
+    """The blow-up descendant K + sum(a_i * E_i) of `ent`, keeping its value."""
+    return Entry(ent.cls + signs, ent.value, ent.square - len(signs), ent.verified)
+
+
+class BlownEntries(Sequence):
+    """The entries of a blown-up ledger, as a sorted read-only view.
+
+    Holds the sorted base entries and the number m of trailing exceptional
+    classes.  Entry number (b << m) + bits is base[b] + sum(a_i * E_i), where
+    a_i = +1 if bit m-1-i of bits is set and -1 otherwise: each base entry's
+    2^m descendants in ascending sign order, so the view is sorted.  Its
+    length is len(base) << m, and it compares equal to the tuple of its
+    entries.  Nothing is built until an entry is read.
+    """
+
+    __slots__ = ("base", "m")
+
+    def __init__(self, base: tuple[Entry, ...], m: int):
+        self.base = base
+        self.m = m
+
+    def __len__(self) -> int:
+        return len(self.base) << self.m
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("ledger entry index out of range")
+        m = self.m
+        signs = tuple(1 if index >> (m - 1 - i) & 1 else -1 for i in range(m))
+        return _descendant(self.base[index >> m], signs)
+
+    def __iter__(self):
+        for ent in self.base:
+            for signs in product((-1, 1), repeat=self.m):
+                yield _descendant(ent, signs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, BlownEntries)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"BlownEntries({len(self.base)} base entries x 2^{self.m} signs)"
+
+    def find(self, cls: tuple[int, ...]) -> Entry | None:
+        """The entry at `cls`, or None, in O(rank + log base): the trailing m
+        coordinates must each be +-1, and the rest is bisected in the base."""
+        cut = len(cls) - self.m
+        head, signs = cls[:cut], cls[cut:]
+        if cut < 0 or any(a not in (-1, 1) for a in signs):
+            return None
+        i = bisect_left(self.base, head, key=lambda ent: ent.cls)
+        if i < len(self.base) and self.base[i].cls == head:
+            return _descendant(self.base[i], signs)
+        return None
+
+
+def _base_and_signs(entries) -> tuple[tuple[Entry, ...], int]:
+    """(base entries, trailing exceptional signs m); a plain tuple has m = 0."""
+    if isinstance(entries, BlownEntries):
+        return entries.base, entries.m
+    return tuple(entries), 0
+
+
 @dataclass(frozen=True)
 class Ledger:
+    """The tracked classes, their Gram matrix and the entries sorted by class.
+
+    `entries` is a tuple, or a `BlownEntries` view after a blow-up.
+    """
+
     label: str
     e: int
     sigma: int
     basis: tuple[str, ...]
     gram: tuple[tuple[int, ...], ...]
-    entries: tuple[Entry, ...]  # sorted by class vector
+    entries: Sequence[Entry]  # sorted by class vector
+
+    def _find(self, cls: tuple[int, ...]) -> Entry | None:
+        if isinstance(self.entries, BlownEntries):
+            return self.entries.find(cls)
+        return next((ent for ent in self.entries if ent.cls == cls), None)
 
     def entry(self, cls) -> Entry:
-        for ent in self.entries:
-            if ent.cls == tuple(cls):
-                return ent
-        raise KeyError(f"no ledger entry for class {tuple(cls)}")
+        ent = self._find(tuple(cls))
+        if ent is None:
+            raise KeyError(f"no ledger entry for class {tuple(cls)}")
+        return ent
 
     def has_entry(self, cls) -> bool:
-        return any(ent.cls == tuple(cls) for ent in self.entries)
+        return self._find(tuple(cls)) is not None
 
 
 def _sorted_entries(entries) -> tuple[Entry, ...]:
@@ -260,7 +356,10 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
     """Blow up `count` times: each entry K spawns K + sum(a_i * E_i) over all
 
     sign choices a_i = +-1, keeping its value.  Squares drop by count, so the
-    formal dimension of every descendant equals its parent's.
+    formal dimension of every descendant equals its parent's.  The entries are
+    a `BlownEntries` view over the same base with m + count signs (a plain
+    ledger is m = 0), so this builds no entry; a blow-down of the result costs
+    O(m*p + survivors*m) (see the module docstring), not len(base) << m.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -276,19 +375,14 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
     gram = tuple(row + (0,) * count for row in ledger.gram)
     for i in range(count):
         gram += ((0,) * (old_rank + i) + (-1,) + (0,) * (count - i - 1),)
-    # ascending signs keep the descendants of sorted entries sorted
-    entries = [
-        Entry(ent.cls + signs, ent.value, ent.square - count, ent.verified)
-        for ent in ledger.entries
-        for signs in product((-1, 1), repeat=count)
-    ]
+    base, m = _base_and_signs(ledger.entries)
     return Ledger(
         label=ledger.label,
         e=ledger.e + count,
         sigma=ledger.sigma - count,
         basis=ledger.basis + names,
         gram=gram,
-        entries=_sorted_entries(entries),
+        entries=BlownEntries(_sorted_entries(base) if m == 0 else base, m + count),
     )
 
 
@@ -323,33 +417,96 @@ def _survivors(ledger: Ledger, chain, chain_pairings):
         if len(row) != len(chain):
             raise ValueError("chain-pairing row length does not match the chain")
     test = hirzebruch.ball_test(chain)
+    base, m = _base_and_signs(ledger.entries)
+    rank = len(chain_pairings) - m
+    invariants = [test.invariants(row) for row in chain_pairings]
     # generators whose row has mask 0 and residue 0 cannot change the outcome
     active = [
         (j, mask, residue)
-        for j, (mask, residue) in enumerate(test.invariants(row) for row in chain_pairings)
+        for j, (mask, residue) in enumerate(invariants[:rank])
         if mask or residue
     ]
-    kept = []
-    for ent in ledger.entries:
+    tail_mask = 0
+    for mask, _residue in invariants[rank:]:
+        tail_mask ^= mask
+    tail = [residue for _mask, residue in invariants[rank:]]
+    starts = []
+    for ent in base:
         cls = ent.cls
-        mask = residue = 0
+        mask, residue = tail_mask, 0
         for j, row_mask, row_residue in active:
             c = cls[j]
             if c & 1:
                 mask ^= row_mask
             residue += c * row_residue
-        if test.accepts(mask, residue):
-            r = tuple(
-                sum(c * row[i] for c, row in zip(cls, chain_pairings))
-                for i in range(len(chain))
-            )
-            kept.append((ent, r))
+        starts.append((mask, residue % test.p))
+    live = {
+        mask: _live_residues(test, mask, {s for mk, s in starts if mk == mask}, tail)
+        for mask in {mk for mk, _s in starts}
+    }
+    # nonzero (sphere, pairing) pairs of each exceptional row
+    steps = [[(i, x) for i, x in enumerate(row) if x] for row in chain_pairings[rank:]]
+    kept = []
+    for ent, (mask, residue) in zip(base, starts):
+        if residue not in live[mask][0]:
+            continue
+        r = tuple(
+            sum(c * row[i] for c, row in zip(ent.cls, chain_pairings))
+            for i in range(len(chain))
+        )
+        for signs, restriction in _sign_walk(residue, r, tail, steps, live[mask], test.p):
+            kept.append((_descendant(ent, signs), restriction))
     return kept
+
+
+def _live_residues(test, mask: int, starts: set[int], tail) -> list[set[int]]:
+    """Per level i = 0..m: the residues reached from `starts` by the first i
+    signs from which the remaining signs can still land on a residue that
+    `test` accepts with `mask`.  Each level holds at most p residues."""
+    p = test.p
+    reached = [starts]
+    for r in tail:
+        reached.append({(s + a * r) % p for s in reached[-1] for a in (-1, 1)})
+    live = [{s for s in reached[-1] if test.accepts(mask, s)}]
+    for r, level in zip(reversed(tail), reversed(reached[:-1])):
+        nxt = live[-1]
+        live.append({s for s in level if (s - r) % p in nxt or (s + r) % p in nxt})
+    live.reverse()
+    return live
+
+
+def _sign_walk(start: int, restriction, tail, steps, live, p: int):
+    """Yield (signs, restriction) for each sign pattern, in ascending order,
+    whose residues from `start` stay in `live`; a step adds the signed
+    exceptional row to its parent's restriction."""
+    signs: list[int] = []
+    stack = [(0, start, restriction, 0)]
+    while stack:
+        i, s, r, a = stack.pop()
+        if i:
+            del signs[i - 1:]
+            signs.append(a)
+        if i == len(tail):
+            yield tuple(signs), r
+            continue
+        for a in (1, -1):  # -1 is popped first
+            t = (s + a * tail[i]) % p
+            if t in live[i + 1]:
+                stack.append((i + 1, t, _add_row(r, a, steps[i]), a))
+
+
+def _add_row(r: tuple[int, ...], a: int, step) -> tuple[int, ...]:
+    if not step:
+        return r
+    out = list(r)
+    for i, x in step:
+        out[i] += a * x
+    return tuple(out)
 
 
 def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: bool):
     chain = tuple(chain)
-    kept = sorted(_survivors(ledger, chain, chain_pairings), key=lambda item: item[0].cls)
+    kept = _survivors(ledger, chain, chain_pairings)  # sorted by class
     k = len(chain)
     new_entries = []
     restrictions = []

@@ -1,5 +1,7 @@
 import json
 import re
+import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -137,6 +139,35 @@ def test_runtime_errors_carry_line_numbers():
     with pytest.raises(ScenarioError,
                        match=r"^line 4: fiber class squares to -1, expected 0$"):
         run_scenario(parse_scenario(text))
+
+
+def test_long_blowups_line_costs_neither_seconds_nor_megabytes():
+    # one 24-name line over the +-T seed of a twist knot: 2 * 2^24 entries,
+    # none of which may be built to count them or to look one up
+    names = [f"E{i}" for i in range(1, 25)]
+    signs = "".join(("+" if i % 3 else "-") + g for i, g in enumerate(names))
+    text = (
+        f"ambient X e 12 sigma -8 basis F {' '.join(names)}\n"
+        "sw ledger base e 12 sigma -8 fiber F knots twist(n)\n"
+        f"sw blowups blown base {' '.join(names)}\n"
+        "assert sw-entries blown 33554432\n"
+        f"assert sw-value blown -T{signs} -n\n"
+        # the last coordinate is 0, not +-1, so no entry has this class
+        f"assert sw-unverified blown T{signs[:-4]}\n"
+        f"assert sw-unverified blown 3*T{signs}\n"
+    )
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        report = run_scenario(parse_scenario(text))
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(r.actual, r.passed) for r in report.records] == [
+        ("33554432", True), ("0 - 1*n", True), ("absent", False), ("absent", False)]
+    assert elapsed < 0.25, elapsed
+    assert peak < 1_000_000, peak
 
 
 # --- CLI ---------------------------------------------------------------

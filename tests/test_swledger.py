@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -313,6 +314,39 @@ def test_blow_up_ledger_matches_eager_construction():
         assert sw.blow_up_ledger(base, count, names) == eager_blow_up(base, count, names)
 
 
+def test_blown_entries_view_reads_like_the_eager_tuple():
+    rng = random.Random(5)
+    for _ in range(40):
+        base = random_ledger(rng, rng.randint(1, 3))
+        first, second = rng.randint(1, 3), rng.randint(1, 3)
+        names = tuple(f"E{i}" for i in range(1, first + second + 1))
+        lazy = sw.blow_up_ledger(sw.blow_up_ledger(base, first, names[:first]),
+                                 second, names[first:])
+        eager = eager_blow_up(eager_blow_up(base, first, names[:first]), second, names[first:])
+        assert lazy == eager
+        view, entries = lazy.entries, eager.entries
+        # a stacked blow-up keeps the base and adds to the sign count
+        assert (view.base, view.m) == (base.entries, first + second)
+        assert len(view) == len(entries) and tuple(view) == entries and view == entries
+        assert hash(view) == hash(entries)
+        assert [view[i] for i in range(-len(entries), len(entries))] == list(entries) * 2
+        assert view[1:9:3] == entries[1:9:3] and view[::-1] == entries[::-1]
+        with pytest.raises(IndexError):
+            view[len(entries)]
+        classes = {ent.cls: ent for ent in entries}
+        rank = len(lazy.basis)
+        probes = list(classes) + [tuple(rng.randint(-3, 3) for _ in range(rank))
+                                  for _ in range(30)]
+        probes += [(1,) * (rank - 1), (1,) * (rank + 1)]
+        for cls in probes:
+            assert lazy.has_entry(list(cls)) == (cls in classes)
+            if cls in classes:
+                assert lazy.entry(cls) == classes[cls]
+            else:
+                with pytest.raises(KeyError):
+                    lazy.entry(cls)
+
+
 def dense_inverse_form(chain, v):
     """v^T G^-1 v by Gauss-Jordan elimination on the dense chain Gram matrix."""
     k = len(chain)
@@ -362,6 +396,39 @@ def cpq_chains_by_length(max_len):
     return {k: sorted(v) for k, v in out.items()}
 
 
+def blow_up_both_ways(base, counts):
+    """`base` blown up `counts[0]`, then `counts[1]`, ... times: lazily through
+    `blow_up_ledger`, and written out through `eager_blow_up`."""
+    lazy = eager = base
+    for count in counts:
+        lazy = sw.blow_up_ledger(lazy, count)
+        eager = eager_blow_up(eager, count, lazy.basis[len(eager.basis):])
+    return lazy, eager
+
+
+def check_blowdown(lazy, eager, chain, rows):
+    """Blow down the lazy ledger, its copy with the entries written out (m = 0,
+    so the filter only scans) and, by the eager scan, the eager construction;
+    all three must agree.  Returns the survivor count."""
+    flat = replace(lazy, entries=tuple(lazy.entries))
+    for chambered in (False, True):
+        if chambered:
+            result = sw.chambered_blowdown_ledger(lazy, chain, rows)
+            assert sw.chambered_blowdown_ledger(flat, chain, rows) == result
+        else:
+            result = sw.rational_blowdown_ledger(lazy, chain, rows, corrections=(True, True))
+            assert sw.rational_blowdown_ledger(
+                flat, chain, rows, corrections=(True, True)) == result
+        entries, restrictions, value_sets = eager_blowdown(eager, chain, rows, chambered)
+        assert [(e.cls, e.value, e.square, e.verified)
+                for e in result.ledger.entries] == entries, (chain, rows)
+        assert list(result.restrictions) == restrictions
+        assert list(result.value_sets) == value_sets
+        assert (result.ledger.e, result.ledger.sigma) == (
+            lazy.e - len(chain), lazy.sigma + len(chain))
+    return len(entries)
+
+
 def test_blowdown_filter_matches_eager_scan():
     rng = random.Random(20040528)
     chains = cpq_chains_by_length(8)
@@ -380,28 +447,56 @@ def test_blowdown_filter_matches_eager_scan():
     survivors = cases_with_survivors = tested = 0
     for _ in range(100):
         chain = rng.choice(chains[rng.randint(1, 8)])
-        ledger = random_ledger(rng, rng.randint(1, 3))
+        base = random_ledger(rng, rng.randint(1, 3))
         blowups = rng.choice((0, 0, 1, 2, 3, 4))
-        if blowups:
-            ledger = sw.blow_up_ledger(ledger, blowups)
-        rows = [row(chain) for _ in ledger.basis]
-        for chambered in (False, True):
-            if chambered:
-                result = sw.chambered_blowdown_ledger(ledger, chain, rows)
-            else:
-                result = sw.rational_blowdown_ledger(ledger, chain, rows, corrections=(True, True))
-            entries, restrictions, value_sets = eager_blowdown(ledger, chain, rows, chambered)
-            assert [(e.cls, e.value, e.square, e.verified)
-                    for e in result.ledger.entries] == entries, (chain, rows)
-            assert list(result.restrictions) == restrictions
-            assert list(result.value_sets) == value_sets
-            assert (result.ledger.e, result.ledger.sigma) == (
-                ledger.e - len(chain), ledger.sigma + len(chain))
-        tested += len(ledger.entries)
-        survivors += len(entries)
-        cases_with_survivors += bool(entries)
+        lazy, eager = blow_up_both_ways(base, (blowups,) if blowups else ())
+        rows = [row(chain) for _ in lazy.basis]
+        kept = check_blowdown(lazy, eager, chain, rows)
+        tested += len(eager.entries)
+        survivors += kept
+        cases_with_survivors += bool(kept)
     # the comparison is not vacuous: both outcomes occur often
     assert cases_with_survivors >= 20 and 150 <= survivors <= tested // 2
+
+
+def test_blowdown_walk_matches_eager_scan_on_stacked_blowups_and_large_p():
+    # stacked blow-ups, exceptional rows of residue 0 but nonzero mask, and
+    # chains with p >= 100, where a random sign pattern rarely survives
+    rng = random.Random(1997)
+    chains = [chain for p in range(100, 130) for q in range(1, p) if math.gcd(p, q) == 1
+              if len(chain := hirzebruch.chain_for_cpq(p, q)) <= 11]
+    small = [c for cs in cpq_chains_by_length(6).values() for c in cs]
+
+    def row_pool(chain, p):
+        # the canonical vector, a Gram column plus p times a {-1, 0, 1} vector
+        # (residue 0, nonzero mask) and a random vector; rows drawn from a
+        # small pool repeat, so their masks and residues can cancel
+        j, sign = rng.randrange(len(chain)), rng.choice((-1, 1))
+        column = tuple(sign * (w if i == j else int(abs(i - j) == 1)) + p * rng.randint(-1, 1)
+                       for i, w in enumerate(chain))
+        return [tuple(w + 2 for w in chain), column, tuple(rng.randint(-3, 3) for _ in chain)]
+
+    def scaled(c, row):
+        return tuple(c * x for x in row)
+
+    large_p_survivors = stacked_survivors = zero_residue_rows = 0
+    for case in range(60):
+        chain = rng.choice(chains if case % 2 else small)
+        order, coeffs = smith_coeffs(chain)
+        p = math.isqrt(order)
+        base = random_ledger(rng, rng.randint(1, 2))
+        counts = (rng.randint(1, 3), rng.randint(1, 3)) if case % 3 else (rng.randint(1, 6),)
+        lazy, eager = blow_up_both_ways(base, counts)
+        pool = row_pool(chain, p)
+        rows = [scaled(rng.choice((-2, -1, 1, 2)), rng.choice(pool)) for _ in lazy.basis]
+        kept = check_blowdown(lazy, eager, chain, rows)
+        zero_residue_rows += sum(
+            1 for r in rows[len(base.basis):]
+            if sum(x * c for x, c in zip(r, coeffs)) % p == 0 and any(x % 2 for x in r))
+        large_p_survivors += kept if p >= 100 else 0
+        stacked_survivors += kept if len(counts) == 2 else 0
+    assert large_p_survivors >= 20 and stacked_survivors >= 20 and zero_residue_rows >= 20, (
+        large_p_survivors, stacked_survivors, zero_residue_rows)
 
 
 def test_blowdown_filter_cost_follows_entries_and_rank():
@@ -418,3 +513,20 @@ def test_blowdown_filter_cost_follows_entries_and_rank():
     assert time.perf_counter() - start < 0.5
     assert {e.cls for e in result.ledger.entries} == {
         (s,) * 12 + z for s in (1, -1) for z in product((1, -1), repeat=4)}
+
+
+def test_blowdown_filter_memory_follows_survivors():
+    # the same 65,536-entry X_n blow-up and chambered blow-down: the view and
+    # the residue walk build the 32 survivors, not the 65,536 entries
+    tracemalloc.start()
+    try:
+        seed = sw.knot_surgery_ledger([sw.alexander_twist()], label="Y_n")
+        names = tuple(f"E{i}" for i in range(1, 12)) + ("Z1", "Z2", "Z3", "Z4")
+        blown = sw.blow_up_ledger(seed, 15, names)
+        result = sw.chambered_blowdown_ledger(
+            blown, hirzebruch.chain_for_cpq(71, 8), XN_ROWS + ((0,) * 15,) * 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.ledger.entries) == 32
+    assert peak < 1_000_000, peak
