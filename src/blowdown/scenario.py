@@ -1074,7 +1074,7 @@ _ASSERTIONS: dict[str, tuple[tuple[_Slot, ...], Callable[..., AssertionRecord]]]
     "mcg-cycles-equal": ((_MCG, _int("twist index"), _int("twist index")), _check_mcg_cycles),
     "mcg-word-equal": ((_MCG, _WORD), _check_mcg_word),
     "sw-entries": ((_LEDGER, _int("entry count")), lambda run, name, n: _equal(
-        f"sw {name} entry count", n, len(run.sw[name].ledger.entries))),
+        f"sw {name} entry count", n, swledger.entry_count(run.sw[name].ledger))),
     "sw-value": ((_LEDGER, _LEDGER_CLASS, _VALUE), _sw_class_check(
         "sw {} value at {}", lambda rec, vec: rec.ledger.entry(vec).value)),
     "sw-value-set": ((_BLOWN_DOWN, _LEDGER_CLASS, _VALUES), _sw_class_check(

@@ -11,7 +11,8 @@ the classes whose restriction to the chain extends over the rational ball.
 
 A blown-up ledger is never written out: its entries are a `BlownEntries` view
 over (sorted base entries, m trailing exceptional signs), so blowing up costs
-O(1) and a ledger of base * 2^m entries holds only its base.
+O(1) and a ledger of base * 2^m entries holds only its base.  Every ledger's
+entries are sorted by class when it is built, so a lookup bisects the base.
 
 The restriction of a class c is sum c_j*row_j over the tracked generators'
 chain-pairing rows, and extension depends only on its parity mask (r mod 2)
@@ -210,18 +211,19 @@ def _descendant(ent: Entry, signs: tuple[int, ...]) -> Entry:
 class BlownEntries(Sequence):
     """The entries of a blown-up ledger, as a sorted read-only view.
 
-    Holds the sorted base entries and the number m of trailing exceptional
-    classes.  Entry number (b << m) + bits is base[b] + sum(a_i * E_i), where
-    a_i = +1 if bit m-1-i of bits is set and -1 otherwise: each base entry's
-    2^m descendants in ascending sign order, so the view is sorted.  Its
-    length is len(base) << m, and it compares equal to the tuple of its
-    entries.  Nothing is built until an entry is read.
+    Holds the base entries, sorted by class, and the number m of trailing
+    exceptional classes.  Entry number (b << m) + bits is base[b] + sum(a_i *
+    E_i), where a_i = +1 if bit m-1-i of bits is set and -1 otherwise: each
+    base entry's 2^m descendants in ascending sign order, so the view is
+    sorted.  Its length is len(base) << m (see `entry_count` for m >= 63),
+    and it compares equal to the tuple of its entries.  Nothing is built
+    until an entry is read.
     """
 
     __slots__ = ("base", "m")
 
-    def __init__(self, base: tuple[Entry, ...], m: int):
-        self.base = base
+    def __init__(self, base, m: int):
+        self.base = _sorted_entries(base)
         self.m = m
 
     def __len__(self) -> int:
@@ -230,7 +232,7 @@ class BlownEntries(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
-        n = len(self)
+        n = len(self.base) << self.m
         if index < 0:
             index += n
         if not 0 <= index < n:
@@ -255,18 +257,6 @@ class BlownEntries(Sequence):
     def __repr__(self) -> str:
         return f"BlownEntries({len(self.base)} base entries x 2^{self.m} signs)"
 
-    def find(self, cls: tuple[int, ...]) -> Entry | None:
-        """The entry at `cls`, or None, in O(rank + log base): the trailing m
-        coordinates must each be +-1, and the rest is bisected in the base."""
-        cut = len(cls) - self.m
-        head, signs = cls[:cut], cls[cut:]
-        if cut < 0 or any(a not in (-1, 1) for a in signs):
-            return None
-        i = bisect_left(self.base, head, key=lambda ent: ent.cls)
-        if i < len(self.base) and self.base[i].cls == head:
-            return _descendant(self.base[i], signs)
-        return None
-
 
 def _base_and_signs(entries) -> tuple[tuple[Entry, ...], int]:
     """(base entries, trailing exceptional signs m); a plain tuple has m = 0."""
@@ -275,11 +265,27 @@ def _base_and_signs(entries) -> tuple[tuple[Entry, ...], int]:
     return tuple(entries), 0
 
 
+def find(base: tuple[Entry, ...], m: int, cls: tuple[int, ...]) -> Entry | None:
+    """The entry at `cls` among `base` blown up at m signs, or None, in
+    O(rank + log base): the trailing m coordinates must each be +-1, and the
+    rest is bisected in the sorted base."""
+    cut = len(cls) - m
+    head, signs = cls[:cut], cls[cut:]
+    if cut < 0 or any(a not in (-1, 1) for a in signs):
+        return None
+    i = bisect_left(base, head, key=_class_of)
+    if i < len(base) and base[i].cls == head:
+        return _descendant(base[i], signs)
+    return None
+
+
 @dataclass(frozen=True)
 class Ledger:
     """The tracked classes, their Gram matrix and the entries sorted by class.
 
-    `entries` is a tuple, or a `BlownEntries` view after a blow-up.
+    `entries` is a `BlownEntries` view after a blow-up, and otherwise a tuple,
+    which construction sorts by class: lookups bisect and the blow-down walks
+    in that order.
     """
 
     label: str
@@ -287,12 +293,14 @@ class Ledger:
     sigma: int
     basis: tuple[str, ...]
     gram: tuple[tuple[int, ...], ...]
-    entries: Sequence[Entry]  # sorted by class vector
+    entries: Sequence[Entry]
+
+    def __post_init__(self):
+        if not isinstance(self.entries, BlownEntries):
+            object.__setattr__(self, "entries", _sorted_entries(self.entries))
 
     def _find(self, cls: tuple[int, ...]) -> Entry | None:
-        if isinstance(self.entries, BlownEntries):
-            return self.entries.find(cls)
-        return next((ent for ent in self.entries if ent.cls == cls), None)
+        return find(*_base_and_signs(self.entries), cls)
 
     def entry(self, cls) -> Entry:
         ent = self._find(tuple(cls))
@@ -304,8 +312,19 @@ class Ledger:
         return self._find(tuple(cls)) is not None
 
 
+def entry_count(ledger: Ledger) -> int:
+    """The number of entries, len(base) << m, also where `len` cannot return
+    it (m >= 63)."""
+    base, m = _base_and_signs(ledger.entries)
+    return len(base) << m
+
+
+def _class_of(ent: Entry) -> tuple[int, ...]:
+    return ent.cls
+
+
 def _sorted_entries(entries) -> tuple[Entry, ...]:
-    return tuple(sorted(entries, key=lambda ent: ent.cls))
+    return tuple(sorted(entries, key=_class_of))
 
 
 def dimension_from_square(square: int, e: int, sigma: int) -> Fraction:
@@ -348,7 +367,7 @@ def knot_surgery_ledger(polys, label: str, e: int = 12, sigma: int = -8) -> Ledg
         sigma=sigma,
         basis=("T",),
         gram=((0,),),
-        entries=_sorted_entries(entries),
+        entries=tuple(entries),
     )
 
 
@@ -382,7 +401,7 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
         sigma=ledger.sigma - count,
         basis=ledger.basis + names,
         gram=gram,
-        entries=BlownEntries(_sorted_entries(base) if m == 0 else base, m + count),
+        entries=BlownEntries(base, m + count),
     )
 
 
@@ -440,15 +459,17 @@ def _survivors(ledger: Ledger, chain, chain_pairings):
                 mask ^= row_mask
             residue += c * row_residue
         starts.append((mask, residue % test.p))
-    live = {
-        mask: _live_residues(test, mask, {s for mk, s in starts if mk == mask}, tail)
-        for mask in {mk for mk, _s in starts}
-    }
+    reached = _reached_residues({s for _mask, s in starts}, tail, test.p)
+    live = {}
+    for mask in {mk for mk, _s in starts}:
+        accepted = {s for s in reached[-1] if test.accepts(mask, s)}
+        if accepted:  # a rejected mask builds no levels
+            live[mask] = _live_residues(accepted, reached, tail, test.p)
     # nonzero (sphere, pairing) pairs of each exceptional row
     steps = [[(i, x) for i, x in enumerate(row) if x] for row in chain_pairings[rank:]]
     kept = []
     for ent, (mask, residue) in zip(base, starts):
-        if residue not in live[mask][0]:
+        if mask not in live or residue not in live[mask][0]:
             continue
         r = tuple(
             sum(c * row[i] for c, row in zip(ent.cls, chain_pairings))
@@ -459,15 +480,20 @@ def _survivors(ledger: Ledger, chain, chain_pairings):
     return kept
 
 
-def _live_residues(test, mask: int, starts: set[int], tail) -> list[set[int]]:
+def _reached_residues(starts: set[int], tail, p: int) -> list[set[int]]:
     """Per level i = 0..m: the residues reached from `starts` by the first i
-    signs from which the remaining signs can still land on a residue that
-    `test` accepts with `mask`.  Each level holds at most p residues."""
-    p = test.p
+    signs.  The exceptional rows add one fixed mask, so every parity mask
+    shares these levels; each holds at most p residues."""
     reached = [starts]
     for r in tail:
         reached.append({(s + a * r) % p for s in reached[-1] for a in (-1, 1)})
-    live = [{s for s in reached[-1] if test.accepts(mask, s)}]
+    return reached
+
+
+def _live_residues(accepted: set[int], reached, tail, p: int) -> list[set[int]]:
+    """Per level i = 0..m: the residues of `reached[i]` from which the
+    remaining signs can still land in `accepted`."""
+    live = [accepted]
     for r, level in zip(reversed(tail), reversed(reached[:-1])):
         nxt = live[-1]
         live.append({s for s in level if (s - r) % p in nxt or (s + r) % p in nxt})

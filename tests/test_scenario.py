@@ -170,6 +170,21 @@ def test_long_blowups_line_costs_neither_seconds_nor_megabytes():
     assert peak < 1_000_000, peak
 
 
+
+def test_sw_entries_counts_past_the_index_size():
+    # 63 names give 2 * 2^63 entries, more than `len` can return
+    names = [f"E{i}" for i in range(1, 64)]
+    text = (
+        f"ambient X e 12 sigma -8 basis F {' '.join(names)}\n"
+        "sw ledger base e 12 sigma -8 fiber F knots twist(n)\n"
+        f"sw blowups blown base {' '.join(names)}\n"
+        f"assert sw-entries blown {2 ** 64}\n"
+        f"assert sw-value blown T{''.join('+' + g for g in names)} n\n"
+    )
+    report = run_scenario(parse_scenario(text))
+    assert [(r.actual, r.passed) for r in report.records] == [
+        (str(2 ** 64), True), ("0 + 1*n", True)]
+
 # --- CLI ---------------------------------------------------------------
 
 

@@ -499,6 +499,29 @@ def test_blowdown_walk_matches_eager_scan_on_stacked_blowups_and_large_p():
         large_p_survivors, stacked_survivors, zero_residue_rows)
 
 
+def test_ledgers_built_out_of_order_are_sorted_by_class():
+    # construction sorts a hand-built ledger's entries (and a view's base), so
+    # lookups, blow-ups and blow-downs read it like the sorted one
+    rng = random.Random(8)
+    chains = [c for cs in cpq_chains_by_length(4).values() for c in cs]
+    survivors = 0
+    for _ in range(30):
+        ordered = random_ledger(rng, rng.randint(1, 3))
+        shuffled = list(ordered.entries)
+        rng.shuffle(shuffled)
+        led = replace(ordered, entries=shuffled)
+        assert led == ordered and type(led.entries) is tuple
+        assert sw.BlownEntries(shuffled, 2) == sw.BlownEntries(ordered.entries, 2)
+        for ent in shuffled:
+            assert led.entry(ent.cls) == ent
+        count = rng.randint(0, 2)
+        lazy, eager = blow_up_both_ways(led, (count,) if count else ())
+        chain = rng.choice(chains)
+        rows = [tuple(rng.randint(-3, 3) for _ in chain) for _ in lazy.basis]
+        survivors += check_blowdown(lazy, eager, chain, rows)
+    assert survivors >= 10, survivors
+
+
 def test_blowdown_filter_cost_follows_entries_and_rank():
     # X_n's seed +-T blown up at E1..E11 (the scenario's rows) and at Z1..Z4
     # away from the chain: 65,536 entries.  The Z signs are free, so the
