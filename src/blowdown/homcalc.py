@@ -132,7 +132,7 @@ def blow_up(cfg: CurveConfig, name: str, at=(), double_point_of: str | None = No
     for c in cfg.curves:
         mult = incidences.get(c.name, 0)
         dps = c.double_points - (1 if c.name == double_point_of else 0)
-        new_curves.append(replace(c, cls=c.cls + (-mult,), double_points=dps))
+        new_curves.append(Curve(c.name, c.cls + (-mult,), c.genus, dps))
     exceptional = Curve(name=name, cls=(0,) * rank + (1,))
     return CurveConfig(ambient=new_amb, curves=tuple(new_curves) + (exceptional,))
 
@@ -165,26 +165,54 @@ def extract_chain(cfg: CurveConfig, names) -> hirzebruch.Chain:
     """Read off a linear plumbing: consecutive pairings 1, all others 0,
 
     every curve an embedded sphere of square <= -2.  Returns the weights.
+
+    Each curve's support and its row image v^T G are built once, in
+    O(s * rank) for a curve with s nonzero coordinates; every square and
+    adjacency pairing is then a dot of one curve's image with the other
+    curve's support.  A chain of k curves costs O(k*s*rank + k^2*s), not k^2
+    dense pairings.
     """
     curves = [cfg.curve(n) for n in names]
+    gram = cfg.ambient.gram
+    supports = []
+    images = []
+    weights = []
     for c in curves:
         if c.genus != 0:
             raise ConfigError(f"chain curve {c.name!r} has genus {c.genus}, expected 0")
         if c.double_points != 0:
             raise ConfigError(f"chain curve {c.name!r} still has {c.double_points} double point(s)")
-        sq = pairing(cfg, c, c)
+        support = [(i, x) for i, x in enumerate(c.cls) if x]
+        image = _row_image(gram, support)
+        sq = _dot(image, support)
         if sq > -2:
             raise ConfigError(f"chain curve {c.name!r} has square {sq}, expected <= -2")
+        supports.append(support)
+        images.append(image)
+        weights.append(sq)
     for i, a in enumerate(curves):
+        image = images[i]
         for j in range(i + 1, len(curves)):
-            b = curves[j]
             want = 1 if j == i + 1 else 0
-            got = pairing(cfg, a, b)
+            got = _dot(image, supports[j])
             if got != want:
                 raise ConfigError(
-                    f"chain adjacency violated: {a.name!r}.{b.name!r} = {got}, expected {want}"
+                    f"chain adjacency violated: {a.name!r}.{curves[j].name!r} = {got}, "
+                    f"expected {want}"
                 )
-    return tuple(pairing(cfg, c, c) for c in curves)
+    return tuple(weights)
+
+
+def _row_image(gram, support) -> tuple[int, ...]:
+    """v^T G for the vector v with nonzero coordinates `support`."""
+    rows = [gram[i] if x == 1 else [x * g for g in gram[i]] for i, x in support]
+    if len(rows) == 1:
+        return rows[0]
+    return tuple(map(sum, zip(*rows)))
+
+
+def _dot(image, support) -> int:
+    return sum(image[j] * y for j, y in support)
 
 
 def knot_surgery_shadow(cfg: CurveConfig, label: str, add_flags=()) -> CurveConfig:

@@ -33,6 +33,9 @@ IDENTITY: SL2 = ((1, 0), (0, 1))
 # long enough for the relations in this module, short enough for a report line.
 EXPAND_LIMIT = 64
 MAX_DEPTH = 32
+# A hyperbolic power whose exact matrix provably needs more bits than this is
+# refused: (aB)^100000 (about 139k bits) evaluates, (aB)^1000000 raises.
+MAX_POWER_BITS = 1 << 18
 
 
 def sl2_mul(m: SL2, n: SL2) -> SL2:
@@ -43,6 +46,20 @@ def sl2_mul(m: SL2, n: SL2) -> SL2:
 
 
 def _sl2_pow(m: SL2, e: int) -> SL2:
+    """m^e for e >= 0 by repeated squaring.
+
+    A hyperbolic m (|trace t| > 2) has an eigenvalue |l| > |t| - 1, and the
+    trace of m^e is l^e + l^-e, so some entry of m^e has at least
+    e * ((|t| - 1).bit_length() - 1) - 1 bits.  When e * ((|t| - 1).bit_length()
+    - 1) exceeds MAX_POWER_BITS, ValueError is raised before any product is
+    formed.
+    Elliptic and parabolic bases (|t| <= 2) grow at most linearly in e and are
+    never refused.
+    """
+    t = abs(m[0][0] + m[1][1])
+    if t > 2 and e * ((t - 1).bit_length() - 1) > MAX_POWER_BITS:
+        raise ValueError(f"power with exponent {e} of a matrix with trace {m[0][0] + m[1][1]} "
+                         f"needs more than {MAX_POWER_BITS} bits")
     out = IDENTITY
     while True:
         if e & 1:

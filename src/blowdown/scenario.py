@@ -4,9 +4,13 @@ A scenario declares an ambient lattice, builds curves through blow-ups and
 smoothings, extracts plumbing chains, blows them down, and runs the
 Seiberg-Witten ledger pipeline alongside, checking assertions as it goes.
 Scenarios are plain text (one directive per line, `#` comments, shell-style
-quoting), so the bundled corpus doubles as documentation.  The printer
-double-quotes a label, flag or basis name unless it is a plain word, escaping
-backslash and double quote; declared names must be plain words without , or :.
+quoting), so the bundled corpus doubles as documentation.  Every line is split
+into the tokens `shlex.split(line, comments=True)` gives; `split_line` takes a
+plain line (no quote, backslash or newline) apart without shlex, cutting it at
+the first `#` and splitting on space, tab and carriage return, and shlex stays
+its oracle in the tests.  The printer double-quotes a label, flag or basis
+name unless it is a plain word, escaping backslash and double quote; declared
+names must be plain words without , or :.
 
 Directives:
 
@@ -366,13 +370,30 @@ class _ParseChecker:
                       f"unknown class {name!r}")
 
 
+def split_line(raw: str) -> list[str]:
+    """The tokens of one line, exactly as `shlex.split(raw, comments=True)`.
+
+    A plain line (no quote, backslash or newline) is cut at its first `#` and
+    split on shlex's whitespace, space, tab and carriage return; `str.split()`
+    would also split on characters such as \\x1f and \\xa0.  Any other line
+    goes to shlex itself, whose ValueError on an unclosed quote or a trailing
+    backslash propagates.
+    """
+    if "'" in raw or '"' in raw or "\\" in raw or "\n" in raw:
+        return shlex.split(raw, comments=True)
+    line = raw.split("#", 1)[0]
+    if "\t" in line or "\r" in line:
+        line = line.replace("\t", " ").replace("\r", " ")
+    return [tok for tok in line.split(" ") if tok]
+
+
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     directives: list[Directive] = []
     chk = _ParseChecker()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
-            tokens = shlex.split(raw, comments=True)
+            tokens = split_line(raw)
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from None
         if not tokens:

@@ -538,8 +538,11 @@ def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: 
     restrictions = []
     value_sets = []
     inverse_forms: dict[tuple[int, ...], Fraction] = {}  # one per distinct restriction
+    dimensions: dict[int, Fraction] = {}  # one per distinct square
     for ent, r in kept:
-        d = dimension_from_square(ent.square, ledger.e, ledger.sigma)
+        d = dimensions.get(ent.square)
+        if d is None:
+            d = dimensions[ent.square] = dimension_from_square(ent.square, ledger.e, ledger.sigma)
         if d.denominator != 1 or d < 0:
             raise ValueError(
                 f"class {ent.cls} has formal dimension {d}; need a nonnegative integer"
@@ -549,7 +552,7 @@ def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: 
         new_square = ent.square - inverse_forms[r]
         if new_square.denominator != 1:
             raise ValueError(f"extension of {ent.cls} has non-integral square {new_square}")
-        new_entries.append(replace(ent, square=int(new_square)))
+        new_entries.append(Entry(ent.cls, ent.value, int(new_square), ent.verified))
         restrictions.append((ent.cls, r))
         if chambered:
             value_sets.append((ent.cls, tuple(sorted(chamber_value_set(ent.value, 1)))))
@@ -627,7 +630,8 @@ def distinguishable(profile_a, profile_b) -> bool:
 
 def substitute(ledger: Ledger, n: int) -> Ledger:
     entries = tuple(
-        replace(ent, value=LinExpr(ent.value.subst(n), 0)) for ent in ledger.entries
+        Entry(ent.cls, LinExpr(ent.value.subst(n), 0), ent.square, ent.verified)
+        for ent in ledger.entries
     )
     return replace(ledger, entries=entries)
 

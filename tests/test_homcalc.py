@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -197,3 +198,116 @@ def test_pair_vectors_matches_dense_sum():
             for j in range(rank):
                 dense += v1[i] * gram[i][j] * v2[j]
         assert homcalc.pair_vectors(gram, v1, v2) == dense, (gram, v1, v2)
+
+
+def dense_chain(cfg, names):
+    """Oracle for `extract_chain`: the weights, or the message of the first
+    ConfigError, from full G.v products over every coordinate."""
+    gram = cfg.ambient.gram
+    rank = len(gram)
+
+    def pair(u, v):
+        gv = [sum(gram[i][j] * v[j] for j in range(rank)) for i in range(rank)]
+        return sum(u[i] * gv[i] for i in range(rank))
+
+    curves = [cfg.curve(n) for n in names]
+    for c in curves:
+        if c.genus != 0:
+            return f"chain curve {c.name!r} has genus {c.genus}, expected 0"
+        if c.double_points != 0:
+            return f"chain curve {c.name!r} still has {c.double_points} double point(s)"
+        if pair(c.cls, c.cls) > -2:
+            return f"chain curve {c.name!r} has square {pair(c.cls, c.cls)}, expected <= -2"
+    for i, a in enumerate(curves):
+        for b in curves[i + 1:]:
+            want = 1 if b is curves[i + 1] else 0
+            if pair(a.cls, b.cls) != want:
+                return (f"chain adjacency violated: {a.name!r}.{b.name!r} = "
+                        f"{pair(a.cls, b.cls)}, expected {want}")
+    return tuple(pair(c.cls, c.cls) for c in curves)
+
+
+def random_chain_config(rng):
+    """A plumbing chain in a lattice with extra diagonal classes, seen through
+    a random unimodular change of basis, then perhaps spoiled."""
+    k = rng.randint(1, 7)
+    rank = k + rng.randint(0, 5)
+    weights = [-rng.randint(2, 6) for _ in range(k)]
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = weights[i] if i < k else rng.choice((-1, 1))
+    for i in range(k - 1):
+        gram[i][i + 1] = gram[i + 1][i] = 1
+    vectors = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    for _ in range(rng.randint(0, 3 * rank) if rank > 1 else 0):
+        # new basis b' = b (I + c E_ij): G -> S^T G S, coordinates v_i -= c v_j
+        i, j = rng.sample(range(rank), 2)
+        c = rng.choice((-1, 1, 2))
+        for row in gram:
+            row[j] += c * row[i]
+        gram[j] = [x + c * y for x, y in zip(gram[j], gram[i])]
+        for v in vectors:
+            v[i] -= c * v[j]
+    curves = [Curve(f"c{i}", tuple(v)) for i, v in enumerate(vectors[:k])]
+    spoil = rng.random()
+    if spoil < 0.15:
+        i = rng.randrange(k)
+        curves[i] = Curve(curves[i].name, curves[i].cls, genus=rng.randint(1, 2))
+    elif spoil < 0.3:
+        i = rng.randrange(k)
+        curves[i] = Curve(curves[i].name, curves[i].cls, double_points=1)
+    elif spoil < 0.45:
+        # an extra class of square +-1, or the zero class
+        i = rng.randrange(k)
+        cls = tuple(rng.choice(vectors[k:])) if rank > k else (0,) * rank
+        curves[i] = Curve(curves[i].name, cls)
+    elif spoil < 0.65:
+        i = rng.randrange(k)
+        bump = [rng.choice((-1, 0, 0, 1)) for _ in range(rank)]
+        curves[i] = Curve(curves[i].name, tuple(x + y for x, y in zip(curves[i].cls, bump)))
+    amb = Ambient(basis=tuple(f"g{i}" for i in range(rank)),
+                  gram=tuple(map(tuple, gram)), e=rank + 2, sigma=0, label="x")
+    names = [c.name for c in curves]
+    if rng.random() < 0.2:
+        rng.shuffle(names)
+    elif rng.random() < 0.2:
+        names.reverse()
+    return CurveConfig(ambient=amb, curves=tuple(curves)), names
+
+
+def test_extract_chain_matches_dense_oracle():
+    rng = random.Random(8080)
+    outcomes = {}
+    for _ in range(800):
+        cfg, names = random_chain_config(rng)
+        want = dense_chain(cfg, names)
+        if isinstance(want, tuple):
+            assert homcalc.extract_chain(cfg, names) == want, (cfg, names)
+            kind = "accepted"
+        else:
+            with pytest.raises(ConfigError) as exc:
+                homcalc.extract_chain(cfg, names)
+            assert str(exc.value) == want, (cfg, names)
+            kind = next(w for w in ("genus", "double point", "square", "adjacency") if w in want)
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert set(outcomes) == {"accepted", "genus", "double point", "square", "adjacency"}, outcomes
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_long_chain_extracts_in_output_time():
+    # C_{401,400}: one -402 sphere and 399 -2 spheres, in a rank-400 lattice.
+    k = 400
+    weights = (-402,) + (-2,) * (k - 1)
+    gram = tuple(
+        tuple(weights[i] if j == i else int(abs(i - j) == 1) for j in range(k))
+        for i in range(k)
+    )
+    amb = Ambient(basis=tuple(f"g{i}" for i in range(k)), gram=gram, e=k + 2,
+                  sigma=0, label="long")
+    curves = tuple(Curve(f"c{i}", tuple(int(i == j) for j in range(k))) for i in range(k))
+    cfg = CurveConfig(ambient=amb, curves=curves)
+    t0 = time.perf_counter()
+    got = homcalc.extract_chain(cfg, [c.name for c in curves])
+    elapsed = time.perf_counter() - t0
+    assert got == weights
+    assert elapsed < 0.25, elapsed

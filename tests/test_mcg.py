@@ -257,3 +257,32 @@ def test_large_powers_cost_log_exponent():
     assert got == [((0, -1), (1, -1)), ((0, -1), (1, -1)), ((1 - 3 * e, 9 * e), (-e, 1 + 3 * e))]
     assert elapsed < 0.25, elapsed
     assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("text", ["(aB)^1000000", "((aB)^1000)^1000", "b (aB)^1000000 B"])
+def test_hyperbolic_powers_too_large_are_refused_fast(text):
+    # aB has trace 3, so (aB)^e has entries of about 1.39 e bits.
+    w = mcg.parse_word(text)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"more than {mcg.MAX_POWER_BITS} bits"):
+        mcg.eval_word(w)
+    assert time.perf_counter() - t0 < 0.25
+
+
+def test_bounded_traces_and_short_hyperbolic_powers_still_evaluate():
+    # Traces 1, 0, 2 and -2 never trigger the refusal, whatever the exponent.
+    e = 10**6
+    assert mcg.eval_word(mcg.parse_word("(ab)^1000000")) == ((0, -1), (1, -1))
+    assert mcg.eval_word(mcg.parse_word("(a^2 b)^1000000")) == mcg.IDENTITY  # order 4
+    assert mcg.eval_word(mcg.parse_word("(a^3 b A^3)^1000000"))[1][0] == -e
+    # a^2 b^2 = -U with U unipotent of trace 2; an even power is U^e.
+    (p, q), (r, s) = mcg.eval_word(mcg.parse_word("(a^2 b^2)^1000000"))
+    assert p + s == 2 and p * s - q * r == 1
+    # (aB)^e has trace L_{2e}, a Lucas number of about 1.39 e bits: under the
+    # bound at e = 10^5.  Checked modulo a prime.
+    (p, q), (r, s) = mcg.eval_word(mcg.parse_word("(aB)^100000"))
+    lucas = (2, 1)
+    for _ in range(200_000 - 1):
+        lucas = (lucas[1], (lucas[0] + lucas[1]) % ORACLE_PRIME)
+    assert (p + s) % ORACLE_PRIME == lucas[1]
+    assert (p + s).bit_length() > 100_000

@@ -1,5 +1,7 @@
 import json
+import random
 import re
+import shlex
 import time
 import tracemalloc
 from importlib import resources
@@ -184,6 +186,94 @@ def test_sw_entries_counts_past_the_index_size():
     report = run_scenario(parse_scenario(text))
     assert [(r.actual, r.passed) for r in report.records] == [
         (str(2 ** 64), True), ("0 + 1*n", True)]
+
+def test_hyperbolic_word_power_reports_its_line():
+    text = (
+        "ambient X e 4 sigma 0 basis S\n"
+        "mcg m expected 1 twists a\n"
+        "assert mcg-word-equal m (aB)^1000000\n"
+    )
+    t0 = time.perf_counter()
+    with pytest.raises(ScenarioError, match=r"^line 3: .*more than \d+ bits$"):
+        run_scenario(parse_scenario(text))
+    assert time.perf_counter() - t0 < 0.25
+
+
+# --- line splitting and parser fuzz ---------------------------------------
+
+PLAIN_CHARS = "ab1- \t\r\x1f\xa0　#,:=()^*"
+SPECIAL_CHARS = "'\"\\\n"
+FUZZ_TOKENS = (
+    "", "0", "-1", "7", "x", "S", "E1", "basis", "flags", "label", "at", "class", "genus",
+    "dp", "=", "'a b'", '"q\\"r"', "a\\ b", "#c", "twist(n)", "twist(-2)", "none", "c1:2",
+    "c1,c2", "(ab)^3", "a~B", "b*2", "S+2*E1", "-T+E1", "(-2,-3)", "1/2", "١", "x\xa0y",
+)
+
+
+def random_line(rng) -> str:
+    chars = PLAIN_CHARS if rng.random() < 0.5 else PLAIN_CHARS + SPECIAL_CHARS * 2
+    return "".join(rng.choice(chars) for _ in range(rng.randint(0, 14)))
+
+
+def test_split_line_matches_shlex():
+    rng = random.Random(90210)
+    deadline = time.perf_counter() + 1.0
+    checked = plain = 0
+    while checked < 20_000 and time.perf_counter() < deadline:
+        line = random_line(rng)
+        checked += 1
+        plain += not any(ch in line for ch in SPECIAL_CHARS)
+        try:
+            want = shlex.split(line, comments=True)
+        except ValueError:
+            with pytest.raises(ValueError):
+                scenario.split_line(line)
+            continue
+        assert scenario.split_line(line) == want, repr(line)
+    assert checked >= 3_000 and plain >= 1_000, (checked, plain)
+
+
+def mutate_scenario(rng, text: str) -> str:
+    lines = text.splitlines()
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        i = rng.randrange(len(lines))
+        tokens = lines[i].split(" ")
+        roll = rng.random()
+        if roll < 0.4:
+            tokens[rng.randrange(len(tokens))] = rng.choice(FUZZ_TOKENS)
+        elif roll < 0.6:
+            tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(FUZZ_TOKENS))
+        elif roll < 0.75:
+            del tokens[rng.randrange(len(tokens))]
+        elif roll < 0.9:
+            pos = rng.randint(0, len(lines[i]))
+            tokens = [lines[i][:pos] + random_line(rng)[:3] + lines[i][pos:]]
+        else:
+            lines.insert(i, random_line(rng))
+            continue
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def test_parser_fuzz_raises_only_scenario_errors_and_round_trips():
+    rng = random.Random(4242)
+    texts = [CORPUS[name] for name in sorted(CORPUS)] + [MINIMAL]
+    deadline = time.perf_counter() + 1.5
+    outcomes = {"parsed": 0, "rejected": 0}
+    while sum(outcomes.values()) < 2_000 and time.perf_counter() < deadline:
+        text = mutate_scenario(rng, rng.choice(texts))
+        try:
+            first = parse_scenario(text)
+        except ScenarioError:
+            outcomes["rejected"] += 1
+            continue
+        outcomes["parsed"] += 1
+        printed = print_scenario(first)
+        second = parse_scenario(printed)
+        assert second.directives == first.directives, text
+        assert print_scenario(second) == printed, text
+    assert min(outcomes.values()) >= 100, outcomes
+
 
 # --- CLI ---------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 import tracemalloc
 from dataclasses import replace
@@ -195,6 +196,25 @@ def test_rational_blowdown_validates_shapes():
         sw.rational_blowdown_ledger(blown, QN_CHAIN, QN_ROWS[:2], corrections=(True, True))
     with pytest.raises(ValueError):
         sw.rational_blowdown_ledger(blown, (-2, -2), QN_ROWS, corrections=(True, True))
+
+
+def test_blowdown_checks_each_survivors_formal_dimension():
+    # e = 12, sigma = -8: d = square / 4.  A zero row keeps every entry, and
+    # the first survivor in class order with a bad dimension is reported.
+    def ledger(squares):
+        entries = [sw.Entry((i + 1,), LinExpr(1, 0), sq) for i, sq in enumerate(squares)]
+        return sw.Ledger("L", 12, -8, ("G",), ((0,),), entries)
+
+    result = sw.rational_blowdown_ledger(
+        ledger([0, 4, 0]), (-4,), [(0,)], corrections=(True, True))
+    assert [e.square for e in result.ledger.entries] == [0, 4, 0]
+    for squares, message in [
+        ([0, 2], "class (2,) has formal dimension 1/2"),
+        ([4, 0, -4], "class (3,) has formal dimension -1"),
+        ([-4, 2], "class (1,) has formal dimension -1"),
+    ]:
+        with pytest.raises(ValueError, match=fr"^{re.escape(message)}; need a nonnegative integer$"):
+            sw.rational_blowdown_ledger(ledger(squares), (-4,), [(0,)], corrections=(True, True))
 
 
 def test_chambered_blowdown_ledger():
