@@ -31,7 +31,6 @@ the u_j with odd c_j and the residue is sum c_j*residue(u_j) mod p, exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,16 +53,6 @@ def hj_expand(num: int, den: int) -> tuple[int, ...]:
             return tuple(out)
 
 
-def cf_value(coeffs) -> Fraction:
-    """Evaluate c1 - 1/(c2 - 1/(...)) exactly."""
-    if not coeffs:
-        raise ValueError("empty coefficient list")
-    x = Fraction(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        x = c - 1 / x
-    return x
-
-
 def chain_for_cpq(p: int, q: int) -> Chain:
     if not (p > q > 0):
         raise ValueError(f"need p > q > 0, got p={p}, q={q}")
@@ -75,15 +64,16 @@ def chain_for_cpq(p: int, q: int) -> Chain:
 def identify_cpq(chain: Chain):
     """Recognize a chain as C_{p,q}; returns (p, q) or None.
 
-    The continued fraction of the negated weights is evaluated to num/den;
+    The continued fraction of the negated weights is num/den with num =
+    |det| of the chain and den = |det| of the chain without its first sphere:
+    consecutive continuants are coprime, so this is already in lowest terms.
     num must be a perfect square p^2, p must divide den+1, and the candidate
     must round-trip through chain_for_cpq (a square determinant alone is not
     enough).
     """
     if not chain or any(w > -2 for w in chain):
         return None
-    frac = cf_value([-w for w in chain])
-    num, den = frac.numerator, frac.denominator
+    num, den = abs(gram_det(chain)), abs(gram_det(chain[1:]))
     p = math.isqrt(num)
     if p * p != num:
         return None
@@ -155,13 +145,6 @@ class DiscriminantData:
 
 
 def discriminant(chain: Chain) -> DiscriminantData:
-    # pure in an immutable argument, and hammered by the ledger filters
-    # (once per candidate class), so cache it
-    return _discriminant_cached(tuple(chain))
-
-
-@functools.lru_cache(maxsize=None)
-def _discriminant_cached(chain: Chain) -> DiscriminantData:
     if not chain:
         raise ValueError("empty chain")
     d = _continuants(chain)

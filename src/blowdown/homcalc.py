@@ -225,18 +225,17 @@ def knot_surgery_shadow(cfg: CurveConfig, label: str, add_flags=()) -> CurveConf
     return replace(cfg, ambient=amb)
 
 
-def rational_blowdown(cfg: CurveConfig, names, new_label: str | None = None) -> Ambient:
-    """Replace a recognized C_{p,q} chain by the rational ball it shares a
+def rational_blowdown(amb: Ambient, chain, new_label: str | None = None) -> Ambient:
+    """Replace a recognized C_{p,q} chain of `amb`, given by the weights that
 
-    boundary with: e drops by the chain length, sigma rises by it, and
-    curve-level data is dropped.
+    `extract_chain` read off it, by the rational ball it shares a boundary
+    with: e drops by the chain length, sigma rises by it, and curve-level
+    data is dropped.
     """
-    chain = extract_chain(cfg, names)
     pq = hirzebruch.identify_cpq(chain)
     if pq is None:
         raise ConfigError(f"chain {hirzebruch.chain_to_str(chain)} is not a C_{{p,q}} plumbing")
     k = len(chain)
-    amb = cfg.ambient
     label = new_label if new_label is not None else f"{amb.label} (C_{{{pq[0]},{pq[1]}}} blown down)"
     return Ambient(
         basis=(),

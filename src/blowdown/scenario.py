@@ -17,11 +17,11 @@ Directives:
     ambient <label> e <int> sigma <int> [flags <f>...] basis <gen>...
     pair <gen> <gen> <int>                 # Gram entry (symmetric); before construction
     curve <name> class <lincomb> [genus <int>] [dp <int>]
-    blowup <name> [at <curve>:<mult>,...] [doublepoint <curve>]
-    smooth <new> <curve> <curve>
+    blowup <name> [at <curve>:<mult>,...] [doublepoint <curve>]   # before every chain
+    smooth <new> <curve> <curve>           # before every chain
     surgery <label> [flags <f>...]         # knot-surgery relabel, lattice carried across
-    chain <name> = <curve>,<curve>,...     # extracts and snapshots the plumbing
-    blowdown <chain> [label <label>]       # rational blow-down; drops curve data
+    chain <name> = <curve>,<curve>,...     # extracts and records the plumbing's weights
+    blowdown <chain> [label <label>]       # blows down the recorded chain; drops curve data
     mcg <name> expected <int> twists <spec>...   # spec: cycle[*mult][~conjword]
     sw ledger <name> e <int> sigma <int> fiber <lincomb> knots <twist(..),..|none>
     sw blowups <new> <ledger> <gen>...
@@ -31,6 +31,11 @@ Directives:
 
 The flag list of `ambient` ends at the word `basis`, so neither its flags nor
 its generators can be named `basis`.
+
+No `blowup` or `smooth` may follow a `chain`, so the lattice and curves a
+chain was read from stay as they were: `blowdown` and `sw blowdown` use the
+weights and sphere classes the `chain` directive recorded, paired in the live
+lattice, and never read the chain again.
 
 The assertion kinds are the keys of `_ASSERTIONS`, which gives each kind's
 argument slots (how each argument is read, checked and printed) and its check.
@@ -474,6 +479,7 @@ def _parse_curve(t: _Tokens, chk: _ParseChecker, lineno: int) -> CurveDecl:
 
 def _parse_blowup(t: _Tokens, chk: _ParseChecker, lineno: int) -> BlowupStep:
     chk.need(not chk.blown_down, lineno, "cannot blow up after the blow-down")
+    chk.need(not chk.chains, lineno, "blowup must precede every chain")
     name = t.take_name("exceptional name")
     chk.need(name not in chk.gens, lineno, f"generator {name!r} already declared")
     chk.need(name not in chk.curves, lineno, f"curve {name!r} already declared")
@@ -502,6 +508,7 @@ def _parse_blowup(t: _Tokens, chk: _ParseChecker, lineno: int) -> BlowupStep:
 
 def _parse_smooth(t: _Tokens, chk: _ParseChecker, lineno: int) -> SmoothStep:
     chk.need(not chk.blown_down, lineno, "cannot smooth after the blow-down")
+    chk.need(not chk.chains, lineno, "smooth must precede every chain")
     name = t.take_name("new curve name")
     c1 = t.take("curve name")
     c2 = t.take("curve name")
@@ -767,24 +774,14 @@ class Report:
 @dataclass
 class _ChainRec:
     weights: tuple[int, ...]
-    curve_names: tuple[str, ...]
     classes: tuple[tuple[int, ...], ...]
-    basis: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
 
 
 @dataclass
 class _SwRec:
     ledger: swledger.Ledger
-    fiber_vec: tuple[int, ...]
-    gen_names: tuple[str, ...]
+    fiber_vec: tuple[int, ...]  # over the live basis when the ledger was declared
     result: swledger.BlowdownResult | None = None
-
-
-def _pad(vec, rank):
-    if len(vec) > rank:
-        raise ValueError("class vector longer than lattice rank")
-    return tuple(vec) + (0,) * (rank - len(vec))
 
 
 class _Runner:
@@ -823,7 +820,7 @@ class _Runner:
             if name in index:
                 vec[index[name]] += coef
             elif self.cfg is not None and self.cfg.has_curve(name):
-                for i, x in enumerate(_pad(self.cfg.curve(name).cls, rank)):
+                for i, x in enumerate(self.cfg.curve(name).cls):
                     vec[i] += coef * x
             else:
                 raise ValueError(f"unknown class name {name!r}")
@@ -865,17 +862,10 @@ class _Runner:
         elif isinstance(d, ChainDecl):
             weights = homcalc.extract_chain(self.cfg, d.curves)
             classes = tuple(self.cfg.curve(c).cls for c in d.curves)
-            self.chains[d.name] = _ChainRec(
-                weights=weights,
-                curve_names=d.curves,
-                classes=classes,
-                basis=self.cfg.ambient.basis,
-                gram=self.cfg.ambient.gram,
-            )
+            self.chains[d.name] = _ChainRec(weights, classes)
         elif isinstance(d, BlowdownStep):
-            rec = self.chains[d.chain]
-            cfg_for_chain = self.cfg
-            amb = homcalc.rational_blowdown(cfg_for_chain, rec.curve_names, d.label)
+            weights = self.chains[d.chain].weights
+            amb = homcalc.rational_blowdown(self.cfg.ambient, weights, d.label)
             self.cfg = homcalc.CurveConfig(ambient=amb)
         elif isinstance(d, McgStep):
             twists = tuple(spec.to_twist() for spec in d.twists)
@@ -889,14 +879,11 @@ class _Runner:
                 )
             polys = [swledger.alexander_twist(k) for k in d.knots]
             ledger = swledger.knot_surgery_ledger(polys, label=d.name, e=d.e, sigma=d.sigma)
-            self.sw[d.name] = _SwRec(ledger=ledger, fiber_vec=fiber_vec, gen_names=())
+            self.sw[d.name] = _SwRec(ledger=ledger, fiber_vec=fiber_vec)
         elif isinstance(d, SwBlowupsStep):
             src = self.sw[d.source]
             ledger = swledger.blow_up_ledger(src.ledger, len(d.gens), d.gens)
-            self.sw[d.name] = _SwRec(
-                ledger=ledger, fiber_vec=src.fiber_vec,
-                gen_names=src.gen_names + d.gens,
-            )
+            self.sw[d.name] = _SwRec(ledger=ledger, fiber_vec=src.fiber_vec)
         elif isinstance(d, SwBlowdownStep):
             self._exec_sw_blowdown(d)
         elif isinstance(d, AssertStep):
@@ -908,35 +895,27 @@ class _Runner:
         self._sync_lattice()
 
     def _exec_sw_blowdown(self, d: SwBlowdownStep) -> None:
+        """Pair the ledger's classes with the recorded chain spheres in the
+        live lattice: T is the fiber vector, paired over its support, so a
+        fiber declared before later blow-ups needs no padding, and every other
+        tracked class is the live generator of its name."""
         src = self.sw[d.source]
         rec = self.chains[d.chain]
-        rank = len(rec.basis)
-        index = {name: i for i, name in enumerate(rec.basis)}
-        gen_vectors = [_pad(src.fiber_vec, rank)]
-        for g in src.gen_names:
-            if g not in index:
-                raise ScenarioError(
-                    f"line {d.lineno}: tracked class {g!r} is not in the chain's lattice"
-                )
-            unit = [0] * rank
-            unit[index[g]] = 1
-            gen_vectors.append(tuple(unit))
-        pairings = [
-            swledger.restrict_to_chain(gv, rec.classes, rec.gram) for gv in gen_vectors
-        ]
-        label = d.label
+        gram = self.live_gram
+        index = {name: i for i, name in enumerate(self.live_basis)}
+        pairings = [tuple(homcalc.pair_vectors(gram, u, src.fiber_vec) for u in rec.classes)]
+        for g in src.ledger.basis[1:]:
+            row = gram[index[g]]
+            pairings.append(tuple(sum(x * y for x, y in zip(row, u)) for u in rec.classes))
         if d.chambered:
             result = swledger.chambered_blowdown_ledger(
-                src.ledger, rec.weights, pairings, new_label=label
+                src.ledger, rec.weights, pairings, new_label=d.label
             )
         else:
             result = swledger.rational_blowdown_ledger(
-                src.ledger, rec.weights, pairings, corrections=(True, True), new_label=label
+                src.ledger, rec.weights, pairings, corrections=(True, True), new_label=d.label
             )
-        self.sw[d.name] = _SwRec(
-            ledger=result.ledger, fiber_vec=src.fiber_vec,
-            gen_names=src.gen_names, result=result,
-        )
+        self.sw[d.name] = _SwRec(ledger=result.ledger, fiber_vec=src.fiber_vec, result=result)
 
 
 def run_scenario(s: Scenario) -> Report:

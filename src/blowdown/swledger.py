@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
-from . import hirzebruch, homcalc
+from . import hirzebruch
 
 
 @dataclass(frozen=True, order=True)
@@ -281,7 +281,7 @@ def find(base: tuple[Entry, ...], m: int, cls: tuple[int, ...]) -> Entry | None:
 
 @dataclass(frozen=True)
 class Ledger:
-    """The tracked classes, their Gram matrix and the entries sorted by class.
+    """The tracked classes and the entries sorted by class.
 
     `entries` is a `BlownEntries` view after a blow-up, and otherwise a tuple,
     which construction sorts by class: lookups bisect and the blow-down walks
@@ -292,7 +292,6 @@ class Ledger:
     e: int
     sigma: int
     basis: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
     entries: Sequence[Entry]
 
     def __post_init__(self):
@@ -328,17 +327,8 @@ def _sorted_entries(entries) -> tuple[Entry, ...]:
 
 
 def dimension_from_square(square: int, e: int, sigma: int) -> Fraction:
+    """Formal dimension (K^2 - 3*sigma - 2*e)/4 of a class of square K^2, exactly."""
     return Fraction(square - 3 * sigma - 2 * e, 4)
-
-
-def dimension(cls, gram, e: int, sigma: int) -> Fraction:
-    """Formal dimension (K^2 - 3*sigma - 2*e)/4, as an exact rational."""
-    return dimension_from_square(homcalc.pair_vectors(gram, cls, cls), e, sigma)
-
-
-def restrict_to_chain(cls, chain_classes, gram) -> tuple[int, ...]:
-    """Pairings of a class with each chain sphere, in chain order."""
-    return tuple(homcalc.pair_vectors(gram, cls, u) for u in chain_classes)
 
 
 def knot_surgery_ledger(polys, label: str, e: int = 12, sigma: int = -8) -> Ledger:
@@ -366,7 +356,6 @@ def knot_surgery_ledger(polys, label: str, e: int = 12, sigma: int = -8) -> Ledg
         e=e,
         sigma=sigma,
         basis=("T",),
-        gram=((0,),),
         entries=tuple(entries),
     )
 
@@ -390,17 +379,12 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
     for nm in names:
         if nm in ledger.basis:
             raise ValueError(f"tracked class {nm!r} already exists")
-    old_rank = len(ledger.basis)
-    gram = tuple(row + (0,) * count for row in ledger.gram)
-    for i in range(count):
-        gram += ((0,) * (old_rank + i) + (-1,) + (0,) * (count - i - 1),)
     base, m = _base_and_signs(ledger.entries)
     return Ledger(
         label=ledger.label,
         e=ledger.e + count,
         sigma=ledger.sigma - count,
         basis=ledger.basis + names,
-        gram=gram,
         entries=BlownEntries(base, m + count),
     )
 
@@ -564,7 +548,6 @@ def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: 
         e=ledger.e - k,
         sigma=ledger.sigma + k,
         basis=ledger.basis,
-        gram=ledger.gram,
         entries=tuple(new_entries),
     )
     return BlowdownResult(

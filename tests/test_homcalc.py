@@ -145,7 +145,8 @@ def test_rational_blowdown_counts():
     cfg = e1_with_section()
     cfg = homcalc.blow_up(cfg, "E1", at=[("s", 2)])
     # (-5,-2) is C_{3,1}
-    amb = homcalc.rational_blowdown(cfg, ("s", "t"), new_label="Z")
+    amb = homcalc.rational_blowdown(
+        cfg.ambient, homcalc.extract_chain(cfg, ("s", "t")), new_label="Z")
     assert amb.e == 13 - 2 and amb.sigma == -9 + 2
     assert amb.label == "Z"
     assert amb.basis == ()
@@ -156,7 +157,7 @@ def test_rational_blowdown_requires_plumbing():
     cfg = homcalc.blow_up(cfg, "E1", at=[("s", 3)])
     # (-7,-2) is not any C_{p,q}
     with pytest.raises(ConfigError):
-        homcalc.rational_blowdown(cfg, ("s", "t"))
+        homcalc.rational_blowdown(cfg.ambient, homcalc.extract_chain(cfg, ("s", "t")))
 
 
 def test_homeo_fingerprint():

@@ -115,6 +115,11 @@ def test_report_text_format():
      "line 2: bad curve name 'c d' (no whitespace, quotes, backslash, '#', ',' or ':')"),
     ("ambient X e 4 sigma 0 flags basis basis S\n",
      "line 1: 'basis' is reserved and cannot name a generator"),
+    ("ambient X e 4 sigma 0 basis S\ncurve c class S\nchain C = c\nblowup E at c:1\n",
+     "line 4: blowup must precede every chain"),
+    ("ambient X e 4 sigma 0 basis S\ncurve c class S\ncurve d class S\nchain C = c\n"
+     "smooth f c d\n",
+     "line 5: smooth must precede every chain"),
     pytest.param("ambient X e 4 sigma 0 basis S\nmcg m expected 1 twists a\n"
                  "assert mcg-word-equal m " + "(" * 1000 + "a" + ")" * 1000 + "\n",
                  "line 3: parentheses nested deeper than 32 at position 32", id="deep-word"),
@@ -141,6 +146,27 @@ def test_runtime_errors_carry_line_numbers():
     with pytest.raises(ScenarioError,
                        match=r"^line 4: fiber class squares to -1, expected 0$"):
         run_scenario(parse_scenario(text))
+
+
+def test_blowup_after_chain_stops_at_its_line():
+    # the recorded chain is (-4) = C_{2,1}; blowing up a point of c would make
+    # the sphere a (-5), so `identify` on the record and the blow-down of the
+    # live curve would disagree.  The scenario stops at the blow-up instead.
+    text = MINIMAL.replace("assert euler 4\n", "blowup E at c:1\nblowdown C\nassert euler 3\n")
+    with pytest.raises(ScenarioError) as exc:
+        run_scenario(parse_scenario(text))
+    assert str(exc.value) == "line 7: blowup must precede every chain"
+
+
+def test_ledger_declared_before_the_blowups():
+    # Q_n with its `sw ledger` line above the blow-ups: the fiber vector is
+    # shorter than the chain's lattice, and the report is Q_n's
+    line = "sw ledger base e 12 sigma -8 fiber F knots twist(1),twist(n)\n"
+    text = CORPUS["qn"].replace(line, "").replace("blowup E1 ", line + "blowup E1 ")
+    assert text.index(line) < text.index("blowup E1 ")
+    report = run_scenario(parse_scenario(text, name="qn"))
+    assert report.records == run_scenario(parse_scenario(CORPUS["qn"], name="qn")).records
+    assert report.total == 25 and report.all_passed
 
 
 def test_long_blowups_line_costs_neither_seconds_nor_megabytes():
