@@ -35,6 +35,11 @@ assert identify C 2 1
 assert euler 4
 """
 
+# MINIMAL blown down, up to and including the `blowdown` line (line 5)
+BLOWN = "ambient X e 4 sigma 0 basis S\npair S S -4\ncurve c class S\nchain C = c\nblowdown C\n"
+# a ledger `l` declared on line 2
+LEDGER = "ambient X e 4 sigma 0 basis S\nsw ledger l e 4 sigma 0 fiber S knots none\n"
+
 
 def test_corpus_inventory():
     assert set(CORPUS) == {
@@ -123,6 +128,38 @@ def test_report_text_format():
     pytest.param("ambient X e 4 sigma 0 basis S\nmcg m expected 1 twists a\n"
                  "assert mcg-word-equal m " + "(" * 1000 + "a" + ")" * 1000 + "\n",
                  "line 3: parentheses nested deeper than 32 at position 32", id="deep-word"),
+    ("ambient X e 4 sigma 0 basis S\ncurve c class S\npair S S -4\n",
+     "line 3: pair must precede construction steps"),
+    (BLOWN + "curve d class S\n", "line 6: curve data was dropped by the blow-down"),
+    # placement is checked before the curve list is read, so the dropped
+    # curve 'c' is not what the line reports
+    (BLOWN + "chain D = c\n", "line 6: curve data was dropped by the blow-down"),
+    (BLOWN + "surgery Y\n", "line 6: cannot relabel after the blow-down"),
+    (BLOWN + "blowdown C\n", "line 6: already blown down"),
+    (BLOWN + "blowup E\n", "line 6: cannot blow up after the blow-down"),
+    ("ambient X e 4 sigma 0 basis S\ncurve c class S\nchain C = c\nchain C = c\n",
+     "line 4: chain 'C' already declared"),
+    ("ambient X e 4 sigma 0 basis S\nmcg m expected 1 twists a\nmcg m expected 1 twists a\n",
+     "line 3: mcg report 'm' already declared"),
+    (LEDGER + "sw ledger l e 4 sigma 0 fiber S knots none\n",
+     "line 3: ledger 'l' already declared"),
+    ("ambient X e 4 sigma 0 basis S\nmcg m expected 1 twists\n",
+     "line 2: mcg directive needs at least one twist"),
+    (LEDGER + "sw blowups m l\n", "line 3: sw blowups needs at least one exceptional class"),
+    ("ambient X e 4 sigma 0 basis S\nassert frob\n", "line 2: unknown assertion kind 'frob'"),
+    (LEDGER + "assert sw-minimal l 1\n", "line 3: ledger 'l' is not a blow-down result"),
+    ("ambient X e 4 sigma 0 basis S\ncurve c class S\nblowup E at c\n",
+     "line 3: bad incidence 'c' (use curve:mult)"),
+    ("ambient X e 4 sigma 0 basis S\ncurve c class S\nblowup E at c:x\n",
+     "line 3: bad multiplicity in 'c:x'"),
+    ("ambient X e 4 sigma 0 basis S\ncurve c class S genus -1\n",
+     "line 2: genus must be >= 0"),
+    ("ambient X e 4 sigma 0 basis S\npair S S 0\ncurve c class S\nchain C = c\n"
+     "sw ledger l e 4 sigma 0 fiber S knots none\n"
+     "sw blowdown m l C vanishing vanishing-background\n",
+     "line 6: expected 'vanishing-r', got 'vanishing'"),
+    ("ambient X e 4 sigma 0 basis S\nassert\n", "line 2: expected assertion kind at end of line"),
+    ("ambient X e 4 sigma 0 basis S\nsw\n", "line 2: expected sw directive at end of line"),
 ])
 def test_parse_errors(text, message):
     with pytest.raises(ScenarioError) as exc:
