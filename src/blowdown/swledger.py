@@ -376,9 +376,13 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
     names = tuple(names)
     if len(names) != count:
         raise ValueError(f"expected {count} names, got {len(names)}")
+    seen: set[str] = set()
     for nm in names:
         if nm in ledger.basis:
             raise ValueError(f"tracked class {nm!r} already exists")
+        if nm in seen:
+            raise ValueError(f"tracked class {nm!r} is named twice")
+        seen.add(nm)
     base, m = _base_and_signs(ledger.entries)
     return Ledger(
         label=ledger.label,

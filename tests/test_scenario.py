@@ -185,6 +185,18 @@ def test_runtime_errors_carry_line_numbers():
         run_scenario(parse_scenario(text))
 
 
+def test_sw_blowups_with_a_repeated_name_stops_at_its_line():
+    text = (
+        "ambient X e 12 sigma -8 basis F E1\n"
+        "sw ledger base e 12 sigma -8 fiber F knots twist(n)\n"
+        "sw blowups blown base E1 E1\n"
+        "assert sw-value blown T+E1 n\n"
+    )
+    with pytest.raises(ScenarioError) as exc:
+        run_scenario(parse_scenario(text))
+    assert str(exc.value) == "line 3: tracked class 'E1' is named twice"
+
+
 def test_blowup_after_chain_stops_at_its_line():
     # the recorded chain is (-4) = C_{2,1}; blowing up a point of c would make
     # the sphere a (-5), so `identify` on the record and the blow-down of the

@@ -135,6 +135,15 @@ def test_blow_up_ledger():
     assert sw.dimension_from_square(ent.square, blown.e, blown.sigma) == d0
 
 
+def test_blow_up_ledger_rejects_a_repeated_name():
+    # two tracked classes named E1 could never be looked up by name
+    led = sw.knot_surgery_ledger([sw.alexander_twist()], label="base")
+    with pytest.raises(ValueError, match=r"^tracked class 'E1' is named twice$"):
+        sw.blow_up_ledger(led, 2, names=("E1", "E1"))
+    with pytest.raises(ValueError, match=r"^tracked class 'T' already exists$"):
+        sw.blow_up_ledger(led, 1, names=("T",))
+
+
 def test_blow_up_ledger_default_names():
     led = sw.knot_surgery_ledger([sw.alexander_twist()], label="base")
     blown = sw.blow_up_ledger(led, 3)
