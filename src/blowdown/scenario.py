@@ -21,7 +21,7 @@ Directives:
     smooth <new> <curve> <curve>           # before every chain
     surgery <label> [flags <f>...]         # knot-surgery relabel, lattice carried across
     chain <name> = <curve>,<curve>,...     # extracts and records the plumbing's weights
-    blowdown <chain> [label <label>]       # blows down the recorded chain; drops curve data
+    blowdown <chain> [label <label>]       # blows down the recorded chain; drops the lattice
     mcg <name> expected <int> twists <spec>...   # spec: cycle[*mult][~conjword]
     sw ledger <name> e <int> sigma <int> fiber <lincomb> knots <twist(..),..|none>
     sw blowups <new> <ledger> <gen>...
@@ -35,17 +35,24 @@ its generators can be named `basis`.
 No `blowup` or `smooth` may follow a `chain`, so the lattice and curves a
 chain was read from stay as they were: `blowdown` and `sw blowdown` use the
 weights and sphere classes the `chain` directive recorded, paired in the live
-lattice, and never read the chain again.
+lattice, and never read the chain again.  `blowdown` drops the curves and the
+generators, so no line after it may name one, and `sw blowdown` must come
+before it.
 
-The assertion kinds are the keys of `_ASSERTIONS`, which gives each kind's
-argument slots (how each argument is read, checked and printed) and its check.
+Every line parses to one `Step(kind, args)`.  Its kind is a key of `_KINDS`:
+the first word, or the first two for `sw` and `assert` lines.  Each entry
+gives the line's syntax (keywords, and argument slots that read, check and
+print one value each), the placement rules checked before any argument is
+read, what the line declares to the parse checker, and what running it does;
+`parse_scenario`, `print_directive` and `_Runner.run` are one loop each over
+that table.  The printer leaves out an optional part at its default (`genus
+0`, `dp 0`, an empty flag list, no label).
 
 Reports are byte-deterministic; parse(print(parse(text))) == parse(text).
 """
 
 from __future__ import annotations
 
-import functools
 import re
 import shlex
 from dataclasses import dataclass, field
@@ -109,70 +116,20 @@ def resolve_lincomb(lc: Lincomb, basis) -> tuple[int, ...]:
     return tuple(vec)
 
 
-# --- directive records -------------------------------------------------------
-
 @dataclass(frozen=True)
-class AmbientDecl:
-    label: str
-    e: int
-    sigma: int
-    flags: tuple[str, ...]
-    basis: tuple[str, ...]
+class Step:
+    """One scenario line: `kind` is a key of `_KINDS`, `args` the values its
+    slots read, in order."""
+
+    kind: str
+    args: tuple
     lineno: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class PairDecl:
-    g1: str
-    g2: str
-    value: int
-    lineno: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True)
-class CurveDecl:
+class Scenario:
     name: str
-    cls: Lincomb
-    genus: int
-    dp: int
-    lineno: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True)
-class BlowupStep:
-    name: str
-    at: tuple[tuple[str, int], ...]
-    doublepoint: str | None
-    lineno: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True)
-class SmoothStep:
-    name: str
-    c1: str
-    c2: str
-    lineno: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True)
-class SurgeryStep:
-    label: str
-    flags: tuple[str, ...]
-    lineno: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True)
-class ChainDecl:
-    name: str
-    curves: tuple[str, ...]
-    lineno: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True)
-class BlowdownStep:
-    chain: str
-    label: str | None
-    lineno: int = field(compare=False, default=0)
+    directives: tuple[Step, ...]
 
 
 @dataclass(frozen=True)
@@ -193,62 +150,6 @@ class TwistSpec:
         return out
 
 
-@dataclass(frozen=True)
-class McgStep:
-    name: str
-    expected: int
-    twists: tuple[TwistSpec, ...]
-    lineno: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True)
-class SwLedgerStep:
-    name: str
-    e: int
-    sigma: int
-    fiber: Lincomb
-    knots: tuple[int | None, ...]  # None = symbolic n
-    lineno: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True)
-class SwBlowupsStep:
-    name: str
-    source: str
-    gens: tuple[str, ...]
-    lineno: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True)
-class SwBlowdownStep:
-    name: str
-    source: str
-    chain: str
-    chambered: bool
-    label: str | None
-    lineno: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True)
-class AssertStep:
-    kind: str
-    args: tuple
-    lineno: int = field(compare=False, default=0)
-
-
-Directive = (
-    AmbientDecl | PairDecl | CurveDecl | BlowupStep | SmoothStep | SurgeryStep
-    | ChainDecl | BlowdownStep | McgStep | SwLedgerStep | SwBlowupsStep
-    | SwBlowdownStep | AssertStep
-)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    directives: tuple[Directive, ...]
-
-
 # --- parsing -----------------------------------------------------------------
 
 class _Tokens:
@@ -257,18 +158,15 @@ class _Tokens:
         self.pos = 0
         self.lineno = lineno
 
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
-
     def peek(self):
-        return self.tokens[self.pos] if not self.done() else None
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self, what: str) -> str:
-        if self.done():
+        pos = self.pos
+        if pos >= len(self.tokens):
             raise ScenarioError(f"line {self.lineno}: expected {what} at end of line")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        self.pos = pos + 1
+        return self.tokens[pos]
 
     def take_name(self, what: str) -> str:
         """A declared name: printed bare, so it must read back as one plain token."""
@@ -298,55 +196,45 @@ class _Tokens:
         if tok != word:
             raise ScenarioError(f"line {self.lineno}: expected {word!r}, got {tok!r}")
 
-    def optional(self, word: str, what: str) -> str | None:
-        """The token after keyword `word` when the line continues with it, else None."""
-        if self.peek() != word:
-            return None
-        self.pos += 1
-        return self.take(what)
-
-    def rest(self) -> list[str]:
-        out = self.tokens[self.pos:]
-        self.pos = len(self.tokens)
-        return out
-
     def end(self):
-        if not self.done():
+        if self.pos < len(self.tokens):
             raise ScenarioError(
                 f"line {self.lineno}: unexpected trailing token {self.tokens[self.pos]!r}"
             )
 
 
-def _parse_twistspec(tok: str, lineno: int) -> TwistSpec:
+def _parse_twistspec(tok: str) -> TwistSpec:
     m = re.fullmatch(r"([ab])(?:\*(\d+))?(?:~(\S+))?", tok)
     if not m:
-        raise ScenarioError(f"line {lineno}: bad twist spec {tok!r}")
+        raise ValueError(f"bad twist spec {tok!r}")
     mult = int(m.group(2)) if m.group(2) else 1
-    conj: mcg.Word = ()
-    if m.group(3):
-        try:
-            conj = mcg.parse_word(m.group(3))
-        except ValueError as exc:
-            raise ScenarioError(f"line {lineno}: {exc}") from None
+    conj = mcg.parse_word(m.group(3)) if m.group(3) else ()
     return TwistSpec(cycle=m.group(1), multiplicity=mult, conjugator=conj)
 
 
-def _parse_knots(tok: str, lineno: int) -> tuple[int | None, ...]:
+def _parse_knots(tok: str) -> tuple[int | None, ...]:
+    """Twist-knot parameters, None for the symbolic n."""
     if tok == "none":
         return ()
     out: list[int | None] = []
     for item in tok.split(","):
         m = re.fullmatch(r"twist\((n|-?\d+)\)", item)
         if not m:
-            raise ScenarioError(
-                f"line {lineno}: bad knot spec {item!r} (use twist(n), twist(3), or none)"
-            )
+            raise ValueError(f"bad knot spec {item!r} (use twist(n), twist(3), or none)")
         out.append(None if m.group(1) == "n" else int(m.group(1)))
     return tuple(out)
 
 
+def _show_knots(knots) -> str:
+    return ",".join("twist(n)" if k is None else f"twist({k})" for k in knots) or "none"
+
+
 class _ParseChecker:
-    """Static name tracking so references fail at parse time, with a location."""
+    """Static name tracking so references fail at parse time, with a location.
+
+    The methods named after a kind record what a line of that kind declares,
+    once its arguments are read, checking what spans several of them.
+    """
 
     def __init__(self):
         self.gens: set[str] = set()
@@ -364,15 +252,65 @@ class _ParseChecker:
             raise ScenarioError(f"line {lineno}: {msg}")
 
     def need_curve(self, name: str, lineno: int):
-        self.need(name in self.curves, lineno, f"unknown curve {name!r}")
+        if name not in self.curves:
+            raise ScenarioError(f"line {lineno}: unknown curve {name!r}")
 
     def need_gen(self, name: str, lineno: int):
-        self.need(name in self.gens, lineno, f"unknown generator {name!r}")
+        if name not in self.gens:
+            raise ScenarioError(f"line {lineno}: unknown generator {name!r}")
 
     def need_lincomb(self, lc: Lincomb, lineno: int):
         for _c, name in lc:
-            self.need(name in self.gens or name in self.curves, lineno,
-                      f"unknown class {name!r}")
+            if name not in self.gens and name not in self.curves:
+                raise ScenarioError(f"line {lineno}: unknown class {name!r}")
+
+    def ambient(self, lineno, label, e, sigma, flags, basis):
+        self.need(bool(basis), lineno, "ambient needs at least one basis generator")
+        self.need("basis" not in basis, lineno, "'basis' is reserved and cannot name a generator")
+        self.need(len(set(basis)) == len(basis), lineno, "duplicate basis generator")
+        self.gens.update(basis)
+        self.have_ambient = True
+
+    def curve(self, lineno, name, lc, genus, dp):
+        self.need(genus >= 0, lineno, "genus must be >= 0")
+        self.need(dp >= 0, lineno, "double-point count must be >= 0")
+        self.curves.add(name)
+        self.construction_started = True
+
+    def blowup(self, lineno, name, at, doublepoint):
+        self.gens.add(name)
+        self.curves.add(name)
+        self.construction_started = True
+
+    def smooth(self, lineno, name, c1, c2):
+        self.need_curve(c1, lineno)
+        self.need_curve(c2, lineno)
+        self.need(name not in self.curves - {c1, c2}, lineno, f"curve {name!r} already declared")
+        self.curves -= {c1, c2}
+        self.curves.add(name)
+        self.construction_started = True
+
+    def surgery(self, lineno, label, flags):
+        self.construction_started = True
+
+    def blowdown(self, lineno, chain, label):
+        self.blown_down = True
+        self.curves.clear()
+        self.gens.clear()
+
+    def mcg(self, lineno, name, expected, twists):
+        self.need(bool(twists), lineno, "mcg directive needs at least one twist")
+        self.mcgs.add(name)
+
+    def sw_blowups(self, lineno, name, source, gens):
+        self.need(bool(gens), lineno, "sw blowups needs at least one exceptional class")
+        for g in gens:
+            self.need_gen(g, lineno)
+        self.ledgers.add(name)
+
+    def sw_blowdown(self, lineno, name, source, chain, label):
+        self.ledgers.add(name)
+        self.blowdown_ledgers.add(name)
 
 
 def split_line(raw: str) -> list[str]:
@@ -393,7 +331,7 @@ def split_line(raw: str) -> list[str]:
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
-    directives: list[Directive] = []
+    steps: list[Step] = []
     chk = _ParseChecker()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -403,241 +341,39 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             raise ScenarioError(f"line {lineno}: {exc}") from None
         if not tokens:
             continue
-        head, rest = tokens[0], tokens[1:]
-        t = _Tokens(rest, lineno)
+        t = _Tokens(tokens, lineno)
+        head = kind = t.take("directive")
         if head == "sw":
-            sub = t.take("sw directive")
-            head = f"sw {sub}"
-        builder = _DIRECTIVE_PARSERS.get(head)
-        if builder is None:
-            raise ScenarioError(f"line {lineno}: unknown directive {tokens[0]!r}")
+            kind = "sw " + t.take("sw directive")
+        # two-word kinds are reached only through their first word
+        if head != "assert" and (kind not in _KINDS or " " in head):
+            raise ScenarioError(f"line {lineno}: unknown directive {head!r}")
         chk.need(head == "ambient" or chk.have_ambient, lineno, "no ambient declared")
-        directives.append(builder(t, chk, lineno))
+        if head == "assert":
+            kind = "assert " + t.take("assertion kind")
+            if kind not in _KINDS:
+                raise ScenarioError(f"line {lineno}: unknown assertion kind {kind[7:]!r}")
+        entry = _KINDS[kind]
+        for flag, message in entry.place:
+            if getattr(chk, flag):
+                raise ScenarioError(f"line {lineno}: {message}")
+        args = []
+        for part in entry.syntax:
+            if part.__class__ is str:
+                t.take_keyword(part)
+            else:
+                args.append(part.read(t, chk))
+        if entry.declare is not None:
+            entry.declare(chk, lineno, *args)
         t.end()
+        steps.append(Step(kind, tuple(args), lineno))
 
-    if not directives:
+    if not steps:
         raise ScenarioError("no ambient declared")
-    last = directives[-1]
-    chk.need(isinstance(last, AssertStep), last.lineno,
+    last = steps[-1]
+    chk.need(last.kind.startswith("assert "), last.lineno,
              "scenario must end with at least one assertion")
-    return Scenario(name=name, directives=tuple(directives))
-
-
-def _parse_ambient(t: _Tokens, chk: _ParseChecker, lineno: int) -> AmbientDecl:
-    chk.need(not chk.have_ambient, lineno, "duplicate ambient declaration")
-    label = t.take("manifold label")
-    t.take_keyword("e")
-    e = t.take_int("Euler characteristic")
-    t.take_keyword("sigma")
-    sigma = t.take_int("signature")
-    flags: list[str] = []
-    if t.peek() == "flags":
-        t.take("flags")
-        while t.peek() not in (None, "basis"):
-            flags.append(t.take("flag"))
-    t.take_keyword("basis")
-    basis = t.rest()
-    chk.need(bool(basis), lineno, "ambient needs at least one basis generator")
-    chk.need("basis" not in basis, lineno, "'basis' is reserved and cannot name a generator")
-    chk.need(len(set(basis)) == len(basis), lineno, "duplicate basis generator")
-    chk.gens.update(basis)
-    chk.have_ambient = True
-    return AmbientDecl(label, e, sigma, tuple(flags), tuple(basis), lineno)
-
-
-def _parse_pair(t: _Tokens, chk: _ParseChecker, lineno: int) -> PairDecl:
-    chk.need(not chk.construction_started, lineno, "pair must precede construction steps")
-    g1 = t.take("generator")
-    g2 = t.take("generator")
-    chk.need_gen(g1, lineno)
-    chk.need_gen(g2, lineno)
-    value = t.take_int("pairing value")
-    return PairDecl(g1, g2, value, lineno)
-
-
-def _parse_curve(t: _Tokens, chk: _ParseChecker, lineno: int) -> CurveDecl:
-    chk.need(not chk.blown_down, lineno, "curve data was dropped by the blow-down")
-    name = t.take_name("curve name")
-    chk.need(name not in chk.curves, lineno, f"curve {name!r} already declared")
-    t.take_keyword("class")
-    lc = t.take_parsed("class expression", parse_lincomb)
-    chk.need_lincomb(lc, lineno)
-    genus = 0
-    dp = 0
-    if t.peek() == "genus":
-        t.take("genus")
-        genus = t.take_int("genus")
-    if t.peek() == "dp":
-        t.take("dp")
-        dp = t.take_int("double-point count")
-    chk.need(genus >= 0, lineno, "genus must be >= 0")
-    chk.need(dp >= 0, lineno, "double-point count must be >= 0")
-    chk.curves.add(name)
-    chk.construction_started = True
-    return CurveDecl(name, lc, genus, dp, lineno)
-
-
-def _parse_blowup(t: _Tokens, chk: _ParseChecker, lineno: int) -> BlowupStep:
-    chk.need(not chk.blown_down, lineno, "cannot blow up after the blow-down")
-    chk.need(not chk.chains, lineno, "blowup must precede every chain")
-    name = t.take_name("exceptional name")
-    chk.need(name not in chk.gens, lineno, f"generator {name!r} already declared")
-    chk.need(name not in chk.curves, lineno, f"curve {name!r} already declared")
-    at: list[tuple[str, int]] = []
-    if t.peek() == "at":
-        t.take("at")
-        spec = t.take("incidence list")
-        for item in spec.split(","):
-            if ":" not in item:
-                raise ScenarioError(f"line {lineno}: bad incidence {item!r} (use curve:mult)")
-            cname, _, mult_s = item.partition(":")
-            try:
-                mult = int(mult_s)
-            except ValueError:
-                raise ScenarioError(f"line {lineno}: bad multiplicity in {item!r}") from None
-            chk.need_curve(cname, lineno)
-            at.append((cname, mult))
-    doublepoint = t.optional("doublepoint", "curve name")
-    if doublepoint is not None:
-        chk.need_curve(doublepoint, lineno)
-    chk.gens.add(name)
-    chk.curves.add(name)
-    chk.construction_started = True
-    return BlowupStep(name, tuple(at), doublepoint, lineno)
-
-
-def _parse_smooth(t: _Tokens, chk: _ParseChecker, lineno: int) -> SmoothStep:
-    chk.need(not chk.blown_down, lineno, "cannot smooth after the blow-down")
-    chk.need(not chk.chains, lineno, "smooth must precede every chain")
-    name = t.take_name("new curve name")
-    c1 = t.take("curve name")
-    c2 = t.take("curve name")
-    chk.need_curve(c1, lineno)
-    chk.need_curve(c2, lineno)
-    chk.need(name not in chk.curves - {c1, c2}, lineno, f"curve {name!r} already declared")
-    chk.curves.discard(c1)
-    chk.curves.discard(c2)
-    chk.curves.add(name)
-    chk.construction_started = True
-    return SmoothStep(name, c1, c2, lineno)
-
-
-def _parse_surgery(t: _Tokens, chk: _ParseChecker, lineno: int) -> SurgeryStep:
-    chk.need(not chk.blown_down, lineno, "cannot relabel after the blow-down")
-    label = t.take("manifold label")
-    flags: list[str] = []
-    if t.peek() == "flags":
-        t.take("flags")
-        flags = t.rest()
-    chk.construction_started = True
-    return SurgeryStep(label, tuple(flags), lineno)
-
-
-def _parse_chain(t: _Tokens, chk: _ParseChecker, lineno: int) -> ChainDecl:
-    chk.need(not chk.blown_down, lineno, "curve data was dropped by the blow-down")
-    name = t.take_name("chain name")
-    chk.need(name not in chk.chains, lineno, f"chain {name!r} already declared")
-    t.take_keyword("=")
-    curves = tuple(t.take("curve list").split(","))
-    for c in curves:
-        chk.need_curve(c, lineno)
-    chk.chains.add(name)
-    return ChainDecl(name, curves, lineno)
-
-
-def _parse_blowdown(t: _Tokens, chk: _ParseChecker, lineno: int) -> BlowdownStep:
-    chk.need(not chk.blown_down, lineno, "already blown down")
-    chain = t.take("chain name")
-    chk.need(chain in chk.chains, lineno, f"unknown chain {chain!r}")
-    label = t.optional("label", "manifold label")
-    chk.blown_down = True
-    chk.curves.clear()
-    return BlowdownStep(chain, label, lineno)
-
-
-def _parse_mcg(t: _Tokens, chk: _ParseChecker, lineno: int) -> McgStep:
-    name = t.take_name("report name")
-    chk.need(name not in chk.mcgs, lineno, f"mcg report {name!r} already declared")
-    t.take_keyword("expected")
-    expected = t.take_int("expected twist count")
-    t.take_keyword("twists")
-    specs = tuple(_parse_twistspec(tok, lineno) for tok in t.rest())
-    chk.need(bool(specs), lineno, "mcg directive needs at least one twist")
-    chk.mcgs.add(name)
-    return McgStep(name, expected, specs, lineno)
-
-
-def _parse_sw_ledger(t: _Tokens, chk: _ParseChecker, lineno: int) -> SwLedgerStep:
-    name = t.take_name("ledger name")
-    chk.need(name not in chk.ledgers, lineno, f"ledger {name!r} already declared")
-    t.take_keyword("e")
-    e = t.take_int("Euler characteristic")
-    t.take_keyword("sigma")
-    sigma = t.take_int("signature")
-    t.take_keyword("fiber")
-    fiber = t.take_parsed("fiber class", parse_lincomb)
-    chk.need_lincomb(fiber, lineno)
-    t.take_keyword("knots")
-    knots = _parse_knots(t.take("knot list"), lineno)
-    chk.ledgers.add(name)
-    return SwLedgerStep(name, e, sigma, fiber, knots, lineno)
-
-
-def _parse_sw_blowups(t: _Tokens, chk: _ParseChecker, lineno: int) -> SwBlowupsStep:
-    name = t.take_name("ledger name")
-    chk.need(name not in chk.ledgers, lineno, f"ledger {name!r} already declared")
-    source = t.take("source ledger")
-    chk.need(source in chk.ledgers, lineno, f"unknown ledger {source!r}")
-    gens = tuple(t.rest())
-    chk.need(bool(gens), lineno, "sw blowups needs at least one exceptional class")
-    for g in gens:
-        chk.need_gen(g, lineno)
-    chk.ledgers.add(name)
-    return SwBlowupsStep(name, source, gens, lineno)
-
-
-def _parse_sw_blowdown(
-    t: _Tokens, chk: _ParseChecker, lineno: int, chambered: bool = False
-) -> SwBlowdownStep:
-    name = t.take_name("ledger name")
-    chk.need(name not in chk.ledgers, lineno, f"ledger {name!r} already declared")
-    source = t.take("source ledger")
-    chk.need(source in chk.ledgers, lineno, f"unknown ledger {source!r}")
-    chain = t.take("chain name")
-    chk.need(chain in chk.chains, lineno, f"unknown chain {chain!r}")
-    if not chambered:
-        t.take_keyword("vanishing-r")
-        t.take_keyword("vanishing-background")
-    label = t.optional("label", "manifold label")
-    chk.ledgers.add(name)
-    chk.blowdown_ledgers.add(name)
-    return SwBlowdownStep(name, source, chain, chambered, label, lineno)
-
-
-def _parse_assert(t: _Tokens, chk: _ParseChecker, lineno: int) -> AssertStep:
-    kind = t.take("assertion kind")
-    if kind not in _ASSERTIONS:
-        raise ScenarioError(f"line {lineno}: unknown assertion kind {kind!r}")
-    slots, _check = _ASSERTIONS[kind]
-    return AssertStep(kind, tuple(slot.read(t, chk) for slot in slots), lineno)
-
-
-_DIRECTIVE_PARSERS = {
-    "ambient": _parse_ambient,
-    "pair": _parse_pair,
-    "curve": _parse_curve,
-    "blowup": _parse_blowup,
-    "smooth": _parse_smooth,
-    "surgery": _parse_surgery,
-    "chain": _parse_chain,
-    "blowdown": _parse_blowdown,
-    "mcg": _parse_mcg,
-    "sw ledger": _parse_sw_ledger,
-    "sw blowups": _parse_sw_blowups,
-    "sw blowdown": _parse_sw_blowdown,
-    "sw chambered-blowdown": functools.partial(_parse_sw_blowdown, chambered=True),
-    "assert": _parse_assert,
-}
+    return Scenario(name=name, directives=tuple(steps))
 
 
 # --- printing ----------------------------------------------------------------
@@ -650,67 +386,12 @@ def _q(token: str) -> str:
     return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _words(tokens) -> str:
-    return " ".join(_q(tok) for tok in tokens)
-
-
-def print_directive(d: Directive) -> str:
-    if isinstance(d, AmbientDecl):
-        out = f"ambient {_q(d.label)} e {d.e} sigma {d.sigma}"
-        if d.flags:
-            out += " flags " + _words(d.flags)
-        return out + " basis " + _words(d.basis)
-    if isinstance(d, PairDecl):
-        return f"pair {_q(d.g1)} {_q(d.g2)} {d.value}"
-    if isinstance(d, CurveDecl):
-        return f"curve {d.name} class {lincomb_to_str(d.cls)} genus {d.genus} dp {d.dp}"
-    if isinstance(d, BlowupStep):
-        out = f"blowup {d.name}"
-        if d.at:
-            out += " at " + ",".join(f"{c}:{m}" for c, m in d.at)
-        if d.doublepoint:
-            out += f" doublepoint {d.doublepoint}"
-        return out
-    if isinstance(d, SmoothStep):
-        return f"smooth {d.name} {d.c1} {d.c2}"
-    if isinstance(d, SurgeryStep):
-        out = f"surgery {_q(d.label)}"
-        if d.flags:
-            out += " flags " + _words(d.flags)
-        return out
-    if isinstance(d, ChainDecl):
-        return f"chain {d.name} = " + ",".join(d.curves)
-    if isinstance(d, BlowdownStep):
-        out = f"blowdown {d.chain}"
-        if d.label is not None:
-            out += f" label {_q(d.label)}"
-        return out
-    if isinstance(d, McgStep):
-        specs = " ".join(str(s) for s in d.twists)
-        return f"mcg {d.name} expected {d.expected} twists {specs}"
-    if isinstance(d, SwLedgerStep):
-        knots = ",".join("twist(n)" if k is None else f"twist({k})" for k in d.knots) or "none"
-        return (
-            f"sw ledger {d.name} e {d.e} sigma {d.sigma} "
-            f"fiber {lincomb_to_str(d.fiber)} knots {knots}"
-        )
-    if isinstance(d, SwBlowupsStep):
-        return f"sw blowups {d.name} {d.source} " + _words(d.gens)
-    if isinstance(d, SwBlowdownStep):
-        if d.chambered:
-            out = f"sw chambered-blowdown {d.name} {d.source} {d.chain}"
-        else:
-            out = (
-                f"sw blowdown {d.name} {d.source} {d.chain} "
-                "vanishing-r vanishing-background"
-            )
-        if d.label is not None:
-            out += f" label {_q(d.label)}"
-        return out
-    if isinstance(d, AssertStep):
-        slots, _check = _ASSERTIONS[d.kind]
-        return " ".join(["assert", d.kind] + [s.show(a) for s, a in zip(slots, d.args)])
-    raise TypeError(f"unknown directive {d!r}")
+def print_directive(step: Step) -> str:
+    args = iter(step.args)
+    words = [step.kind]
+    for part in _KINDS[step.kind].syntax:
+        words.append(part if part.__class__ is str else part.show(next(args)))
+    return " ".join(w for w in words if w)
 
 
 def print_scenario(s: Scenario) -> str:
@@ -780,154 +461,132 @@ class _ChainRec:
 @dataclass
 class _SwRec:
     ledger: swledger.Ledger
-    fiber_vec: tuple[int, ...]  # over the live basis when the ledger was declared
+    fiber_vec: tuple[int, ...]  # over the basis when the ledger was declared
     result: swledger.BlowdownResult | None = None
 
 
 class _Runner:
+    """Runs the steps in order; the methods named after a kind run its lines."""
+
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.cfg: homcalc.CurveConfig | None = None
-        self.live_basis: tuple[str, ...] = ()
-        self.live_gram: tuple[tuple[int, ...], ...] = ()
         self.chains: dict[str, _ChainRec] = {}
         self.mcgs: dict[str, mcg.FibrationReport] = {}
         self.sw: dict[str, _SwRec] = {}
         self.records: list[AssertionRecord] = []
 
     def run(self) -> Report:
-        for d in self.scenario.directives:
+        for step in self.scenario.directives:
             try:
-                self._exec(d)
-            except ScenarioError:
-                raise
+                _KINDS[step.kind].run(self, *step.args)
             except (ValueError, KeyError) as exc:
                 msg = exc.args[0] if exc.args else str(exc)
-                raise ScenarioError(f"line {d.lineno}: {msg}") from exc
+                raise ScenarioError(f"line {step.lineno}: {msg}") from exc
         return Report(scenario=self.scenario.name, records=tuple(self.records))
 
-    def _sync_lattice(self):
-        if self.cfg is not None and self.cfg.ambient.basis:
-            self.live_basis = self.cfg.ambient.basis
-            self.live_gram = self.cfg.ambient.gram
+    def move(self, step, *args):
+        """Replace the configuration by `step(configuration, *args)`."""
+        self.cfg = step(self.cfg, *args)
 
     def _class_vec(self, lc: Lincomb) -> tuple[int, ...]:
         """Resolve a linear combination of generators and/or curve names."""
-        rank = len(self.live_basis)
-        index = {name: i for i, name in enumerate(self.live_basis)}
-        vec = [0] * rank
+        basis = self.cfg.ambient.basis
+        index = {name: i for i, name in enumerate(basis)}
+        vec = [0] * len(basis)
         for coef, name in lc:
             if name in index:
                 vec[index[name]] += coef
-            elif self.cfg is not None and self.cfg.has_curve(name):
+            elif self.cfg.has_curve(name):
                 for i, x in enumerate(self.cfg.curve(name).cls):
                     vec[i] += coef * x
             else:
                 raise ValueError(f"unknown class name {name!r}")
         return tuple(vec)
 
-    def _exec(self, d) -> None:
-        if isinstance(d, AmbientDecl):
-            rank = len(d.basis)
-            amb = homcalc.Ambient(
-                basis=d.basis,
-                gram=tuple((0,) * rank for _ in range(rank)),
-                e=d.e,
-                sigma=d.sigma,
-                label=d.label,
-                flags=frozenset(d.flags),
-            )
-            self.cfg = homcalc.CurveConfig(ambient=amb)
-        elif isinstance(d, PairDecl):
-            amb = self.cfg.ambient
-            i, j = amb.basis.index(d.g1), amb.basis.index(d.g2)
-            gram = [list(row) for row in amb.gram]
-            gram[i][j] = gram[j][i] = d.value
-            amb = homcalc.Ambient(
-                basis=amb.basis, gram=tuple(tuple(r) for r in gram),
-                e=amb.e, sigma=amb.sigma, label=amb.label, flags=amb.flags,
-            )
-            self.cfg = homcalc.CurveConfig(ambient=amb, curves=self.cfg.curves)
-        elif isinstance(d, CurveDecl):
-            vec = self._class_vec(d.cls)
-            self.cfg = homcalc.add_curve(
-                self.cfg, homcalc.Curve(d.name, vec, d.genus, d.dp)
-            )
-        elif isinstance(d, BlowupStep):
-            self.cfg = homcalc.blow_up(self.cfg, d.name, d.at, d.doublepoint)
-        elif isinstance(d, SmoothStep):
-            self.cfg = homcalc.smooth(self.cfg, d.name, d.c1, d.c2)
-        elif isinstance(d, SurgeryStep):
-            self.cfg = homcalc.knot_surgery_shadow(self.cfg, d.label, d.flags)
-        elif isinstance(d, ChainDecl):
-            weights = homcalc.extract_chain(self.cfg, d.curves)
-            classes = tuple(self.cfg.curve(c).cls for c in d.curves)
-            self.chains[d.name] = _ChainRec(weights, classes)
-        elif isinstance(d, BlowdownStep):
-            weights = self.chains[d.chain].weights
-            amb = homcalc.rational_blowdown(self.cfg.ambient, weights, d.label)
-            self.cfg = homcalc.CurveConfig(ambient=amb)
-        elif isinstance(d, McgStep):
-            twists = tuple(spec.to_twist() for spec in d.twists)
-            self.mcgs[d.name] = mcg.verify_fibration(twists, d.expected)
-        elif isinstance(d, SwLedgerStep):
-            fiber_vec = self._class_vec(d.fiber)
-            fsq = homcalc.pair_vectors(self.live_gram, fiber_vec, fiber_vec)
-            if fsq != 0:
-                raise ScenarioError(
-                    f"line {d.lineno}: fiber class squares to {fsq}, expected 0"
-                )
-            polys = [swledger.alexander_twist(k) for k in d.knots]
-            ledger = swledger.knot_surgery_ledger(polys, label=d.name, e=d.e, sigma=d.sigma)
-            self.sw[d.name] = _SwRec(ledger=ledger, fiber_vec=fiber_vec)
-        elif isinstance(d, SwBlowupsStep):
-            src = self.sw[d.source]
-            ledger = swledger.blow_up_ledger(src.ledger, len(d.gens), d.gens)
-            self.sw[d.name] = _SwRec(ledger=ledger, fiber_vec=src.fiber_vec)
-        elif isinstance(d, SwBlowdownStep):
-            self._exec_sw_blowdown(d)
-        elif isinstance(d, AssertStep):
-            _slots, check = _ASSERTIONS[d.kind]
-            self.records.append(check(self, *d.args))
-            return
-        else:  # pragma: no cover
-            raise TypeError(f"unknown directive {d!r}")
-        self._sync_lattice()
+    def ambient(self, label, e, sigma, flags, basis):
+        rank = len(basis)
+        amb = homcalc.Ambient(
+            basis=basis,
+            gram=tuple((0,) * rank for _ in range(rank)),
+            e=e,
+            sigma=sigma,
+            label=label,
+            flags=frozenset(flags),
+        )
+        self.cfg = homcalc.CurveConfig(ambient=amb)
 
-    def _exec_sw_blowdown(self, d: SwBlowdownStep) -> None:
+    def pair(self, gens, value):
+        amb = self.cfg.ambient
+        i, j = amb.basis.index(gens[0]), amb.basis.index(gens[1])
+        gram = [list(row) for row in amb.gram]
+        gram[i][j] = gram[j][i] = value
+        amb = homcalc.Ambient(
+            basis=amb.basis, gram=tuple(tuple(r) for r in gram),
+            e=amb.e, sigma=amb.sigma, label=amb.label, flags=amb.flags,
+        )
+        self.cfg = homcalc.CurveConfig(ambient=amb, curves=self.cfg.curves)
+
+    def chain(self, name, curves):
+        weights = homcalc.extract_chain(self.cfg, curves)
+        self.chains[name] = _ChainRec(weights, tuple(self.cfg.curve(c).cls for c in curves))
+
+    def blowdown(self, chain, label):
+        amb = homcalc.rational_blowdown(self.cfg.ambient, self.chains[chain].weights, label)
+        self.cfg = homcalc.CurveConfig(ambient=amb)
+
+    def mcg(self, name, expected, twists):
+        self.mcgs[name] = mcg.verify_fibration(tuple(s.to_twist() for s in twists), expected)
+
+    def sw_ledger(self, name, e, sigma, fiber, knots):
+        fiber_vec = self._class_vec(fiber)
+        fsq = homcalc.pair_vectors(self.cfg.ambient.gram, fiber_vec, fiber_vec)
+        if fsq != 0:
+            raise ValueError(f"fiber class squares to {fsq}, expected 0")
+        polys = [swledger.alexander_twist(k) for k in knots]
+        ledger = swledger.knot_surgery_ledger(polys, label=name, e=e, sigma=sigma)
+        self.sw[name] = _SwRec(ledger=ledger, fiber_vec=fiber_vec)
+
+    def sw_blowups(self, name, source, gens):
+        src = self.sw[source]
+        ledger = swledger.blow_up_ledger(src.ledger, len(gens), gens)
+        self.sw[name] = _SwRec(ledger=ledger, fiber_vec=src.fiber_vec)
+
+    def sw_blowdown(self, name, source, chain, label, chambered=False):
         """Pair the ledger's classes with the recorded chain spheres in the
         live lattice: T is the fiber vector, paired over its support, so a
         fiber declared before later blow-ups needs no padding, and every other
         tracked class is the live generator of its name."""
-        src = self.sw[d.source]
-        rec = self.chains[d.chain]
-        gram = self.live_gram
-        index = {name: i for i, name in enumerate(self.live_basis)}
-        pairings = [tuple(homcalc.pair_vectors(gram, u, src.fiber_vec) for u in rec.classes)]
+        src = self.sw[source]
+        rec = self.chains[chain]
+        amb = self.cfg.ambient
+        index = {g: i for i, g in enumerate(amb.basis)}
+        pairings = [tuple(homcalc.pair_vectors(amb.gram, u, src.fiber_vec) for u in rec.classes)]
         for g in src.ledger.basis[1:]:
-            row = gram[index[g]]
+            row = amb.gram[index[g]]
             pairings.append(tuple(sum(x * y for x, y in zip(row, u)) for u in rec.classes))
-        if d.chambered:
+        if chambered:
             result = swledger.chambered_blowdown_ledger(
-                src.ledger, rec.weights, pairings, new_label=d.label
+                src.ledger, rec.weights, pairings, new_label=label
             )
         else:
             result = swledger.rational_blowdown_ledger(
-                src.ledger, rec.weights, pairings, corrections=(True, True), new_label=d.label
+                src.ledger, rec.weights, pairings, corrections=(True, True), new_label=label
             )
-        self.sw[d.name] = _SwRec(ledger=result.ledger, fiber_vec=src.fiber_vec, result=result)
+        self.sw[name] = _SwRec(ledger=result.ledger, fiber_vec=src.fiber_vec, result=result)
 
 
 def run_scenario(s: Scenario) -> Report:
     return _Runner(s).run()
 
 
-# --- assertion kinds ---------------------------------------------------------
+# --- the kind table ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Slot:
-    """One assertion argument: `read(tokens, checker)` takes it from the line,
-    checking any name it refers to; `show(value)` prints it back as one token.
+    """One argument: `read(tokens, checker)` takes it from the line, checking
+    any name it refers to; `show(value)` prints it back, or gives "" for a
+    part the printer leaves out.
 
     Package functions are looked up when a slot runs, not when it is built, so a
     wrapper installed on a module attribute sees the call.
@@ -937,30 +596,123 @@ class _Slot:
     show: Callable[[Any], str] = str
 
 
+@dataclass(frozen=True)
+class _Kind:
+    """One kind of line.  `syntax` lists its keywords (strings) and argument
+    slots in order; `place` holds (checker flag, message) pairs, each flag of
+    which must be unset before the line is read; `declare(checker, lineno,
+    *args)` records what the line declares; `run(runner, *args)` runs it."""
+
+    syntax: tuple
+    run: Callable[..., None]
+    place: tuple[tuple[str, str], ...] = ()
+    declare: Callable[..., None] | None = None
+
+
+_NOUNS = {"gens": "generator", "curves": "curve", "chains": "chain",
+          "mcgs": "mcg report", "ledgers": "ledger"}
+
+
+def _new(what: str, *pools: str) -> _Slot:
+    """A name the line declares: a plain word in none of the checker's sets `pools`."""
+
+    def read(t: _Tokens, chk: _ParseChecker) -> str:
+        name = t.take_name(what)
+        for pool in pools:
+            if name in getattr(chk, pool):
+                raise ScenarioError(f"line {t.lineno}: {_NOUNS[pool]} {name!r} already declared")
+        return name
+
+    return _Slot(read)
+
+
 def _declared(what: str, pool: str, message: str) -> _Slot:
     """A name already declared in the checker's set `pool`; `message` formats its repr."""
 
     def read(t: _Tokens, chk: _ParseChecker) -> str:
         name = t.take(what)
-        chk.need(name in getattr(chk, pool), t.lineno, message.format(repr(name)))
+        if name not in getattr(chk, pool):
+            raise ScenarioError(f"line {t.lineno}: {message.format(repr(name))}")
         return name
 
     return _Slot(read)
+
+
+def _text(what: str) -> _Slot:
+    """One token of free text, quoted by the printer unless it is a plain word."""
+    return _Slot(lambda t, chk: t.take(what), _q)
 
 
 def _int(what: str) -> _Slot:
     return _Slot(lambda t, chk: t.take_int(what))
 
 
-def _weights(what: str) -> _Slot:
-    return _Slot(lambda t, chk: t.take_parsed(what, hirzebruch.parse_chain),
-                 lambda w: hirzebruch.chain_to_str(w))
+def _parsed(what: str, parse, show=str) -> _Slot:
+    """One token read by `parse(token)`, with package functions looked up per call."""
+    return _Slot(lambda t, chk: t.take_parsed(what, parse), show)
 
 
-def _read_class(t: _Tokens, chk: _ParseChecker) -> Lincomb:
-    lc = t.take_parsed("class expression", parse_lincomb)
-    chk.need_lincomb(lc, t.lineno)
-    return lc
+def _opt(word: str, slot: _Slot, default=None) -> _Slot:
+    """`[word <value>]`: the slot's value when the line goes on with `word`, else
+    `default`, which the printer leaves out."""
+
+    def read(t: _Tokens, chk: _ParseChecker):
+        if t.peek() != word:
+            return default
+        t.pos += 1
+        return slot.read(t, chk)
+
+    return _Slot(read, lambda v: "" if v == default else f"{word} {slot.show(v)}")
+
+
+def _list(item: _Slot, stop: str | None = None) -> _Slot:
+    """Items up to the word `stop` or the end of the line, as a tuple."""
+
+    def read(t: _Tokens, chk: _ParseChecker) -> tuple:
+        out = []
+        while t.peek() not in (None, stop):
+            out.append(item.read(t, chk))
+        return tuple(out)
+
+    return _Slot(read, lambda items: " ".join(item.show(v) for v in items))
+
+
+def _read_class(what: str):
+    def read(t: _Tokens, chk: _ParseChecker) -> Lincomb:
+        lc = t.take_parsed(what, parse_lincomb)
+        chk.need_lincomb(lc, t.lineno)
+        return lc
+
+    return read
+
+
+def _read_gen_pair(t: _Tokens, chk: _ParseChecker) -> tuple[str, str]:
+    gens = (t.take("generator"), t.take("generator"))
+    for g in gens:
+        chk.need_gen(g, t.lineno)
+    return gens
+
+
+def _read_curve_list(t: _Tokens, chk: _ParseChecker) -> tuple[str, ...]:
+    curves = tuple(t.take("curve list").split(","))
+    for c in curves:
+        chk.need_curve(c, t.lineno)
+    return curves
+
+
+def _read_incidences(t: _Tokens, chk: _ParseChecker) -> tuple[tuple[str, int], ...]:
+    at = []
+    for item in t.take("incidence list").split(","):
+        if ":" not in item:
+            raise ScenarioError(f"line {t.lineno}: bad incidence {item!r} (use curve:mult)")
+        cname, _, mult_s = item.partition(":")
+        try:
+            mult = int(mult_s)
+        except ValueError:
+            raise ScenarioError(f"line {t.lineno}: bad multiplicity in {item!r}") from None
+        chk.need_curve(cname, t.lineno)
+        at.append((cname, mult))
+    return tuple(at)
 
 
 def _read_values(tok: str) -> tuple[swledger.LinExpr, ...]:
@@ -971,23 +723,27 @@ _CHAIN = _declared("chain name", "chains", "unknown chain {}")
 _CURVE = _declared("curve name", "curves", "unknown curve {}")
 _MCG = _declared("mcg report name", "mcgs", "unknown mcg report {}")
 _LEDGER = _declared("ledger name", "ledgers", "unknown ledger {}")
+_SOURCE = _declared("source ledger", "ledgers", "unknown ledger {}")
 _BLOWN_DOWN = _declared("ledger name", "blowdown_ledgers", "ledger {} is not a blow-down result")
-_CLASS = _Slot(_read_class, lambda lc: lincomb_to_str(lc))
+_CLASS = _Slot(_read_class("class expression"), lambda lc: lincomb_to_str(lc))
 # Ledger classes are over the ledger's own basis, which is only known at run time.
-_LEDGER_CLASS = _Slot(lambda t, chk: t.take_parsed("class expression", parse_lincomb),
-                      lambda lc: lincomb_to_str(lc))
-_WORD = _Slot(lambda t, chk: t.take_parsed("word", mcg.parse_word),
-              lambda w: mcg.word_to_str(w).replace(" ", ""))
-_VALUE = _Slot(lambda t, chk: t.take_parsed("value", swledger.parse_linexpr),
-               lambda v: str(v).replace(" ", ""))
-_VALUES = _Slot(lambda t, chk: t.take_parsed("value set", _read_values),
-                lambda vs: ",".join(_VALUE.show(v) for v in vs))
-_LABEL = _Slot(lambda t, chk: t.take("label"), _q)
-_FINGERPRINT = _Slot(
-    lambda t, chk: t.take_parsed("fingerprint string or none",
-                                 lambda s: None if s == "none" else s),
-    lambda s: "none" if s is None else _q(s),
-)
+_LEDGER_CLASS = _parsed("class expression", lambda s: parse_lincomb(s),
+                        lambda lc: lincomb_to_str(lc))
+_WORD = _parsed("word", lambda s: mcg.parse_word(s),
+                lambda w: mcg.word_to_str(w).replace(" ", ""))
+_VALUE = _parsed("value", lambda s: swledger.parse_linexpr(s),
+                 lambda v: str(v).replace(" ", ""))
+_VALUES = _parsed("value set", _read_values, lambda vs: ",".join(_VALUE.show(v) for v in vs))
+_LABEL = _text("label")
+_FINGERPRINT = _parsed("fingerprint string or none", lambda s: None if s == "none" else s,
+                       lambda s: "none" if s is None else _q(s))
+_GENS = _list(_text("generator"))
+_DROPPED = ("blown_down", "curve data was dropped by the blow-down")
+
+
+def _weights(what: str) -> _Slot:
+    return _parsed(what, lambda s: hirzebruch.parse_chain(s),
+                   lambda w: hirzebruch.chain_to_str(w))
 
 
 def _equal(description: str, expected, actual, show=str) -> AssertionRecord:
@@ -997,7 +753,7 @@ def _equal(description: str, expected, actual, show=str) -> AssertionRecord:
 def _check_square_class(run: _Runner, lc: Lincomb, expected: int) -> AssertionRecord:
     vec = run._class_vec(lc)
     return _equal(f"square of class {lincomb_to_str(lc)}", expected,
-                  homcalc.pair_vectors(run.live_gram, vec, vec))
+                  homcalc.pair_vectors(run.cfg.ambient.gram, vec, vec))
 
 
 def _check_mcg_pass(run: _Runner, name: str) -> AssertionRecord:
@@ -1046,47 +802,112 @@ _check_unverified = _sw_class_check(
     lambda rec, vec: "verified" if rec.ledger.entry(vec).verified else "unverified",
 )
 
-# kind -> (argument slots, check(runner, *arguments) -> AssertionRecord)
-_ASSERTIONS: dict[str, tuple[tuple[_Slot, ...], Callable[..., AssertionRecord]]] = {
-    "chain": ((_CHAIN, _weights("weights")), lambda run, name, weights: _equal(
+
+def _assertion(slots: tuple[_Slot, ...], check: Callable[..., AssertionRecord]) -> _Kind:
+    """An assertion kind: running it records `check(runner, *args)`."""
+    return _Kind(slots, lambda run, *args: run.records.append(check(run, *args)))
+
+
+_KINDS: dict[str, _Kind] = {
+    "ambient": _Kind(
+        (_text("manifold label"), "e", _int("Euler characteristic"), "sigma", _int("signature"),
+         _opt("flags", _list(_text("flag"), stop="basis"), ()), "basis", _GENS),
+        _Runner.ambient, (("have_ambient", "duplicate ambient declaration"),),
+        _ParseChecker.ambient),
+    "pair": _Kind(
+        (_Slot(_read_gen_pair, lambda gens: " ".join(map(_q, gens))), _int("pairing value")),
+        _Runner.pair, (("construction_started", "pair must precede construction steps"),)),
+    "curve": _Kind(
+        (_new("curve name", "curves"), "class", _CLASS,
+         _opt("genus", _int("genus"), 0), _opt("dp", _int("double-point count"), 0)),
+        lambda run, name, lc, genus, dp: run.move(
+            homcalc.add_curve, homcalc.Curve(name, run._class_vec(lc), genus, dp)),
+        (_DROPPED,), _ParseChecker.curve),
+    "blowup": _Kind(
+        (_new("exceptional name", "gens", "curves"),
+         _opt("at", _Slot(_read_incidences, lambda at: ",".join(f"{c}:{m}" for c, m in at)), ()),
+         _opt("doublepoint", _CURVE)),
+        lambda run, *args: run.move(homcalc.blow_up, *args),
+        (("blown_down", "cannot blow up after the blow-down"),
+         ("chains", "blowup must precede every chain")), _ParseChecker.blowup),
+    "smooth": _Kind(
+        (_Slot(lambda t, chk: t.take_name("new curve name")), _text("curve name"),
+         _text("curve name")),
+        lambda run, *args: run.move(homcalc.smooth, *args),
+        (("blown_down", "cannot smooth after the blow-down"),
+         ("chains", "smooth must precede every chain")), _ParseChecker.smooth),
+    "surgery": _Kind(
+        (_text("manifold label"), _opt("flags", _list(_text("flag")), ())),
+        lambda run, *args: run.move(homcalc.knot_surgery_shadow, *args),
+        (("blown_down", "cannot relabel after the blow-down"),), _ParseChecker.surgery),
+    "chain": _Kind(
+        (_new("chain name", "chains"), "=", _Slot(_read_curve_list, ",".join)),
+        _Runner.chain, (_DROPPED,), lambda chk, lineno, name, curves: chk.chains.add(name)),
+    "blowdown": _Kind(
+        (_CHAIN, _opt("label", _text("manifold label"))),
+        _Runner.blowdown, (("blown_down", "already blown down"),), _ParseChecker.blowdown),
+    "mcg": _Kind(
+        (_new("report name", "mcgs"), "expected", _int("expected twist count"),
+         "twists", _list(_parsed("twist spec", _parse_twistspec))),
+        _Runner.mcg, declare=_ParseChecker.mcg),
+    "sw ledger": _Kind(
+        (_new("ledger name", "ledgers"), "e", _int("Euler characteristic"),
+         "sigma", _int("signature"), "fiber", _Slot(_read_class("fiber class"),
+                                                    lambda lc: lincomb_to_str(lc)),
+         "knots", _parsed("knot list", _parse_knots, _show_knots)),
+        _Runner.sw_ledger, declare=lambda chk, lineno, name, *_: chk.ledgers.add(name)),
+    "sw blowups": _Kind(
+        (_new("ledger name", "ledgers"), _SOURCE, _GENS),
+        _Runner.sw_blowups, declare=_ParseChecker.sw_blowups),
+    "sw blowdown": _Kind(
+        (_new("ledger name", "ledgers"), _SOURCE, _CHAIN, "vanishing-r", "vanishing-background",
+         _opt("label", _text("manifold label"))),
+        _Runner.sw_blowdown, (_DROPPED,), _ParseChecker.sw_blowdown),
+    "sw chambered-blowdown": _Kind(
+        (_new("ledger name", "ledgers"), _SOURCE, _CHAIN, _opt("label", _text("manifold label"))),
+        lambda run, *args: run.sw_blowdown(*args, chambered=True),
+        (_DROPPED,), _ParseChecker.sw_blowdown),
+    "assert chain": _assertion((_CHAIN, _weights("weights")), lambda run, name, weights: _equal(
         f"chain {name} weights", weights, run.chains[name].weights,
         lambda w: hirzebruch.chain_to_str(w))),
-    "identify": ((_CHAIN, _int("p"), _int("q")), lambda run, name, p, q: _equal(
+    "assert identify": _assertion((_CHAIN, _int("p"), _int("q")), lambda run, name, p, q: _equal(
         f"chain {name} identified", (p, q), hirzebruch.identify_cpq(run.chains[name].weights),
         lambda pq: f"C_{{{pq[0]},{pq[1]}}}" if pq else "none")),
-    "euler": ((_int("integer"),), lambda run, e: _equal(
+    "assert euler": _assertion((_int("integer"),), lambda run, e: _equal(
         "euler characteristic", e, run.cfg.ambient.e)),
-    "signature": ((_int("integer"),), lambda run, sigma: _equal(
+    "assert signature": _assertion((_int("integer"),), lambda run, sigma: _equal(
         "signature", sigma, run.cfg.ambient.sigma)),
-    "label": ((_LABEL,), lambda run, label: _equal(
+    "assert label": _assertion((_LABEL,), lambda run, label: _equal(
         "manifold label", label, run.cfg.ambient.label)),
-    "fingerprint": ((_FINGERPRINT,), lambda run, fp: _equal(
+    "assert fingerprint": _assertion((_FINGERPRINT,), lambda run, fp: _equal(
         "homeomorphism fingerprint", fp, homcalc.homeo_fingerprint(run.cfg.ambient),
         lambda s: "none" if s is None else s)),
-    "pairing": ((_CURVE, _CURVE, _int("pairing value")), lambda run, c1, c2, n: _equal(
-        f"pairing {c1}.{c2}", n, homcalc.pairing(run.cfg, c1, c2))),
-    "square": ((_CURVE, _int("integer")), lambda run, c, n: _equal(
+    "assert pairing": _assertion(
+        (_CURVE, _CURVE, _int("pairing value")), lambda run, c1, c2, n: _equal(
+            f"pairing {c1}.{c2}", n, homcalc.pairing(run.cfg, c1, c2))),
+    "assert square": _assertion((_CURVE, _int("integer")), lambda run, c, n: _equal(
         f"square of {c}", n, homcalc.square(run.cfg, c))),
-    "square-class": ((_CLASS, _int("integer")), _check_square_class),
-    "dp": ((_CURVE, _int("integer")), lambda run, c, n: _equal(
+    "assert square-class": _assertion((_CLASS, _int("integer")), _check_square_class),
+    "assert dp": _assertion((_CURVE, _int("integer")), lambda run, c, n: _equal(
         f"double points of {c}", n, run.cfg.curve(c).double_points)),
-    "mcg-pass": ((_MCG,), _check_mcg_pass),
-    "mcg-cycles-equal": ((_MCG, _int("twist index"), _int("twist index")), _check_mcg_cycles),
-    "mcg-word-equal": ((_MCG, _WORD), _check_mcg_word),
-    "sw-entries": ((_LEDGER, _int("entry count")), lambda run, name, n: _equal(
+    "assert mcg-pass": _assertion((_MCG,), _check_mcg_pass),
+    "assert mcg-cycles-equal": _assertion(
+        (_MCG, _int("twist index"), _int("twist index")), _check_mcg_cycles),
+    "assert mcg-word-equal": _assertion((_MCG, _WORD), _check_mcg_word),
+    "assert sw-entries": _assertion((_LEDGER, _int("entry count")), lambda run, name, n: _equal(
         f"sw {name} entry count", n, swledger.entry_count(run.sw[name].ledger))),
-    "sw-value": ((_LEDGER, _LEDGER_CLASS, _VALUE), _sw_class_check(
+    "assert sw-value": _assertion((_LEDGER, _LEDGER_CLASS, _VALUE), _sw_class_check(
         "sw {} value at {}", lambda rec, vec: rec.ledger.entry(vec).value)),
-    "sw-value-set": ((_BLOWN_DOWN, _LEDGER_CLASS, _VALUES), _sw_class_check(
+    "assert sw-value-set": _assertion((_BLOWN_DOWN, _LEDGER_CLASS, _VALUES), _sw_class_check(
         "sw {} value set at {}", lambda rec, vec: tuple(sorted(rec.result.value_set_of(vec))),
         lambda vs: ", ".join(str(v) for v in vs))),
-    "sw-unverified": ((_LEDGER, _LEDGER_CLASS), lambda run, name, lc: _check_unverified(
-        run, name, lc, "unverified")),
-    "sw-restriction": ((_BLOWN_DOWN, _LEDGER_CLASS, _weights("restriction vector")),
-                       _sw_class_check("sw {} restriction of {}",
-                                       lambda rec, vec: rec.result.restriction_of(vec),
-                                       lambda w: hirzebruch.chain_to_str(w))),
-    "sw-minimal": ((_BLOWN_DOWN, _int("concrete n")), lambda run, name, n: _equal(
+    "assert sw-unverified": _assertion((_LEDGER, _LEDGER_CLASS), lambda run, name, lc:
+                                       _check_unverified(run, name, lc, "unverified")),
+    "assert sw-restriction": _assertion(
+        (_BLOWN_DOWN, _LEDGER_CLASS, _weights("restriction vector")),
+        _sw_class_check("sw {} restriction of {}", lambda rec, vec: rec.result.restriction_of(vec),
+                        lambda w: hirzebruch.chain_to_str(w))),
+    "assert sw-minimal": _assertion((_BLOWN_DOWN, _int("concrete n")), lambda run, name, n: _equal(
         f"sw {name} minimality at n={n}", True,
         swledger.minimality_report(swledger.substitute(run.sw[name].ledger, n)),
         lambda ok: "minimal" if ok else "not established")),

@@ -66,6 +66,33 @@ def test_parse_print_parse_fixed_point(name):
     assert print_scenario(second) == printed
 
 
+# Q_n with one line of every kind it lacks, each value following from Q_n:
+# T4.T5 = 1 in its Gram, so smoothing a T4 curve into a T5 curve gives a
+# (-2) sphere; `mcg-pass i6` says the word is the identity; and a chambered
+# blow-down keeps the exact survivors, widening each value v to v-1, v, v+1.
+EVERY_KIND = (
+    CORPUS["qn"]
+    .replace("assert mcg-pass i6\n", "assert mcg-pass i6\nassert mcg-word-equal i6 1\n")
+    .replace("blowup E1 ", "curve u class T4\ncurve w class T5\nassert pairing u w 1\n"
+             "smooth v u w\nassert square v -2\nblowup E1 ")
+    .replace("assert sw-minimal final 2\n", "assert sw-minimal final 2\n"
+             "assert sw-value-set final 3*T+E1+E2 n\n"
+             "sw chambered-blowdown wide blown C\n"
+             "assert sw-value-set wide 3*T+E1+E2 n-1,n,n+1\n")
+)
+
+
+def test_every_kind_round_trips_and_runs():
+    first = parse_scenario(EVERY_KIND, name="every")
+    assert {step.kind for step in first.directives} == set(scenario._KINDS)
+    printed = print_scenario(first)
+    assert parse_scenario(printed).directives == first.directives
+    assert print_scenario(parse_scenario(printed)) == printed
+    report = run_scenario(first)
+    assert report.all_passed, [r for r in report.records if not r.passed]
+    assert report.total == 25 + 5
+
+
 def test_xn_scenario_is_substantial():
     s = parse_scenario(CORPUS["xn"], name="xn")
     assert len(s.directives) >= 30
@@ -160,6 +187,17 @@ def test_report_text_format():
      "line 6: expected 'vanishing-r', got 'vanishing'"),
     ("ambient X e 4 sigma 0 basis S\nassert\n", "line 2: expected assertion kind at end of line"),
     ("ambient X e 4 sigma 0 basis S\nsw\n", "line 2: expected sw directive at end of line"),
+    # `blowdown` drops the generators with the curves, so nothing after it
+    # can pair in the old lattice
+    (BLOWN + "sw ledger l e 4 sigma 0 fiber S knots none\n", "line 6: unknown class 'S'"),
+    (BLOWN + "assert square-class S 0\n", "line 6: unknown class 'S'"),
+    (LEDGER + "pair S S -4\ncurve c class S\nchain C = c\nblowdown C\nsw blowups m l S\n",
+     "line 7: unknown generator 'S'"),
+    (LEDGER + "pair S S -4\ncurve c class S\nchain C = c\nblowdown C\n"
+     "sw blowdown m l C vanishing-r vanishing-background\n",
+     "line 7: curve data was dropped by the blow-down"),
+    (LEDGER + "pair S S -4\ncurve c class S\nchain C = c\nblowdown C\n"
+     "sw chambered-blowdown m l C\n", "line 7: curve data was dropped by the blow-down"),
 ])
 def test_parse_errors(text, message):
     with pytest.raises(ScenarioError) as exc:
