@@ -264,20 +264,20 @@ class _ParseChecker:
             if name not in self.gens and name not in self.curves:
                 raise ScenarioError(f"line {lineno}: unknown class {name!r}")
 
-    def ambient(self, lineno, label, e, sigma, flags, basis):
+    def ambient(self, lineno, _label, _e, _sigma, _flags, basis):
         self.need(bool(basis), lineno, "ambient needs at least one basis generator")
         self.need("basis" not in basis, lineno, "'basis' is reserved and cannot name a generator")
         self.need(len(set(basis)) == len(basis), lineno, "duplicate basis generator")
         self.gens.update(basis)
         self.have_ambient = True
 
-    def curve(self, lineno, name, lc, genus, dp):
+    def curve(self, lineno, name, _lc, genus, dp):
         self.need(genus >= 0, lineno, "genus must be >= 0")
         self.need(dp >= 0, lineno, "double-point count must be >= 0")
         self.curves.add(name)
         self.construction_started = True
 
-    def blowup(self, lineno, name, at, doublepoint):
+    def blowup(self, lineno, name, *_):
         self.gens.add(name)
         self.curves.add(name)
         self.construction_started = True
@@ -290,25 +290,25 @@ class _ParseChecker:
         self.curves.add(name)
         self.construction_started = True
 
-    def surgery(self, lineno, label, flags):
+    def surgery(self, lineno, *_):
         self.construction_started = True
 
-    def blowdown(self, lineno, chain, label):
+    def blowdown(self, lineno, *_):
         self.blown_down = True
         self.curves.clear()
         self.gens.clear()
 
-    def mcg(self, lineno, name, expected, twists):
+    def mcg(self, lineno, name, _expected, twists):
         self.need(bool(twists), lineno, "mcg directive needs at least one twist")
         self.mcgs.add(name)
 
-    def sw_blowups(self, lineno, name, source, gens):
+    def sw_blowups(self, lineno, name, _source, gens):
         self.need(bool(gens), lineno, "sw blowups needs at least one exceptional class")
         for g in gens:
             self.need_gen(g, lineno)
         self.ledgers.add(name)
 
-    def sw_blowdown(self, lineno, name, source, chain, label):
+    def sw_blowdown(self, lineno, name, *_):
         self.ledgers.add(name)
         self.blowdown_ledgers.add(name)
 
@@ -485,9 +485,9 @@ class _Runner:
                 raise ScenarioError(f"line {step.lineno}: {msg}") from exc
         return Report(scenario=self.scenario.name, records=tuple(self.records))
 
-    def move(self, step, *args):
-        """Replace the configuration by `step(configuration, *args)`."""
-        self.cfg = step(self.cfg, *args)
+    def move(self, change, *args):
+        """Replace the configuration by `change(configuration, *args)`."""
+        self.cfg = change(self.cfg, *args)
 
     def _class_vec(self, lc: Lincomb) -> tuple[int, ...]:
         """Resolve a linear combination of generators and/or curve names."""
@@ -648,7 +648,8 @@ def _int(what: str) -> _Slot:
 
 
 def _parsed(what: str, parse, show=str) -> _Slot:
-    """One token read by `parse(token)`, with package functions looked up per call."""
+    """One token read by `parse(token)`.  A package function goes in a lambda, so
+    that it is looked up per call."""
     return _Slot(lambda t, chk: t.take_parsed(what, parse), show)
 
 
@@ -677,13 +678,15 @@ def _list(item: _Slot, stop: str | None = None) -> _Slot:
     return _Slot(read, lambda items: " ".join(item.show(v) for v in items))
 
 
-def _read_class(what: str):
+def _class(what: str) -> _Slot:
+    """A class over the declared generators and curves."""
+
     def read(t: _Tokens, chk: _ParseChecker) -> Lincomb:
         lc = t.take_parsed(what, parse_lincomb)
         chk.need_lincomb(lc, t.lineno)
         return lc
 
-    return read
+    return _Slot(read, lambda lc: lincomb_to_str(lc))
 
 
 def _read_gen_pair(t: _Tokens, chk: _ParseChecker) -> tuple[str, str]:
@@ -725,7 +728,7 @@ _MCG = _declared("mcg report name", "mcgs", "unknown mcg report {}")
 _LEDGER = _declared("ledger name", "ledgers", "unknown ledger {}")
 _SOURCE = _declared("source ledger", "ledgers", "unknown ledger {}")
 _BLOWN_DOWN = _declared("ledger name", "blowdown_ledgers", "ledger {} is not a blow-down result")
-_CLASS = _Slot(_read_class("class expression"), lambda lc: lincomb_to_str(lc))
+_CLASS = _class("class expression")
 # Ledger classes are over the ledger's own basis, which is only known at run time.
 _LEDGER_CLASS = _parsed("class expression", lambda s: parse_lincomb(s),
                         lambda lc: lincomb_to_str(lc))
@@ -852,8 +855,7 @@ _KINDS: dict[str, _Kind] = {
         _Runner.mcg, declare=_ParseChecker.mcg),
     "sw ledger": _Kind(
         (_new("ledger name", "ledgers"), "e", _int("Euler characteristic"),
-         "sigma", _int("signature"), "fiber", _Slot(_read_class("fiber class"),
-                                                    lambda lc: lincomb_to_str(lc)),
+         "sigma", _int("signature"), "fiber", _class("fiber class"),
          "knots", _parsed("knot list", _parse_knots, _show_knots)),
         _Runner.sw_ledger, declare=lambda chk, lineno, name, *_: chk.ledgers.add(name)),
     "sw blowups": _Kind(
