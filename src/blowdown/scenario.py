@@ -818,7 +818,7 @@ _KINDS: dict[str, _Kind] = {
         _Runner.ambient, (("have_ambient", "duplicate ambient declaration"),),
         _ParseChecker.ambient),
     "pair": _Kind(
-        (_Slot(_read_gen_pair, lambda gens: " ".join(map(_q, gens))), _int("pairing value")),
+        (_Slot(_read_gen_pair, _GENS.show), _int("pairing value")),
         _Runner.pair, (("construction_started", "pair must precede construction steps"),)),
     "curve": _Kind(
         (_new("curve name", "curves"), "class", _CLASS,
