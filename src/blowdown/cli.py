@@ -93,7 +93,7 @@ def _cmd_verify(args) -> int:
         path = Path(f)
         try:
             text = path.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read {f}: {exc}", file=sys.stderr)
             return 2
         named_texts.append((path.stem, text))

@@ -1,18 +1,21 @@
 """Homology-level bookkeeping for curve configurations in 4-manifolds.
 
-State is an ambient integer lattice (named basis, Gram matrix, Euler
-characteristic, signature, assumption flags) plus a list of curves, each a
-class vector with a genus and a count of positive double points.  The
-operations are the moves the constructions are made of: blow-ups (including
-infinitely close ones, via incidence with the previous exceptional curve),
-smoothing of transverse intersections, chain extraction, the knot-surgery
-relabeling, and rational blow-down of a recognized chain.  Everything is
-immutable; each operation returns a new configuration.
+State is an ambient integer lattice (Gram rows, Euler characteristic,
+signature, assumption flags) plus the curves, by name, each a class with a
+genus and a count of positive double points.  The lattice is sparse: the Gram
+form maps each generator to its nonzero pairings, in basis order, and a class
+maps generators to nonzero coefficients.  The operations are the moves the
+constructions are made of: setting a pairing, blow-ups (including infinitely
+close ones, via incidence with the previous exceptional curve), smoothing of
+transverse intersections, chain extraction, the knot-surgery relabeling, and
+rational blow-down of a recognized chain.  Each operation returns a new
+configuration and never changes its input: it copies only the dicts it
+changes and shares the rest, so a move costs what it touches, not the rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import hirzebruch
 
@@ -23,8 +26,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Ambient:
-    basis: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
+    gram: dict[str, dict[str, int]]  # generator -> {generator: nonzero pairing}
     e: int
     sigma: int
     label: str
@@ -34,7 +36,7 @@ class Ambient:
 @dataclass(frozen=True)
 class Curve:
     name: str
-    cls: tuple[int, ...]
+    cls: dict[str, int]  # generator -> nonzero coefficient
     genus: int = 0
     double_points: int = 0
 
@@ -42,27 +44,43 @@ class Curve:
 @dataclass(frozen=True)
 class CurveConfig:
     ambient: Ambient
-    curves: tuple[Curve, ...] = ()
+    curves: dict[str, Curve] = field(default_factory=dict)
 
     def curve(self, name: str) -> Curve:
-        for c in self.curves:
-            if c.name == name:
-                return c
-        raise ConfigError(f"no curve named {name!r}")
+        try:
+            return self.curves[name]
+        except KeyError:
+            raise ConfigError(f"no curve named {name!r}") from None
 
     def has_curve(self, name: str) -> bool:
-        return any(c.name == name for c in self.curves)
+        return name in self.curves
 
 
-def pair_vectors(gram, v1, v2) -> int:
-    """v1^T G v2, summed over the nonzero coordinates of both vectors only."""
-    support2 = [(j, y) for j, y in enumerate(v2) if y]
-    total = 0
-    for i, x in enumerate(v1):
-        if x:
-            row = gram[i]
-            total += x * sum(row[j] * y for j, y in support2)
-    return total
+def new_config(label: str, e: int, sigma: int, flags, basis) -> CurveConfig:
+    """No curves yet over the generators `basis`, in order; every pairing 0."""
+    return CurveConfig(Ambient({g: {} for g in basis}, e, sigma, label, frozenset(flags)))
+
+
+def pair_vectors(gram, u, v) -> int:
+    """u^T G v: the row image of u, dotted with v."""
+    return _dot(_row_image(gram, u), v)
+
+
+def _row_image(gram, u) -> dict[str, int]:
+    """u^T G, summed over the nonzero coefficients of u and their rows."""
+    if len(u) == 1:
+        (g, x), = u.items()
+        row = gram[g]
+        return row if x == 1 else {h: x * y for h, y in row.items()}
+    image: dict[str, int] = {}
+    for g, x in u.items():
+        for h, y in gram[g].items():
+            image[h] = image.get(h, 0) + x * y
+    return image
+
+
+def _dot(image, v) -> int:
+    return sum(image[h] * y for h, y in v.items() if h in image)
 
 
 def _resolve(cfg: CurveConfig, c) -> Curve:
@@ -78,15 +96,26 @@ def square(cfg: CurveConfig, c) -> int:
     return pairing(cfg, c, c)
 
 
+def set_pairing(cfg: CurveConfig, g1: str, g2: str, value: int) -> CurveConfig:
+    """Set the (symmetric) Gram entry of two generators; a 0 drops the entry."""
+    gram = dict(cfg.ambient.gram)
+    for a, b in ((g1, g2), (g2, g1)):
+        row = dict(gram[a])
+        if value:
+            row[b] = value
+        else:
+            row.pop(b, None)
+        gram[a] = row
+    return replace(cfg, ambient=replace(cfg.ambient, gram=gram))
+
+
 def add_curve(cfg: CurveConfig, curve: Curve) -> CurveConfig:
-    if len(curve.cls) != len(cfg.ambient.basis):
-        raise ConfigError(
-            f"class vector for {curve.name!r} has length {len(curve.cls)}, "
-            f"ambient rank is {len(cfg.ambient.basis)}"
-        )
+    for g in curve.cls:
+        if g not in cfg.ambient.gram:
+            raise ConfigError(f"class of {curve.name!r} names {g!r}, not an ambient generator")
     if cfg.has_curve(curve.name):
         raise ConfigError(f"curve {curve.name!r} already exists")
-    return replace(cfg, curves=cfg.curves + (curve,))
+    return replace(cfg, curves={**cfg.curves, curve.name: curve})
 
 
 def blow_up(cfg: CurveConfig, name: str, at=(), double_point_of: str | None = None) -> CurveConfig:
@@ -96,10 +125,10 @@ def blow_up(cfg: CurveConfig, name: str, at=(), double_point_of: str | None = No
     class) squares to -1 and is orthogonal to the old lattice; each incident
     curve's class drops by multiplicity * (new generator).  Blowing up the
     double point of a curve requires multiplicity exactly 2 on that curve and
-    decrements its double-point count.
+    decrements its double-point count.  Only the incident curves are rebuilt.
     """
     amb = cfg.ambient
-    if name in amb.basis:
+    if name in amb.gram:
         raise ConfigError(f"generator {name!r} already exists")
     if cfg.has_curve(name):
         raise ConfigError(f"curve {name!r} already exists")
@@ -119,22 +148,19 @@ def blow_up(cfg: CurveConfig, name: str, at=(), double_point_of: str | None = No
         if incidences.setdefault(double_point_of, 2) != 2:
             raise ConfigError("a double-point blow-up carries multiplicity exactly 2")
 
-    rank = len(amb.basis)
-    new_gram = tuple(row + (0,) for row in amb.gram) + ((0,) * rank + (-1,),)
     new_amb = replace(
         amb,
-        basis=amb.basis + (name,),
-        gram=new_gram,
+        gram={**amb.gram, name: {name: -1}},
         e=amb.e + 1,
         sigma=amb.sigma - 1,
     )
-    new_curves = []
-    for c in cfg.curves:
-        mult = incidences.get(c.name, 0)
-        dps = c.double_points - (1 if c.name == double_point_of else 0)
-        new_curves.append(Curve(c.name, c.cls + (-mult,), c.genus, dps))
-    exceptional = Curve(name=name, cls=(0,) * rank + (1,))
-    return CurveConfig(ambient=new_amb, curves=tuple(new_curves) + (exceptional,))
+    curves = dict(cfg.curves)
+    for cname, mult in incidences.items():
+        c = curves[cname]
+        dps = c.double_points - (1 if cname == double_point_of else 0)
+        curves[cname] = Curve(cname, {**c.cls, name: -mult}, c.genus, dps)
+    curves[name] = Curve(name, {name: 1})
+    return CurveConfig(ambient=new_amb, curves=curves)
 
 
 def smooth(cfg: CurveConfig, name: str, c1: str, c2: str) -> CurveConfig:
@@ -151,14 +177,16 @@ def smooth(cfg: CurveConfig, name: str, c1: str, c2: str) -> CurveConfig:
         raise ConfigError(f"curves {c1!r} and {c2!r} have pairing {p}; need >= 1 to smooth")
     merged = Curve(
         name=name,
-        cls=tuple(x + y for x, y in zip(a.cls, b.cls)),
+        cls={g: x for g in {**a.cls, **b.cls} if (x := a.cls.get(g, 0) + b.cls.get(g, 0))},
         genus=a.genus + b.genus,
         double_points=a.double_points + b.double_points + (p - 1),
     )
-    kept = tuple(c for c in cfg.curves if c.name not in (a.name, b.name))
-    if any(c.name == name for c in kept):
+    curves = dict(cfg.curves)
+    del curves[a.name], curves[b.name]
+    if name in curves:
         raise ConfigError(f"curve {name!r} already exists")
-    return replace(cfg, curves=kept + (merged,))
+    curves[name] = merged
+    return replace(cfg, curves=curves)
 
 
 def extract_chain(cfg: CurveConfig, names) -> hirzebruch.Chain:
@@ -166,15 +194,14 @@ def extract_chain(cfg: CurveConfig, names) -> hirzebruch.Chain:
 
     every curve an embedded sphere of square <= -2.  Returns the weights.
 
-    Each curve's support and its row image v^T G are built once, in
-    O(s * rank) for a curve with s nonzero coordinates; every square and
-    adjacency pairing is then a dot of one curve's image with the other
-    curve's support.  A chain of k curves costs O(k*s*rank + k^2*s), not k^2
-    dense pairings.
+    Each curve's row image v^T G is built once, in O(s * d) for a curve with s
+    nonzero coefficients whose Gram rows hold at most d entries; every square
+    and adjacency pairing is then a dot of one curve's image with the other
+    curve's class.  A chain of k curves costs O(k*s*d + k^2*s), not k^2
+    pairings.
     """
     curves = [cfg.curve(n) for n in names]
     gram = cfg.ambient.gram
-    supports = []
     images = []
     weights = []
     for c in curves:
@@ -182,37 +209,23 @@ def extract_chain(cfg: CurveConfig, names) -> hirzebruch.Chain:
             raise ConfigError(f"chain curve {c.name!r} has genus {c.genus}, expected 0")
         if c.double_points != 0:
             raise ConfigError(f"chain curve {c.name!r} still has {c.double_points} double point(s)")
-        support = [(i, x) for i, x in enumerate(c.cls) if x]
-        image = _row_image(gram, support)
-        sq = _dot(image, support)
+        image = _row_image(gram, c.cls)
+        sq = _dot(image, c.cls)
         if sq > -2:
             raise ConfigError(f"chain curve {c.name!r} has square {sq}, expected <= -2")
-        supports.append(support)
         images.append(image)
         weights.append(sq)
     for i, a in enumerate(curves):
         image = images[i]
         for j in range(i + 1, len(curves)):
             want = 1 if j == i + 1 else 0
-            got = _dot(image, supports[j])
+            got = _dot(image, curves[j].cls)
             if got != want:
                 raise ConfigError(
                     f"chain adjacency violated: {a.name!r}.{curves[j].name!r} = {got}, "
                     f"expected {want}"
                 )
     return tuple(weights)
-
-
-def _row_image(gram, support) -> tuple[int, ...]:
-    """v^T G for the vector v with nonzero coordinates `support`."""
-    rows = [gram[i] if x == 1 else [x * g for g in gram[i]] for i, x in support]
-    if len(rows) == 1:
-        return rows[0]
-    return tuple(map(sum, zip(*rows)))
-
-
-def _dot(image, support) -> int:
-    return sum(image[j] * y for j, y in support)
 
 
 def knot_surgery_shadow(cfg: CurveConfig, label: str, add_flags=()) -> CurveConfig:
@@ -238,8 +251,7 @@ def rational_blowdown(amb: Ambient, chain, new_label: str | None = None) -> Ambi
     k = len(chain)
     label = new_label if new_label is not None else f"{amb.label} (C_{{{pq[0]},{pq[1]}}} blown down)"
     return Ambient(
-        basis=(),
-        gram=(),
+        gram={},
         e=amb.e - k,
         sigma=amb.sigma + k,
         label=label,

@@ -461,7 +461,7 @@ class _ChainRec:
 @dataclass
 class _SwRec:
     ledger: swledger.Ledger
-    fiber_vec: tuple[int, ...]  # over the basis when the ledger was declared
+    fiber_vec: dict[str, int]  # the class T; later exceptional generators pair 0 with it
     result: swledger.BlowdownResult | None = None
 
 
@@ -489,43 +489,22 @@ class _Runner:
         """Replace the configuration by `change(configuration, *args)`."""
         self.cfg = change(self.cfg, *args)
 
-    def _class_vec(self, lc: Lincomb) -> tuple[int, ...]:
+    def _class_vec(self, lc: Lincomb) -> dict[str, int]:
         """Resolve a linear combination of generators and/or curve names."""
-        basis = self.cfg.ambient.basis
-        index = {name: i for i, name in enumerate(basis)}
-        vec = [0] * len(basis)
+        vec: dict[str, int] = {}
         for coef, name in lc:
-            if name in index:
-                vec[index[name]] += coef
+            if name in self.cfg.ambient.gram:
+                terms = ((name, 1),)
             elif self.cfg.has_curve(name):
-                for i, x in enumerate(self.cfg.curve(name).cls):
-                    vec[i] += coef * x
+                terms = self.cfg.curve(name).cls.items()
             else:
                 raise ValueError(f"unknown class name {name!r}")
-        return tuple(vec)
+            for g, x in terms:
+                vec[g] = vec.get(g, 0) + coef * x
+        return {g: x for g, x in vec.items() if x}
 
-    def ambient(self, label, e, sigma, flags, basis):
-        rank = len(basis)
-        amb = homcalc.Ambient(
-            basis=basis,
-            gram=tuple((0,) * rank for _ in range(rank)),
-            e=e,
-            sigma=sigma,
-            label=label,
-            flags=frozenset(flags),
-        )
-        self.cfg = homcalc.CurveConfig(ambient=amb)
-
-    def pair(self, gens, value):
-        amb = self.cfg.ambient
-        i, j = amb.basis.index(gens[0]), amb.basis.index(gens[1])
-        gram = [list(row) for row in amb.gram]
-        gram[i][j] = gram[j][i] = value
-        amb = homcalc.Ambient(
-            basis=amb.basis, gram=tuple(tuple(r) for r in gram),
-            e=amb.e, sigma=amb.sigma, label=amb.label, flags=amb.flags,
-        )
-        self.cfg = homcalc.CurveConfig(ambient=amb, curves=self.cfg.curves)
+    def ambient(self, *args):
+        self.cfg = homcalc.new_config(*args)
 
     def chain(self, name, curves):
         weights = homcalc.extract_chain(self.cfg, curves)
@@ -554,17 +533,13 @@ class _Runner:
 
     def sw_blowdown(self, name, source, chain, label, chambered=False):
         """Pair the ledger's classes with the recorded chain spheres in the
-        live lattice: T is the fiber vector, paired over its support, so a
-        fiber declared before later blow-ups needs no padding, and every other
-        tracked class is the live generator of its name."""
+        live lattice: T is the fiber class, and every other tracked class is
+        the live generator of its name."""
         src = self.sw[source]
         rec = self.chains[chain]
-        amb = self.cfg.ambient
-        index = {g: i for i, g in enumerate(amb.basis)}
-        pairings = [tuple(homcalc.pair_vectors(amb.gram, u, src.fiber_vec) for u in rec.classes)]
-        for g in src.ledger.basis[1:]:
-            row = amb.gram[index[g]]
-            pairings.append(tuple(sum(x * y for x, y in zip(row, u)) for u in rec.classes))
+        gram = self.cfg.ambient.gram
+        tracked = [src.fiber_vec] + [{g: 1} for g in src.ledger.basis[1:]]
+        pairings = [tuple(homcalc.pair_vectors(gram, t, u) for u in rec.classes) for t in tracked]
         if chambered:
             result = swledger.chambered_blowdown_ledger(
                 src.ledger, rec.weights, pairings, new_label=label
@@ -819,7 +794,8 @@ _KINDS: dict[str, _Kind] = {
         _ParseChecker.ambient),
     "pair": _Kind(
         (_Slot(_read_gen_pair, _GENS.show), _int("pairing value")),
-        _Runner.pair, (("construction_started", "pair must precede construction steps"),)),
+        lambda run, gens, value: run.move(homcalc.set_pairing, *gens, value),
+        (("construction_started", "pair must precede construction steps"),)),
     "curve": _Kind(
         (_new("curve name", "curves"), "class", _CLASS,
          _opt("genus", _int("genus"), 0), _opt("dp", _int("double-point count"), 0)),

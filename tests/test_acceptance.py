@@ -105,7 +105,7 @@ def test_acceptance_4_characteristic_numbers():
 
     # knot surgery preserves (e, sigma): the Y_n and V_n intermediates both
     # sit at (12, -8)
-    amb = homcalc.Ambient(basis=("S",), gram=((-1,),), e=12, sigma=-8,
+    amb = homcalc.Ambient(gram={"S": {"S": -1}}, e=12, sigma=-8,
                           label="E(1)", flags=frozenset({"simply-connected", "odd"}))
     cfg = homcalc.CurveConfig(ambient=amb)
     y_n = homcalc.knot_surgery_shadow(cfg, "Y_n")

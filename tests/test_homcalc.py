@@ -1,3 +1,4 @@
+import copy
 import random
 import time
 
@@ -9,13 +10,12 @@ from blowdown.homcalc import Ambient, ConfigError, Curve, CurveConfig
 
 def e1_with_section():
     """Rational elliptic surface shadow: section S and one (-2) fiber piece."""
-    basis = ("S", "T")
-    gram = ((-1, 1), (1, -2))
-    amb = Ambient(basis=basis, gram=gram, e=12, sigma=-8, label="E(1)",
+    gram = {"S": {"S": -1, "T": 1}, "T": {"S": 1, "T": -2}}
+    amb = Ambient(gram=gram, e=12, sigma=-8, label="E(1)",
                   flags=frozenset({"simply-connected", "odd", "section"}))
     cfg = CurveConfig(ambient=amb)
-    cfg = homcalc.add_curve(cfg, Curve("s", (1, 0)))
-    cfg = homcalc.add_curve(cfg, Curve("t", (0, 1)))
+    cfg = homcalc.add_curve(cfg, Curve("s", {"S": 1}))
+    cfg = homcalc.add_curve(cfg, Curve("t", {"T": 1}))
     return cfg
 
 
@@ -29,15 +29,15 @@ def test_pairing_and_square():
 def test_add_curve_rejects_duplicates_and_bad_rank():
     cfg = e1_with_section()
     with pytest.raises(ConfigError):
-        homcalc.add_curve(cfg, Curve("s", (0, 1)))
+        homcalc.add_curve(cfg, Curve("s", {"T": 1}))
     with pytest.raises(ConfigError):
-        homcalc.add_curve(cfg, Curve("x", (1, 0, 0)))
+        homcalc.add_curve(cfg, Curve("x", {"S": 1, "X": 1}))
 
 
 def test_blow_up_generic():
     cfg = homcalc.blow_up(e1_with_section(), "E1")
     amb = cfg.ambient
-    assert amb.basis == ("S", "T", "E1")
+    assert tuple(amb.gram) == ("S", "T", "E1")
     assert amb.e == 13 and amb.sigma == -9
     assert homcalc.square(cfg, "E1") == -1
     # existing curves are untouched
@@ -55,7 +55,7 @@ def test_blow_up_at_point_on_curves():
 
 def test_blow_up_double_point():
     cfg = e1_with_section()
-    cfg = homcalc.add_curve(cfg, Curve("ps", (1, 0), genus=0, double_points=1))
+    cfg = homcalc.add_curve(cfg, Curve("ps", {"S": 1}, genus=0, double_points=1))
     out = homcalc.blow_up(cfg, "E1", at=[("ps", 2)], double_point_of="ps")
     ps = out.curve("ps")
     assert ps.double_points == 0
@@ -84,28 +84,28 @@ def test_smooth_pair():
     out = homcalc.smooth(cfg, "u", "s", "t")
     assert not out.has_curve("s") and not out.has_curve("t")
     u = out.curve("u")
-    assert u.cls == (1, 1)
+    assert u.cls == {"S": 1, "T": 1}
     # (-1) + (-2) + 2*1 = -1
     assert homcalc.square(out, "u") == -1
     assert u.genus == 0 and u.double_points == 0
 
 
 def test_smooth_needs_positive_pairing():
-    amb = Ambient(basis=("A", "B"), gram=((-1, 0), (0, -1)), e=4, sigma=-2,
+    amb = Ambient(gram={"A": {"A": -1}, "B": {"B": -1}}, e=4, sigma=-2,
                   label="x", flags=frozenset())
     cfg = CurveConfig(ambient=amb)
-    cfg = homcalc.add_curve(cfg, Curve("a", (1, 0)))
-    cfg = homcalc.add_curve(cfg, Curve("b", (0, 1)))
+    cfg = homcalc.add_curve(cfg, Curve("a", {"A": 1}))
+    cfg = homcalc.add_curve(cfg, Curve("b", {"B": 1}))
     with pytest.raises(ConfigError):
         homcalc.smooth(cfg, "c", "a", "b")
 
 
 def test_smooth_excess_pairing_becomes_double_points():
-    amb = Ambient(basis=("A", "B"), gram=((0, 3), (3, 0)), e=4, sigma=0,
+    amb = Ambient(gram={"A": {"B": 3}, "B": {"A": 3}}, e=4, sigma=0,
                   label="x", flags=frozenset())
     cfg = CurveConfig(ambient=amb)
-    cfg = homcalc.add_curve(cfg, Curve("a", (1, 0)))
-    cfg = homcalc.add_curve(cfg, Curve("b", (0, 1)))
+    cfg = homcalc.add_curve(cfg, Curve("a", {"A": 1}))
+    cfg = homcalc.add_curve(cfg, Curve("b", {"B": 1}))
     out = homcalc.smooth(cfg, "c", "a", "b")
     assert out.curve("c").double_points == 2
 
@@ -125,7 +125,7 @@ def test_extract_chain_diagnoses_violations():
     cfg2 = homcalc.blow_up(cfg, "E1", at=[("s", 1), ("t", 1)])
     with pytest.raises(ConfigError, match="adjacency"):
         homcalc.extract_chain(cfg2, ("s", "t"))
-    cfg3 = homcalc.add_curve(cfg2, Curve("g", (0, 1, 0), genus=1))
+    cfg3 = homcalc.add_curve(cfg2, Curve("g", {"T": 1}, genus=1))
     with pytest.raises(ConfigError, match="genus"):
         homcalc.extract_chain(cfg3, ("t", "g"))
 
@@ -149,7 +149,7 @@ def test_rational_blowdown_counts():
         cfg.ambient, homcalc.extract_chain(cfg, ("s", "t")), new_label="Z")
     assert amb.e == 13 - 2 and amb.sigma == -9 + 2
     assert amb.label == "Z"
-    assert amb.basis == ()
+    assert amb.gram == {}
 
 
 def test_rational_blowdown_requires_plumbing():
@@ -161,22 +161,22 @@ def test_rational_blowdown_requires_plumbing():
 
 
 def test_homeo_fingerprint():
-    amb = Ambient(basis=(), gram=(), e=8, sigma=-4, label="X",
+    amb = Ambient(gram={}, e=8, sigma=-4, label="X",
                   flags=frozenset({"simply-connected", "odd"}))
     assert homcalc.homeo_fingerprint(amb) == "CP2 # 5 CP2bar"
     # wrong signature for the Euler characteristic
-    amb2 = Ambient(basis=(), gram=(), e=8, sigma=-2, label="X",
+    amb2 = Ambient(gram={}, e=8, sigma=-2, label="X",
                    flags=frozenset({"simply-connected", "odd"}))
     assert homcalc.homeo_fingerprint(amb2) is None
     # without the parity flag nothing is claimed
-    amb3 = Ambient(basis=(), gram=(), e=8, sigma=-4, label="X",
+    amb3 = Ambient(gram={}, e=8, sigma=-4, label="X",
                    flags=frozenset({"simply-connected"}))
     assert homcalc.homeo_fingerprint(amb3) is None
     # the blown-up projective plane itself
-    amb4 = Ambient(basis=(), gram=(), e=4, sigma=0, label="CP2#CP2bar",
+    amb4 = Ambient(gram={}, e=4, sigma=0, label="CP2#CP2bar",
                    flags=frozenset({"simply-connected", "odd"}))
     assert homcalc.homeo_fingerprint(amb4) == "CP2 # 1 CP2bar"
-    amb5 = Ambient(basis=(), gram=(), e=2, sigma=-1, label="tiny",
+    amb5 = Ambient(gram={}, e=2, sigma=-1, label="tiny",
                    flags=frozenset({"simply-connected", "odd"}))
     assert homcalc.homeo_fingerprint(amb5) is None
 
@@ -198,16 +198,33 @@ def test_pair_vectors_matches_dense_sum():
         for i in range(rank):
             for j in range(rank):
                 dense += v1[i] * gram[i][j] * v2[j]
-        assert homcalc.pair_vectors(gram, v1, v2) == dense, (gram, v1, v2)
+        names = [f"g{i}" for i in range(rank)]
+        got = homcalc.pair_vectors(sparse_gram(names, gram), sparse(names, v1), sparse(names, v2))
+        assert got == dense, (gram, v1, v2)
+
+
+def sparse(names, vec):
+    return {g: x for g, x in zip(names, vec) if x}
+
+
+def sparse_gram(names, gram):
+    return {g: sparse(names, row) for g, row in zip(names, gram)}
+
+
+def dense_vec(names, cls):
+    return [cls.get(g, 0) for g in names]
 
 
 def dense_chain(cfg, names):
     """Oracle for `extract_chain`: the weights, or the message of the first
-    ConfigError, from full G.v products over every coordinate."""
-    gram = cfg.ambient.gram
+    ConfigError, from full G.v products over every coordinate of the Gram
+    matrix and classes written out densely in basis order."""
+    basis = list(cfg.ambient.gram)
+    gram = [dense_vec(basis, cfg.ambient.gram[g]) for g in basis]
     rank = len(gram)
 
     def pair(u, v):
+        u, v = dense_vec(basis, u), dense_vec(basis, v)
         gv = [sum(gram[i][j] * v[j] for j in range(rank)) for i in range(rank)]
         return sum(u[i] * gv[i] for i in range(rank))
 
@@ -249,7 +266,8 @@ def random_chain_config(rng):
         gram[j] = [x + c * y for x, y in zip(gram[j], gram[i])]
         for v in vectors:
             v[i] -= c * v[j]
-    curves = [Curve(f"c{i}", tuple(v)) for i, v in enumerate(vectors[:k])]
+    basis = [f"g{i}" for i in range(rank)]
+    curves = [Curve(f"c{i}", sparse(basis, v)) for i, v in enumerate(vectors[:k])]
     spoil = rng.random()
     if spoil < 0.15:
         i = rng.randrange(k)
@@ -260,20 +278,20 @@ def random_chain_config(rng):
     elif spoil < 0.45:
         # an extra class of square +-1, or the zero class
         i = rng.randrange(k)
-        cls = tuple(rng.choice(vectors[k:])) if rank > k else (0,) * rank
+        cls = sparse(basis, rng.choice(vectors[k:])) if rank > k else {}
         curves[i] = Curve(curves[i].name, cls)
     elif spoil < 0.65:
         i = rng.randrange(k)
         bump = [rng.choice((-1, 0, 0, 1)) for _ in range(rank)]
-        curves[i] = Curve(curves[i].name, tuple(x + y for x, y in zip(curves[i].cls, bump)))
-    amb = Ambient(basis=tuple(f"g{i}" for i in range(rank)),
-                  gram=tuple(map(tuple, gram)), e=rank + 2, sigma=0, label="x")
+        cls = [x + y for x, y in zip(dense_vec(basis, curves[i].cls), bump)]
+        curves[i] = Curve(curves[i].name, sparse(basis, cls))
+    amb = Ambient(gram=sparse_gram(basis, gram), e=rank + 2, sigma=0, label="x")
     names = [c.name for c in curves]
     if rng.random() < 0.2:
         rng.shuffle(names)
     elif rng.random() < 0.2:
         names.reverse()
-    return CurveConfig(ambient=amb, curves=tuple(curves)), names
+    return CurveConfig(ambient=amb, curves={c.name: c for c in curves}), names
 
 
 def test_extract_chain_matches_dense_oracle():
@@ -299,16 +317,125 @@ def test_long_chain_extracts_in_output_time():
     # C_{401,400}: one -402 sphere and 399 -2 spheres, in a rank-400 lattice.
     k = 400
     weights = (-402,) + (-2,) * (k - 1)
-    gram = tuple(
-        tuple(weights[i] if j == i else int(abs(i - j) == 1) for j in range(k))
+    gram = {
+        f"g{i}": {f"g{j}": weights[i] if j == i else 1 for j in (i - 1, i, i + 1) if 0 <= j < k}
         for i in range(k)
-    )
-    amb = Ambient(basis=tuple(f"g{i}" for i in range(k)), gram=gram, e=k + 2,
-                  sigma=0, label="long")
-    curves = tuple(Curve(f"c{i}", tuple(int(i == j) for j in range(k))) for i in range(k))
+    }
+    amb = Ambient(gram=gram, e=k + 2, sigma=0, label="long")
+    curves = {f"c{i}": Curve(f"c{i}", {f"g{i}": 1}) for i in range(k)}
     cfg = CurveConfig(ambient=amb, curves=curves)
     t0 = time.perf_counter()
-    got = homcalc.extract_chain(cfg, [c.name for c in curves])
+    got = homcalc.extract_chain(cfg, list(curves))
     elapsed = time.perf_counter() - t0
     assert got == weights
     assert elapsed < 0.25, elapsed
+
+
+class DenseModel:
+    """The oracle for the moves: a list-of-lists Gram matrix and dense class
+    lists over `basis`, written out here with no call into `homcalc`."""
+
+    def __init__(self, basis):
+        self.basis = list(basis)
+        self.gram = [[0] * len(basis) for _ in basis]
+        self.curves = {}  # name -> [class list, genus, double points]
+
+    def image(self, v):
+        return [sum(x * y for x, y in zip(row, v)) for row in self.gram]
+
+    def pair(self, u, v):
+        return sum(x * y for x, y in zip(u, self.image(v)))
+
+    def set_pairing(self, g1, g2, value):
+        i, j = self.basis.index(g1), self.basis.index(g2)
+        self.gram[i][j] = self.gram[j][i] = value
+
+    def add_curve(self, name, cls, genus, dps):
+        self.curves[name] = [list(cls), genus, dps]
+
+    def blow_up(self, name, at, double_point_of):
+        for row in self.gram:
+            row.append(0)
+        self.gram.append([0] * len(self.basis) + [-1])
+        self.basis.append(name)
+        mults = dict(at)
+        if double_point_of is not None:
+            mults.setdefault(double_point_of, 2)
+        for cname, rec in self.curves.items():
+            rec[0].append(-mults.get(cname, 0))
+            rec[2] -= cname == double_point_of
+        self.curves[name] = [[0] * (len(self.basis) - 1) + [1], 0, 0]
+
+    def smooth(self, name, c1, c2):
+        (u, g1, d1), (v, g2, d2) = self.curves.pop(c1), self.curves.pop(c2)
+        p = self.pair(u, v)
+        self.curves[name] = [[x + y for x, y in zip(u, v)], g1 + g2, d1 + d2 + p - 1]
+
+
+def check_against_dense(cfg, model):
+    assert tuple(cfg.ambient.gram) == tuple(model.basis)
+    for g, row in cfg.ambient.gram.items():
+        assert all(row.values()), (g, row)  # no stored zero
+        assert all(cfg.ambient.gram[h][g] == x for h, x in row.items())
+    assert list(cfg.curves) == list(model.curves)
+    images = {name: model.image(vec) for name, (vec, _g, _d) in model.curves.items()}
+    for name, (vec, genus, dps) in model.curves.items():
+        c = cfg.curve(name)
+        assert all(c.cls.values()) and dense_vec(model.basis, c.cls) == vec, name
+        assert (c.genus, c.double_points) == (genus, dps), name
+        for other, image in images.items():
+            want = sum(x * y for x, y in zip(vec, image))
+            assert homcalc.pairing(cfg, name, other) == want, (name, other)
+
+
+def test_moves_match_a_dense_model_and_copy_on_write():
+    rng = random.Random(31337)
+    moves = dict.fromkeys(("pair", "pair to 0", "curve", "blowup", "double point", "smooth",
+                           "smooth with excess"), 0)
+    for _walk in range(12):
+        basis = [f"g{i}" for i in range(rng.randint(1, 4))]
+        model = DenseModel(basis)
+        cfg = homcalc.new_config("x", 3, 1, (), basis)
+        history = [(cfg, copy.deepcopy(cfg))]
+        fresh = 0
+        for _step in range(40):
+            roll = rng.random()
+            gens = model.basis
+            if roll < 0.3:
+                g1, g2 = rng.choice(gens), rng.choice(gens)
+                value = rng.choice((-3, -2, -1, 0, 1, 2, 3))
+                cfg = homcalc.set_pairing(cfg, g1, g2, value)
+                model.set_pairing(g1, g2, value)
+                moves["pair" if value else "pair to 0"] += 1
+            elif roll < 0.5 or not model.curves:
+                fresh += 1
+                cls = [rng.choice((-2, -1, 0, 0, 1, 2)) for _ in gens]
+                genus, dps = rng.choice((0, 0, 1)), rng.choice((0, 1, 2))
+                cfg = homcalc.add_curve(cfg, Curve(f"c{fresh}", sparse(gens, cls), genus, dps))
+                model.add_curve(f"c{fresh}", cls, genus, dps)
+                moves["curve"] += 1
+            elif roll < 0.8:
+                fresh += 1
+                names = rng.sample(list(model.curves), rng.randint(0, min(3, len(model.curves))))
+                with_dp = [n for n in names if model.curves[n][2] > 0]
+                dp_of = with_dp[0] if with_dp and rng.random() < 0.6 else None
+                at = [(n, 2 if n == dp_of else rng.randint(1, 2)) for n in names]
+                cfg = homcalc.blow_up(cfg, f"E{fresh}", at, double_point_of=dp_of)
+                model.blow_up(f"E{fresh}", at, dp_of)
+                moves["double point" if dp_of else "blowup"] += 1
+            else:
+                pairs = [(a, b) for a in model.curves for b in model.curves
+                         if a < b and model.pair(model.curves[a][0], model.curves[b][0]) >= 1]
+                if not pairs:
+                    continue
+                a, b = rng.choice(pairs)
+                fresh += 1
+                excess = model.pair(model.curves[a][0], model.curves[b][0]) > 1
+                cfg = homcalc.smooth(cfg, f"c{fresh}", a, b)
+                model.smooth(f"c{fresh}", a, b)
+                moves["smooth with excess" if excess else "smooth"] += 1
+            check_against_dense(cfg, model)
+            history.append((cfg, copy.deepcopy(cfg)))
+            for old, snapshot in history:
+                assert old == snapshot
+    assert min(moves.values()) >= 10, moves

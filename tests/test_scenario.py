@@ -312,6 +312,32 @@ def test_hyperbolic_word_power_reports_its_line():
     assert time.perf_counter() - t0 < 0.25
 
 
+def run_timed(text):
+    t0 = time.perf_counter()
+    report = run_scenario(parse_scenario(text))
+    return report, time.perf_counter() - t0
+
+
+def test_a_thousand_pair_lines_cost_no_seconds():
+    r = 1000
+    text = (f"ambient X e {r + 2} sigma {-r} basis {' '.join(f'g{i}' for i in range(r))}\n"
+            + "".join(f"pair g{i} g{i} -2\n" for i in range(r))
+            + f"assert square-class g0+g{r - 1} -4\nassert square-class g{r - 1} -2\n")
+    report, elapsed = run_timed(text)
+    assert report.all_passed and report.total == 2
+    assert elapsed < 0.25, elapsed
+
+
+def test_a_thousand_blowup_lines_cost_no_seconds():
+    r = 1000
+    text = ("ambient X e 3 sigma 1 basis S\npair S S 1\ncurve c class S\n"
+            + "".join(f"blowup E{i} at c:1\n" for i in range(1, r + 1))
+            + f"assert euler {3 + r}\nassert signature {1 - r}\nassert square c {1 - r}\n")
+    report, elapsed = run_timed(text)
+    assert report.all_passed and report.total == 3
+    assert elapsed < 0.25, elapsed
+
+
 # --- line splitting and parser fuzz ---------------------------------------
 
 PLAIN_CHARS = "ab1- \t\r\x1f\xa0　#,:=()^*"
@@ -386,6 +412,40 @@ def test_parser_fuzz_raises_only_scenario_errors_and_round_trips():
         assert second.directives == first.directives, text
         assert print_scenario(second) == printed, text
     assert min(outcomes.values()) >= 100, outcomes
+
+
+NUMBER = re.compile(r"(?<![A-Za-z_0-9])-?[0-9]+")
+
+
+def mutate_number(rng, text: str) -> str:
+    """Replace one or two integers (not digits inside a name) by small values,
+    which mostly keeps the text parsing and changes what it computes."""
+    for _ in range(rng.choice((1, 1, 2))):
+        start, end = rng.choice([m.span() for m in NUMBER.finditer(text)])
+        text = text[:start] + str(rng.choice((0, 1, 2, 3, 4, -1, -2, -3, -4, -9))) + text[end:]
+    return text
+
+
+def test_runner_fuzz_raises_only_scenario_errors():
+    rng = random.Random(5151)
+    texts = [CORPUS[name] for name in sorted(CORPUS)] + [MINIMAL]
+    deadline = time.perf_counter() + 1.5
+    outcomes = {"rejected": 0, "ran": 0, "failed": 0}
+    while sum(outcomes.values()) < 2_000 and time.perf_counter() < deadline:
+        text = rng.choice(texts)
+        text = mutate_scenario(rng, text) if rng.random() < 0.5 else mutate_number(rng, text)
+        try:
+            parsed = parse_scenario(text)
+        except ScenarioError:
+            outcomes["rejected"] += 1
+            continue
+        try:
+            run_scenario(parsed)
+        except ScenarioError:
+            outcomes["failed"] += 1
+            continue
+        outcomes["ran"] += 1
+    assert outcomes["ran"] >= 100 and outcomes["failed"] >= 50, outcomes
 
 
 # --- CLI ---------------------------------------------------------------
@@ -491,9 +551,13 @@ def test_cli_verify_multiple_files(tmp_path, capsys):
     assert "total: 6/6 assertions passed in 2 scenario(s)" in capsys.readouterr().out
 
 
-def test_cli_verify_missing_file(tmp_path, capsys):
-    assert cli.main(["verify", str(tmp_path / "nope.plm")]) == 2
-    assert "cannot read" in capsys.readouterr().err
+@pytest.mark.parametrize("content", [None, b"\xff\xfe bad\n"], ids=["missing", "not-utf8"])
+def test_cli_verify_missing_file(tmp_path, capsys, content):
+    path = tmp_path / "nope.plm"
+    if content is not None:
+        path.write_bytes(content)
+    assert cli.main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
 def test_cli_verify_parse_error_exit_code(tmp_path, capsys):
