@@ -17,6 +17,14 @@ map v -> sum v_i*phi_i mod |det|, phi_i = (-1)^(i-1)*D_{i-1}, kills every Gram
 column (phi_{i-1} + w_i*phi_i + phi_{i+1} = 0, phi_0 = 0, phi_{k+1} = +-det)
 and is onto since phi_1 = 1; as |coker| = |det|, it is the cokernel.
 
+The Gram matrix is L*diag(D_i/D_{i-1})*L^T, so v^T G^-1 v = N_k/D_k from one
+integer sweep: z_i = v_i*D_{i-1} - z_{i-1}, N_i = (N_{i-1}*D_i + z_i^2)/D_{i-1}.
+N_i = v^T adj(G_i) v on the first i spheres is an integer: each division is
+exact.  Recognition reads det and det(chain[1:]) from one continuant pass over
+the reversed chain; Hirzebruch-Jung expansions with all c_i >= 2 are unique,
+so no round trip is needed, but gcd(p, q) = 1 is: (-3,-2,-2,-3) has num 36
+and den 11, and would otherwise read as C_{6,2}.
+
 The extension criterion (characteristic + discriminant image divisible by p)
 is calibrated against brute-force coset enumeration on the two smallest
 chains; see the acceptance tests.  If it ever disagrees with a filtering
@@ -67,22 +75,15 @@ def identify_cpq(chain: Chain):
     The continued fraction of the negated weights is num/den with num =
     |det| of the chain and den = |det| of the chain without its first sphere:
     consecutive continuants are coprime, so this is already in lowest terms.
-    num must be a perfect square p^2, p must divide den+1, and the candidate
-    must round-trip through chain_for_cpq (a square determinant alone is not
-    enough).
+    num must be a perfect square p^2, p must divide den+1, and q = (den+1)/p
+    must be coprime to p and smaller.
     """
     if not chain or any(w > -2 for w in chain):
         return None
-    num, den = abs(gram_det(chain)), abs(gram_det(chain[1:]))
+    *_, den, num = (abs(d) for d in _continuants(chain[::-1]))
     p = math.isqrt(num)
-    if p * p != num:
-        return None
-    if (den + 1) % p != 0:
-        return None
-    q = (den + 1) // p
-    if not (p > q > 0) or math.gcd(p, q) != 1:
-        return None
-    if chain_for_cpq(p, q) != tuple(chain):
+    q, rest = divmod(den + 1, p)
+    if p * p != num or rest or not p > q or math.gcd(p, q) != 1:
         return None
     return (p, q)
 
@@ -102,16 +103,6 @@ def parse_chain(text: str) -> Chain:
         return tuple(int(part.strip()) for part in body.split(","))
     except ValueError:
         raise ValueError(f"chain entries must be integers: {text!r}") from None
-
-
-def gram_matrix(chain: Chain) -> tuple[tuple[int, ...], ...]:
-    k = len(chain)
-    g = [[0] * k for _ in range(k)]
-    for i, w in enumerate(chain):
-        g[i][i] = w
-        if i + 1 < k:
-            g[i][i + 1] = g[i + 1][i] = 1
-    return tuple(tuple(row) for row in g)
 
 
 def _continuants(chain: Chain) -> list[int]:
@@ -137,11 +128,6 @@ class DiscriminantData:
 
     order: int
     coeffs: tuple[int, ...]
-
-    def image(self, v) -> int:
-        if len(v) != len(self.coeffs):
-            raise ValueError(f"value vector has length {len(v)}, expected {len(self.coeffs)}")
-        return sum(x * c for x, c in zip(v, self.coeffs)) % self.order
 
 
 def discriminant(chain: Chain) -> DiscriminantData:
@@ -212,26 +198,16 @@ def extends_over_ball(chain: Chain, v) -> bool:
     return test.accepts(*test.invariants(v))
 
 
-def gram_solve(chain: Chain, v) -> tuple[Fraction, ...]:
-    """Solve G x = v exactly for the tridiagonal Gram matrix (Thomas algorithm)."""
-    k = len(chain)
-    if len(v) != k:
-        raise ValueError("length mismatch")
-    diag = [Fraction(w) for w in chain]
-    rhs = [Fraction(x) for x in v]
-    # forward sweep (off-diagonals are 1; the chain Gram is nondegenerate)
-    for i in range(1, k):
-        f = 1 / diag[i - 1]
-        diag[i] -= f
-        rhs[i] -= f * rhs[i - 1]
-    x = [Fraction(0)] * k
-    x[-1] = rhs[-1] / diag[-1]
-    for i in range(k - 2, -1, -1):
-        x[i] = (rhs[i] - x[i + 1]) / diag[i]
-    return tuple(x)
-
-
 def gram_inverse_form(chain: Chain, v) -> Fraction:
-    """v^T G^{-1} v, exactly.  For the canonical vector this equals -k."""
-    x = gram_solve(chain, v)
-    return sum(Fraction(a) * b for a, b in zip(v, x))
+    """v^T G^{-1} v = N_k/D_k, exactly, by the integer sweep of the module docstring.
+
+    For the canonical vector it is -k.  A zero continuant raises ZeroDivisionError.
+    """
+    if len(v) != len(chain):
+        raise ValueError("length mismatch")
+    det_prev, det, z, n = 0, 1, 0, 0
+    for w, x in zip(chain, v):
+        z = x * det - z
+        det_prev, det = det, w * det - det_prev
+        n = (n * det + z * z) // det_prev
+    return Fraction(n, det)

@@ -14,8 +14,9 @@ power `(w)^e` out in full when that takes at most EXPAND_LIMIT letters, so
 short words print letter by letter; a larger power stays symbolic, prints as
 `(w)^e` and is evaluated by repeated squaring in O(log e) products.
 Parentheses nest at most MAX_DEPTH deep, which also bounds the recursion of
-every function here over nested powers.  Everything here is a pure function
-over immutable values and all integers are exact.
+every function here over nested powers, and a fibration has at most
+MAX_TWISTS unit twists.  Everything here is a pure function over immutable
+values and all integers are exact.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ IDENTITY: SL2 = ((1, 0), (0, 1))
 # long enough for the relations in this module, short enough for a report line.
 EXPAND_LIMIT = 64
 MAX_DEPTH = 32
+# A report lists one vanishing cycle per unit twist; the fibrations here have 12.
+MAX_TWISTS = 4096
 # A hyperbolic power whose exact matrix provably needs more bits than this is
 # refused: (aB)^100000 (about 139k bits) evaluates, (aB)^1000000 raises.
 MAX_POWER_BITS = 1 << 18
@@ -294,10 +297,13 @@ def verify_fibration(twists, expected_twists: int) -> FibrationReport:
 
     the expanded word must evaluate to the identity and the number of unit
     twists must match the expected count of singular fibers.  Failures are
-    report fields, not exceptions.
+    report fields, not exceptions, but over MAX_TWISTS unit twists is an error.
     """
     if expected_twists < 0:
         raise ValueError("expected_twists must be >= 0")
+    twist_count = sum(t.multiplicity for t in twists)
+    if twist_count > MAX_TWISTS:
+        raise ValueError(f"{twist_count} unit twists; at most {MAX_TWISTS} are allowed")
     word = expand_factorization(twists)
     cycles = []
     for t in twists:
@@ -305,7 +311,7 @@ def verify_fibration(twists, expected_twists: int) -> FibrationReport:
         cycles.extend([c] * t.multiplicity)
     return FibrationReport(
         is_identity=eval_word(word) == IDENTITY,
-        twist_count=sum(t.multiplicity for t in twists),
+        twist_count=twist_count,
         expected_twists=expected_twists,
         cycles=tuple(cycles),
         word=word,

@@ -525,27 +525,27 @@ def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: 
     new_entries = []
     restrictions = []
     value_sets = []
-    inverse_forms: dict[tuple[int, ...], Fraction] = {}  # one per distinct restriction
-    dimensions: dict[int, Fraction] = {}  # one per distinct square
+    inverse_forms: dict[tuple[int, ...], int] = {}  # one per distinct restriction
+    squares_checked: set[int] = set()
     for ent, r in kept:
-        d = dimensions.get(ent.square)
-        if d is None:
-            d = dimensions[ent.square] = dimension_from_square(ent.square, ledger.e, ledger.sigma)
-        if d.denominator != 1 or d < 0:
-            raise ValueError(
-                f"class {ent.cls} has formal dimension {d}; need a nonnegative integer"
-            )
-        if r not in inverse_forms:
-            inverse_forms[r] = hirzebruch.gram_inverse_form(chain, r)
-        new_square = ent.square - inverse_forms[r]
-        if new_square.denominator != 1:
-            raise ValueError(f"extension of {ent.cls} has non-integral square {new_square}")
-        new_entries.append(Entry(ent.cls, ent.value, int(new_square), ent.verified))
+        if ent.square not in squares_checked:
+            d = dimension_from_square(ent.square, ledger.e, ledger.sigma)
+            if d.denominator != 1 or d < 0:
+                raise ValueError(
+                    f"class {ent.cls} has formal dimension {d}; need a nonnegative integer"
+                )
+            squares_checked.add(ent.square)
+        form = inverse_forms.get(r)
+        if form is None:
+            exact = hirzebruch.gram_inverse_form(chain, r)
+            if exact.denominator != 1:
+                new_square = ent.square - exact
+                raise ValueError(f"extension of {ent.cls} has non-integral square {new_square}")
+            form = inverse_forms[r] = exact.numerator
+        new_entries.append(Entry(ent.cls, ent.value, ent.square - form, ent.verified))
         restrictions.append((ent.cls, r))
-        if chambered:
-            value_sets.append((ent.cls, tuple(sorted(chamber_value_set(ent.value, 1)))))
-        else:
-            value_sets.append((ent.cls, (ent.value,)))
+        v = ent.value
+        value_sets.append((ent.cls, (v.shift(-1), v, v.shift(1)) if chambered else (v,)))
     label = new_label if new_label is not None else f"{ledger.label} (chain blown down)"
     out = Ledger(
         label=label,
@@ -591,14 +591,6 @@ def chambered_blowdown_ledger(
     the set {v-1, v, v+1}.
     """
     return _blowdown_core(ledger, chain, chain_pairings, new_label, chambered=True)
-
-
-def chamber_value_set(v: LinExpr, crossings: int) -> frozenset[LinExpr]:
-    if crossings not in (0, 1):
-        raise ValueError("crossings must be 0 or 1")
-    if crossings == 0:
-        return frozenset({v})
-    return frozenset({v.shift(-1), v, v.shift(1)})
 
 
 def value_profile(value_sets, n: int) -> frozenset[int]:

@@ -14,7 +14,7 @@ from importlib import resources
 
 from blowdown import hirzebruch, homcalc, mcg, scenario, swledger as sw
 from blowdown.swledger import LinExpr
-from ledger_rows import QN_ROWS, XN_ROWS
+from ledger_rows import QN_ROWS, XN_ROWS, gram_matrix
 
 
 def _corpus() -> dict[str, str]:
@@ -239,7 +239,7 @@ def _characteristic_box(weights):
 
 def _in_coset(chain, v, p):
     """Independent test: v = G x (mod p) for some x, componentwise."""
-    gram = hirzebruch.gram_matrix(chain)
+    gram = gram_matrix(chain)
     k = len(chain)
     for xs in itertools.product(range(p), repeat=k):
         if all((v[i] - sum(gram[i][j] * xs[j] for j in range(k))) % p == 0

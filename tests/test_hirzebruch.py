@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from blowdown import hirzebruch as hj
+from ledger_rows import gram_matrix
 
 # The nine chains that actually occur in the bundled constructions, frozen.
 KNOWN_CHAINS = {
@@ -212,7 +213,7 @@ def _smith_left(mat):
 
 def smith_coeffs(chain):
     """(order, coefficients) of coker(Gram) from its Smith form, first entry 1."""
-    diag, u = _smith_left(hj.gram_matrix(chain))
+    diag, u = _smith_left(gram_matrix(chain))
     order = diag[-1]
     assert all(d == 1 for d in diag[:-1]), f"cokernel {diag} is not cyclic"
     coeffs = [c % order for c in u[-1]]
@@ -250,16 +251,22 @@ def test_discriminant_is_fast_on_long_chains():
     assert time.perf_counter() - start < 0.25
     assert data.order == 401 ** 2
     assert data.coeffs[0] == 1
-    for column in hj.gram_matrix(chain):
-        assert data.image(column) == 0
+    for column in gram_matrix(chain):
+        assert image(data, column) == 0
+
+
+def image(data, v):
+    """The class of v in the cyclic cokernel that `data` presents."""
+    assert len(v) == len(data.coeffs)
+    return sum(x * c for x, c in zip(v, data.coeffs)) % data.order
 
 
 def test_discriminant_image():
     data = hj.discriminant(hj.chain_for_cpq(7, 1))
-    assert data.image((-7, 0, 0, 0, 0, 0)) == (-7) % 49
-    assert data.image((1, 0, 0, 0, 0, 0)) % 7 != 0
+    assert image(data, (-7, 0, 0, 0, 0, 0)) == (-7) % 49
+    assert image(data, (1, 0, 0, 0, 0, 0)) % 7 != 0
     # image is linear: the coefficient tuple itself
-    assert data.image((0, 1, 0, 0, 0, 0)) == 9
+    assert image(data, (0, 1, 0, 0, 0, 0)) == 9
 
 
 def test_canonical_vector():
@@ -283,20 +290,99 @@ def test_extends_over_ball_examples():
         hj.extends_over_ball(chain, (1, 0))
 
 
+def gram_solve(chain, v):
+    """Solve G x = v exactly for the tridiagonal Gram matrix (Thomas algorithm).
+
+    The oracle for `gram_inverse_form`: a general Fraction elimination that
+    shares nothing with the integer continuant sweep.
+    """
+    k = len(chain)
+    if len(v) != k:
+        raise ValueError("length mismatch")
+    diag = [Fraction(w) for w in chain]
+    rhs = [Fraction(x) for x in v]
+    # forward sweep (off-diagonals are 1; the chain Gram is nondegenerate)
+    for i in range(1, k):
+        f = 1 / diag[i - 1]
+        diag[i] -= f
+        rhs[i] -= f * rhs[i - 1]
+    x = [Fraction(0)] * k
+    x[-1] = rhs[-1] / diag[-1]
+    for i in range(k - 2, -1, -1):
+        x[i] = (rhs[i] - x[i + 1]) / diag[i]
+    return tuple(x)
+
+
+def thomas_inverse_form(chain, v):
+    return sum(Fraction(a) * b for a, b in zip(v, gram_solve(chain, v)))
+
+
 def test_gram_solve_and_inverse_form():
     chain = (-4,)
-    assert hj.gram_solve(chain, (-2,)) == (Fraction(1, 2),)
+    assert gram_solve(chain, (-2,)) == (Fraction(1, 2),)
     assert hj.gram_inverse_form(chain, (-2,)) == Fraction(-1)
     chain2 = hj.chain_for_cpq(3, 1)
-    x = hj.gram_solve(chain2, (-3, 0))
-    g = hj.gram_matrix(chain2)
+    x = gram_solve(chain2, (-3, 0))
+    g = gram_matrix(chain2)
     for i in range(2):
         assert sum(g[i][j] * x[j] for j in range(2)) == Fraction((-3, 0)[i])
 
 
 def test_gram_matrix_layout():
-    g = hj.gram_matrix((-5, -2))
+    g = gram_matrix((-5, -2))
     assert g == ((-5, 1), (1, -2))
+
+
+def _oracle_chains(rng):
+    """C_{p,q} with p < 400, C_{p,q} of length 40-60 and short arbitrary chains.
+
+    The long ones are the benchmark's range; the short ones have length <= 12
+    and weights in [-9,-2].
+    """
+    chains = set()
+    while len(chains) < 200:
+        p = rng.randrange(2, 400)
+        q = rng.randrange(1, p)
+        if math.gcd(p, q) == 1:
+            chains.add(hj.chain_for_cpq(p, q))
+    long_chains = set()
+    while len(long_chains) < 100:
+        p = rng.randrange(40, 1000)
+        q = rng.randrange(1, p)
+        if math.gcd(p, q) == 1 and 40 <= len(chain := hj.chain_for_cpq(p, q)) <= 60:
+            long_chains.add(chain)
+    short = {tuple(rng.randint(-9, -2) for _ in range(rng.randint(1, 12))) for _ in range(300)}
+    return sorted(chains) + sorted(long_chains) + sorted(short)
+
+
+def test_inverse_form_matches_thomas_oracle():
+    rng = random.Random(19940614)
+    cases = 0
+    for chain in _oracle_chains(rng):
+        vectors = [hj.canonical_vector(chain)]
+        vectors += [tuple(rng.randint(-30, 30) for _ in chain) for _ in range(2)]
+        for v in vectors:
+            assert hj.gram_inverse_form(chain, v) == thomas_inverse_form(chain, v), (chain, v)
+            cases += 1
+    assert cases >= 1500
+
+
+def test_inverse_form_fails_where_thomas_fails():
+    # mixed signs reach singular leading minors; both sweeps must then raise
+    rng = random.Random(5)
+    raised = 0
+    for _ in range(2000):
+        chain = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 6)))
+        v = tuple(rng.randint(-30, 30) for _ in chain)
+        try:
+            expected = thomas_inverse_form(chain, v)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                hj.gram_inverse_form(chain, v)
+            raised += 1
+            continue
+        assert hj.gram_inverse_form(chain, v) == expected, (chain, v)
+    assert 100 <= raised <= 1900, raised
 
 
 def enumerate_box(weights):

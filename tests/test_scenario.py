@@ -286,6 +286,35 @@ def test_long_blowups_line_costs_neither_seconds_nor_megabytes():
 
 
 
+def test_huge_twist_multiplicity_stops_at_its_line():
+    # 86 bytes that would list ten million vanishing cycles, one per unit twist
+    text = ("ambient X e 12 sigma -8 basis S\n"
+            "mcg m expected 12 twists a*10000000\n"
+            "assert mcg-pass m\n")
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario(parse_scenario(text))
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value).startswith("line 2: "), exc.value
+    assert elapsed < 0.25, elapsed
+    assert peak < 1_000_000, peak
+
+
+def test_twist_count_bound_is_inclusive():
+    text = ("ambient X e 12 sigma -8 basis S\n"
+            "mcg m expected 12 twists a*{}\n"
+            "assert mcg-pass m\n")
+    report = run_scenario(parse_scenario(text.format(4096)))
+    assert [(r.actual, r.passed) for r in report.records] == [
+        ("fail (identity=False, twists=4096)", False)]
+    with pytest.raises(ScenarioError, match=r"^line 2: 4097 unit twists"):
+        run_scenario(parse_scenario(text.format(4097)))
+
 def test_sw_entries_counts_past_the_index_size():
     # 63 names give 2 * 2^63 entries, more than `len` can return
     names = [f"E{i}" for i in range(1, 64)]

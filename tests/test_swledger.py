@@ -228,14 +228,6 @@ def test_chambered_blowdown_ledger():
     assert set(vs) == {LinExpr(-1, 1), LinExpr(0, 1), LinExpr(1, 1)}
 
 
-def test_chamber_value_set():
-    v = LinExpr(0, 1)
-    assert sw.chamber_value_set(v, 0) == frozenset({v})
-    assert sw.chamber_value_set(v, 1) == frozenset({v.shift(-1), v, v.shift(1)})
-    with pytest.raises(ValueError):
-        sw.chamber_value_set(v, 2)
-
-
 def test_value_profile_and_distinguishable():
     vs_a = [((1,), (LinExpr(-1, 1), LinExpr(0, 1), LinExpr(1, 1)))]
     vs_b = [((1,), (LinExpr(-1, 1), LinExpr(0, 1), LinExpr(1, 1)))]
