@@ -113,10 +113,6 @@ def _continuants(chain: Chain) -> list[int]:
     return out[1:]
 
 
-def gram_det(chain: Chain) -> int:
-    return _continuants(chain)[-1]
-
-
 @dataclass(frozen=True)
 class DiscriminantData:
     """Cyclic presentation of coker(Gram): v maps to sum(v_i * coeffs_i) mod order.

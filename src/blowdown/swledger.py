@@ -28,6 +28,12 @@ still land there (at most p of them), then walks the signs -1 before +1
 through those sets only.  Survivors come out sorted, each restriction is the
 base entry's plus one signed row per step, and the cost is O(m*p +
 survivors*m) instead of O(2^m * rank).
+
+The walk yields each survivor as (base entry, class, restriction), and the
+blow-down builds its one Entry from that: the square is the base's minus m
+minus v^T G^-1 v, and the check and value set are shared per base entry.
+`substitute` keeps an entry whose value is already concrete and keeps a
+blown-up view lazy, so neither costs more than the entries that change.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
 from . import hirzebruch
 
@@ -395,25 +402,30 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
 
 @dataclass(frozen=True)
 class BlowdownResult:
+    """The blown-down ledger and each survivor's restriction and value set,
+    sorted by class like the ledger, so a lookup bisects."""
+
     ledger: Ledger
     restrictions: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     value_sets: tuple[tuple[tuple[int, ...], tuple[LinExpr, ...]], ...]
     chambered: bool
 
     def restriction_of(self, cls) -> tuple[int, ...]:
-        for c, r in self.restrictions:
-            if c == tuple(cls):
-                return r
-        raise KeyError(f"no surviving class {tuple(cls)}")
+        return _survivor_lookup(self.restrictions, tuple(cls))
 
     def value_set_of(self, cls) -> tuple[LinExpr, ...]:
-        for c, vs in self.value_sets:
-            if c == tuple(cls):
-                return vs
-        raise KeyError(f"no surviving class {tuple(cls)}")
+        return _survivor_lookup(self.value_sets, tuple(cls))
+
+
+def _survivor_lookup(pairs, cls: tuple[int, ...]):
+    i = bisect_left(pairs, cls, key=itemgetter(0))
+    if i < len(pairs) and pairs[i][0] == cls:
+        return pairs[i][1]
+    raise KeyError(f"no surviving class {cls}")
 
 
 def _survivors(ledger: Ledger, chain, chain_pairings):
+    """Yield (base entry, class, restriction) per survivor, sorted by class."""
     if hirzebruch.identify_cpq(chain) is None:
         raise ValueError(
             f"chain {hirzebruch.chain_to_str(tuple(chain))} is not a C_{{p,q}} plumbing"
@@ -455,7 +467,6 @@ def _survivors(ledger: Ledger, chain, chain_pairings):
             live[mask] = _live_residues(accepted, reached, tail, test.p)
     # nonzero (sphere, pairing) pairs of each exceptional row
     steps = [[(i, x) for i, x in enumerate(row) if x] for row in chain_pairings[rank:]]
-    kept = []
     for ent, (mask, residue) in zip(base, starts):
         if mask not in live or residue not in live[mask][0]:
             continue
@@ -463,9 +474,8 @@ def _survivors(ledger: Ledger, chain, chain_pairings):
             sum(c * row[i] for c, row in zip(ent.cls, chain_pairings))
             for i in range(len(chain))
         )
-        for signs, restriction in _sign_walk(residue, r, tail, steps, live[mask], test.p):
-            kept.append((_descendant(ent, signs), restriction))
-    return kept
+        for cls, restriction in _sign_walk(residue, ent.cls, r, tail, steps, live[mask], test.p):
+            yield ent, cls, restriction
 
 
 def _reached_residues(starts: set[int], tail, p: int) -> list[set[int]]:
@@ -489,19 +499,19 @@ def _live_residues(accepted: set[int], reached, tail, p: int) -> list[set[int]]:
     return live
 
 
-def _sign_walk(start: int, restriction, tail, steps, live, p: int):
-    """Yield (signs, restriction) for each sign pattern, in ascending order,
-    whose residues from `start` stay in `live`; a step adds the signed
+def _sign_walk(start: int, head, restriction, tail, steps, live, p: int):
+    """Yield (head + signs, restriction) for each sign pattern, in ascending
+    order, whose residues from `start` stay in `live`; a step adds the signed
     exceptional row to its parent's restriction."""
-    signs: list[int] = []
+    cls = list(head) + [0] * len(tail)  # a node at depth i sets sign i - 1
+    cut = len(head) - 1
     stack = [(0, start, restriction, 0)]
     while stack:
         i, s, r, a = stack.pop()
         if i:
-            del signs[i - 1:]
-            signs.append(a)
+            cls[cut + i] = a
         if i == len(tail):
-            yield tuple(signs), r
+            yield tuple(cls), r
             continue
         for a in (1, -1):  # -1 is popped first
             t = (s + a * tail[i]) % p
@@ -520,46 +530,38 @@ def _add_row(r: tuple[int, ...], a: int, step) -> tuple[int, ...]:
 
 def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: bool):
     chain = tuple(chain)
-    kept = _survivors(ledger, chain, chain_pairings)  # sorted by class
-    k = len(chain)
-    new_entries = []
-    restrictions = []
-    value_sets = []
+    m = _base_and_signs(ledger.entries)[1]
+    new_entries, restrictions, value_sets = [], [], []
     inverse_forms: dict[tuple[int, ...], int] = {}  # one per distinct restriction
     squares_checked: set[int] = set()
-    for ent, r in kept:
-        if ent.square not in squares_checked:
-            d = dimension_from_square(ent.square, ledger.e, ledger.sigma)
-            if d.denominator != 1 or d < 0:
-                raise ValueError(
-                    f"class {ent.cls} has formal dimension {d}; need a nonnegative integer"
-                )
-            squares_checked.add(ent.square)
+    parent = None
+    # survivors come sorted by class and grouped by base entry, and each is
+    # built once, here: the square, check and value set follow from its base
+    for ent, cls, r in _survivors(ledger, chain, chain_pairings):
+        if ent is not parent:
+            parent, square, v = ent, ent.square - m, ent.value
+            values = (v.shift(-1), v, v.shift(1)) if chambered else (v,)
+            if square not in squares_checked:
+                d = dimension_from_square(square, ledger.e, ledger.sigma)
+                if d.denominator != 1 or d < 0:
+                    raise ValueError(
+                        f"class {cls} has formal dimension {d}; need a nonnegative integer"
+                    )
+                squares_checked.add(square)
         form = inverse_forms.get(r)
         if form is None:
             exact = hirzebruch.gram_inverse_form(chain, r)
             if exact.denominator != 1:
-                new_square = ent.square - exact
-                raise ValueError(f"extension of {ent.cls} has non-integral square {new_square}")
+                raise ValueError(f"extension of {cls} has non-integral square {square - exact}")
             form = inverse_forms[r] = exact.numerator
-        new_entries.append(Entry(ent.cls, ent.value, ent.square - form, ent.verified))
-        restrictions.append((ent.cls, r))
-        v = ent.value
-        value_sets.append((ent.cls, (v.shift(-1), v, v.shift(1)) if chambered else (v,)))
+        new_entries.append(Entry(cls, v, square - form, ent.verified))
+        restrictions.append((cls, r))
+        value_sets.append((cls, values))
     label = new_label if new_label is not None else f"{ledger.label} (chain blown down)"
-    out = Ledger(
-        label=label,
-        e=ledger.e - k,
-        sigma=ledger.sigma + k,
-        basis=ledger.basis,
-        entries=tuple(new_entries),
-    )
-    return BlowdownResult(
-        ledger=out,
-        restrictions=tuple(restrictions),
-        value_sets=tuple(value_sets),
-        chambered=chambered,
-    )
+    out = Ledger(label=label, e=ledger.e - len(chain), sigma=ledger.sigma + len(chain),
+                 basis=ledger.basis, entries=tuple(new_entries))
+    return BlowdownResult(ledger=out, restrictions=tuple(restrictions),
+                          value_sets=tuple(value_sets), chambered=chambered)
 
 
 def rational_blowdown_ledger(
@@ -608,11 +610,15 @@ def distinguishable(profile_a, profile_b) -> bool:
 
 
 def substitute(ledger: Ledger, n: int) -> Ledger:
-    entries = tuple(
+    """The ledger at twist parameter n: a concrete entry is kept as it is
+    (entries are frozen), and a blown-up view stays a view over its base."""
+    base, m = _base_and_signs(ledger.entries)
+    base = tuple(
         Entry(ent.cls, LinExpr(ent.value.subst(n), 0), ent.square, ent.verified)
-        for ent in ledger.entries
+        if ent.value.c1 else ent
+        for ent in base
     )
-    return replace(ledger, entries=entries)
+    return replace(ledger, entries=BlownEntries(base, m) if m else base)
 
 
 def minimality_report(ledger: Ledger) -> bool:
@@ -621,11 +627,12 @@ def minimality_report(ledger: Ledger) -> bool:
     nonzero opposite values.  Such a ledger has no partition into blow-up
     pairs {K+E, K-E} of equal value, which is what the blow-up formula would
     force: its only pair is {L, -L}, and L's value v != 0 differs from -v.
+    A blown-up view's values are its base's, so only the base is read.
     """
-    for ent in ledger.entries:
+    for ent in _base_and_signs(ledger.entries)[0]:
         if ent.value.c1 != 0:
             raise ValueError("minimality needs concrete values; substitute n first")
-    if len(ledger.entries) != 2:
+    if entry_count(ledger) != 2:
         return False
     a, b = ledger.entries
     return b.cls == tuple(-x for x in a.cls) and b.value == -a.value and not a.value.is_zero()

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from blowdown import hirzebruch as hj
-from ledger_rows import gram_matrix
+from ledger_rows import det, gram_matrix
 
 # The nine chains that actually occur in the bundled constructions, frozen.
 KNOWN_CHAINS = {
@@ -82,7 +82,7 @@ def test_gram_det_sign_and_magnitude(pq):
     p, _q = pq
     chain = hj.chain_for_cpq(*pq)
     k = len(chain)
-    assert hj.gram_det(chain) == (-1) ** k * p * p
+    assert det(gram_matrix(chain)) == (-1) ** k * p * p
 
 
 # Frozen discriminant coefficient tuples (normalized so the first entry is 1).
@@ -331,6 +331,18 @@ def test_gram_solve_and_inverse_form():
 def test_gram_matrix_layout():
     g = gram_matrix((-5, -2))
     assert g == ((-5, 1), (1, -2))
+
+
+def test_det_matches_the_permutation_expansion():
+    rng = random.Random(5)
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        a = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(k)] for _ in range(k)]
+        leibniz = sum(
+            (-1) ** sum(x > y for x, y in itertools.combinations(perm, 2))
+            * math.prod(a[i][j] for i, j in enumerate(perm))
+            for perm in itertools.permutations(range(k)))
+        assert det(a) == leibniz, a
 
 
 def _oracle_chains(rng):

@@ -562,3 +562,142 @@ def test_blowdown_filter_memory_follows_survivors():
         tracemalloc.stop()
     assert len(result.ledger.entries) == 32
     assert peak < 1_000_000, peak
+
+
+# --- one Entry per survivor, lazy substitution --------------------------------------
+
+# the benchmark's Q_n ledger: the two-knot seed blown up at E1, E2 and at Z1..Z8
+# away from the chain (rows of zero), 4,096 entries of which 512 survive C_{7,1}
+QN_WIDE_NAMES = ("E1", "E2") + tuple(f"Z{i}" for i in range(1, 9))
+QN_WIDE_ROWS = QN_ROWS + ((0,) * 6,) * 8
+
+
+def qn_wide_ledger(knot=None):
+    seed = sw.knot_surgery_ledger([sw.alexander_twist(1), sw.alexander_twist(knot)], label="V_n")
+    return sw.blow_up_ledger(seed, 10, QN_WIDE_NAMES)
+
+
+def qn_wide_blowdowns(blown):
+    return (sw.rational_blowdown_ledger(blown, QN_CHAIN, QN_WIDE_ROWS, corrections=(True, True)),
+            sw.chambered_blowdown_ledger(blown, QN_CHAIN, QN_WIDE_ROWS))
+
+
+def test_blowdown_builds_one_entry_per_survivor(monkeypatch):
+    blown = qn_wide_ledger()
+    built = []
+    entry = sw.Entry
+
+    def counting_entry(*args, **kwargs):
+        built.append(entry(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(sw, "Entry", counting_entry)
+    for blowdown in (
+        lambda: sw.rational_blowdown_ledger(blown, QN_CHAIN, QN_WIDE_ROWS, corrections=(True, True)),
+        lambda: sw.chambered_blowdown_ledger(blown, QN_CHAIN, QN_WIDE_ROWS),
+    ):
+        built.clear()
+        entries = blowdown().ledger.entries
+        assert len(entries) == 512
+        # every entry built is a survivor of the result, built once
+        assert len(built) == 512 and all(a is b for a, b in zip(built, entries))
+
+
+def test_substitute_keeps_concrete_entries():
+    for result in qn_wide_blowdowns(qn_wide_ledger(5)):
+        led = result.ledger
+        concrete = sw.substitute(led, 7)
+        assert concrete == led
+        assert all(a is b for a, b in zip(concrete.entries, led.entries))
+    # a symbolic ledger still gets new values
+    led = qn_wide_blowdowns(qn_wide_ledger())[0].ledger
+    assert [(e.cls, e.value, e.square) for e in sw.substitute(led, 7).entries] == [
+        (e.cls, LinExpr(e.value.subst(7), 0), e.square) for e in led.entries]
+
+
+def test_blowdown_and_substitute_memory_follow_new_objects():
+    # on the 512-survivor Q_n ledger: a survivor costs one Entry, one class
+    # and one restriction, and substituting a concrete ledger copies no entry
+    def peak(fn):
+        fn()  # warm
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    blown = qn_wide_ledger(5)
+    result, blowdown_peak = peak(lambda: sw.rational_blowdown_ledger(
+        blown, QN_CHAIN, QN_WIDE_ROWS, corrections=(True, True)))
+    _concrete, substitute_peak = peak(lambda: sw.substitute(result.ledger, 7))
+    assert len(result.ledger.entries) == 512
+    assert blowdown_peak < 120_000, blowdown_peak
+    assert substitute_peak < 32_000, substitute_peak
+
+
+def test_substitute_keeps_a_blown_up_view():
+    rng = random.Random(31)
+    for _ in range(40):
+        base = random_ledger(rng, rng.randint(1, 3))
+        m = rng.randint(1, 6)
+        blown = sw.blow_up_ledger(base, m)
+        n = rng.randint(-5, 5)
+        concrete = sw.substitute(blown, n)
+        assert isinstance(concrete.entries, sw.BlownEntries) and concrete.entries.m == m
+        written = tuple(blown.entries)
+        assert concrete.entries == tuple(
+            sw.Entry(e.cls, LinExpr(e.value.subst(n), 0), e.square, e.verified) for e in written)
+        flat = sw.substitute(replace(blown, entries=written), n)
+        assert concrete == flat
+        assert sw.minimality_report(concrete) == sw.minimality_report(flat)
+
+
+def test_substitute_and_minimality_of_a_wide_blow_up_stay_lazy():
+    # 16 names on the one-knot seed: 131,072 entries, never written out
+    seed = sw.knot_surgery_ledger([sw.alexander_twist()], label="Y_n")
+    blown = sw.blow_up_ledger(seed, 16)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        concrete = sw.substitute(blown, 3)
+        minimal = sw.minimality_report(concrete)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sw.entry_count(concrete) == 131_072 and not minimal
+    assert concrete.entry((1,) * 17).value == LinExpr(3, 0)
+    assert peak < 1_000_000, peak
+    assert elapsed < 0.25, elapsed
+
+
+def test_survivor_lookups_match_a_linear_scan():
+    def scan(pairs, cls):
+        for c, x in pairs:
+            if c == cls:
+                return x
+        raise KeyError(f"no surviving class {cls}")
+
+    result = sw.chambered_blowdown_ledger(qn_wide_ledger(), QN_CHAIN, QN_WIDE_ROWS)
+    classes = [c for c, _r in result.restrictions]
+    assert classes == sorted(classes) and len(classes) == 512
+    first, last = classes[0], classes[-1]
+    absent = [
+        first[:-1] + (first[-1] - 1,),  # before the first
+        (0,) * len(first),  # between the -T and the +T survivors
+        last[:-1] + (last[-1] + 1,),  # after the last
+        first[:-1], first + (1,), (),  # wrong length
+    ]
+    assert not set(absent) & set(classes)
+    for cls in classes + absent:
+        for lookup, pairs in ((result.restriction_of, result.restrictions),
+                              (result.value_set_of, result.value_sets)):
+            try:
+                want = scan(pairs, cls)
+            except KeyError as exc:
+                with pytest.raises(KeyError) as got:
+                    lookup(list(cls))
+                assert got.value.args == exc.args
+            else:
+                assert lookup(list(cls)) == want
