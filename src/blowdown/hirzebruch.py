@@ -45,20 +45,26 @@ from fractions import Fraction
 
 Chain = tuple[int, ...]
 
+# At most this many coefficients: C_{p,p-1} has p - 1 spheres, for any p.
+MAX_CHAIN = 4096
+
 
 def hj_expand(num: int, den: int) -> tuple[int, ...]:
-    """Coefficients (all >= 2) of num/den = c1 - 1/(c2 - 1/(... - 1/ck))."""
+    """Coefficients (all >= 2) of num/den = c1 - 1/(c2 - 1/(... - 1/ck)),
+    k <= MAX_CHAIN; a longer expansion raises ValueError."""
     if den < 1 or num <= den:
         raise ValueError(f"need num > den >= 1, got {num}/{den}")
     if math.gcd(num, den) != 1:
         raise ValueError(f"{num} and {den} are not coprime")
     out = []
-    while True:
-        c = -(-num // den)  # ceiling
+    a, b = num, den
+    for _ in range(MAX_CHAIN):
+        c = -(-a // b)  # ceiling
         out.append(c)
-        num, den = den, c * den - num
-        if den == 0:
+        a, b = b, c * b - a
+        if b == 0:
             return tuple(out)
+    raise ValueError(f"the expansion of {num}/{den} has more than {MAX_CHAIN} coefficients")
 
 
 def chain_for_cpq(p: int, q: int) -> Chain:
@@ -159,12 +165,13 @@ class BallTest:
     """The extension criterion of one chain, on the two linear invariants of v.
 
     v extends iff its parity mask equals the weights' (v is characteristic)
-    and its residue, image(v) mod p, is 0 (the image lies in the index-p
-    subgroup of Z_{p^2}).
+    and its residue, image(v) mod p, equals `target`, which is 0: the image
+    lies in the index-p subgroup of Z_{p^2}.
     """
 
     parity: int
     p: int
+    target: int
     coeffs: tuple[int, ...]
 
     def invariants(self, v) -> tuple[int, int]:
@@ -174,13 +181,13 @@ class BallTest:
         return _parity_mask(v), sum(x * c for x, c in zip(v, self.coeffs)) % self.p
 
     def accepts(self, mask: int, residue: int) -> bool:
-        return mask == self.parity and residue % self.p == 0
+        return mask == self.parity and residue % self.p == self.target
 
 
 def ball_test(chain: Chain) -> BallTest:
     """The extension criterion of `chain`, set up once for many vectors."""
     disc = discriminant(chain)
-    return BallTest(_parity_mask(chain), math.isqrt(disc.order), disc.coeffs)
+    return BallTest(_parity_mask(chain), math.isqrt(disc.order), 0, disc.coeffs)
 
 
 def extends_over_ball(chain: Chain, v) -> bool:

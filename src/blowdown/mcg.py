@@ -249,15 +249,13 @@ class Twist:
             raise ValueError("twist multiplicity must be >= 1")
 
 
-def expand_twist(t: Twist) -> Word:
-    core: Word = ((t.cycle, t.multiplicity),)
-    if not t.conjugator:
-        return core
-    return concat(t.conjugator, core, invert_word(t.conjugator))
-
-
 def expand_factorization(twists) -> Word:
-    return concat(*(expand_twist(t) for t in twists))
+    """The word of the twists in order, each as conjugator, cycle^multiplicity
+    and inverted conjugator, normalized once."""
+    syllables: list = []
+    for t in twists:
+        syllables += (*t.conjugator, (t.cycle, t.multiplicity), *invert_word(t.conjugator))
+    return normalize(syllables)
 
 
 def normalize_cycle(u: int, v: int) -> tuple[int, int]:

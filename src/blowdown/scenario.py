@@ -132,24 +132,6 @@ class Scenario:
     directives: tuple[Step, ...]
 
 
-@dataclass(frozen=True)
-class TwistSpec:
-    cycle: str
-    multiplicity: int
-    conjugator: mcg.Word
-
-    def to_twist(self) -> mcg.Twist:
-        return mcg.Twist(self.cycle, self.conjugator, self.multiplicity)
-
-    def __str__(self) -> str:
-        out = self.cycle
-        if self.multiplicity != 1:
-            out += f"*{self.multiplicity}"
-        if self.conjugator:
-            out += f"~{_WORD.show(self.conjugator)}"
-        return out
-
-
 # --- parsing -----------------------------------------------------------------
 
 class _Tokens:
@@ -203,13 +185,19 @@ class _Tokens:
             )
 
 
-def _parse_twistspec(tok: str) -> TwistSpec:
+def _parse_twistspec(tok: str) -> mcg.Twist:
     m = re.fullmatch(r"([ab])(?:\*(\d+))?(?:~(\S+))?", tok)
     if not m:
         raise ValueError(f"bad twist spec {tok!r}")
     mult = int(m.group(2)) if m.group(2) else 1
     conj = mcg.parse_word(m.group(3)) if m.group(3) else ()
-    return TwistSpec(cycle=m.group(1), multiplicity=mult, conjugator=conj)
+    return mcg.Twist(m.group(1), conj, mult)
+
+
+def _show_twist(t: mcg.Twist) -> str:
+    """cycle[*mult][~word], as `_parse_twistspec` reads it."""
+    mult = f"*{t.multiplicity}" if t.multiplicity != 1 else ""
+    return t.cycle + mult + (f"~{_WORD.show(t.conjugator)}" if t.conjugator else "")
 
 
 def _parse_knots(tok: str) -> tuple[int | None, ...]:
@@ -515,7 +503,7 @@ class _Runner:
         self.cfg = homcalc.CurveConfig(ambient=amb)
 
     def mcg(self, name, expected, twists):
-        self.mcgs[name] = mcg.verify_fibration(tuple(s.to_twist() for s in twists), expected)
+        self.mcgs[name] = mcg.verify_fibration(twists, expected)
 
     def sw_ledger(self, name, e, sigma, fiber, knots):
         fiber_vec = self._class_vec(fiber)
@@ -827,7 +815,7 @@ _KINDS: dict[str, _Kind] = {
         _Runner.blowdown, (("blown_down", "already blown down"),), _ParseChecker.blowdown),
     "mcg": _Kind(
         (_new("report name", "mcgs"), "expected", _int("expected twist count"),
-         "twists", _list(_parsed("twist spec", _parse_twistspec))),
+         "twists", _list(_parsed("twist spec", _parse_twistspec, _show_twist))),
         _Runner.mcg, declare=_ParseChecker.mcg),
     "sw ledger": _Kind(
         (_new("ledger name", "ledgers"), "e", _int("Euler characteristic"),

@@ -21,13 +21,15 @@ reductions are ring maps, so the mask is the XOR of the row masks with odd c_j
 and the residue is sum c_j*residue_j mod p, exactly.  The filter computes one
 (mask, residue) per generator, once per blow-down, and scans only the base
 entries.  Every exceptional sign is odd, so the exceptional rows add one fixed
-mask, and a sign pattern a survives iff res(base) + sum a_i*residue_i lands on
-an accepted residue: a subset sum mod p.  Per level i the filter keeps the
-residues, reachable from the base entries, from which the remaining signs can
-still land there (at most p of them), then walks the signs -1 before +1
-through those sets only.  Survivors come out sorted, each restriction is the
-base entry's plus one signed row per step, and the cost is O(m*p +
-survivors*m) instead of O(2^m * rank).
+mask: a base entry whose mask is not the chain's parity has no survivor, and
+when no base entry's mask is, the filter stops before building anything.
+Otherwise a sign pattern a survives iff res(base) + sum a_i*residue_i lands on
+the one residue the ball accepts (`BallTest.target`): a subset sum mod p.  One
+backward pass from that residue gives, per level i, the residues from which
+the remaining signs can still land there (at most p of them), and the filter
+walks the signs -1 before +1 through those sets only.  Survivors come out
+sorted, each restriction is the base entry's plus one signed row per step,
+and the cost is O(m*p + survivors*m) instead of O(2^m * rank).
 
 The walk yields each survivor as (base entry, class, restriction), and the
 blow-down builds its one Entry from that: the square is the base's minus m
@@ -459,44 +461,24 @@ def _survivors(ledger: Ledger, chain, chain_pairings):
                 mask ^= row_mask
             residue += c * row_residue
         starts.append((mask, residue % test.p))
-    reached = _reached_residues({s for _mask, s in starts}, tail, test.p)
-    live = {}
-    for mask in {mk for mk, _s in starts}:
-        accepted = {s for s in reached[-1] if test.accepts(mask, s)}
-        if accepted:  # a rejected mask builds no levels
-            live[mask] = _live_residues(accepted, reached, tail, test.p)
+    if all(mask != test.parity for mask, _s in starts):
+        return  # no class is characteristic: build no level
+    # live[i]: the residues from which signs i.. can still land on the target
+    live = [{test.target}]
+    for r in reversed(tail):
+        live.append({(s + a * r) % test.p for s in live[-1] for a in (-1, 1)})
+    live.reverse()
     # nonzero (sphere, pairing) pairs of each exceptional row
     steps = [[(i, x) for i, x in enumerate(row) if x] for row in chain_pairings[rank:]]
     for ent, (mask, residue) in zip(base, starts):
-        if mask not in live or residue not in live[mask][0]:
+        if mask != test.parity or residue not in live[0]:
             continue
         r = tuple(
             sum(c * row[i] for c, row in zip(ent.cls, chain_pairings))
             for i in range(len(chain))
         )
-        for cls, restriction in _sign_walk(residue, ent.cls, r, tail, steps, live[mask], test.p):
+        for cls, restriction in _sign_walk(residue, ent.cls, r, tail, steps, live, test.p):
             yield ent, cls, restriction
-
-
-def _reached_residues(starts: set[int], tail, p: int) -> list[set[int]]:
-    """Per level i = 0..m: the residues reached from `starts` by the first i
-    signs.  The exceptional rows add one fixed mask, so every parity mask
-    shares these levels; each holds at most p residues."""
-    reached = [starts]
-    for r in tail:
-        reached.append({(s + a * r) % p for s in reached[-1] for a in (-1, 1)})
-    return reached
-
-
-def _live_residues(accepted: set[int], reached, tail, p: int) -> list[set[int]]:
-    """Per level i = 0..m: the residues of `reached[i]` from which the
-    remaining signs can still land in `accepted`."""
-    live = [accepted]
-    for r, level in zip(reversed(tail), reversed(reached[:-1])):
-        nxt = live[-1]
-        live.append({s for s in level if (s - r) % p in nxt or (s + r) % p in nxt})
-    live.reverse()
-    return live
 
 
 def _sign_walk(start: int, head, restriction, tail, steps, live, p: int):

@@ -71,9 +71,9 @@ def test_twist_validation():
 
 def test_expand_twist_conjugates():
     t = Twist("b", conjugator=mcg.parse_word("A^4"))
-    assert mcg.expand_twist(t) == mcg.parse_word("A^4 b a^4")
+    assert mcg.expand_factorization((t,)) == mcg.parse_word("A^4 b a^4")
     t2 = Twist("a", multiplicity=3)
-    assert mcg.expand_twist(t2) == (("a", 3),)
+    assert mcg.expand_factorization((t2,)) == (("a", 3),)
 
 
 def test_vanishing_cycles():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from blowdown import cli, scenario
+from blowdown import cli, hirzebruch, scenario
 from blowdown.scenario import ScenarioError, parse_scenario, print_scenario, run_scenario
 
 
@@ -172,6 +172,8 @@ def test_report_text_format():
      "line 3: ledger 'l' already declared"),
     ("ambient X e 4 sigma 0 basis S\nmcg m expected 1 twists\n",
      "line 2: mcg directive needs at least one twist"),
+    ("ambient X e 4 sigma 0 basis S\nmcg m expected 0 twists a*0\n",
+     "line 2: twist multiplicity must be >= 1"),
     (LEDGER + "sw blowups m l\n", "line 3: sw blowups needs at least one exceptional class"),
     ("ambient X e 4 sigma 0 basis S\nassert frob\n", "line 2: unknown assertion kind 'frob'"),
     (LEDGER + "assert sw-minimal l 1\n", "line 3: ledger 'l' is not a blow-down result"),
@@ -495,6 +497,20 @@ def test_cli_hj_json(capsys):
 def test_cli_hj_rejects_bad_pair(capsys):
     assert cli.main(["hj", "4", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_hj_bounds_the_chain_length(capsys):
+    # C_{p,p-1} has p - 1 spheres: the bound is inclusive
+    assert cli.main(["hj", "4097", "4096"]) == 0
+    assert capsys.readouterr().out.count(",") == hirzebruch.MAX_CHAIN - 1
+    assert cli.main(["hj", "4098", "4097"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the expansion of 16793604/16789505 has more than 4096 coefficients\n")
+    start = time.perf_counter()
+    assert cli.main(["hj", "10000000", "9999999"]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr() == ("", "error: the expansion of 100000000000000/99999989999999 "
+                                       "has more than 4096 coefficients\n")
 
 
 def test_cli_identify(capsys):

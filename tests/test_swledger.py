@@ -547,6 +547,33 @@ def test_blowdown_filter_cost_follows_entries_and_rank():
         (s,) * 12 + z for s in (1, -1) for z in product((1, -1), repeat=4)}
 
 
+def test_blowdown_with_no_characteristic_class_builds_no_residue_level():
+    # C_{1000003,621999} (32 spheres) after 21 names on the +-T seed.  The T
+    # row is the canonical vector and each exceptional row differs from it by
+    # an even vector, so all 22 rows have the chain's parity and every class's
+    # mask is their XOR, 0: no class is characteristic.  The filter must see
+    # that before building residue levels, which could hold 2^21 residues.
+    rng = random.Random(21)
+    chain = hirzebruch.chain_for_cpq(1000003, 621999)
+    canonical = hirzebruch.canonical_vector(chain)
+    rows = (canonical,) + tuple(
+        tuple(x + 2 * rng.randint(-3, 3) for x in canonical) for _ in range(21))
+    test = hirzebruch.ball_test(chain)
+    assert len(chain) == 32 and test.parity != 0
+    assert {test.invariants(row)[0] for row in rows} == {test.parity}
+    blown = sw.blow_up_ledger(sw.knot_surgery_ledger([sw.alexander_twist()], label="Y_n"), 21)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = sw.chambered_blowdown_ledger(blown, chain, rows)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ledger.entries == ()
+    assert elapsed < 0.1 and peak < 1_000_000, (elapsed, peak)
+
+
 def test_blowdown_filter_memory_follows_survivors():
     # the same 65,536-entry X_n blow-up and chambered blow-down: the view and
     # the residue walk build the 32 survivors, not the 65,536 entries
