@@ -10,12 +10,13 @@ close ones, via incidence with the previous exceptional curve), smoothing of
 transverse intersections, chain extraction, the knot-surgery relabeling, and
 rational blow-down of a recognized chain.  Each operation returns a new
 configuration and never changes its input: it copies only the dicts it
-changes and shares the rest, so a move costs what it touches, not the rank.
+changes and shares the rest, so a move costs what it touches, not the rank;
+a table of pairings (`pairing_table`) costs its nonzero products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import hirzebruch
 
@@ -66,6 +67,25 @@ def pair_vectors(gram, u, v) -> int:
     return _dot(_row_image(gram, u), v)
 
 
+def pairing_table(gram, us, vs) -> list[dict[int, int]]:
+    """For each class u of `us`, its nonzero pairings {j: u^T G v_j} with `vs`.
+
+    `vs` is indexed by generator once and each u's row image is built once, so
+    the cost is the number of nonzero products, not len(us) * len(vs) dots."""
+    index: dict[str, list[tuple[int, int]]] = {}
+    for j, v in enumerate(vs):
+        for g, y in v.items():
+            index.setdefault(g, []).append((j, y))
+    table = []
+    for u in us:
+        row: dict[int, int] = {}
+        for h, x in _row_image(gram, u).items():
+            for j, y in index.get(h, ()):
+                row[j] = row.get(j, 0) + x * y
+        table.append({j: z for j, z in row.items() if z})
+    return table
+
+
 def _row_image(gram, u) -> dict[str, int]:
     """u^T G, summed over the nonzero coefficients of u and their rows."""
     if len(u) == 1:
@@ -106,7 +126,8 @@ def set_pairing(cfg: CurveConfig, g1: str, g2: str, value: int) -> CurveConfig:
         else:
             row.pop(b, None)
         gram[a] = row
-    return replace(cfg, ambient=replace(cfg.ambient, gram=gram))
+    amb = cfg.ambient
+    return CurveConfig(Ambient(gram, amb.e, amb.sigma, amb.label, amb.flags), cfg.curves)
 
 
 def add_curve(cfg: CurveConfig, curve: Curve) -> CurveConfig:
@@ -115,7 +136,7 @@ def add_curve(cfg: CurveConfig, curve: Curve) -> CurveConfig:
             raise ConfigError(f"class of {curve.name!r} names {g!r}, not an ambient generator")
     if cfg.has_curve(curve.name):
         raise ConfigError(f"curve {curve.name!r} already exists")
-    return replace(cfg, curves={**cfg.curves, curve.name: curve})
+    return CurveConfig(cfg.ambient, {**cfg.curves, curve.name: curve})
 
 
 def blow_up(cfg: CurveConfig, name: str, at=(), double_point_of: str | None = None) -> CurveConfig:
@@ -148,12 +169,8 @@ def blow_up(cfg: CurveConfig, name: str, at=(), double_point_of: str | None = No
         if incidences.setdefault(double_point_of, 2) != 2:
             raise ConfigError("a double-point blow-up carries multiplicity exactly 2")
 
-    new_amb = replace(
-        amb,
-        gram={**amb.gram, name: {name: -1}},
-        e=amb.e + 1,
-        sigma=amb.sigma - 1,
-    )
+    gram = {**amb.gram, name: {name: -1}}
+    new_amb = Ambient(gram, amb.e + 1, amb.sigma - 1, amb.label, amb.flags)
     curves = dict(cfg.curves)
     for cname, mult in incidences.items():
         c = curves[cname]
@@ -186,7 +203,7 @@ def smooth(cfg: CurveConfig, name: str, c1: str, c2: str) -> CurveConfig:
     if name in curves:
         raise ConfigError(f"curve {name!r} already exists")
     curves[name] = merged
-    return replace(cfg, curves=curves)
+    return CurveConfig(cfg.ambient, curves)
 
 
 def extract_chain(cfg: CurveConfig, names) -> hirzebruch.Chain:
@@ -194,38 +211,33 @@ def extract_chain(cfg: CurveConfig, names) -> hirzebruch.Chain:
 
     every curve an embedded sphere of square <= -2.  Returns the weights.
 
-    Each curve's row image v^T G is built once, in O(s * d) for a curve with s
-    nonzero coefficients whose Gram rows hold at most d entries; every square
-    and adjacency pairing is then a dot of one curve's image with the other
-    curve's class.  A chain of k curves costs O(k*s*d + k^2*s), not k^2
-    pairings.
+    Every square and adjacency is read from one `pairing_table` of the curves
+    with themselves, so a chain costs the number of nonzero products between
+    the curves' row images and classes, not k^2 pairings.  The checks run in
+    order: each curve's genus, double points and square, then the pairings of
+    each curve with every later one.
     """
     curves = [cfg.curve(n) for n in names]
-    gram = cfg.ambient.gram
-    images = []
-    weights = []
-    for c in curves:
+    classes = [c.cls for c in curves]
+    table = pairing_table(cfg.ambient.gram, classes, classes)
+    for i, c in enumerate(curves):
         if c.genus != 0:
             raise ConfigError(f"chain curve {c.name!r} has genus {c.genus}, expected 0")
         if c.double_points != 0:
             raise ConfigError(f"chain curve {c.name!r} still has {c.double_points} double point(s)")
-        image = _row_image(gram, c.cls)
-        sq = _dot(image, c.cls)
+        sq = table[i].get(i, 0)
         if sq > -2:
             raise ConfigError(f"chain curve {c.name!r} has square {sq}, expected <= -2")
-        images.append(image)
-        weights.append(sq)
-    for i, a in enumerate(curves):
-        image = images[i]
-        for j in range(i + 1, len(curves)):
-            want = 1 if j == i + 1 else 0
-            got = _dot(image, curves[j].cls)
-            if got != want:
-                raise ConfigError(
-                    f"chain adjacency violated: {a.name!r}.{curves[j].name!r} = {got}, "
-                    f"expected {want}"
-                )
-    return tuple(weights)
+    for i, row in enumerate(table):
+        later = {j: z for j, z in row.items() if j > i}
+        want = {i + 1: 1} if i + 1 < len(curves) else {}
+        if later != want:
+            j = min(j for j in later.keys() | want.keys() if later.get(j) != want.get(j))
+            raise ConfigError(
+                f"chain adjacency violated: {curves[i].name!r}.{curves[j].name!r} = "
+                f"{later.get(j, 0)}, expected {want.get(j, 0)}"
+            )
+    return tuple(row[i] for i, row in enumerate(table))
 
 
 def knot_surgery_shadow(cfg: CurveConfig, label: str, add_flags=()) -> CurveConfig:
@@ -234,8 +246,9 @@ def knot_surgery_shadow(cfg: CurveConfig, label: str, add_flags=()) -> CurveConf
     are carried across by the natural correspondence; only the name and the
     recorded assumptions change.
     """
-    amb = replace(cfg.ambient, label=label, flags=cfg.ambient.flags | frozenset(add_flags))
-    return replace(cfg, ambient=amb)
+    amb = cfg.ambient
+    return CurveConfig(Ambient(amb.gram, amb.e, amb.sigma, label, amb.flags | frozenset(add_flags)),
+                       cfg.curves)
 
 
 def rational_blowdown(amb: Ambient, chain, new_label: str | None = None) -> Ambient:

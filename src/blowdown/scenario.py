@@ -527,7 +527,8 @@ class _Runner:
         rec = self.chains[chain]
         gram = self.cfg.ambient.gram
         tracked = [src.fiber_vec] + [{g: 1} for g in src.ledger.basis[1:]]
-        pairings = [tuple(homcalc.pair_vectors(gram, t, u) for u in rec.classes) for t in tracked]
+        pairings = [tuple(row.get(j, 0) for j in range(len(rec.classes)))
+                    for row in homcalc.pairing_table(gram, tracked, rec.classes)]
         if chambered:
             result = swledger.chambered_blowdown_ledger(
                 src.ledger, rec.weights, pairings, new_label=label

@@ -12,7 +12,7 @@ the classes whose restriction to the chain extends over the rational ball.
 A blown-up ledger is never written out: its entries are a `BlownEntries` view
 over (sorted base entries, m trailing exceptional signs), so blowing up costs
 O(1) and a ledger of base * 2^m entries holds only its base.  Every ledger's
-entries are sorted by class when it is built, so a lookup bisects the base.
+entries are sorted by class (once, if built by hand), so a lookup bisects.
 
 The restriction of a class c is sum c_j*row_j over the tracked generators'
 chain-pairing rows, and extension depends only on its parity mask (r mod 2)
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
@@ -293,7 +293,8 @@ class Ledger:
     """The tracked classes and the entries sorted by class.
 
     `entries` is a `BlownEntries` view after a blow-up, and otherwise a tuple,
-    which construction sorts by class: lookups bisect and the blow-down walks
+    which construction sorts by class unless `presorted` (the blow-down and
+    `substitute` build theirs in order): lookups bisect and the blow-down walks
     in that order.
     """
 
@@ -302,9 +303,10 @@ class Ledger:
     sigma: int
     basis: tuple[str, ...]
     entries: Sequence[Entry]
+    presorted: InitVar[bool] = False
 
-    def __post_init__(self):
-        if not isinstance(self.entries, BlownEntries):
+    def __post_init__(self, presorted):
+        if not (presorted or isinstance(self.entries, BlownEntries)):
             object.__setattr__(self, "entries", _sorted_entries(self.entries))
 
     def _find(self, cls: tuple[int, ...]) -> Entry | None:
@@ -541,7 +543,7 @@ def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: 
         value_sets.append((cls, values))
     label = new_label if new_label is not None else f"{ledger.label} (chain blown down)"
     out = Ledger(label=label, e=ledger.e - len(chain), sigma=ledger.sigma + len(chain),
-                 basis=ledger.basis, entries=tuple(new_entries))
+                 basis=ledger.basis, entries=tuple(new_entries), presorted=True)
     return BlowdownResult(ledger=out, restrictions=tuple(restrictions),
                           value_sets=tuple(value_sets), chambered=chambered)
 
@@ -600,7 +602,8 @@ def substitute(ledger: Ledger, n: int) -> Ledger:
         if ent.value.c1 else ent
         for ent in base
     )
-    return replace(ledger, entries=BlownEntries(base, m) if m else base)
+    entries = BlownEntries(base, m) if m else base
+    return Ledger(ledger.label, ledger.e, ledger.sigma, ledger.basis, entries, presorted=True)
 
 
 def minimality_report(ledger: Ledger) -> bool:

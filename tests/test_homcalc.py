@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from blowdown import homcalc
+from blowdown import hirzebruch, homcalc
 from blowdown.homcalc import Ambient, ConfigError, Curve, CurveConfig
 
 
@@ -130,6 +130,23 @@ def test_extract_chain_diagnoses_violations():
         homcalc.extract_chain(cfg3, ("t", "g"))
 
 
+def test_extract_chain_reports_the_first_curves_defect():
+    # the checks run curve by curve: a square defect in the first curve is
+    # reported before a genus or double-point defect in a later one
+    cfg = e1_with_section()  # s squares to -1, t to -2
+    cfg = homcalc.add_curve(cfg, Curve("g", {"T": 1}, genus=1))
+    cfg = homcalc.add_curve(cfg, Curve("d", {"T": 1}, double_points=1))
+    for names, message in [
+        (("s", "g"), "chain curve 's' has square -1, expected <= -2"),
+        (("s", "d"), "chain curve 's' has square -1, expected <= -2"),
+        (("d", "g"), "chain curve 'd' still has 1 double point(s)"),
+        (("g", "s"), "chain curve 'g' has genus 1, expected 0"),
+    ]:
+        with pytest.raises(ConfigError) as exc:
+            homcalc.extract_chain(cfg, names)
+        assert str(exc.value) == message
+
+
 def test_knot_surgery_shadow():
     cfg = e1_with_section()
     out = homcalc.knot_surgery_shadow(cfg, "Y_n", add_flags=("pseudo-section",))
@@ -201,6 +218,56 @@ def test_pair_vectors_matches_dense_sum():
         names = [f"g{i}" for i in range(rank)]
         got = homcalc.pair_vectors(sparse_gram(names, gram), sparse(names, v1), sparse(names, v2))
         assert got == dense, (gram, v1, v2)
+
+
+def test_pairing_table_matches_dense_sums():
+    """Each row against sum_ij u_i G_ij v_j over dense lists, with zero,
+    repeated and cancelling classes, negative coefficients and empty sides."""
+    rng = random.Random(2719)
+    seen = dict.fromkeys(("zero class", "repeated class", "empty us", "empty vs",
+                          "negative coefficient", "cancelled to 0", "nonzero"), 0)
+    for trial in range(300):
+        rank = rng.randint(1, 10)
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                if rng.random() < 0.3:
+                    gram[i][j] = gram[j][i] = rng.choice((-3, -2, -1, 1, 2))
+        names = [f"g{i}" for i in range(rank)]
+
+        def dense_class():
+            if rng.random() < 0.1:
+                return [0] * rank
+            return [rng.choice((-2, -1, 1, 2)) if rng.random() < 0.3 else 0 for _ in range(rank)]
+
+        us = [dense_class() for _ in range(0 if trial % 10 == 0 else rng.randint(1, 5))]
+        vs = [dense_class() for _ in range(0 if trial % 10 == 5 else rng.randint(1, 6))]
+        if us and vs and rng.random() < 0.3:
+            us.append(list(rng.choice(vs)))
+            vs.append(list(rng.choice(vs)))
+        table = homcalc.pairing_table(
+            sparse_gram(names, gram), [sparse(names, u) for u in us], [sparse(names, v) for v in vs])
+        assert len(table) == len(us)
+        for u, row in zip(us, table):
+            want = {}
+            for j, v in enumerate(vs):
+                total = 0
+                for a in range(rank):
+                    for b in range(rank):
+                        total += u[a] * gram[a][b] * v[b]
+                if total:
+                    want[j] = total
+                    seen["nonzero"] += 1
+                elif any(u[a] * gram[a][b] * v[b] for a in range(rank) for b in range(rank)):
+                    seen["cancelled to 0"] += 1
+            assert row == want, (gram, u, vs)
+        seen["empty us"] += not us
+        seen["empty vs"] += not vs
+        classes = [tuple(c) for c in us + vs]
+        seen["zero class"] += any(not any(c) for c in classes)
+        seen["repeated class"] += len(set(classes)) < len(classes)
+        seen["negative coefficient"] += any(x < 0 for c in classes for x in c)
+    assert min(seen.values()) >= 20, seen
 
 
 def sparse(names, vec):
@@ -327,6 +394,27 @@ def test_long_chain_extracts_in_output_time():
     t0 = time.perf_counter()
     got = homcalc.extract_chain(cfg, list(curves))
     elapsed = time.perf_counter() - t0
+    assert got == weights
+    assert elapsed < 0.25, elapsed
+
+
+def test_max_chain_extracts_in_output_time():
+    # C_{4097,4096} at the chain length bound: one -4098 sphere and 4,095 -2
+    # spheres, each sphere the sum of its generator and a shared -1 class
+    k = hirzebruch.MAX_CHAIN
+    weights = hirzebruch.chain_for_cpq(k + 1, k)
+    assert len(weights) == k
+    gram = {
+        f"g{i}": {f"g{j}": weights[i] + 1 if j == i else 1 for j in (i - 1, i, i + 1) if 0 <= j < k}
+        for i in range(k)
+    }
+    gram.update({f"e{i}": {f"e{i}": -1} for i in range(k)})
+    amb = Ambient(gram=gram, e=2 * k + 2, sigma=0, label="max")
+    curves = {f"c{i}": Curve(f"c{i}", {f"g{i}": 1, f"e{i}": 1}) for i in range(k)}
+    cfg = CurveConfig(ambient=amb, curves=curves)
+    start = time.perf_counter()
+    got = homcalc.extract_chain(cfg, list(curves))
+    elapsed = time.perf_counter() - start
     assert got == weights
     assert elapsed < 0.25, elapsed
 

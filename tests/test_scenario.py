@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from blowdown import cli, hirzebruch, scenario
+from blowdown import cli, hirzebruch, homcalc, scenario, swledger
 from blowdown.scenario import ScenarioError, parse_scenario, print_scenario, run_scenario
 
 
@@ -367,6 +367,89 @@ def test_a_thousand_blowup_lines_cost_no_seconds():
     report, elapsed = run_timed(text)
     assert report.all_passed and report.total == 3
     assert elapsed < 0.25, elapsed
+
+
+SW_BLOWDOWNS = ("sw blowdown", "sw chambered-blowdown")
+
+
+def record_blowdown_rows(monkeypatch, filter_result=None):
+    """Make the ledger filters record the chain-pairing rows they are given:
+    returns the list they append to.  With `filter_result`, the filters are
+    not run, and each call returns `filter_result(ledger)` instead."""
+    seen = []
+    for attr in ("rational_blowdown_ledger", "chambered_blowdown_ledger"):
+        def recording(ledger, chain, rows, *args, _filter=getattr(swledger, attr), **kwargs):
+            seen.append(rows)
+            if filter_result is not None:
+                return filter_result(ledger)
+            return _filter(ledger, chain, rows, *args, **kwargs)
+        monkeypatch.setattr(swledger, attr, recording)
+    return seen
+
+
+def test_sw_blowdown_rows_at_the_chain_bound_cost_their_nonzero_pairings(monkeypatch):
+    # 64 tracked classes (a fiber class of 16 generators and 63 exceptional
+    # generators) against 4,096 chain spheres that meet up to two of them
+    rng = random.Random(64)
+    k, m = hirzebruch.MAX_CHAIN, 63
+    spheres = [f"g{i}" for i in range(k)]
+    fiber = [f"f{i}" for i in range(16)]
+    exceptional = [f"E{i}" for i in range(1, m + 1)]
+    gram = {g: {g: -2} for g in spheres}
+    for a, b in zip(spheres, spheres[1:]):
+        gram[a][b] = gram[b][a] = 1
+    for i, f in enumerate(fiber):
+        gram[f] = {f: -1, spheres[37 * i]: 1}
+        gram[spheres[37 * i]][f] = 1
+    gram.update({e: {e: -1} for e in exceptional})
+    classes = []
+    for g in spheres:
+        cls = {g: 1}
+        for e in rng.sample(exceptional, rng.randint(0, 2)):
+            cls[e] = -1
+        classes.append(cls)
+    fiber_vec = dict.fromkeys(fiber, 1)
+    run = scenario._Runner(scenario.Scenario("rows", ()))
+    run.cfg = homcalc.CurveConfig(homcalc.Ambient(gram, 2 * k, 0, "X"))
+    run.chains["C"] = scenario._ChainRec(hirzebruch.chain_for_cpq(k + 1, k), tuple(classes))
+    seed = swledger.Ledger("seed", 12, -8, ("T", *exceptional), ())
+    run.sw["blown"] = scenario._SwRec(ledger=seed, fiber_vec=fiber_vec)
+    seen = record_blowdown_rows(
+        monkeypatch, lambda ledger: swledger.BlowdownResult(ledger, (), (), False))
+    start = time.perf_counter()
+    run.sw_blowdown("final", "blown", "C", None)
+    elapsed = time.perf_counter() - start
+    (rows,) = seen
+    tracked = [fiber_vec] + [{e: 1} for e in exceptional]
+    assert len(rows) == m + 1 and all(len(row) == k for row in rows)
+    assert sum(1 for row in rows for x in row if x) > k
+    for _ in range(500):
+        t, j = rng.randrange(m + 1), rng.randrange(k)
+        assert rows[t][j] == homcalc.pair_vectors(gram, tracked[t], classes[j]), (t, j)
+    assert elapsed < 0.25, elapsed
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_sw_blowdown_rows_match_pair_vectors(name, monkeypatch):
+    # run the scenario step by step; at each ledger blow-down, every row entry
+    # the runner hands the filter is the one pairing of its tracked class (T,
+    # or the live generator of its name) with its chain sphere
+    run = scenario._Runner(parse_scenario(CORPUS[name], name=name))
+    seen = record_blowdown_rows(monkeypatch)
+    checked = 0
+    for step in run.scenario.directives:
+        if step.kind in SW_BLOWDOWNS:
+            _new, source, chain, *_ = step.args
+            src, rec = run.sw[source], run.chains[chain]
+            gram = run.cfg.ambient.gram
+            tracked = [src.fiber_vec] + [{g: 1} for g in src.ledger.basis[1:]]
+            want = [tuple(homcalc.pair_vectors(gram, t, u) for u in rec.classes) for t in tracked]
+        scenario._KINDS[step.kind].run(run, *step.args)
+        if step.kind in SW_BLOWDOWNS:
+            assert [tuple(row) for row in seen.pop()] == want
+            checked += 1
+    assert all(r.passed for r in run.records)
+    assert checked == sum(line.startswith(SW_BLOWDOWNS) for line in CORPUS[name].splitlines())
 
 
 # --- line splitting and parser fuzz ---------------------------------------

@@ -642,6 +642,27 @@ def test_substitute_keeps_concrete_entries():
         (e.cls, LinExpr(e.value.subst(7), 0), e.square) for e in led.entries]
 
 
+def test_blowdown_and_substitute_do_not_sort_the_survivors_again(monkeypatch):
+    # the walk yields the survivors in class order and substitute keeps it,
+    # so neither result goes through the sort a hand-built ledger gets
+    sorts = []
+    sort = sw._sorted_entries
+
+    def counting_sort(entries):
+        sorts.append(len(entries))
+        return sort(entries)
+
+    blown = qn_wide_ledger(5)
+    monkeypatch.setattr(sw, "_sorted_entries", counting_sort)
+    for result in qn_wide_blowdowns(blown):
+        concrete = sw.substitute(result.ledger, 7)
+        assert len(concrete.entries) == 512 and concrete.entries == result.ledger.entries
+    assert sorts == []
+    # a hand-built ledger is still sorted, once
+    sw.Ledger("L", 12, -8, ("G",), [sw.Entry((1,), LinExpr(1, 0), 0)] * 3)
+    assert sorts == [3]
+
+
 def test_blowdown_and_substitute_memory_follow_new_objects():
     # on the 512-survivor Q_n ledger: a survivor costs one Entry, one class
     # and one restriction, and substituting a concrete ledger copies no entry
