@@ -19,7 +19,6 @@ import argparse
 import json
 import random
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import hirzebruch, mcg, scenario
@@ -52,13 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _corpus_items() -> list[tuple[str, str]]:
-    root = resources.files(__package__) / "corpus"
-    items = []
-    for entry in root.iterdir():
-        if entry.name.endswith(".plm"):
-            items.append((entry.name[:-4], entry.read_text()))
-    items.sort(key=lambda kv: kv[0])
-    return items
+    root = Path(__file__).parent / "corpus"
+    return sorted((path.stem, path.read_text(encoding="utf-8")) for path in root.glob("*.plm"))
 
 
 def _run_scenarios(named_texts, as_json: bool, seed: int | None) -> int:

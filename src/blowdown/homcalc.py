@@ -103,16 +103,11 @@ def _dot(image, v) -> int:
     return sum(image[h] * y for h, y in v.items() if h in image)
 
 
-def _resolve(cfg: CurveConfig, c) -> Curve:
-    return cfg.curve(c) if isinstance(c, str) else c
+def pairing(cfg: CurveConfig, c1: str, c2: str) -> int:
+    return pair_vectors(cfg.ambient.gram, cfg.curve(c1).cls, cfg.curve(c2).cls)
 
 
-def pairing(cfg: CurveConfig, c1, c2) -> int:
-    a, b = _resolve(cfg, c1), _resolve(cfg, c2)
-    return pair_vectors(cfg.ambient.gram, a.cls, b.cls)
-
-
-def square(cfg: CurveConfig, c) -> int:
+def square(cfg: CurveConfig, c: str) -> int:
     return pairing(cfg, c, c)
 
 
@@ -189,7 +184,7 @@ def smooth(cfg: CurveConfig, name: str, c1: str, c2: str) -> CurveConfig:
     a, b = cfg.curve(c1), cfg.curve(c2)
     if a.name == b.name:
         raise ConfigError("cannot smooth a curve with itself")
-    p = pairing(cfg, a, b)
+    p = pair_vectors(cfg.ambient.gram, a.cls, b.cls)
     if p < 1:
         raise ConfigError(f"curves {c1!r} and {c2!r} have pairing {p}; need >= 1 to smooth")
     merged = Curve(

@@ -9,10 +9,12 @@ mirror the geometric ones: knot surgery seeds a ledger from Alexander
 polynomials, blow-ups spawn +-E twins, and rational blow-down keeps exactly
 the classes whose restriction to the chain extends over the rational ball.
 
-A blown-up ledger is never written out: its entries are a `BlownEntries` view
-over (sorted base entries, m trailing exceptional signs), so blowing up costs
-O(1) and a ledger of base * 2^m entries holds only its base.  Every ledger's
-entries are sorted by class (once, if built by hand), so a lookup bisects.
+Every ledger's entries are one `Entries` view over (base entries sorted by
+class, m trailing exceptional signs); a written-out ledger has m = 0.  A
+blow-up adds to m and writes nothing out, so it costs O(1) and a ledger of
+base * 2^m entries holds only its base.  A hand-built ledger's entries are
+sorted once, on construction; the pipeline builds its bases in class order,
+and a lookup bisects.
 
 The restriction of a class c is sum c_j*row_j over the tracked generators'
 chain-pairing rows, and extension depends only on its parity mask (r mod 2)
@@ -34,15 +36,14 @@ and the cost is O(m*p + survivors*m) instead of O(2^m * rank).
 The walk yields each survivor as (base entry, class, restriction), and the
 blow-down builds its one Entry from that: the square is the base's minus m
 minus v^T G^-1 v, and the check and value set are shared per base entry.
-`substitute` keeps an entry whose value is already concrete and keeps a
-blown-up view lazy, so neither costs more than the entries that change.
+`substitute` keeps an entry whose value is already concrete and the view's
+m, so neither costs more than the base entries that change.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
@@ -217,116 +218,75 @@ def _descendant(ent: Entry, signs: tuple[int, ...]) -> Entry:
     return Entry(ent.cls + signs, ent.value, ent.square - len(signs), ent.verified)
 
 
-class BlownEntries(Sequence):
-    """The entries of a blown-up ledger, as a sorted read-only view.
+class Entries:
+    """A ledger's entries, as a sorted read-only view.
 
     Holds the base entries, sorted by class, and the number m of trailing
-    exceptional classes.  Entry number (b << m) + bits is base[b] + sum(a_i *
-    E_i), where a_i = +1 if bit m-1-i of bits is set and -1 otherwise: each
-    base entry's 2^m descendants in ascending sign order, so the view is
+    exceptional classes: each base entry stands for its 2^m descendants
+    base + sum(a_i * E_i), a_i = +-1, in ascending sign order, so the view is
     sorted.  Its length is len(base) << m (see `entry_count` for m >= 63),
-    and it compares equal to the tuple of its entries.  Nothing is built
-    until an entry is read.
+    two views are equal when they hold the same entries, and nothing is built
+    until an entry is read.  The base is taken as given, already sorted.
     """
 
     __slots__ = ("base", "m")
 
-    def __init__(self, base, m: int):
-        self.base = _sorted_entries(base)
+    def __init__(self, base: tuple[Entry, ...], m: int):
+        self.base = base
         self.m = m
 
     def __len__(self) -> int:
         return len(self.base) << self.m
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
-        n = len(self.base) << self.m
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("ledger entry index out of range")
-        m = self.m
-        signs = tuple(1 if index >> (m - 1 - i) & 1 else -1 for i in range(m))
-        return _descendant(self.base[index >> m], signs)
-
     def __iter__(self):
-        for ent in self.base:
-            for signs in product((-1, 1), repeat=self.m):
-                yield _descendant(ent, signs)
+        if not self.m:
+            return iter(self.base)
+        return (_descendant(ent, signs)
+                for ent in self.base for signs in product((-1, 1), repeat=self.m))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, BlownEntries)):
+        if not isinstance(other, Entries):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
     def __repr__(self) -> str:
-        return f"BlownEntries({len(self.base)} base entries x 2^{self.m} signs)"
-
-
-def _base_and_signs(entries) -> tuple[tuple[Entry, ...], int]:
-    """(base entries, trailing exceptional signs m); a plain tuple has m = 0."""
-    if isinstance(entries, BlownEntries):
-        return entries.base, entries.m
-    return tuple(entries), 0
-
-
-def find(base: tuple[Entry, ...], m: int, cls: tuple[int, ...]) -> Entry | None:
-    """The entry at `cls` among `base` blown up at m signs, or None, in
-    O(rank + log base): the trailing m coordinates must each be +-1, and the
-    rest is bisected in the sorted base."""
-    cut = len(cls) - m
-    head, signs = cls[:cut], cls[cut:]
-    if cut < 0 or any(a not in (-1, 1) for a in signs):
-        return None
-    i = bisect_left(base, head, key=_class_of)
-    if i < len(base) and base[i].cls == head:
-        return _descendant(base[i], signs)
-    return None
+        return f"Entries({len(self.base)} base entries x 2^{self.m} signs)"
 
 
 @dataclass(frozen=True)
 class Ledger:
-    """The tracked classes and the entries sorted by class.
-
-    `entries` is a `BlownEntries` view after a blow-up, and otherwise a tuple,
-    which construction sorts by class unless `presorted` (the blow-down and
-    `substitute` build theirs in order): lookups bisect and the blow-down walks
-    in that order.
-    """
+    """The tracked classes and their entries, an `Entries` view sorted by
+    class: any other iterable is sorted into a written-out view (m = 0) on
+    construction, so lookups bisect and the blow-down walks in that order."""
 
     label: str
     e: int
     sigma: int
     basis: tuple[str, ...]
-    entries: Sequence[Entry]
-    presorted: InitVar[bool] = False
+    entries: Entries
 
-    def __post_init__(self, presorted):
-        if not (presorted or isinstance(self.entries, BlownEntries)):
-            object.__setattr__(self, "entries", _sorted_entries(self.entries))
-
-    def _find(self, cls: tuple[int, ...]) -> Entry | None:
-        return find(*_base_and_signs(self.entries), cls)
+    def __post_init__(self):
+        if not isinstance(self.entries, Entries):
+            object.__setattr__(self, "entries", Entries(_sorted_entries(self.entries), 0))
 
     def entry(self, cls) -> Entry:
-        ent = self._find(tuple(cls))
-        if ent is None:
-            raise KeyError(f"no ledger entry for class {tuple(cls)}")
-        return ent
-
-    def has_entry(self, cls) -> bool:
-        return self._find(tuple(cls)) is not None
+        """The entry at `cls` in O(rank + log base): the trailing m coordinates
+        must each be +-1, and the rest is bisected in the sorted base."""
+        cls = tuple(cls)
+        base, m = self.entries.base, self.entries.m
+        cut = len(cls) - m
+        head, signs = cls[:cut], cls[cut:]
+        if cut >= 0 and all(a in (-1, 1) for a in signs):
+            i = bisect_left(base, head, key=_class_of)
+            if i < len(base) and base[i].cls == head:
+                return _descendant(base[i], signs)
+        raise KeyError(f"no ledger entry for class {cls}")
 
 
 def entry_count(ledger: Ledger) -> int:
     """The number of entries, len(base) << m, also where `len` cannot return
     it (m >= 63)."""
-    base, m = _base_and_signs(ledger.entries)
-    return len(base) << m
+    return len(ledger.entries.base) << ledger.entries.m
 
 
 def _class_of(ent: Entry) -> tuple[int, ...]:
@@ -342,6 +302,9 @@ def dimension_from_square(square: int, e: int, sigma: int) -> Fraction:
     return Fraction(square - 3 * sigma - 2 * e, 4)
 
 
+MAX_KNOTS = 64
+
+
 def knot_surgery_ledger(polys, label: str, e: int = 12, sigma: int = -8) -> Ledger:
     """Seed a ledger from fiber-sum knot surgeries along the fiber class T.
 
@@ -349,8 +312,12 @@ def knot_surgery_ledger(polys, label: str, e: int = 12, sigma: int = -8) -> Ledg
     relative invariant is (P - 1)/(t - t^-1), computed by exact Laurent
     division; the coefficient of t^j becomes the value at class j*T.  Extreme
     exponents carry the quoted leading values; interior entries are marked
-    unverified.
+    unverified.  At most MAX_KNOTS polynomials are multiplied: the product's
+    terms, and so the cost, grow with every knot.
     """
+    polys = tuple(polys)
+    if len(polys) > MAX_KNOTS:
+        raise ValueError(f"{len(polys)} knots; at most {MAX_KNOTS} are allowed")
     prod_poly = LaurentPoly({0: ONE})
     for poly in polys:
         if poly.value_at_one() != ONE:
@@ -376,9 +343,9 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
 
     sign choices a_i = +-1, keeping its value.  Squares drop by count, so the
     formal dimension of every descendant equals its parent's.  The entries are
-    a `BlownEntries` view over the same base with m + count signs (a plain
-    ledger is m = 0), so this builds no entry; a blow-down of the result costs
-    O(m*p + survivors*m) (see the module docstring), not len(base) << m.
+    an `Entries` view over the same base with m + count signs, so this builds
+    no entry; a blow-down of the result costs O(m*p + survivors*m) (see the
+    module docstring), not len(base) << m.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -394,13 +361,12 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
         if nm in seen:
             raise ValueError(f"tracked class {nm!r} is named twice")
         seen.add(nm)
-    base, m = _base_and_signs(ledger.entries)
     return Ledger(
         label=ledger.label,
         e=ledger.e + count,
         sigma=ledger.sigma - count,
         basis=ledger.basis + names,
-        entries=BlownEntries(base, m + count),
+        entries=Entries(ledger.entries.base, ledger.entries.m + count),
     )
 
 
@@ -440,7 +406,7 @@ def _survivors(ledger: Ledger, chain, chain_pairings):
         if len(row) != len(chain):
             raise ValueError("chain-pairing row length does not match the chain")
     test = hirzebruch.ball_test(chain)
-    base, m = _base_and_signs(ledger.entries)
+    base, m = ledger.entries.base, ledger.entries.m
     rank = len(chain_pairings) - m
     invariants = [test.invariants(row) for row in chain_pairings]
     # generators whose row has mask 0 and residue 0 cannot change the outcome
@@ -514,7 +480,7 @@ def _add_row(r: tuple[int, ...], a: int, step) -> tuple[int, ...]:
 
 def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: bool):
     chain = tuple(chain)
-    m = _base_and_signs(ledger.entries)[1]
+    m = ledger.entries.m
     new_entries, restrictions, value_sets = [], [], []
     inverse_forms: dict[tuple[int, ...], int] = {}  # one per distinct restriction
     squares_checked: set[int] = set()
@@ -543,7 +509,7 @@ def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: 
         value_sets.append((cls, values))
     label = new_label if new_label is not None else f"{ledger.label} (chain blown down)"
     out = Ledger(label=label, e=ledger.e - len(chain), sigma=ledger.sigma + len(chain),
-                 basis=ledger.basis, entries=tuple(new_entries), presorted=True)
+                 basis=ledger.basis, entries=Entries(tuple(new_entries), 0))
     return BlowdownResult(ledger=out, restrictions=tuple(restrictions),
                           value_sets=tuple(value_sets), chambered=chambered)
 
@@ -594,16 +560,16 @@ def distinguishable(profile_a, profile_b) -> bool:
 
 
 def substitute(ledger: Ledger, n: int) -> Ledger:
-    """The ledger at twist parameter n: a concrete entry is kept as it is
-    (entries are frozen), and a blown-up view stays a view over its base."""
-    base, m = _base_and_signs(ledger.entries)
+    """The ledger at twist parameter n, a view over the substituted base with
+    the same m: a concrete entry is kept as it is (entries are frozen), and
+    nothing is written out or sorted again."""
     base = tuple(
         Entry(ent.cls, LinExpr(ent.value.subst(n), 0), ent.square, ent.verified)
         if ent.value.c1 else ent
-        for ent in base
+        for ent in ledger.entries.base
     )
-    entries = BlownEntries(base, m) if m else base
-    return Ledger(ledger.label, ledger.e, ledger.sigma, ledger.basis, entries, presorted=True)
+    return Ledger(ledger.label, ledger.e, ledger.sigma, ledger.basis,
+                  Entries(base, ledger.entries.m))
 
 
 def minimality_report(ledger: Ledger) -> bool:
@@ -614,7 +580,7 @@ def minimality_report(ledger: Ledger) -> bool:
     force: its only pair is {L, -L}, and L's value v != 0 differs from -v.
     A blown-up view's values are its base's, so only the base is read.
     """
-    for ent in _base_and_signs(ledger.entries)[0]:
+    for ent in ledger.entries.base:
         if ent.value.c1 != 0:
             raise ValueError("minimality needs concrete values; substitute n first")
     if entry_count(ledger) != 2:

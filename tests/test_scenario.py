@@ -307,6 +307,22 @@ def test_huge_twist_multiplicity_stops_at_its_line():
     assert peak < 1_000_000, peak
 
 
+def test_knot_count_bound_is_inclusive():
+    # 63 x twist(3) and twist(n): P(t) = prod A_i(t^2) has top term 3^63*n*t^128,
+    # so (P - 1)/(t - t^-1) has top term 3^63*n*t^127, and it is odd in t
+    text = ("ambient X e 12 sigma -8 basis F\n"
+            "sw ledger base e 12 sigma -8 fiber F knots {}\n"
+            f"assert sw-value base 127*T {3 ** 63}*n\n"
+            f"assert sw-value base -127*T -{3 ** 63}*n\n")
+    report, elapsed = run_timed(text.format(",".join(["twist(3)"] * 63 + ["twist(n)"])))
+    assert report.all_passed and report.total == 2
+    assert elapsed < 0.25, elapsed
+    t0 = time.perf_counter()
+    with pytest.raises(ScenarioError, match=r"^line 2: 65 knots; at most 64 are allowed$"):
+        run_scenario(parse_scenario(text.format(",".join(["twist(3)"] * 64 + ["twist(n)"]))))
+    assert time.perf_counter() - t0 < 0.01
+
+
 def test_twist_count_bound_is_inclusive():
     text = ("ambient X e 12 sigma -8 basis S\n"
             "mcg m expected 12 twists a*{}\n"
@@ -643,6 +659,10 @@ def test_cli_corpus_matches_golden(argv, golden, capsys):
     # the reports captured when the benchmark was defined; they must not drift
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
+
+
+def test_cli_corpus_items_are_the_bundled_files_by_name():
+    assert cli._corpus_items() == sorted(corpus_texts().items())
 
 
 def test_cli_corpus_seed_does_not_change_output(capsys):

@@ -114,11 +114,29 @@ def test_knot_surgery_ledger_rejects_unnormalized():
         sw.knot_surgery_ledger([LaurentPoly({0: 2})], label="bad")
 
 
+def test_knot_count_is_checked_before_any_product(monkeypatch):
+    products = []
+    mul = LaurentPoly.__mul__
+
+    def counting_mul(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    polys = [sw.alexander_twist(3)] * sw.MAX_KNOTS
+    assert sw.knot_surgery_ledger(polys, label="bound").entries
+    assert len(products) == sw.MAX_KNOTS
+    products.clear()
+    with pytest.raises(ValueError, match=fr"^{sw.MAX_KNOTS + 1} knots; at most {sw.MAX_KNOTS}"):
+        sw.knot_surgery_ledger(iter(polys + polys[:1]), label="over")
+    assert products == []
+
+
 def test_empty_ledger():
     led = sw.knot_surgery_ledger([], label="R-side")
-    assert led.entries == ()
+    assert tuple(led.entries) == ()
     blown = sw.blow_up_ledger(led, 2)
-    assert blown.entries == ()
+    assert tuple(blown.entries) == () and blown.entries.m == 2
 
 
 def test_blow_up_ledger():
@@ -178,7 +196,7 @@ def test_rational_blowdown_ledger_survivors():
         ((3, 1, 1), LinExpr(0, 1)),
     ]
     # dimension-preserving: new square is the old one minus v^T G^-1 v
-    assert led.entries[0].square == 4
+    assert led.entry((-3, -1, -1)).square == 4
     assert result.restriction_of((-3, -1, -1)) == (-7, 0, 0, 0, 0, 0)
     assert result.value_set_of((3, 1, 1)) == (LinExpr(0, 1),)
     with pytest.raises(KeyError):
@@ -333,27 +351,24 @@ def test_blown_entries_view_reads_like_the_eager_tuple():
                                  second, names[first:])
         eager = eager_blow_up(eager_blow_up(base, first, names[:first]), second, names[first:])
         assert lazy == eager
-        view, entries = lazy.entries, eager.entries
-        # a stacked blow-up keeps the base and adds to the sign count
-        assert (view.base, view.m) == (base.entries, first + second)
-        assert len(view) == len(entries) and tuple(view) == entries and view == entries
-        assert hash(view) == hash(entries)
-        assert [view[i] for i in range(-len(entries), len(entries))] == list(entries) * 2
-        assert view[1:9:3] == entries[1:9:3] and view[::-1] == entries[::-1]
-        with pytest.raises(IndexError):
-            view[len(entries)]
+        view, entries = lazy.entries, tuple(eager.entries)
+        # a stacked blow-up keeps the base and adds to the sign count; the
+        # eager construction is written out (m = 0)
+        assert (view.base, view.m) == (base.entries.base, first + second)
+        assert eager.entries.m == 0
+        assert len(view) == len(entries) and tuple(view) == entries and view == eager.entries
         classes = {ent.cls: ent for ent in entries}
         rank = len(lazy.basis)
         probes = list(classes) + [tuple(rng.randint(-3, 3) for _ in range(rank))
                                   for _ in range(30)]
         probes += [(1,) * (rank - 1), (1,) * (rank + 1)]
         for cls in probes:
-            assert lazy.has_entry(list(cls)) == (cls in classes)
             if cls in classes:
-                assert lazy.entry(cls) == classes[cls]
+                assert lazy.entry(cls) == lazy.entry(list(cls)) == classes[cls]
             else:
-                with pytest.raises(KeyError):
-                    lazy.entry(cls)
+                for probe in (cls, list(cls)):
+                    with pytest.raises(KeyError, match=re.escape(f"no ledger entry for class {cls}")):
+                        lazy.entry(probe)
 
 
 def dense_inverse_form(chain, v):
@@ -509,8 +524,8 @@ def test_blowdown_walk_matches_eager_scan_on_stacked_blowups_and_large_p():
 
 
 def test_ledgers_built_out_of_order_are_sorted_by_class():
-    # construction sorts a hand-built ledger's entries (and a view's base), so
-    # lookups, blow-ups and blow-downs read it like the sorted one
+    # construction sorts a hand-built ledger's entries into a written-out view,
+    # so lookups, blow-ups and blow-downs read it like the sorted one
     rng = random.Random(8)
     chains = [c for cs in cpq_chains_by_length(4).values() for c in cs]
     survivors = 0
@@ -519,8 +534,9 @@ def test_ledgers_built_out_of_order_are_sorted_by_class():
         shuffled = list(ordered.entries)
         rng.shuffle(shuffled)
         led = replace(ordered, entries=shuffled)
-        assert led == ordered and type(led.entries) is tuple
-        assert sw.BlownEntries(shuffled, 2) == sw.BlownEntries(ordered.entries, 2)
+        assert led == ordered and led.entries.m == 0
+        assert tuple(led.entries) == tuple(ordered.entries)
+        assert sw.blow_up_ledger(led, 2).entries == sw.blow_up_ledger(ordered, 2).entries
         for ent in shuffled:
             assert led.entry(ent.cls) == ent
         count = rng.randint(0, 2)
@@ -570,7 +586,7 @@ def test_blowdown_with_no_characteristic_class_builds_no_residue_level():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.ledger.entries == ()
+    assert tuple(result.ledger.entries) == ()
     assert elapsed < 0.1 and peak < 1_000_000, (elapsed, peak)
 
 
@@ -644,7 +660,8 @@ def test_substitute_keeps_concrete_entries():
 
 def test_blowdown_and_substitute_do_not_sort_the_survivors_again(monkeypatch):
     # the walk yields the survivors in class order and substitute keeps it,
-    # so neither result goes through the sort a hand-built ledger gets
+    # so neither result goes through the sort a hand-built ledger gets; nor
+    # does a blow-up of a survivor ledger or a substitution of that view
     sorts = []
     sort = sw._sorted_entries
 
@@ -652,12 +669,16 @@ def test_blowdown_and_substitute_do_not_sort_the_survivors_again(monkeypatch):
         sorts.append(len(entries))
         return sort(entries)
 
-    blown = qn_wide_ledger(5)
+    concrete_seed, symbolic_seed = qn_wide_ledger(5), qn_wide_ledger()
     monkeypatch.setattr(sw, "_sorted_entries", counting_sort)
-    for result in qn_wide_blowdowns(blown):
+    for result in qn_wide_blowdowns(concrete_seed):
         concrete = sw.substitute(result.ledger, 7)
         assert len(concrete.entries) == 512 and concrete.entries == result.ledger.entries
-    assert sorts == []
+    for result in qn_wide_blowdowns(symbolic_seed):
+        concrete = sw.substitute(sw.blow_up_ledger(result.ledger, 2, ("F1", "F2")), 7)
+        assert sorts == []
+        assert concrete.entries.m == 2 and sw.entry_count(concrete) == 2048
+        assert all(ent.value.c1 == 0 for ent in concrete.entries.base)
     # a hand-built ledger is still sorted, once
     sw.Ledger("L", 12, -8, ("G",), [sw.Entry((1,), LinExpr(1, 0), 0)] * 3)
     assert sorts == [3]
@@ -692,9 +713,9 @@ def test_substitute_keeps_a_blown_up_view():
         blown = sw.blow_up_ledger(base, m)
         n = rng.randint(-5, 5)
         concrete = sw.substitute(blown, n)
-        assert isinstance(concrete.entries, sw.BlownEntries) and concrete.entries.m == m
+        assert isinstance(concrete.entries, sw.Entries) and concrete.entries.m == m
         written = tuple(blown.entries)
-        assert concrete.entries == tuple(
+        assert tuple(concrete.entries) == tuple(
             sw.Entry(e.cls, LinExpr(e.value.subst(n), 0), e.square, e.verified) for e in written)
         flat = sw.substitute(replace(blown, entries=written), n)
         assert concrete == flat
