@@ -86,7 +86,7 @@ def _cmd_verify(args) -> int:
     for f in args.files:
         path = Path(f)
         try:
-            text = path.read_text()
+            text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read {f}: {exc}", file=sys.stderr)
             return 2

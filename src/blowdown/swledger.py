@@ -5,9 +5,10 @@ parameter n, so a single symbolic run certifies the whole family; concrete
 cases are substitutions.  A Ledger records, for one manifold, the tracked
 cohomology classes (fiber class T and exceptional classes) together with the
 value attached to each characteristic class vector.  The pipeline operations
-mirror the geometric ones: knot surgery seeds a ledger from Alexander
-polynomials, blow-ups spawn +-E twins, and rational blow-down keeps exactly
-the classes whose restriction to the chain extends over the rational ball.
+mirror the geometric ones: knot surgery seeds a ledger from twist knots'
+Alexander polynomials in closed form, blow-ups spawn +-E twins, and rational
+blow-down keeps exactly the classes whose restriction to the chain extends
+over the rational ball.
 
 Every ledger's entries are one `Entries` view over (base entries sorted by
 class, m trailing exceptional signs); a written-out ledger has m = 0.  A
@@ -42,10 +43,12 @@ m, so neither costs more than the base entries that change.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import comb
 from operator import itemgetter
 
 from . import hirzebruch
@@ -96,113 +99,27 @@ def parse_linexpr(text: str) -> LinExpr:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty value expression")
-    # split into signed terms
-    terms = []
-    cur = ""
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > 0 and s[i - 1] not in "+-*":
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
     c0 = c1 = 0
-    for term in terms:
-        t = term
-        sign = 1
-        while t and t[0] in "+-":
-            if t[0] == "-":
-                sign = -sign
-            t = t[1:]
-        if not t:
+    # signed terms: a run of signs, then digits or [digits[*]]n
+    for term in re.split(r"(?<=[^+*-])(?=[+-])", s):
+        m = re.fullmatch(r"([+-]*)(?:(\d+)|(?:(\d+)\*?)?n)", term)
+        if not m:
             raise ValueError(f"bad term in value expression {text!r}")
-        if t.endswith("n"):
-            coeff = t[:-1].rstrip("*")
-            c1 += sign * (int(coeff) if coeff else 1)
+        sign = -1 if m.group(1).count("-") % 2 else 1
+        if m.group(2):
+            c0 += sign * int(m.group(2))
         else:
-            c0 += sign * int(t)
+            c1 += sign * int(m.group(3) or 1)
     return LinExpr(c0, c1)
 
 
-class LaurentPoly:
-    """Laurent polynomial in t with LinExpr coefficients; zero terms dropped."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        clean = {}
-        for e, c in (coeffs or {}).items():
-            if not isinstance(c, LinExpr):
-                c = LinExpr(c, 0)
-            if not c.is_zero():
-                clean[e] = c
-        self.coeffs = clean
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "LaurentPoly(0)"
-        parts = [f"({self.coeffs[e]})*t^{e}" for e in sorted(self.coeffs, reverse=True)]
-        return "LaurentPoly(" + " + ".join(parts) + ")"
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, LinExpr] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                k = e1 + e2
-                out[k] = out.get(k, ZERO) + c1.times(c2)
-        return LaurentPoly(out)
-
-    def at_t_squared(self) -> "LaurentPoly":
-        return LaurentPoly({2 * e: c for e, c in self.coeffs.items()})
-
-    def minus_one(self) -> "LaurentPoly":
-        out = dict(self.coeffs)
-        out[0] = out.get(0, ZERO) - ONE
-        return LaurentPoly(out)
-
-    def value_at_one(self) -> LinExpr:
-        total = ZERO
-        for c in self.coeffs.values():
-            total = total + c
-        return total
-
-    def divide_by_t_minus_tinv(self) -> "LaurentPoly":
-        """Exact division by (t - t^-1); raises if a remainder survives."""
-        if not self.coeffs:
-            return LaurentPoly({})
-        p = dict(self.coeffs)
-        floor = min(p)
-        q: dict[int, LinExpr] = {}
-        while p:
-            e = max(p)
-            if e < floor:
-                raise ValueError("division by (t - t^-1) leaves a remainder")
-            c = p.pop(e)
-            q[e - 1] = q.get(e - 1, ZERO) + c
-            k = e - 2
-            r = p.get(k, ZERO) + c
-            if r.is_zero():
-                p.pop(k, None)
-            else:
-                p[k] = r
-        return LaurentPoly(q)
-
-
-def alexander_twist(n: int | None = None) -> LaurentPoly:
-    """Alexander polynomial of the n-twist knot: n*t - (2n-1) + n*t^-1.
+def alexander_twist(n: int | None = None) -> LinExpr:
+    """The n-twist knot's one free coefficient: its Alexander polynomial is
+    Delta_n(t) = 1 + n*(t - 2 + t^-1).
 
     With no argument the coefficient n stays symbolic.
     """
-    if n is None:
-        lead = LinExpr(0, 1)
-        mid = LinExpr(1, -2)
-    else:
-        lead = LinExpr(n, 0)
-        mid = LinExpr(1 - 2 * n, 0)
-    return LaurentPoly({1: lead, 0: mid, -1: lead})
+    return LinExpr(0, 1) if n is None else LinExpr(n, 0)
 
 
 @dataclass(frozen=True)
@@ -225,8 +142,9 @@ class Entries:
     exceptional classes: each base entry stands for its 2^m descendants
     base + sum(a_i * E_i), a_i = +-1, in ascending sign order, so the view is
     sorted.  Its length is len(base) << m (see `entry_count` for m >= 63),
-    two views are equal when they hold the same entries, and nothing is built
-    until an entry is read.  The base is taken as given, already sorted.
+    two views are equal when they hold the same entries (views with the same
+    m compare their bases), and nothing is built until an entry is read.  The
+    base is taken as given, already sorted.
     """
 
     __slots__ = ("base", "m")
@@ -247,7 +165,10 @@ class Entries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Entries):
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        if self.m == other.m:
+            return self.base == other.base
+        return (len(self.base) << self.m == len(other.base) << other.m
+                and all(a == b for a, b in zip(self, other)))
 
     def __repr__(self) -> str:
         return f"Entries({len(self.base)} base entries x 2^{self.m} signs)"
@@ -305,29 +226,36 @@ def dimension_from_square(square: int, e: int, sigma: int) -> Fraction:
 MAX_KNOTS = 64
 
 
-def knot_surgery_ledger(polys, label: str, e: int = 12, sigma: int = -8) -> Ledger:
+def knot_surgery_ledger(twists, label: str, e: int = 12, sigma: int = -8) -> Ledger:
     """Seed a ledger from fiber-sum knot surgeries along the fiber class T.
 
-    With P(t) the product of the Alexander polynomials evaluated at t^2, the
-    relative invariant is (P - 1)/(t - t^-1), computed by exact Laurent
-    division; the coefficient of t^j becomes the value at class j*T.  Extreme
-    exponents carry the quoted leading values; interior entries are marked
-    unverified.  At most MAX_KNOTS polynomials are multiplied: the product's
-    terms, and so the cost, grow with every knot.
+    `twists` are `alexander_twist` coefficients n_1..n_r.  With x = t - t^-1,
+    each Delta_i(t^2) is 1 + n_i*x^2, so the relative invariant
+    (prod Delta_i(t^2) - 1)/x is sum_k e_k*x^(2k-1), e_k the k-th elementary
+    symmetric function of the n_i, and x^(2k-1) expands binomially; the
+    coefficient of t^j becomes the value at class j*T.  Extreme exponents
+    carry the quoted leading values; interior entries are marked unverified.
+    At most MAX_KNOTS knots are taken, and the cost grows as r^2.
     """
-    polys = tuple(polys)
-    if len(polys) > MAX_KNOTS:
-        raise ValueError(f"{len(polys)} knots; at most {MAX_KNOTS} are allowed")
-    prod_poly = LaurentPoly({0: ONE})
-    for poly in polys:
-        if poly.value_at_one() != ONE:
-            raise ValueError("knot polynomial does not evaluate to 1 at t = 1")
-        prod_poly = prod_poly * poly.at_t_squared()
-    q = prod_poly.minus_one().divide_by_t_minus_tinv()
-    top = max((abs(e_) for e_ in q.coeffs), default=0)
+    twists = tuple(twists)
+    if len(twists) > MAX_KNOTS:
+        raise ValueError(f"{len(twists)} knots; at most {MAX_KNOTS} are allowed")
+    sym = [ONE] + [ZERO] * len(twists)  # e_0..e_r
+    for i, n in enumerate(twists, 1):
+        for k in range(i, 0, -1):
+            sym[k] = sym[k] + n.times(sym[k - 1])
+    coeffs: dict[int, LinExpr] = {}
+    for k in range(1, len(sym)):
+        c0, c1 = sym[k].c0, sym[k].c1
+        for i in range(2 * k):
+            b = (-1) ** i * comb(2 * k - 1, i)
+            j = 2 * k - 1 - 2 * i
+            coeffs[j] = coeffs.get(j, ZERO) + LinExpr(b * c0, b * c1)
+    coeffs = {j: c for j, c in coeffs.items() if not c.is_zero()}
+    top = max(map(abs, coeffs), default=0)
     entries = [
         Entry(cls=(j,), value=c, square=0, verified=abs(j) == top)
-        for j, c in q.coeffs.items()
+        for j, c in coeffs.items()
     ]
     return Ledger(
         label=label,
@@ -590,14 +518,16 @@ def minimality_report(ledger: Ledger) -> bool:
 
 
 def ledger_report(ledger: Ledger) -> str:
-    """Deterministic serialization: one line per entry, classes in
+    """Deterministic serialization: one line per base entry, classes in
 
-    lexicographic vector order, values as c0 + c1*n.
+    lexicographic vector order with the m trailing signs as +-1, values as
+    c0 + c1*n.
     """
-    lines = [f"ledger {ledger.label}: e={ledger.e} sigma={ledger.sigma} entries={len(ledger.entries)}"]
-    for ent in ledger.entries:
-        cls = "(" + ",".join(str(c) for c in ent.cls) + ")"
+    lines = [f"ledger {ledger.label}: e={ledger.e} sigma={ledger.sigma} "
+             f"entries={entry_count(ledger)}"]
+    signs = ("+-1",) * ledger.entries.m
+    for ent in ledger.entries.base:
+        cls = "(" + ",".join(tuple(map(str, ent.cls)) + signs) + ")"
         mark = "" if ent.verified else "  [unverified]"
         lines.append(f"  {cls} -> {ent.value}{mark}")
     return "\n".join(lines)
-

@@ -1,7 +1,10 @@
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
 from importlib import resources
@@ -706,6 +709,16 @@ def test_cli_verify_missing_file(tmp_path, capsys, content):
         path.write_bytes(content)
     assert cli.main(["verify", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
+def test_cli_verify_reads_utf8_under_an_ascii_locale(tmp_path):
+    path = tmp_path / "accent.plm"
+    path.write_bytes(("# caf\u00e9\n" + MINIMAL).encode("utf-8"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "blowdown.cli", "verify", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_verify_parse_error_exit_code(tmp_path, capsys):

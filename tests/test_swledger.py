@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 
 from blowdown import hirzebruch, swledger as sw
-from blowdown.swledger import LaurentPoly, LinExpr
+from blowdown.swledger import LinExpr
 from ledger_rows import QN_ROWS, XN_ROWS
 from test_hirzebruch import smith_coeffs
 
@@ -46,45 +46,129 @@ def test_linexpr_str():
     ("n-1", (-1, 1)),
     ("-n-1", (-1, -1)),
     ("2n", (0, 2)),
+    ("--n", (0, 1)),
+    ("+-3", (-3, 0)),
+    ("1--2", (3, 0)),
 ])
 def test_parse_linexpr(text, expect):
     assert sw.parse_linexpr(text) == LinExpr(*expect)
 
 
 def test_parse_linexpr_rejects():
-    for bad in ["", "m", "n+"]:
+    for bad in ["", "m", "n+", "*n", "**n", "-*n", "2**n"]:
         with pytest.raises(ValueError):
             sw.parse_linexpr(bad)
 
 
-def test_alexander_twist_normalization():
-    """Every twist-knot polynomial evaluates to 1 at t = 1."""
-    assert sw.alexander_twist(1).value_at_one() == sw.ONE
-    assert sw.alexander_twist(5).value_at_one() == sw.ONE
-    assert sw.alexander_twist().value_at_one() == sw.ONE
-    assert sw.alexander_twist(1) == LaurentPoly({1: 1, 0: -1, -1: 1})
+# --- the seed's oracle: the general multiply-and-divide algorithm --------------------
+# Laurent polynomials as {exponent: (c0, c1)} for c0 + c1*n, zero terms dropped.
 
 
-def test_laurent_division_single_twist():
-    p = sw.alexander_twist().at_t_squared().minus_one()
-    q = p.divide_by_t_minus_tinv()
-    assert q.coeffs == {1: LinExpr(0, 1), -1: LinExpr(0, -1)}
+def pair_times(a, b):
+    if a[1] and b[1]:
+        raise ValueError("product would be quadratic in n")
+    return (a[0] * b[0], a[0] * b[1] + a[1] * b[0])
 
 
-def test_laurent_division_two_twists():
-    prod = sw.alexander_twist(1).at_t_squared() * sw.alexander_twist().at_t_squared()
-    q = prod.minus_one().divide_by_t_minus_tinv()
-    assert q.coeffs == {
-        3: LinExpr(0, 1),
-        1: LinExpr(1, -2),
-        -1: LinExpr(-1, 2),
-        -3: LinExpr(0, -1),
-    }
+def poly_clean(coeffs):
+    return {e: c for e, c in coeffs.items() if c != (0, 0)}
 
 
-def test_laurent_division_remainder_raises():
-    with pytest.raises(ValueError):
-        LaurentPoly({0: 1}).divide_by_t_minus_tinv()
+def twist_poly(k):
+    """The k-twist knot's Alexander polynomial k*t - (2k-1) + k*t^-1 (k None:
+    symbolic n), written out term by term."""
+    lead, mid = ((0, 1), (1, -2)) if k is None else ((k, 0), (1 - 2 * k, 0))
+    return {1: lead, 0: mid, -1: lead}
+
+
+def poly_times(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            c = pair_times(c1, c2)
+            s = out.get(e1 + e2, (0, 0))
+            out[e1 + e2] = (s[0] + c[0], s[1] + c[1])
+    return poly_clean(out)
+
+
+def divide_by_t_minus_tinv(p):
+    """Exact division by t - t^-1; raises if a remainder survives."""
+    p, q = dict(p), {}
+    floor = min(p, default=0)
+    while p:
+        e = max(p)
+        if e < floor:
+            raise ValueError("division by (t - t^-1) leaves a remainder")
+        c = p.pop(e)
+        q[e - 1] = c
+        r = p.get(e - 2, (0, 0))
+        p[e - 2] = (r[0] + c[0], r[1] + c[1])
+        p = poly_clean(p)
+    return q
+
+
+def seed_oracle(params):
+    """(prod Delta_i(t^2) - 1)/(t - t^-1) by products and long division."""
+    prod = {0: (1, 0)}
+    for k in params:
+        poly = twist_poly(k)
+        assert tuple(map(sum, zip(*poly.values()))) == (1, 0)  # Delta(1) = 1
+        prod = poly_times(prod, {2 * e: c for e, c in poly.items()})
+    c = prod.get(0, (0, 0))
+    prod[0] = (c[0] - 1, c[1])
+    return divide_by_t_minus_tinv(poly_clean(prod))
+
+
+def seed_rows(led):
+    return [(e.cls, (e.value.c0, e.value.c1), e.square, e.verified) for e in led.entries]
+
+
+def test_alexander_twist_coefficient():
+    """Every twist knot is 1 + n*(t - 2 + t^-1), so only n is kept; its
+    written-out polynomial evaluates to 1 at t = 1."""
+    assert sw.alexander_twist(1) == LinExpr(1, 0)
+    assert sw.alexander_twist(5) == LinExpr(5, 0)
+    assert sw.alexander_twist() == LinExpr(0, 1)
+    for k in (1, 5, None):
+        assert tuple(map(sum, zip(*twist_poly(k).values()))) == (1, 0)
+    assert twist_poly(1) == {1: (1, 0), 0: (-1, 0), -1: (1, 0)}
+
+
+def test_seed_closed_form_single_twist():
+    # e_1 = n: n*(t - t^-1)
+    led = sw.knot_surgery_ledger([sw.alexander_twist()], label="one")
+    assert {e.cls: e.value for e in led.entries} == {(1,): LinExpr(0, 1), (-1,): LinExpr(0, -1)}
+    assert seed_oracle([None]) == {1: (0, 1), -1: (0, -1)}
+
+
+def test_seed_closed_form_two_twists():
+    # e_1 = 1 + n, e_2 = n: (1 + n)*x + n*x^3, x = t - t^-1
+    led = sw.knot_surgery_ledger([sw.alexander_twist(1), sw.alexander_twist()], label="two")
+    want = {3: (0, 1), 1: (1, -2), -1: (-1, 2), -3: (0, -1)}
+    assert {e.cls: e.value for e in led.entries} == {(j,): LinExpr(*c) for j, c in want.items()}
+    assert seed_oracle([1, None]) == want
+
+
+def test_oracle_division_remainder_raises():
+    with pytest.raises(ValueError, match="remainder"):
+        divide_by_t_minus_tinv({0: (1, 0)})
+
+
+def test_seed_matches_the_multiply_and_divide_oracle():
+    rng = random.Random(1717)
+    for _ in range(2000):
+        params = [rng.randint(-6, 6) for _ in range(rng.randint(0, 8))]
+        if params and rng.random() < 0.5:
+            params[rng.randrange(len(params))] = None  # one symbolic knot at most
+        led = sw.knot_surgery_ledger([sw.alexander_twist(k) for k in params], label="r")
+        want = seed_oracle(params)
+        top = max(map(abs, want), default=0)
+        assert seed_rows(led) == [((j,), want[j], 0, abs(j) == top) for j in sorted(want)], params
+    for params in ([None, None], [None, 2, None]):
+        with pytest.raises(ValueError, match="quadratic in n"):
+            seed_oracle(params)
+        with pytest.raises(ValueError, match="quadratic in n"):
+            sw.knot_surgery_ledger([sw.alexander_twist(k) for k in params], label="two n")
 
 
 def test_knot_surgery_ledger_single():
@@ -109,26 +193,22 @@ def test_knot_surgery_ledger_two_knots():
     assert not by_cls[(1,)].verified and not by_cls[(-1,)].verified
 
 
-def test_knot_surgery_ledger_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        sw.knot_surgery_ledger([LaurentPoly({0: 2})], label="bad")
-
-
 def test_knot_count_is_checked_before_any_product(monkeypatch):
     products = []
-    mul = LaurentPoly.__mul__
+    times = LinExpr.times
 
-    def counting_mul(self, other):
+    def counting_times(self, other):
         products.append(1)
-        return mul(self, other)
+        return times(self, other)
 
-    monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
-    polys = [sw.alexander_twist(3)] * sw.MAX_KNOTS
-    assert sw.knot_surgery_ledger(polys, label="bound").entries
-    assert len(products) == sw.MAX_KNOTS
+    monkeypatch.setattr(LinExpr, "times", counting_times)
+    twists = [sw.alexander_twist(3)] * sw.MAX_KNOTS
+    assert sw.knot_surgery_ledger(twists, label="bound").entries
+    # one product per (knot i, level k <= i) of the e_k recurrence
+    assert len(products) == sw.MAX_KNOTS * (sw.MAX_KNOTS + 1) // 2
     products.clear()
     with pytest.raises(ValueError, match=fr"^{sw.MAX_KNOTS + 1} knots; at most {sw.MAX_KNOTS}"):
-        sw.knot_surgery_ledger(iter(polys + polys[:1]), label="over")
+        sw.knot_surgery_ledger(iter(twists + twists[:1]), label="over")
     assert products == []
 
 
@@ -290,6 +370,33 @@ def test_ledger_report_deterministic():
         "  (1) -> 1 - 2*n  [unverified]\n"
         "  (3) -> 0 + 1*n"
     )
+
+
+def test_ledger_report_of_a_wide_blow_up_writes_base_lines():
+    # 63 names: 2^64 entries, reported as the two base lines with +-1 signs
+    blown = sw.blow_up_ledger(sw.knot_surgery_ledger([sw.alexander_twist()], label="Y_n"), 63)
+    start = time.perf_counter()
+    text = sw.ledger_report(blown)
+    assert time.perf_counter() - start < 0.1
+    signs = ",+-1" * 63
+    assert text == (
+        f"ledger Y_n: e=75 sigma=-71 entries={2 << 63}\n"
+        f"  (-1{signs}) -> 0 - 1*n\n"
+        f"  (1{signs}) -> 0 + 1*n"
+    )
+
+
+def test_entries_of_equal_width_compare_by_base():
+    seed = sw.knot_surgery_ledger([sw.alexander_twist()], label="Y_n")
+    a, b = sw.blow_up_ledger(seed, 63), sw.blow_up_ledger(seed, 63)
+    assert a.entries == b.entries and a == b
+    base = a.entries.base
+    changed = sw.Entries((replace(base[0], value=LinExpr(0, -2)),) + base[1:], 63)
+    assert a.entries != changed
+    wide, twin = sw.blow_up_ledger(seed, 20).entries, sw.blow_up_ledger(seed, 20).entries
+    start = time.perf_counter()
+    assert wide == twin
+    assert time.perf_counter() - start < 0.1
 
 
 def test_conjugation_symmetry_concrete():
