@@ -61,9 +61,12 @@ def _run_scenarios(named_texts, as_json: bool, seed: int | None) -> int:
         random.Random(seed).shuffle(order)
     reports = {}
     for idx in order:
-        name, text = named_texts[idx]
-        s = scenario.parse_scenario(text, name=name)
-        reports[idx] = scenario.run_scenario(s)
+        source, text = named_texts[idx]
+        try:
+            s = scenario.parse_scenario(text, name=Path(source).stem)
+            reports[idx] = scenario.run_scenario(s)
+        except scenario.ScenarioError as exc:
+            raise scenario.ScenarioError(f"{source}: {exc}") from None
     ordered = [reports[i] for i in range(len(named_texts))]
     total = sum(r.total for r in ordered)
     passed = sum(r.passed for r in ordered)
@@ -90,7 +93,7 @@ def _cmd_verify(args) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read {f}: {exc}", file=sys.stderr)
             return 2
-        named_texts.append((path.stem, text))
+        named_texts.append((f, text))
     return _run_scenarios(named_texts, args.json, args.seed)
 
 

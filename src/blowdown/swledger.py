@@ -19,13 +19,12 @@ and a lookup bisects.
 
 The restriction of a class c is sum c_j*row_j over the tracked generators'
 chain-pairing rows, and extension depends only on its parity mask (r mod 2)
-and its residue (discriminant image mod p); see `hirzebruch.BallTest`.  Both
-reductions are ring maps, so the mask is the XOR of the row masks with odd c_j
-and the residue is sum c_j*residue_j mod p, exactly.  The filter computes one
-(mask, residue) per generator, once per blow-down, and scans only the base
-entries.  Every exceptional sign is odd, so the exceptional rows add one fixed
-mask: a base entry whose mask is not the chain's parity has no survivor, and
-when no base entry's mask is, the filter stops before building anything.
+and its residue (discriminant image mod p); see `hirzebruch.BallTest`.  The
+filter restricts each base entry once and reads its (mask, residue) from
+`BallTest.invariants`.  Every exceptional sign is odd, so the exceptional rows
+XOR in one fixed mask, and only they keep a residue each, for the walk: a base
+entry whose mask is not the chain's parity has no survivor, and when no base
+entry's mask is, the filter stops before building anything.
 Otherwise a sign pattern a survives iff res(base) + sum a_i*residue_i lands on
 the one residue the ball accepts (`BallTest.target`): a subset sum mod p.  One
 backward pass from that residue gives, per level i, the residues from which
@@ -63,9 +62,6 @@ class LinExpr:
 
     def __add__(self, other: "LinExpr") -> "LinExpr":
         return LinExpr(self.c0 + other.c0, self.c1 + other.c1)
-
-    def __sub__(self, other: "LinExpr") -> "LinExpr":
-        return LinExpr(self.c0 - other.c0, self.c1 - other.c1)
 
     def __neg__(self) -> "LinExpr":
         return LinExpr(-self.c0, -self.c1)
@@ -142,8 +138,9 @@ class Entries:
     exceptional classes: each base entry stands for its 2^m descendants
     base + sum(a_i * E_i), a_i = +-1, in ascending sign order, so the view is
     sorted.  Its length is len(base) << m (see `entry_count` for m >= 63),
-    two views are equal when they hold the same entries (views with the same
-    m compare their bases), and nothing is built until an entry is read.  The
+    and nothing is built until an entry is read.  Two views are equal when
+    their counts are and the base of the one with more signs, written out to
+    the other's m, is the other's base, which costs that base's size.  The
     base is taken as given, already sorted.
     """
 
@@ -165,10 +162,9 @@ class Entries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Entries):
             return NotImplemented
-        if self.m == other.m:
-            return self.base == other.base
+        wide, narrow = (self, other) if self.m >= other.m else (other, self)
         return (len(self.base) << self.m == len(other.base) << other.m
-                and all(a == b for a, b in zip(self, other)))
+                and narrow.base == tuple(Entries(wide.base, wide.m - narrow.m)))
 
     def __repr__(self) -> str:
         return f"Entries({len(self.base)} base entries x 2^{self.m} signs)"
@@ -335,44 +331,31 @@ def _survivors(ledger: Ledger, chain, chain_pairings):
             raise ValueError("chain-pairing row length does not match the chain")
     test = hirzebruch.ball_test(chain)
     base, m = ledger.entries.base, ledger.entries.m
-    rank = len(chain_pairings) - m
-    invariants = [test.invariants(row) for row in chain_pairings]
-    # generators whose row has mask 0 and residue 0 cannot change the outcome
-    active = [
-        (j, mask, residue)
-        for j, (mask, residue) in enumerate(invariants[:rank])
-        if mask or residue
-    ]
-    tail_mask = 0
-    for mask, _residue in invariants[rank:]:
+    exceptional = chain_pairings[len(chain_pairings) - m:]
+    tail_mask, tail = 0, []  # every exceptional sign is odd: one fixed mask
+    for mask, residue in map(test.invariants, exceptional):
         tail_mask ^= mask
-    tail = [residue for _mask, residue in invariants[rank:]]
+        tail.append(residue)
     starts = []
     for ent in base:
-        cls = ent.cls
-        mask, residue = tail_mask, 0
-        for j, row_mask, row_residue in active:
-            c = cls[j]
-            if c & 1:
-                mask ^= row_mask
-            residue += c * row_residue
-        starts.append((mask, residue % test.p))
-    if all(mask != test.parity for mask, _s in starts):
-        return  # no class is characteristic: build no level
-    # live[i]: the residues from which signs i.. can still land on the target
-    live = [{test.target}]
-    for r in reversed(tail):
-        live.append({(s + a * r) % test.p for s in live[-1] for a in (-1, 1)})
-    live.reverse()
-    # nonzero (sphere, pairing) pairs of each exceptional row
-    steps = [[(i, x) for i, x in enumerate(row) if x] for row in chain_pairings[rank:]]
-    for ent, (mask, residue) in zip(base, starts):
-        if mask != test.parity or residue not in live[0]:
-            continue
         r = tuple(
             sum(c * row[i] for c, row in zip(ent.cls, chain_pairings))
             for i in range(len(chain))
         )
+        mask, residue = test.invariants(r)
+        starts.append((r, mask ^ tail_mask, residue))
+    if all(mask != test.parity for _r, mask, _s in starts):
+        return  # no class is characteristic: build no level
+    # live[i]: the residues from which signs i.. can still land on the target
+    live = [{test.target}]
+    for x in reversed(tail):
+        live.append({(s + a * x) % test.p for s in live[-1] for a in (-1, 1)})
+    live.reverse()
+    # nonzero (sphere, pairing) pairs of each exceptional row
+    steps = [[(i, x) for i, x in enumerate(row) if x] for row in exceptional]
+    for ent, (r, mask, residue) in zip(base, starts):
+        if mask != test.parity or residue not in live[0]:
+            continue
         for cls, restriction in _sign_walk(residue, ent.cls, r, tail, steps, live, test.p):
             yield ent, cls, restriction
 
@@ -411,7 +394,6 @@ def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: 
     m = ledger.entries.m
     new_entries, restrictions, value_sets = [], [], []
     inverse_forms: dict[tuple[int, ...], int] = {}  # one per distinct restriction
-    squares_checked: set[int] = set()
     parent = None
     # survivors come sorted by class and grouped by base entry, and each is
     # built once, here: the square, check and value set follow from its base
@@ -419,13 +401,11 @@ def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: 
         if ent is not parent:
             parent, square, v = ent, ent.square - m, ent.value
             values = (v.shift(-1), v, v.shift(1)) if chambered else (v,)
-            if square not in squares_checked:
-                d = dimension_from_square(square, ledger.e, ledger.sigma)
-                if d.denominator != 1 or d < 0:
-                    raise ValueError(
-                        f"class {cls} has formal dimension {d}; need a nonnegative integer"
-                    )
-                squares_checked.add(square)
+            d = dimension_from_square(square, ledger.e, ledger.sigma)
+            if d.denominator != 1 or d < 0:
+                raise ValueError(
+                    f"class {cls} has formal dimension {d}; need a nonnegative integer"
+                )
         form = inverse_forms.get(r)
         if form is None:
             exact = hirzebruch.gram_inverse_form(chain, r)
@@ -452,8 +432,10 @@ def rational_blowdown_ledger(
     identically zero invariants) that make the difference formula collapse,
     so survivors keep their parent's value unchanged.  Survivors are exactly
     the entries whose chain restriction extends over the rational ball; each
-    must have nonnegative integral formal dimension, and the dimension is
-    preserved: the new square is the old one minus v^T G^-1 v.
+    must have nonnegative integral formal dimension.  The new square is the old
+    one minus v^T G^-1 v, so d' = d - (v^T G^-1 v + k)/4 for a chain of k
+    spheres: the dimension is preserved exactly when v^T G^-1 v = -k.  That
+    holds for every survivor of the bundled corpus, but nothing checks it here.
     """
     if tuple(corrections) != (True, True):
         raise ValueError(
@@ -471,20 +453,6 @@ def chambered_blowdown_ledger(
     the set {v-1, v, v+1}.
     """
     return _blowdown_core(ledger, chain, chain_pairings, new_label, chambered=True)
-
-
-def value_profile(value_sets, n: int) -> frozenset[int]:
-    """All integer values a manifold's surviving classes can take at concrete n."""
-    out = set()
-    for _cls, vs in value_sets:
-        for v in vs:
-            out.add(v.subst(n))
-    return frozenset(out)
-
-
-def distinguishable(profile_a, profile_b) -> bool:
-    """Two manifolds are told apart when their possible value sets are disjoint."""
-    return not set(profile_a) & set(profile_b)
 
 
 def substitute(ledger: Ledger, n: int) -> Ledger:

@@ -156,6 +156,16 @@ def test_acceptance_5_sw_pipeline():
     assert time.monotonic() - t0 < 5.0
 
 
+def value_profile(value_sets, n: int) -> frozenset[int]:
+    """All integer values a manifold's surviving classes can take at concrete n."""
+    return frozenset(v.subst(n) for _cls, vs in value_sets for v in vs)
+
+
+def distinguishable(profile_a, profile_b) -> bool:
+    """Two manifolds are told apart when their possible value sets are disjoint."""
+    return not set(profile_a) & set(profile_b)
+
+
 def test_acceptance_6_distinguishability():
     # X_n side: chambered blow-down of C_{71,8} leaves value sets
     # {n-1, n, n+1} and its negative
@@ -169,11 +179,11 @@ def test_acceptance_6_distinguishability():
         tuple([-1] * 12): frozenset({-n.shift(-1), -n, -n.shift(1)}),
     }
     for conc in range(2, 21):
-        base = sw.value_profile(xres.value_sets, conc)
-        assert not sw.distinguishable(base, base)
+        base = value_profile(xres.value_sets, conc)
+        assert not distinguishable(base, base)
         for k in range(1, 6):
-            other = sw.value_profile(xres.value_sets, conc + 3 * k)
-            assert sw.distinguishable(base, other), (conc, k)
+            other = value_profile(xres.value_sets, conc + 3 * k)
+            assert distinguishable(base, other), (conc, k)
 
     # Q_n side: profiles are pairwise disjoint and each Q_n is minimal
     double = sw.knot_surgery_ledger(
@@ -181,9 +191,9 @@ def test_acceptance_6_distinguishability():
     qres = sw.rational_blowdown_ledger(
         sw.blow_up_ledger(double, 2), hirzebruch.chain_for_cpq(7, 1),
         QN_ROWS, corrections=(True, True), new_label="Q_n")
-    profiles = [sw.value_profile(qres.value_sets, conc) for conc in range(1, 51)]
+    profiles = [value_profile(qres.value_sets, conc) for conc in range(1, 51)]
     for pa, pb in itertools.combinations(profiles, 2):
-        assert sw.distinguishable(pa, pb)
+        assert distinguishable(pa, pb)
     for conc in range(1, 51):
         assert sw.minimality_report(sw.substitute(qres.ledger, conc)), conc
 

@@ -56,6 +56,14 @@ def test_relation_suite_all_hold():
         assert ok, name
 
 
+def test_relation_suite_reads_the_standard_factorizations(monkeypatch):
+    facts = mcg.standard_factorizations()
+    broken = dict(facts, I7=facts["I7"][:-1])  # drop the last twist b
+    monkeypatch.setattr(mcg, "standard_factorizations", lambda: broken)
+    failed = [i for i, (_name, ok) in enumerate(mcg.relation_suite()) if not ok]
+    assert failed == [2]
+
+
 def test_relation_suite_names_stable():
     names = [name for name, _ in mcg.relation_suite()]
     assert names[0] == "(ab)^6 = 1"

@@ -725,7 +725,41 @@ def test_cli_verify_parse_error_exit_code(tmp_path, capsys):
     p = tmp_path / "broken.plm"
     p.write_text("ambient X e 4 sigma 0 basis S\nblowdwn C label Y\n")
     assert cli.main(["verify", str(p)]) == 3
-    assert capsys.readouterr().err.startswith("error: line 2: unknown directive")
+    assert capsys.readouterr().err.startswith(f"error: {p}: line 2: unknown directive")
+
+
+BAD_DIRECTIVE = "ambient X e 4 sigma 0 basis S\nfrob\n"
+BAD_STEP = (
+    "ambient E e 12 sigma -8 basis S T\n"
+    "pair S S -1\n"
+    "pair S T 1\n"
+    "sw ledger L e 12 sigma -8 fiber S knots twist(1)\n"
+    "assert euler 12\n"
+)
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param(BAD_DIRECTIVE, "line 2: unknown directive", id="parse"),
+    pytest.param(BAD_STEP, "line 4: fiber class squares to -1", id="step"),
+])
+def test_cli_verify_error_names_the_file_as_typed(tmp_path, monkeypatch, capsys, text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "good.plm").write_text(CORPUS["r"])
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "bad.plm").write_text(text)
+    assert cli.main(["verify", "good.plm", "sub/bad.plm"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: sub/bad.plm: {message}")
+
+
+def test_cli_corpus_error_names_the_bundled_file(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_corpus_items", lambda: [("good", CORPUS["r"]),
+                                                        ("broken", BAD_DIRECTIVE)])
+    assert cli.main(["corpus"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: broken: line 2: unknown directive 'frob'")
 
 
 def test_cli_usage_errors(capsys):

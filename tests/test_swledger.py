@@ -326,16 +326,6 @@ def test_chambered_blowdown_ledger():
     assert set(vs) == {LinExpr(-1, 1), LinExpr(0, 1), LinExpr(1, 1)}
 
 
-def test_value_profile_and_distinguishable():
-    vs_a = [((1,), (LinExpr(-1, 1), LinExpr(0, 1), LinExpr(1, 1)))]
-    vs_b = [((1,), (LinExpr(-1, 1), LinExpr(0, 1), LinExpr(1, 1)))]
-    pa = sw.value_profile(vs_a, 5)
-    pb = sw.value_profile(vs_b, 8)
-    assert pa == frozenset({4, 5, 6})
-    assert sw.distinguishable(pa, pb)
-    assert not sw.distinguishable(pa, sw.value_profile(vs_b, 6))
-
-
 def test_substitute_and_minimality():
     blown = qn_blown_ledger()
     result = sw.rational_blowdown_ledger(
@@ -397,6 +387,25 @@ def test_entries_of_equal_width_compare_by_base():
     start = time.perf_counter()
     assert wide == twin
     assert time.perf_counter() - start < 0.1
+
+
+def test_entries_of_different_width_compare_by_rebasing(monkeypatch):
+    seed = sw.knot_surgery_ledger([sw.alexander_twist()], label="Y_n")
+    wide = sw.blow_up_ledger(seed, 20).entries
+    one = sw.blow_up_ledger(seed, 1)
+    written = sw.Ledger(one.label, one.e, one.sigma, one.basis, tuple(one.entries))
+    narrow = sw.blow_up_ledger(written, 19).entries
+    assert (wide.m, narrow.m) == (20, 19)
+    start = time.perf_counter()
+    assert wide == narrow and narrow == wide
+    assert time.perf_counter() - start < 0.1
+    base = narrow.base
+    changed = sw.Entries(base[:1] + (replace(base[1], value=LinExpr(1, 1)),) + base[2:], 19)
+    assert wide != changed and changed != wide
+    # different counts are unequal before any descendant is built
+    monkeypatch.setattr(sw, "_descendant", None)
+    three, two = sw.blow_up_ledger(seed, 3).entries, sw.blow_up_ledger(seed, 2).entries
+    assert three != two and two != three
 
 
 def test_conjugation_symmetry_concrete():
