@@ -16,8 +16,6 @@ reports are aggregated in name order).
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 from pathlib import Path
 
@@ -58,6 +56,7 @@ def _corpus_items() -> list[tuple[str, str]]:
 def _run_scenarios(named_texts, as_json: bool, seed: int | None) -> int:
     order = list(range(len(named_texts)))
     if seed is not None:
+        import random
         random.Random(seed).shuffle(order)
     reports = {}
     for idx in order:
@@ -71,6 +70,7 @@ def _run_scenarios(named_texts, as_json: bool, seed: int | None) -> int:
     total = sum(r.total for r in ordered)
     passed = sum(r.passed for r in ordered)
     if as_json:
+        import json
         payload = {
             "scenarios": [r.to_json_obj() for r in ordered],
             "passed": passed,
@@ -108,10 +108,9 @@ def _cmd_hj(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(
-            {"p": args.p, "q": args.q, "chain": hirzebruch.chain_to_str(chain)},
-            sort_keys=True,
-        ))
+        import json
+        print(json.dumps({"p": args.p, "q": args.q, "chain": hirzebruch.chain_to_str(chain)},
+                         sort_keys=True))
     else:
         print(hirzebruch.chain_to_str(chain))
     return 0
@@ -126,8 +125,8 @@ def _cmd_identify(args) -> int:
     got = hirzebruch.identify_cpq(chain)
     result = f"C_{{{got[0]},{got[1]}}}" if got else "none"
     if args.json:
-        print(json.dumps({"chain": hirzebruch.chain_to_str(chain), "result": result},
-                         sort_keys=True))
+        import json
+        print(json.dumps({"chain": hirzebruch.chain_to_str(chain), "result": result}, sort_keys=True))
     else:
         print(result)
     return 0
@@ -137,6 +136,7 @@ def _cmd_mcg_suite(args) -> int:
     results = mcg.relation_suite()
     ok = all(flag for _name, flag in results)
     if args.json:
+        import json
         payload = {
             "identities": [{"name": name, "pass": flag} for name, flag in results],
             "passed": sum(1 for _n, f in results if f),

@@ -40,8 +40,8 @@ the u_j with odd c_j and the residue is sum c_j*residue(u_j) mod p, exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 Chain = tuple[int, ...]
 
@@ -119,8 +119,7 @@ def _continuants(chain: Chain) -> list[int]:
     return out[1:]
 
 
-@dataclass(frozen=True)
-class DiscriminantData:
+class DiscriminantData(NamedTuple):
     """Cyclic presentation of coker(Gram): v maps to sum(v_i * coeffs_i) mod order.
 
     order = p^2 = |D_k| and coeffs_i = (-1)^(i-1) * D_{i-1} mod order, so
@@ -160,8 +159,7 @@ def _parity_mask(v) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class BallTest:
+class BallTest(NamedTuple):
     """The extension criterion of one chain, on the two linear invariants of v.
 
     v extends iff its parity mask equals the weights' (v is characteristic)

@@ -16,7 +16,7 @@ a table of pairings (`pairing_table`) costs its nonzero products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import hirzebruch
 
@@ -25,8 +25,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Ambient:
+class Ambient(NamedTuple):
     gram: dict[str, dict[str, int]]  # generator -> {generator: nonzero pairing}
     e: int
     sigma: int
@@ -34,18 +33,16 @@ class Ambient:
     flags: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     name: str
     cls: dict[str, int]  # generator -> nonzero coefficient
     genus: int = 0
     double_points: int = 0
 
 
-@dataclass(frozen=True)
-class CurveConfig:
+class CurveConfig(NamedTuple):
     ambient: Ambient
-    curves: dict[str, Curve] = field(default_factory=dict)
+    curves: dict[str, Curve]
 
     def curve(self, name: str) -> Curve:
         try:
@@ -59,7 +56,7 @@ class CurveConfig:
 
 def new_config(label: str, e: int, sigma: int, flags, basis) -> CurveConfig:
     """No curves yet over the generators `basis`, in order; every pairing 0."""
-    return CurveConfig(Ambient({g: {} for g in basis}, e, sigma, label, frozenset(flags)))
+    return CurveConfig(Ambient({g: {} for g in basis}, e, sigma, label, frozenset(flags)), {})
 
 
 def pair_vectors(gram, u, v) -> int:

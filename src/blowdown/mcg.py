@@ -21,7 +21,7 @@ values and all integers are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 SL2 = tuple[tuple[int, int], tuple[int, int]]
 Letter = tuple[str, int]  # generator tag, nonzero exponent
@@ -230,23 +230,27 @@ def word_to_str(w: Word) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class Twist:
+class _TwistFields(NamedTuple):
+    cycle: str
+    conjugator: Word = ()
+    multiplicity: int = 1
+
+
+class Twist(_TwistFields):
     """One group of right-handed Dehn twists: conjugator . cycle^multiplicity . conjugator^-1,
 
     counted as `multiplicity` separate twists along the image of the core cycle
     under the conjugator.
     """
 
-    cycle: str
-    conjugator: Word = ()
-    multiplicity: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.cycle not in ("a", "b"):
-            raise ValueError(f"twist cycle must be 'a' or 'b', got {self.cycle!r}")
-        if self.multiplicity < 1:
+    def __new__(cls, cycle: str, conjugator: Word = (), multiplicity: int = 1):
+        if cycle not in ("a", "b"):
+            raise ValueError(f"twist cycle must be 'a' or 'b', got {cycle!r}")
+        if multiplicity < 1:
             raise ValueError("twist multiplicity must be >= 1")
+        return super().__new__(cls, cycle, conjugator, multiplicity)
 
 
 def expand_factorization(twists) -> Word:
@@ -277,13 +281,12 @@ def vanishing_cycle(t: Twist) -> tuple[int, int]:
     return normalize_cycle(m[0][0] * c[0] + m[0][1] * c[1], m[1][0] * c[0] + m[1][1] * c[1])
 
 
-@dataclass(frozen=True)
-class FibrationReport:
+class FibrationReport(NamedTuple):
     is_identity: bool
     twist_count: int
     expected_twists: int
     cycles: tuple[tuple[int, int], ...]  # one entry per unit twist
-    word: Word = field(repr=False, default=())
+    word: Word = ()
 
     @property
     def passed(self) -> bool:

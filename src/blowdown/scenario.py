@@ -55,8 +55,7 @@ from __future__ import annotations
 
 import re
 import shlex
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import hirzebruch, homcalc, mcg, swledger
 
@@ -116,18 +115,25 @@ def resolve_lincomb(lc: Lincomb, basis) -> tuple[int, ...]:
     return tuple(vec)
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One scenario line: `kind` is a key of `_KINDS`, `args` the values its
-    slots read, in order."""
+    slots read, in order.  Equality and hash ignore `lineno`."""
 
     kind: str
     args: tuple
-    lineno: int = field(compare=False, default=0)
+    lineno: int = 0
+
+    def __eq__(self, other):
+        return self[:2] == other[:2] if isinstance(other, Step) else NotImplemented
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     directives: tuple[Step, ...]
 
@@ -388,16 +394,14 @@ def print_scenario(s: Scenario) -> str:
 
 # --- running -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AssertionRecord:
+class AssertionRecord(NamedTuple):
     description: str
     expected: str
     actual: str
     passed: bool
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     scenario: str
     records: tuple[AssertionRecord, ...]
 
@@ -440,14 +444,12 @@ class Report:
         }
 
 
-@dataclass
-class _ChainRec:
+class _ChainRec(NamedTuple):
     weights: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
 
 
-@dataclass
-class _SwRec:
+class _SwRec(NamedTuple):
     ledger: swledger.Ledger
     fiber_vec: dict[str, int]  # the class T; later exceptional generators pair 0 with it
     result: swledger.BlowdownResult | None = None
@@ -500,7 +502,7 @@ class _Runner:
 
     def blowdown(self, chain, label):
         amb = homcalc.rational_blowdown(self.cfg.ambient, self.chains[chain].weights, label)
-        self.cfg = homcalc.CurveConfig(ambient=amb)
+        self.cfg = homcalc.CurveConfig(ambient=amb, curves={})
 
     def mcg(self, name, expected, twists):
         self.mcgs[name] = mcg.verify_fibration(twists, expected)
@@ -546,8 +548,7 @@ def run_scenario(s: Scenario) -> Report:
 
 # --- the kind table ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Slot:
+class _Slot(NamedTuple):
     """One argument: `read(tokens, checker)` takes it from the line, checking
     any name it refers to; `show(value)` prints it back, or gives "" for a
     part the printer leaves out.
@@ -560,8 +561,7 @@ class _Slot:
     show: Callable[[Any], str] = str
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(NamedTuple):
     """One kind of line.  `syntax` lists its keywords (strings) and argument
     slots in order; `place` holds (checker flag, message) pairs, each flag of
     which must be unset before the line is read; `declare(checker, lineno,

@@ -44,17 +44,16 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import hirzebruch
 
 
-@dataclass(frozen=True, order=True)
-class LinExpr:
+class LinExpr(NamedTuple):
     """c0 + c1*n for the formal parameter n."""
 
     c0: int = 0
@@ -118,8 +117,7 @@ def alexander_twist(n: int | None = None) -> LinExpr:
     return LinExpr(0, 1) if n is None else LinExpr(n, 0)
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(NamedTuple):
     cls: tuple[int, ...]
     value: LinExpr
     square: int
@@ -170,21 +168,25 @@ class Entries:
         return f"Entries({len(self.base)} base entries x 2^{self.m} signs)"
 
 
-@dataclass(frozen=True)
-class Ledger:
-    """The tracked classes and their entries, an `Entries` view sorted by
-    class: any other iterable is sorted into a written-out view (m = 0) on
-    construction, so lookups bisect and the blow-down walks in that order."""
-
+class _LedgerFields(NamedTuple):
     label: str
     e: int
     sigma: int
     basis: tuple[str, ...]
     entries: Entries
 
-    def __post_init__(self):
-        if not isinstance(self.entries, Entries):
-            object.__setattr__(self, "entries", Entries(_sorted_entries(self.entries), 0))
+
+class Ledger(_LedgerFields):
+    """The tracked classes and their entries, an `Entries` view sorted by
+    class: any other iterable is sorted into a written-out view (m = 0) on
+    construction, so lookups bisect and the blow-down walks in that order."""
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, e: int, sigma: int, basis: tuple[str, ...], entries):
+        if not isinstance(entries, Entries):
+            entries = Entries(_sorted_entries(entries), 0)
+        return super().__new__(cls, label, e, sigma, basis, entries)
 
     def entry(self, cls) -> Entry:
         """The entry at `cls` in O(rank + log base): the trailing m coordinates
@@ -294,8 +296,7 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
     )
 
 
-@dataclass(frozen=True)
-class BlowdownResult:
+class BlowdownResult(NamedTuple):
     """The blown-down ledger and each survivor's restriction and value set,
     sorted by class like the ledger, so a lookup bisects."""
 

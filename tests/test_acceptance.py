@@ -107,7 +107,7 @@ def test_acceptance_4_characteristic_numbers():
     # sit at (12, -8)
     amb = homcalc.Ambient(gram={"S": {"S": -1}}, e=12, sigma=-8,
                           label="E(1)", flags=frozenset({"simply-connected", "odd"}))
-    cfg = homcalc.CurveConfig(ambient=amb)
+    cfg = homcalc.CurveConfig(ambient=amb, curves={})
     y_n = homcalc.knot_surgery_shadow(cfg, "Y_n")
     assert (y_n.ambient.e, y_n.ambient.sigma) == (12, -8)
     v_n = homcalc.knot_surgery_shadow(y_n, "V_n")

@@ -13,7 +13,7 @@ def e1_with_section():
     gram = {"S": {"S": -1, "T": 1}, "T": {"S": 1, "T": -2}}
     amb = Ambient(gram=gram, e=12, sigma=-8, label="E(1)",
                   flags=frozenset({"simply-connected", "odd", "section"}))
-    cfg = CurveConfig(ambient=amb)
+    cfg = CurveConfig(ambient=amb, curves={})
     cfg = homcalc.add_curve(cfg, Curve("s", {"S": 1}))
     cfg = homcalc.add_curve(cfg, Curve("t", {"T": 1}))
     return cfg
@@ -93,7 +93,7 @@ def test_smooth_pair():
 def test_smooth_needs_positive_pairing():
     amb = Ambient(gram={"A": {"A": -1}, "B": {"B": -1}}, e=4, sigma=-2,
                   label="x", flags=frozenset())
-    cfg = CurveConfig(ambient=amb)
+    cfg = CurveConfig(ambient=amb, curves={})
     cfg = homcalc.add_curve(cfg, Curve("a", {"A": 1}))
     cfg = homcalc.add_curve(cfg, Curve("b", {"B": 1}))
     with pytest.raises(ConfigError):
@@ -103,7 +103,7 @@ def test_smooth_needs_positive_pairing():
 def test_smooth_excess_pairing_becomes_double_points():
     amb = Ambient(gram={"A": {"B": 3}, "B": {"A": 3}}, e=4, sigma=0,
                   label="x", flags=frozenset())
-    cfg = CurveConfig(ambient=amb)
+    cfg = CurveConfig(ambient=amb, curves={})
     cfg = homcalc.add_curve(cfg, Curve("a", {"A": 1}))
     cfg = homcalc.add_curve(cfg, Curve("b", {"B": 1}))
     out = homcalc.smooth(cfg, "c", "a", "b")

@@ -429,7 +429,7 @@ def test_sw_blowdown_rows_at_the_chain_bound_cost_their_nonzero_pairings(monkeyp
         classes.append(cls)
     fiber_vec = dict.fromkeys(fiber, 1)
     run = scenario._Runner(scenario.Scenario("rows", ()))
-    run.cfg = homcalc.CurveConfig(homcalc.Ambient(gram, 2 * k, 0, "X"))
+    run.cfg = homcalc.CurveConfig(homcalc.Ambient(gram, 2 * k, 0, "X"), {})
     run.chains["C"] = scenario._ChainRec(hirzebruch.chain_for_cpq(k + 1, k), tuple(classes))
     seed = swledger.Ledger("seed", 12, -8, ("T", *exceptional), ())
     run.sw["blown"] = scenario._SwRec(ledger=seed, fiber_vec=fiber_vec)

@@ -3,7 +3,6 @@ import random
 import re
 import time
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +12,12 @@ from blowdown import hirzebruch, swledger as sw
 from blowdown.swledger import LinExpr
 from ledger_rows import QN_ROWS, XN_ROWS
 from test_hirzebruch import smith_coeffs
+
+
+def replace(record, **changes):
+    """`record` with some fields changed, rebuilt through its constructor so
+    that `Ledger` still sorts written-out entries."""
+    return type(record)(**{**record._asdict(), **changes})
 
 
 def test_linexpr_arithmetic():
