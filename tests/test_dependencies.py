@@ -1,22 +1,30 @@
-"""The package imports nothing outside the standard library and itself."""
+"""The package imports nothing outside the standard library and itself,
+and a cold start of the CLI loads no module that only some paths need."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "blowdown"
 
 
-def foreign_imports(source: str) -> list[str]:
-    """The absolute imports in `source` of modules neither in the standard
-    library nor in `blowdown`."""
+def absolute_imports(source: str) -> list[str]:
+    """The modules `source` imports by absolute name, at any depth."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append(node.module)
-    return [name for name in names
+    return names
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The absolute imports in `source` of modules neither in the standard
+    library nor in `blowdown`."""
+    return [name for name in absolute_imports(source)
             if name.partition(".")[0] not in sys.stdlib_module_names | {"blowdown"}]
 
 
@@ -32,3 +40,21 @@ def test_a_third_party_import_is_caught():
               "from . import mcg\nfrom blowdown import cli\nfrom scipy.linalg import det\n"
               "def f():\n    import sympy\n")
     assert foreign_imports(source) == ["numpy", "scipy.linalg", "sympy"]
+
+
+def test_package_does_not_import_dataclasses():
+    """Records are `typing.NamedTuple`s: a dataclass costs its decoration on
+    every start and loads `inspect`, `ast` and `dis` with it."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        roots = {name.partition(".")[0] for name in absolute_imports(path.read_text("utf-8"))}
+        assert "dataclasses" not in roots, path.name
+
+
+def test_cold_cli_import_loads_no_path_specific_module():
+    """`json` and `random` are imported by the `--json` and `--seed` paths only."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = ("import sys, blowdown.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'json', 'random'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
