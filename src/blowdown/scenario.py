@@ -45,8 +45,10 @@ gives the line's syntax (keywords, and argument slots that read, check and
 print one value each), the placement rules checked before any argument is
 read, what the line declares to the parse checker, and what running it does;
 `parse_scenario`, `print_directive` and `_Runner.run` are one loop each over
-that table.  The printer leaves out an optional part at its default (`genus
-0`, `dp 0`, an empty flag list, no label).
+that table.  A line's slots and `declare(checker, *args)` raise a plain
+ValueError, and `parse_scenario` prefixes it once with the line number.  The
+printer leaves out an optional part at its default (`genus 0`, `dp 0`, an
+empty flag list, no label).
 
 Reports are byte-deterministic; parse(print(parse(text))) == parse(text).
 """
@@ -71,17 +73,9 @@ def parse_lincomb(text: str) -> Lincomb:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty class expression")
-    terms = []
-    cur = ""
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > 0:
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
     out = []
-    for term in terms:
+    # signed terms: cut before every sign but a leading one
+    for term in re.split(r"(?<!^)(?=[+-])", s):
         m = re.fullmatch(r"([+-]?)(?:(\d+)\*?)?([A-Za-z_][A-Za-z0-9_]*)", term)
         if not m:
             raise ValueError(f"bad term {term!r} in class expression {text!r}")
@@ -141,10 +135,9 @@ class Scenario(NamedTuple):
 # --- parsing -----------------------------------------------------------------
 
 class _Tokens:
-    def __init__(self, tokens, lineno):
+    def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-        self.lineno = lineno
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -152,7 +145,7 @@ class _Tokens:
     def take(self, what: str) -> str:
         pos = self.pos
         if pos >= len(self.tokens):
-            raise ScenarioError(f"line {self.lineno}: expected {what} at end of line")
+            raise ValueError(f"expected {what} at end of line")
         self.pos = pos + 1
         return self.tokens[pos]
 
@@ -160,8 +153,8 @@ class _Tokens:
         """A declared name: printed bare, so it must read back as one plain token."""
         tok = self.take(what)
         if not tok or any(ch.isspace() or ch in "\"'\\#,:" for ch in tok):
-            raise ScenarioError(f"line {self.lineno}: bad {what} {tok!r} (no whitespace, "
-                                "quotes, backslash, '#', ',' or ':')")
+            raise ValueError(f"bad {what} {tok!r} (no whitespace, "
+                             "quotes, backslash, '#', ',' or ':')")
         return tok
 
     def take_int(self, what: str) -> int:
@@ -169,26 +162,16 @@ class _Tokens:
         try:
             return int(tok)
         except ValueError:
-            raise ScenarioError(f"line {self.lineno}: expected {what}, got {tok!r}") from None
-
-    def take_parsed(self, what: str, parse):
-        """Take a token and parse it; a ValueError from `parse` is reported at this line."""
-        tok = self.take(what)
-        try:
-            return parse(tok)
-        except ValueError as exc:
-            raise ScenarioError(f"line {self.lineno}: {exc}") from None
+            raise ValueError(f"expected {what}, got {tok!r}") from None
 
     def take_keyword(self, word: str):
         tok = self.take(f"keyword {word!r}")
         if tok != word:
-            raise ScenarioError(f"line {self.lineno}: expected {word!r}, got {tok!r}")
+            raise ValueError(f"expected {word!r}, got {tok!r}")
 
     def end(self):
         if self.pos < len(self.tokens):
-            raise ScenarioError(
-                f"line {self.lineno}: unexpected trailing token {self.tokens[self.pos]!r}"
-            )
+            raise ValueError(f"unexpected trailing token {self.tokens[self.pos]!r}")
 
 
 def _parse_twistspec(tok: str) -> mcg.Twist:
@@ -224,7 +207,7 @@ def _show_knots(knots) -> str:
 
 
 class _ParseChecker:
-    """Static name tracking so references fail at parse time, with a location.
+    """Static name tracking so references fail at parse time.
 
     The methods named after a kind record what a line of that kind declares,
     once its arguments are read, checking what spans several of them.
@@ -241,68 +224,60 @@ class _ParseChecker:
         self.construction_started = False
         self.blown_down = False
 
-    def need(self, cond: bool, lineno: int, msg: str):
+    def need(self, cond: bool, msg: str):
         if not cond:
-            raise ScenarioError(f"line {lineno}: {msg}")
+            raise ValueError(msg)
 
-    def need_curve(self, name: str, lineno: int):
-        if name not in self.curves:
-            raise ScenarioError(f"line {lineno}: unknown curve {name!r}")
+    def known(self, pool: str, name: str) -> str:
+        """`name`, if it is in the set `pool`."""
+        if name not in getattr(self, pool):
+            if pool == "blowdown_ledgers":
+                raise ValueError(f"ledger {name!r} is not a blow-down result")
+            raise ValueError(f"unknown {_NOUNS[pool]} {name!r}")
+        return name
 
-    def need_gen(self, name: str, lineno: int):
-        if name not in self.gens:
-            raise ScenarioError(f"line {lineno}: unknown generator {name!r}")
-
-    def need_lincomb(self, lc: Lincomb, lineno: int):
-        for _c, name in lc:
-            if name not in self.gens and name not in self.curves:
-                raise ScenarioError(f"line {lineno}: unknown class {name!r}")
-
-    def ambient(self, lineno, _label, _e, _sigma, _flags, basis):
-        self.need(bool(basis), lineno, "ambient needs at least one basis generator")
-        self.need("basis" not in basis, lineno, "'basis' is reserved and cannot name a generator")
-        self.need(len(set(basis)) == len(basis), lineno, "duplicate basis generator")
+    def ambient(self, _label, _e, _sigma, _flags, basis):
+        self.need(bool(basis), "ambient needs at least one basis generator")
+        self.need("basis" not in basis, "'basis' is reserved and cannot name a generator")
+        self.need(len(set(basis)) == len(basis), "duplicate basis generator")
         self.gens.update(basis)
         self.have_ambient = True
 
-    def curve(self, lineno, name, _lc, genus, dp):
-        self.need(genus >= 0, lineno, "genus must be >= 0")
-        self.need(dp >= 0, lineno, "double-point count must be >= 0")
+    def curve(self, name, _lc, genus, dp):
+        self.need(genus >= 0, "genus must be >= 0")
+        self.need(dp >= 0, "double-point count must be >= 0")
         self.curves.add(name)
         self.construction_started = True
 
-    def blowup(self, lineno, name, *_):
+    def blowup(self, name, *_):
         self.gens.add(name)
         self.curves.add(name)
         self.construction_started = True
 
-    def smooth(self, lineno, name, c1, c2):
-        self.need_curve(c1, lineno)
-        self.need_curve(c2, lineno)
-        self.need(name not in self.curves - {c1, c2}, lineno, f"curve {name!r} already declared")
+    def smooth(self, name, c1, c2):
+        if name in self.curves - {c1, c2}:
+            raise ValueError(f"curve {name!r} already declared")
         self.curves -= {c1, c2}
         self.curves.add(name)
         self.construction_started = True
 
-    def surgery(self, lineno, *_):
+    def surgery(self, *_):
         self.construction_started = True
 
-    def blowdown(self, lineno, *_):
+    def blowdown(self, *_):
         self.blown_down = True
         self.curves.clear()
         self.gens.clear()
 
-    def mcg(self, lineno, name, _expected, twists):
-        self.need(bool(twists), lineno, "mcg directive needs at least one twist")
+    def mcg(self, name, _expected, twists):
+        self.need(bool(twists), "mcg directive needs at least one twist")
         self.mcgs.add(name)
 
-    def sw_blowups(self, lineno, name, _source, gens):
-        self.need(bool(gens), lineno, "sw blowups needs at least one exceptional class")
-        for g in gens:
-            self.need_gen(g, lineno)
+    def sw_blowups(self, name, _source, gens):
+        self.need(bool(gens), "sw blowups needs at least one exceptional class")
         self.ledgers.add(name)
 
-    def sw_blowdown(self, lineno, name, *_):
+    def sw_blowdown(self, name, *_):
         self.ledgers.add(name)
         self.blowdown_ledgers.add(name)
 
@@ -331,42 +306,42 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
             tokens = split_line(raw)
+            if not tokens:
+                continue
+            t = _Tokens(tokens)
+            head = kind = t.take("directive")
+            if head == "sw":
+                kind = "sw " + t.take("sw directive")
+            # two-word kinds are reached only through their first word
+            if head != "assert" and (kind not in _KINDS or " " in head):
+                raise ValueError(f"unknown directive {head!r}")
+            chk.need(head == "ambient" or chk.have_ambient, "no ambient declared")
+            if head == "assert":
+                kind = "assert " + t.take("assertion kind")
+                if kind not in _KINDS:
+                    raise ValueError(f"unknown assertion kind {kind[7:]!r}")
+            entry = _KINDS[kind]
+            for flag, message in entry.place:
+                if getattr(chk, flag):
+                    raise ValueError(message)
+            args = []
+            for part in entry.syntax:
+                if part.__class__ is str:
+                    t.take_keyword(part)
+                else:
+                    args.append(part.read(t, chk))
+            if entry.declare is not None:
+                entry.declare(chk, *args)
+            t.end()
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from None
-        if not tokens:
-            continue
-        t = _Tokens(tokens, lineno)
-        head = kind = t.take("directive")
-        if head == "sw":
-            kind = "sw " + t.take("sw directive")
-        # two-word kinds are reached only through their first word
-        if head != "assert" and (kind not in _KINDS or " " in head):
-            raise ScenarioError(f"line {lineno}: unknown directive {head!r}")
-        chk.need(head == "ambient" or chk.have_ambient, lineno, "no ambient declared")
-        if head == "assert":
-            kind = "assert " + t.take("assertion kind")
-            if kind not in _KINDS:
-                raise ScenarioError(f"line {lineno}: unknown assertion kind {kind[7:]!r}")
-        entry = _KINDS[kind]
-        for flag, message in entry.place:
-            if getattr(chk, flag):
-                raise ScenarioError(f"line {lineno}: {message}")
-        args = []
-        for part in entry.syntax:
-            if part.__class__ is str:
-                t.take_keyword(part)
-            else:
-                args.append(part.read(t, chk))
-        if entry.declare is not None:
-            entry.declare(chk, lineno, *args)
-        t.end()
         steps.append(Step(kind, tuple(args), lineno))
 
     if not steps:
         raise ScenarioError("no ambient declared")
     last = steps[-1]
-    chk.need(last.kind.startswith("assert "), last.lineno,
-             "scenario must end with at least one assertion")
+    if not last.kind.startswith("assert "):
+        raise ScenarioError(f"line {last.lineno}: scenario must end with at least one assertion")
     return Scenario(name=name, directives=tuple(steps))
 
 
@@ -550,8 +525,8 @@ def run_scenario(s: Scenario) -> Report:
 
 class _Slot(NamedTuple):
     """One argument: `read(tokens, checker)` takes it from the line, checking
-    any name it refers to; `show(value)` prints it back, or gives "" for a
-    part the printer leaves out.
+    any name it refers to and raising a plain ValueError; `show(value)` prints
+    it back, or gives "" for a part the printer leaves out.
 
     Package functions are looked up when a slot runs, not when it is built, so a
     wrapper installed on a module attribute sees the call.
@@ -564,8 +539,9 @@ class _Slot(NamedTuple):
 class _Kind(NamedTuple):
     """One kind of line.  `syntax` lists its keywords (strings) and argument
     slots in order; `place` holds (checker flag, message) pairs, each flag of
-    which must be unset before the line is read; `declare(checker, lineno,
-    *args)` records what the line declares; `run(runner, *args)` runs it."""
+    which must be unset before the line is read; `declare(checker, *args)`
+    records what the line declares; `run(runner, *args)` runs it.  Reading and
+    declaring raise plain ValueErrors, which `parse_scenario` prefixes once."""
 
     syntax: tuple
     run: Callable[..., None]
@@ -584,22 +560,15 @@ def _new(what: str, *pools: str) -> _Slot:
         name = t.take_name(what)
         for pool in pools:
             if name in getattr(chk, pool):
-                raise ScenarioError(f"line {t.lineno}: {_NOUNS[pool]} {name!r} already declared")
+                raise ValueError(f"{_NOUNS[pool]} {name!r} already declared")
         return name
 
     return _Slot(read)
 
 
-def _declared(what: str, pool: str, message: str) -> _Slot:
-    """A name already declared in the checker's set `pool`; `message` formats its repr."""
-
-    def read(t: _Tokens, chk: _ParseChecker) -> str:
-        name = t.take(what)
-        if name not in getattr(chk, pool):
-            raise ScenarioError(f"line {t.lineno}: {message.format(repr(name))}")
-        return name
-
-    return _Slot(read)
+def _known(what: str, pool: str, show=str) -> _Slot:
+    """A name already declared in the checker's set `pool`."""
+    return _Slot(lambda t, chk: chk.known(pool, t.take(what)), show)
 
 
 def _text(what: str) -> _Slot:
@@ -614,7 +583,7 @@ def _int(what: str) -> _Slot:
 def _parsed(what: str, parse, show=str) -> _Slot:
     """One token read by `parse(token)`.  A package function goes in a lambda, so
     that it is looked up per call."""
-    return _Slot(lambda t, chk: t.take_parsed(what, parse), show)
+    return _Slot(lambda t, chk: parse(t.take(what)), show)
 
 
 def _opt(word: str, slot: _Slot, default=None) -> _Slot:
@@ -646,39 +615,30 @@ def _class(what: str) -> _Slot:
     """A class over the declared generators and curves."""
 
     def read(t: _Tokens, chk: _ParseChecker) -> Lincomb:
-        lc = t.take_parsed(what, parse_lincomb)
-        chk.need_lincomb(lc, t.lineno)
+        lc = parse_lincomb(t.take(what))
+        for _c, name in lc:
+            if name not in chk.gens and name not in chk.curves:
+                raise ValueError(f"unknown class {name!r}")
         return lc
 
     return _Slot(read, lambda lc: lincomb_to_str(lc))
 
 
-def _read_gen_pair(t: _Tokens, chk: _ParseChecker) -> tuple[str, str]:
-    gens = (t.take("generator"), t.take("generator"))
-    for g in gens:
-        chk.need_gen(g, t.lineno)
-    return gens
-
-
 def _read_curve_list(t: _Tokens, chk: _ParseChecker) -> tuple[str, ...]:
-    curves = tuple(t.take("curve list").split(","))
-    for c in curves:
-        chk.need_curve(c, t.lineno)
-    return curves
+    return tuple(chk.known("curves", c) for c in t.take("curve list").split(","))
 
 
 def _read_incidences(t: _Tokens, chk: _ParseChecker) -> tuple[tuple[str, int], ...]:
     at = []
     for item in t.take("incidence list").split(","):
         if ":" not in item:
-            raise ScenarioError(f"line {t.lineno}: bad incidence {item!r} (use curve:mult)")
+            raise ValueError(f"bad incidence {item!r} (use curve:mult)")
         cname, _, mult_s = item.partition(":")
         try:
             mult = int(mult_s)
         except ValueError:
-            raise ScenarioError(f"line {t.lineno}: bad multiplicity in {item!r}") from None
-        chk.need_curve(cname, t.lineno)
-        at.append((cname, mult))
+            raise ValueError(f"bad multiplicity in {item!r}") from None
+        at.append((chk.known("curves", cname), mult))
     return tuple(at)
 
 
@@ -686,12 +646,13 @@ def _read_values(tok: str) -> tuple[swledger.LinExpr, ...]:
     return tuple(sorted(swledger.parse_linexpr(v) for v in tok.split(",")))
 
 
-_CHAIN = _declared("chain name", "chains", "unknown chain {}")
-_CURVE = _declared("curve name", "curves", "unknown curve {}")
-_MCG = _declared("mcg report name", "mcgs", "unknown mcg report {}")
-_LEDGER = _declared("ledger name", "ledgers", "unknown ledger {}")
-_SOURCE = _declared("source ledger", "ledgers", "unknown ledger {}")
-_BLOWN_DOWN = _declared("ledger name", "blowdown_ledgers", "ledger {} is not a blow-down result")
+_CHAIN = _known("chain name", "chains")
+_CURVE = _known("curve name", "curves")
+_GEN = _known("generator", "gens", _q)
+_MCG = _known("mcg report name", "mcgs")
+_LEDGER = _known("ledger name", "ledgers")
+_SOURCE = _known("source ledger", "ledgers")
+_BLOWN_DOWN = _known("ledger name", "blowdown_ledgers")
 _CLASS = _class("class expression")
 # Ledger classes are over the ledger's own basis, which is only known at run time.
 _LEDGER_CLASS = _parsed("class expression", lambda s: parse_lincomb(s),
@@ -782,8 +743,8 @@ _KINDS: dict[str, _Kind] = {
         _Runner.ambient, (("have_ambient", "duplicate ambient declaration"),),
         _ParseChecker.ambient),
     "pair": _Kind(
-        (_Slot(_read_gen_pair, _GENS.show), _int("pairing value")),
-        lambda run, gens, value: run.move(homcalc.set_pairing, *gens, value),
+        (_GEN, _GEN, _int("pairing value")),
+        lambda run, *args: run.move(homcalc.set_pairing, *args),
         (("construction_started", "pair must precede construction steps"),)),
     "curve": _Kind(
         (_new("curve name", "curves"), "class", _CLASS,
@@ -799,8 +760,7 @@ _KINDS: dict[str, _Kind] = {
         (("blown_down", "cannot blow up after the blow-down"),
          ("chains", "blowup must precede every chain")), _ParseChecker.blowup),
     "smooth": _Kind(
-        (_Slot(lambda t, chk: t.take_name("new curve name")), _text("curve name"),
-         _text("curve name")),
+        (_Slot(lambda t, chk: t.take_name("new curve name")), _CURVE, _CURVE),
         lambda run, *args: run.move(homcalc.smooth, *args),
         (("blown_down", "cannot smooth after the blow-down"),
          ("chains", "smooth must precede every chain")), _ParseChecker.smooth),
@@ -810,7 +770,7 @@ _KINDS: dict[str, _Kind] = {
         (("blown_down", "cannot relabel after the blow-down"),), _ParseChecker.surgery),
     "chain": _Kind(
         (_new("chain name", "chains"), "=", _Slot(_read_curve_list, ",".join)),
-        _Runner.chain, (_DROPPED,), lambda chk, lineno, name, curves: chk.chains.add(name)),
+        _Runner.chain, (_DROPPED,), lambda chk, name, curves: chk.chains.add(name)),
     "blowdown": _Kind(
         (_CHAIN, _opt("label", _text("manifold label"))),
         _Runner.blowdown, (("blown_down", "already blown down"),), _ParseChecker.blowdown),
@@ -822,9 +782,9 @@ _KINDS: dict[str, _Kind] = {
         (_new("ledger name", "ledgers"), "e", _int("Euler characteristic"),
          "sigma", _int("signature"), "fiber", _class("fiber class"),
          "knots", _parsed("knot list", _parse_knots, _show_knots)),
-        _Runner.sw_ledger, declare=lambda chk, lineno, name, *_: chk.ledgers.add(name)),
+        _Runner.sw_ledger, declare=lambda chk, name, *_: chk.ledgers.add(name)),
     "sw blowups": _Kind(
-        (_new("ledger name", "ledgers"), _SOURCE, _GENS),
+        (_new("ledger name", "ledgers"), _SOURCE, _list(_GEN)),
         _Runner.sw_blowups, declare=_ParseChecker.sw_blowups),
     "sw blowdown": _Kind(
         (_new("ledger name", "ledgers"), _SOURCE, _CHAIN, "vanishing-r", "vanishing-background",

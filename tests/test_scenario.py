@@ -132,6 +132,10 @@ def test_report_text_format():
      "line 2: duplicate ambient declaration"),
     ("ambient X e 4 sigma 0 basis S\npair S U 1\n",
      "line 2: unknown generator 'U'"),
+    # each name is checked as it is read, before the line runs out
+    ("ambient X e 4 sigma 0 basis S\npair U\n", "line 2: unknown generator 'U'"),
+    ("ambient X e 4 sigma 0 basis S\ncurve c class S\nsmooth v Z\n",
+     "line 3: unknown curve 'Z'"),
     ("ambient X e 4 sigma 0 basis S\ncurve c class S+Q\n",
      "line 2: unknown class 'Q'"),
     ("ambient X e 4 sigma 0 basis S\ncurve c class S\ncurve c class S\n",
@@ -207,6 +211,36 @@ def test_report_text_format():
 def test_parse_errors(text, message):
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text,terms", [
+    ("S", ((1, "S"),)),
+    ("-S", ((-1, "S"),)),
+    ("+S", ((1, "S"),)),
+    ("2*S+T", ((2, "S"), (1, "T"))),
+    ("2S-3*T", ((2, "S"), (-3, "T"))),
+    ("S + T", ((1, "S"), (1, "T"))),
+    ("_a1-E2", ((1, "_a1"), (-1, "E2"))),
+    ("0*S", ((0, "S"),)),
+])
+def test_parse_lincomb(text, terms):
+    assert scenario.parse_lincomb(text) == terms
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "empty class expression"),
+    ("S+", "bad term '+' in class expression 'S+'"),
+    ("2*", "bad term '2*' in class expression '2*'"),
+    ("S*2", "bad term 'S*2' in class expression 'S*2'"),
+    ("S--T", "bad term '-' in class expression 'S--T'"),
+    ("1", "bad term '1' in class expression '1'"),
+    ("S+-T", "bad term '+' in class expression 'S+-T'"),
+    ("2**S", "bad term '2**S' in class expression '2**S'"),
+])
+def test_parse_lincomb_rejects(text, message):
+    with pytest.raises(ValueError) as exc:
+        scenario.parse_lincomb(text)
     assert str(exc.value) == message
 
 
@@ -527,6 +561,14 @@ def mutate_scenario(rng, text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def assert_located(exc: ScenarioError, text: str):
+    """Every error names its line, except the one for a text with no directive."""
+    if str(exc) == "no ambient declared":
+        assert not any(scenario.split_line(raw) for raw in text.splitlines()), text
+    else:
+        assert re.match(r"line \d+: ", str(exc)), (str(exc), text)
+
+
 def test_parser_fuzz_raises_only_scenario_errors_and_round_trips():
     rng = random.Random(4242)
     texts = [CORPUS[name] for name in sorted(CORPUS)] + [MINIMAL]
@@ -536,7 +578,8 @@ def test_parser_fuzz_raises_only_scenario_errors_and_round_trips():
         text = mutate_scenario(rng, rng.choice(texts))
         try:
             first = parse_scenario(text)
-        except ScenarioError:
+        except ScenarioError as exc:
+            assert_located(exc, text)
             outcomes["rejected"] += 1
             continue
         outcomes["parsed"] += 1
@@ -569,12 +612,14 @@ def test_runner_fuzz_raises_only_scenario_errors():
         text = mutate_scenario(rng, text) if rng.random() < 0.5 else mutate_number(rng, text)
         try:
             parsed = parse_scenario(text)
-        except ScenarioError:
+        except ScenarioError as exc:
+            assert_located(exc, text)
             outcomes["rejected"] += 1
             continue
         try:
             run_scenario(parsed)
-        except ScenarioError:
+        except ScenarioError as exc:
+            assert_located(exc, text)
             outcomes["failed"] += 1
             continue
         outcomes["ran"] += 1
