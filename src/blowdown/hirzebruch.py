@@ -11,19 +11,26 @@ blow-down.  This module computes the chains, recognizes them, and presents
 the discriminant group (cokernel of the Gram matrix) concretely enough to
 decide which restriction vectors extend over the ball.
 
-The discriminant group is cyclic, with a closed form: from the prefix
-continuants D_0 = 1, D_1 = w_1, D_i = w_i*D_{i-1} - D_{i-2} (det = D_k), the
-map v -> sum v_i*phi_i mod |det|, phi_i = (-1)^(i-1)*D_{i-1}, kills every Gram
-column (phi_{i-1} + w_i*phi_i + phi_{i+1} = 0, phi_0 = 0, phi_{k+1} = +-det)
-and is onto since phi_1 = 1; as |coker| = |det|, it is the cokernel.
+The discriminant group is cyclic, with a closed form.  One signed sweep,
+phi_0 = 0, phi_1 = 1, phi_{i+1} = -w_i*phi_i - phi_{i-1}, gives phi_i =
+(-1)^(i-1)*D_{i-1} for the prefix continuants D_0 = 1, D_i = w_i*D_{i-1} -
+D_{i-2} (det = D_k).  The map v -> sum v_i*phi_i mod |det| kills every Gram
+column (phi_{i-1} + w_i*phi_i + phi_{i+1} = 0) and is onto since phi_1 = 1; as
+|coker| = |det| = |phi_{k+1}|, it is the cokernel.  With all weights <= -2 the
+sweep is positive and increasing, so phi_1..phi_k are already reduced.
 
 The Gram matrix is L*diag(D_i/D_{i-1})*L^T, so v^T G^-1 v = N_k/D_k from one
 integer sweep: z_i = v_i*D_{i-1} - z_{i-1}, N_i = (N_{i-1}*D_i + z_i^2)/D_{i-1}.
 N_i = v^T adj(G_i) v on the first i spheres is an integer: each division is
-exact.  Recognition reads det and det(chain[1:]) from one continuant pass over
-the reversed chain; Hirzebruch-Jung expansions with all c_i >= 2 are unique,
-so no round trip is needed, but gcd(p, q) = 1 is: (-3,-2,-2,-3) has num 36
-and den 11, and would otherwise read as C_{6,2}.
+exact.
+
+Recognition reads num = phi_{k+1} = |det| and den = phi_k, the determinant
+without the last sphere, from the same sweep: num/den is the continued
+fraction of the reversed chain.  Reversal maps C_{p,q} to C_{p,p-q}, since
+(pq - 1)(p(p - q) - 1) = 1 mod p^2, so r = (den + 1)/p must be an integer
+coprime to p with r < p, and then q = p - r.  Hirzebruch-Jung expansions with
+all c_i >= 2 are unique, so no round trip is needed, but the gcd is:
+(-3,-2,-2,-3) has num 16 and den 7, and would otherwise read as C_{4,2}.
 
 The extension criterion (characteristic + discriminant image divisible by p)
 is calibrated against brute-force coset enumeration on the two smallest
@@ -34,7 +41,8 @@ The criterion reads two invariants of v, both linear: its parity mask, v mod 2
 as one bit per sphere, and its residue, image(v) mod p.  Reduction mod 2 and
 mod p are ring maps, so for v = sum c_j*u_j the mask is the XOR of the masks of
 the u_j with odd c_j and the residue is sum c_j*residue(u_j) mod p, exactly.
-`BallTest` thus decides every combination of the u_j from one pair per u_j.
+One `ChainData` record thus decides every combination of the u_j from one pair
+per u_j.
 """
 
 from __future__ import annotations
@@ -76,22 +84,9 @@ def chain_for_cpq(p: int, q: int) -> Chain:
 
 
 def identify_cpq(chain: Chain):
-    """Recognize a chain as C_{p,q}; returns (p, q) or None.
-
-    The continued fraction of the negated weights is num/den with num =
-    |det| of the chain and den = |det| of the chain without its first sphere:
-    consecutive continuants are coprime, so this is already in lowest terms.
-    num must be a perfect square p^2, p must divide den+1, and q = (den+1)/p
-    must be coprime to p and smaller.
-    """
-    if not chain or any(w > -2 for w in chain):
-        return None
-    *_, den, num = (abs(d) for d in _continuants(chain[::-1]))
-    p = math.isqrt(num)
-    q, rest = divmod(den + 1, p)
-    if p * p != num or rest or not p > q or math.gcd(p, q) != 1:
-        return None
-    return (p, q)
+    """Recognize a chain as C_{p,q}; returns (p, q) or None."""
+    data = chain_data(chain)
+    return None if data is None else (data.p, data.q)
 
 
 def chain_to_str(chain: Chain) -> str:
@@ -111,45 +106,6 @@ def parse_chain(text: str) -> Chain:
         raise ValueError(f"chain entries must be integers: {text!r}") from None
 
 
-def _continuants(chain: Chain) -> list[int]:
-    """D_0..D_k: D_i is the Gram determinant of the first i spheres."""
-    out = [0, 1]
-    for w in chain:
-        out.append(w * out[-1] - out[-2])
-    return out[1:]
-
-
-class DiscriminantData(NamedTuple):
-    """Cyclic presentation of coker(Gram): v maps to sum(v_i * coeffs_i) mod order.
-
-    order = p^2 = |D_k| and coeffs_i = (-1)^(i-1) * D_{i-1} mod order, so
-    coeffs[0] = 1: the map kills every Gram column and is onto, so it is the
-    cokernel (see the module docstring), and the first sphere's dual generates.
-    """
-
-    order: int
-    coeffs: tuple[int, ...]
-
-
-def discriminant(chain: Chain) -> DiscriminantData:
-    if not chain:
-        raise ValueError("empty chain")
-    d = _continuants(chain)
-    order = abs(d[-1])
-    if order == 0:
-        raise ValueError("det = 0: the Gram matrix is singular; not a C_{p,q} chain")
-    p = math.isqrt(order)
-    if p * p != order:
-        raise ValueError(f"|det| = {order} is not a perfect square; not a C_{{p,q}} chain")
-    coeffs = tuple((-1) ** i * d[i] % order for i in range(len(chain)))
-    return DiscriminantData(order=order, coeffs=coeffs)
-
-
-def canonical_vector(chain: Chain) -> tuple[int, ...]:
-    """The restriction of a canonical-type class: v_i = weight_i + 2."""
-    return tuple(w + 2 for w in chain)
-
-
 def _parity_mask(v) -> int:
     """v mod 2 as a bit mask: bit i is set iff v_i is odd."""
     mask = 0
@@ -159,18 +115,25 @@ def _parity_mask(v) -> int:
     return mask
 
 
-class BallTest(NamedTuple):
-    """The extension criterion of one chain, on the two linear invariants of v.
+class ChainData(NamedTuple):
+    """Everything the certifier reads off a C_{p,q} chain, from one sweep.
 
-    v extends iff its parity mask equals the weights' (v is characteristic)
-    and its residue, image(v) mod p, equals `target`, which is 0: the image
-    lies in the index-p subgroup of Z_{p^2}.
+    coeffs present coker(Gram) = Z_{p^2}: v maps to sum(v_i * coeffs_i) mod
+    p^2, and coeffs[0] = 1, so the first sphere's dual generates.  v extends
+    over the ball iff its parity mask equals `parity`, the weights' (v is
+    characteristic), and its residue, image(v) mod p, equals `target`, which
+    is 0: the image lies in the index-p subgroup of Z_{p^2}.
     """
 
-    parity: int
     p: int
-    target: int
+    q: int
     coeffs: tuple[int, ...]
+    parity: int
+    target: int
+
+    @property
+    def order(self) -> int:
+        return self.p * self.p
 
     def invariants(self, v) -> tuple[int, int]:
         """(parity mask, residue mod p) of a restriction vector."""
@@ -178,14 +141,34 @@ class BallTest(NamedTuple):
             raise ValueError(f"value vector has length {len(v)}, expected {len(self.coeffs)}")
         return _parity_mask(v), sum(x * c for x, c in zip(v, self.coeffs)) % self.p
 
-    def accepts(self, mask: int, residue: int) -> bool:
-        return mask == self.parity and residue % self.p == self.target
+
+def chain_data(chain: Chain) -> ChainData | None:
+    """The record of a C_{p,q} chain, or None for any other chain, from the
+    signed sweep of the module docstring."""
+    if not chain or any(w > -2 for w in chain):
+        return None
+    phi = [0, 1]
+    for w in chain:
+        phi.append(-w * phi[-1] - phi[-2])
+    num, den = phi[-1], phi[-2]
+    p = math.isqrt(num)
+    r, rest = divmod(den + 1, p)
+    if p * p != num or rest or not p > r or math.gcd(p, r) != 1:
+        return None
+    return ChainData(p, p - r, tuple(phi[1:-1]), _parity_mask(chain), 0)
 
 
-def ball_test(chain: Chain) -> BallTest:
-    """The extension criterion of `chain`, set up once for many vectors."""
-    disc = discriminant(chain)
-    return BallTest(_parity_mask(chain), math.isqrt(disc.order), 0, disc.coeffs)
+def discriminant(chain: Chain) -> ChainData:
+    """The record of `chain`; ValueError if it is not a C_{p,q} chain."""
+    data = chain_data(chain)
+    if data is None:
+        raise ValueError(f"chain {chain_to_str(chain)} is not a C_{{p,q}} plumbing")
+    return data
+
+
+def canonical_vector(chain: Chain) -> tuple[int, ...]:
+    """The restriction of a canonical-type class: v_i = weight_i + 2."""
+    return tuple(w + 2 for w in chain)
 
 
 def extends_over_ball(chain: Chain, v) -> bool:
@@ -195,8 +178,8 @@ def extends_over_ball(chain: Chain, v) -> bool:
     image to lie in the index-p subgroup of Z_{p^2} -- the image of the
     restriction map from the ball side.
     """
-    test = ball_test(chain)
-    return test.accepts(*test.invariants(v))
+    data = discriminant(chain)
+    return data.invariants(v) == (data.parity, data.target)
 
 
 def gram_inverse_form(chain: Chain, v) -> Fraction:

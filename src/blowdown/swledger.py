@@ -19,14 +19,14 @@ and a lookup bisects.
 
 The restriction of a class c is sum c_j*row_j over the tracked generators'
 chain-pairing rows, and extension depends only on its parity mask (r mod 2)
-and its residue (discriminant image mod p); see `hirzebruch.BallTest`.  The
+and its residue (discriminant image mod p); see `hirzebruch.ChainData`.  The
 filter restricts each base entry once and reads its (mask, residue) from
-`BallTest.invariants`.  Every exceptional sign is odd, so the exceptional rows
+`ChainData.invariants`.  Every exceptional sign is odd, so the exceptional rows
 XOR in one fixed mask, and only they keep a residue each, for the walk: a base
 entry whose mask is not the chain's parity has no survivor, and when no base
 entry's mask is, the filter stops before building anything.
 Otherwise a sign pattern a survives iff res(base) + sum a_i*residue_i lands on
-the one residue the ball accepts (`BallTest.target`): a subset sum mod p.  One
+the one residue the ball accepts (`ChainData.target`): a subset sum mod p.  One
 backward pass from that residue gives, per level i, the residues from which
 the remaining signs can still land there (at most p of them), and the filter
 walks the signs -1 before +1 through those sets only.  Survivors come out
@@ -321,7 +321,8 @@ def _survivor_lookup(pairs, cls: tuple[int, ...]):
 
 def _survivors(ledger: Ledger, chain, chain_pairings):
     """Yield (base entry, class, restriction) per survivor, sorted by class."""
-    if hirzebruch.identify_cpq(chain) is None:
+    test = hirzebruch.chain_data(chain)
+    if test is None:
         raise ValueError(
             f"chain {hirzebruch.chain_to_str(tuple(chain))} is not a C_{{p,q}} plumbing"
         )
@@ -330,7 +331,6 @@ def _survivors(ledger: Ledger, chain, chain_pairings):
     for row in chain_pairings:
         if len(row) != len(chain):
             raise ValueError("chain-pairing row length does not match the chain")
-    test = hirzebruch.ball_test(chain)
     base, m = ledger.entries.base, ledger.entries.m
     exceptional = chain_pairings[len(chain_pairings) - m:]
     tail_mask, tail = 0, []  # every exceptional sign is odd: one fixed mask

@@ -42,6 +42,29 @@ def test_a_third_party_import_is_caught():
     assert foreign_imports(source) == ["numpy", "scipy.linalg", "sympy"]
 
 
+def float_uses(source: str) -> list[str]:
+    """The float and complex literals in `source`, and its uses of the names
+    `float` and `complex`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append(repr(node.value))
+        elif isinstance(node, ast.Name) and node.id in ("float", "complex"):
+            found.append(node.id)
+    return found
+
+
+def test_package_uses_no_floats():
+    """The certifier's arithmetic is exact: no float enters `src`."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert float_uses(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_a_float_is_caught():
+    source = "x = 3\ny = 1.5 * x\nz = float(x) + 2j\nw = 10 // 4\n"
+    assert sorted(float_uses(source)) == ["1.5", "2j", "float"]
+
+
 def test_package_does_not_import_dataclasses():
     """Records are `typing.NamedTuple`s: a dataclass costs its decoration on
     every start and loads `inspect`, `ast` and `dis` with it."""

@@ -115,6 +115,13 @@ def test_discriminant_frozen(pq):
     assert data.coeffs == DISCRIMINANT_COEFFS[pq]
 
 
+@pytest.mark.parametrize("pq", sorted(set(KNOWN_CHAINS) | set(DISCRIMINANT_COEFFS)))
+def test_reversal_maps_cpq_to_cp_p_minus_q(pq):
+    # (pq - 1)(p(p - q) - 1) = 1 mod p^2: the identity recognition rests on
+    p, q = pq
+    assert hj.identify_cpq(hj.chain_for_cpq(p, q)[::-1]) == (p, p - q)
+
+
 def recurrence_coeffs(weights):
     """The discriminant coefficients by the continuant recurrence.
 
@@ -236,9 +243,10 @@ def test_discriminant_matches_smith():
         assert (data.order, data.coeffs) == smith_coeffs(chain), pq
 
 
-@pytest.mark.parametrize("chain", [(-2, -2), (0,), (-1, -1)])
+@pytest.mark.parametrize("chain", [(-2, -2), (0,), (-1, -1), (-3, -2, -2, -3)])
 def test_discriminant_rejects_bad_chains(chain):
-    # |det| = 3 is not a perfect square; (0,) and (-1,-1) have det 0
+    # |det| = 3 is not a perfect square; (0,) and (-1,-1) have det 0;
+    # (-3,-2,-2,-3) has |det| = 16 but would read as C_{4,2}, and gcd(4, 2) = 2
     with pytest.raises(ValueError):
         hj.discriminant(chain)
 

@@ -77,6 +77,11 @@ def test_blow_up_validation():
         homcalc.blow_up(cfg, "E1", at=[("s", 1)], double_point_of="s")
     with pytest.raises(ConfigError):
         homcalc.blow_up(cfg, "s", at=[("t", 1)])  # name collision
+    # on a curve that has a double point, the multiplicity check itself
+    cfg = homcalc.add_curve(cfg, Curve("f", {"S": 1}, 0, 1))
+    for m in (1, 3):
+        with pytest.raises(ConfigError, match="multiplicity exactly 2"):
+            homcalc.blow_up(cfg, "E1", at=[("f", m)], double_point_of="f")
 
 
 def test_smooth_pair():
@@ -177,6 +182,14 @@ def test_rational_blowdown_requires_plumbing():
         homcalc.rational_blowdown(cfg.ambient, homcalc.extract_chain(cfg, ("s", "t")))
 
 
+def test_rational_blowdown_counts_on_a_long_chain():
+    chain = hirzebruch.chain_for_cpq(1000003, 621999)
+    assert len(chain) == 32
+    amb = Ambient(gram={}, e=100, sigma=-60, label="big", flags=frozenset())
+    out = homcalc.rational_blowdown(amb, chain)
+    assert (out.e, out.sigma) == (68, -28)
+
+
 def test_homeo_fingerprint():
     amb = Ambient(gram={}, e=8, sigma=-4, label="X",
                   flags=frozenset({"simply-connected", "odd"}))
@@ -196,6 +209,10 @@ def test_homeo_fingerprint():
     amb5 = Ambient(gram={}, e=2, sigma=-1, label="tiny",
                    flags=frozenset({"simply-connected", "odd"}))
     assert homcalc.homeo_fingerprint(amb5) is None
+    # e < 3 fits no k >= 0, even where sigma = 1 - k would hold at k = -1
+    amb6 = Ambient(gram={}, e=2, sigma=2, label="tiny",
+                   flags=frozenset({"simply-connected", "odd"}))
+    assert homcalc.homeo_fingerprint(amb6) is None
 
 
 def test_pair_vectors_matches_dense_sum():

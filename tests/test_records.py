@@ -28,8 +28,7 @@ def public_records():
         "CurveConfig": (cfg, "curves"),
         "Twist": (twists[0], "multiplicity"),
         "FibrationReport": (mcg.verify_fibration(twists, 12), "is_identity"),
-        "BallTest": (hirzebruch.ball_test((-4,)), "target"),
-        "DiscriminantData": (hirzebruch.discriminant((-4,)), "order"),
+        "ChainData": (hirzebruch.chain_data((-4,)), "target"),
         "Step": (steps.directives[0], "lineno"),
         "Report": (report, "records"),
         "AssertionRecord": (report.records[0], "passed"),

@@ -695,7 +695,7 @@ def test_blowdown_with_no_characteristic_class_builds_no_residue_level():
     canonical = hirzebruch.canonical_vector(chain)
     rows = (canonical,) + tuple(
         tuple(x + 2 * rng.randint(-3, 3) for x in canonical) for _ in range(21))
-    test = hirzebruch.ball_test(chain)
+    test = hirzebruch.chain_data(chain)
     assert len(chain) == 32 and test.parity != 0
     assert {test.invariants(row)[0] for row in rows} == {test.parity}
     blown = sw.blow_up_ledger(sw.knot_surgery_ledger([sw.alexander_twist()], label="Y_n"), 21)
