@@ -183,6 +183,7 @@ def test_rational_blowdown_requires_plumbing():
 
 
 def test_rational_blowdown_counts_on_a_long_chain():
+    # longer than any corpus chain (C_{540,301} has 19 spheres)
     chain = hirzebruch.chain_for_cpq(1000003, 621999)
     assert len(chain) == 32
     amb = Ambient(gram={}, e=100, sigma=-60, label="big", flags=frozenset())
