@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _corpus_items() -> list[tuple[str, str]]:
-    root = Path(__file__).parent / "corpus"
+    root = Path(__file__).with_name("corpus")
     return sorted((path.stem, path.read_text(encoding="utf-8")) for path in root.glob("*.plm"))
 
 

@@ -21,8 +21,9 @@ sweep is positive and increasing, so phi_1..phi_k are already reduced.
 
 The Gram matrix is L*diag(D_i/D_{i-1})*L^T, so v^T G^-1 v = N_k/D_k from one
 integer sweep: z_i = v_i*D_{i-1} - z_{i-1}, N_i = (N_{i-1}*D_i + z_i^2)/D_{i-1}.
-N_i = v^T adj(G_i) v on the first i spheres is an integer: each division is
-exact.
+N_i = v^T adj(G_i) v on the first i spheres is an integer, so each division is
+exact; the form is returned as an int, ValueError where D_k does not divide N_k
+and ZeroDivisionError where a continuant is zero.
 
 Recognition reads num = phi_{k+1} = |det| and den = phi_k, the determinant
 without the last sphere, from the same sweep: num/den is the continued
@@ -48,7 +49,6 @@ per u_j.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 Chain = tuple[int, ...]
@@ -182,11 +182,10 @@ def extends_over_ball(chain: Chain, v) -> bool:
     return data.invariants(v) == (data.parity, data.target)
 
 
-def gram_inverse_form(chain: Chain, v) -> Fraction:
-    """v^T G^{-1} v = N_k/D_k, exactly, by the integer sweep of the module docstring.
-
-    For the canonical vector it is -k.  A zero continuant raises ZeroDivisionError.
-    """
+def gram_inverse_form(chain: Chain, v) -> int:
+    """v^T G^{-1} v = N_k/D_k as an int, by the integer sweep of the module
+    docstring; -k for the canonical vector.  ValueError if D_k does not divide
+    N_k, and ZeroDivisionError if a continuant is zero."""
     if len(v) != len(chain):
         raise ValueError("length mismatch")
     det_prev, det, z, n = 0, 1, 0, 0
@@ -194,4 +193,7 @@ def gram_inverse_form(chain: Chain, v) -> Fraction:
         z = x * det - z
         det_prev, det = det, w * det - det_prev
         n = (n * det + z * z) // det_prev
-    return Fraction(n, det)
+    form, rest = divmod(n, det)
+    if rest:
+        raise ValueError(f"v^T G^-1 v = N_k/D_k = {n}/{det} is not an integer")
+    return form

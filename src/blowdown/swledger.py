@@ -44,9 +44,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, gcd
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -216,9 +215,15 @@ def _sorted_entries(entries) -> tuple[Entry, ...]:
     return tuple(sorted(entries, key=_class_of))
 
 
-def dimension_from_square(square: int, e: int, sigma: int) -> Fraction:
-    """Formal dimension (K^2 - 3*sigma - 2*e)/4 of a class of square K^2, exactly."""
-    return Fraction(square - 3 * sigma - 2 * e, 4)
+def dimension_from_square(square: int, e: int, sigma: int) -> int:
+    """Formal dimension (K^2 - 3*sigma - 2*e)/4 of a class of square K^2, as an
+    int; ValueError unless it is a nonnegative integer."""
+    num = square - 3 * sigma - 2 * e
+    g = gcd(num, 4)  # num/4 in lowest terms is (num/g)/(4/g)
+    if g < 4 or num < 0:
+        shown = f"{num // g}/{4 // g}" if g < 4 else num // 4
+        raise ValueError(f"formal dimension {shown}; need a nonnegative integer")
+    return num // 4
 
 
 MAX_KNOTS = 64
@@ -321,11 +326,7 @@ def _survivor_lookup(pairs, cls: tuple[int, ...]):
 
 def _survivors(ledger: Ledger, chain, chain_pairings):
     """Yield (base entry, class, restriction) per survivor, sorted by class."""
-    test = hirzebruch.chain_data(chain)
-    if test is None:
-        raise ValueError(
-            f"chain {hirzebruch.chain_to_str(tuple(chain))} is not a C_{{p,q}} plumbing"
-        )
+    test = hirzebruch.discriminant(chain)
     if len(chain_pairings) != len(ledger.basis):
         raise ValueError("need one chain-pairing row per tracked class")
     for row in chain_pairings:
@@ -402,17 +403,13 @@ def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: 
         if ent is not parent:
             parent, square, v = ent, ent.square - m, ent.value
             values = (v.shift(-1), v, v.shift(1)) if chambered else (v,)
-            d = dimension_from_square(square, ledger.e, ledger.sigma)
-            if d.denominator != 1 or d < 0:
-                raise ValueError(
-                    f"class {cls} has formal dimension {d}; need a nonnegative integer"
-                )
+            try:
+                dimension_from_square(square, ledger.e, ledger.sigma)
+            except ValueError as exc:
+                raise ValueError(f"class {cls} has {exc}") from None
         form = inverse_forms.get(r)
         if form is None:
-            exact = hirzebruch.gram_inverse_form(chain, r)
-            if exact.denominator != 1:
-                raise ValueError(f"extension of {cls} has non-integral square {square - exact}")
-            form = inverse_forms[r] = exact.numerator
+            form = inverse_forms[r] = hirzebruch.gram_inverse_form(chain, r)
         new_entries.append(Entry(cls, v, square - form, ent.verified))
         restrictions.append((cls, r))
         value_sets.append((cls, values))

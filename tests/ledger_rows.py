@@ -1,4 +1,5 @@
-"""Chain data shared by the test modules: Gram matrices and ledger rows."""
+"""Chain data shared by the test modules: Gram matrices, the inverse-form
+oracle and ledger rows."""
 
 from fractions import Fraction
 
@@ -12,6 +13,34 @@ def gram_matrix(chain):
         if i + 1 < k:
             g[i][i + 1] = g[i + 1][i] = 1
     return tuple(tuple(row) for row in g)
+
+
+def gram_solve(chain, v):
+    """Solve G x = v exactly for the tridiagonal Gram matrix (Thomas algorithm).
+
+    The oracle for `hirzebruch.gram_inverse_form`: a general Fraction
+    elimination that shares nothing with the integer continuant sweep.
+    """
+    k = len(chain)
+    if len(v) != k:
+        raise ValueError("length mismatch")
+    diag = [Fraction(w) for w in chain]
+    rhs = [Fraction(x) for x in v]
+    # forward sweep (off-diagonals are 1; the chain Gram is nondegenerate)
+    for i in range(1, k):
+        f = 1 / diag[i - 1]
+        diag[i] -= f
+        rhs[i] -= f * rhs[i - 1]
+    x = [Fraction(0)] * k
+    x[-1] = rhs[-1] / diag[-1]
+    for i in range(k - 2, -1, -1):
+        x[i] = (rhs[i] - x[i + 1]) / diag[i]
+    return tuple(x)
+
+
+def thomas_inverse_form(chain, v):
+    """v^T G^-1 v as a Fraction, by `gram_solve`."""
+    return sum(Fraction(a) * b for a, b in zip(v, gram_solve(chain, v)))
 
 
 def det(matrix):

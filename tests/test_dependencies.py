@@ -43,26 +43,30 @@ def test_a_third_party_import_is_caught():
 
 
 def float_uses(source: str) -> list[str]:
-    """The float and complex literals in `source`, and its uses of the names
-    `float` and `complex`."""
+    """The float and complex literals in `source`, its uses of the names
+    `float`, `complex`, `Fraction` and `Decimal`, and its true divisions."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
             found.append(repr(node.value))
-        elif isinstance(node, ast.Name) and node.id in ("float", "complex"):
+        elif isinstance(node, ast.Name) and node.id in ("float", "complex", "Fraction", "Decimal"):
             found.append(node.id)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append("/" if isinstance(node, ast.BinOp) else "/=")
     return found
 
 
 def test_package_uses_no_floats():
-    """The certifier's arithmetic is exact: no float enters `src`."""
+    """The certifier's arithmetic is integral: no float, complex or rational
+    enters `src`, and no `/` could make one."""
     for path in sorted(PACKAGE.glob("*.py")):
         assert float_uses(path.read_text(encoding="utf-8")) == [], path.name
 
 
 def test_a_float_is_caught():
-    source = "x = 3\ny = 1.5 * x\nz = float(x) + 2j\nw = 10 // 4\n"
-    assert sorted(float_uses(source)) == ["1.5", "2j", "float"]
+    source = ("x = 3\ny = 1.5 * x\nz = float(x) + 2j\nw = 10 // 4\n"
+              "a = b = 2\nc = a / b\na /= b\nh = Fraction(1, 2)\n")
+    assert sorted(float_uses(source)) == ["/", "/=", "1.5", "2j", "Fraction", "float"]
 
 
 def test_package_does_not_import_dataclasses():
@@ -74,10 +78,11 @@ def test_package_does_not_import_dataclasses():
 
 
 def test_cold_cli_import_loads_no_path_specific_module():
-    """`json` and `random` are imported by the `--json` and `--seed` paths only."""
+    """`json` and `random` are imported by the `--json` and `--seed` paths
+    only, and no path needs `fractions` or `decimal`."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    code = ("import sys, blowdown.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'json', 'random'} & set(sys.modules)))")
+    code = ("import sys, blowdown.cli; print(sorted({'dataclasses', 'inspect', 'json', "
+            "'random', 'fractions', 'decimal'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from blowdown import hirzebruch as hj
-from ledger_rows import det, gram_matrix
+from ledger_rows import det, gram_matrix, gram_solve, thomas_inverse_form
 
 # The nine chains that actually occur in the bundled constructions, frozen.
 KNOWN_CHAINS = {
@@ -298,37 +298,14 @@ def test_extends_over_ball_examples():
         hj.extends_over_ball(chain, (1, 0))
 
 
-def gram_solve(chain, v):
-    """Solve G x = v exactly for the tridiagonal Gram matrix (Thomas algorithm).
-
-    The oracle for `gram_inverse_form`: a general Fraction elimination that
-    shares nothing with the integer continuant sweep.
-    """
-    k = len(chain)
-    if len(v) != k:
-        raise ValueError("length mismatch")
-    diag = [Fraction(w) for w in chain]
-    rhs = [Fraction(x) for x in v]
-    # forward sweep (off-diagonals are 1; the chain Gram is nondegenerate)
-    for i in range(1, k):
-        f = 1 / diag[i - 1]
-        diag[i] -= f
-        rhs[i] -= f * rhs[i - 1]
-    x = [Fraction(0)] * k
-    x[-1] = rhs[-1] / diag[-1]
-    for i in range(k - 2, -1, -1):
-        x[i] = (rhs[i] - x[i + 1]) / diag[i]
-    return tuple(x)
-
-
-def thomas_inverse_form(chain, v):
-    return sum(Fraction(a) * b for a, b in zip(v, gram_solve(chain, v)))
-
-
 def test_gram_solve_and_inverse_form():
     chain = (-4,)
     assert gram_solve(chain, (-2,)) == (Fraction(1, 2),)
-    assert hj.gram_inverse_form(chain, (-2,)) == Fraction(-1)
+    assert hj.gram_inverse_form(chain, (-2,)) == -1
+    assert type(hj.gram_inverse_form(chain, (-2,))) is int
+    # 1/-4 is not an integer: the sweep raises rather than round
+    with pytest.raises(ValueError, match=r"^v\^T G\^-1 v = N_k/D_k = 1/-4 is not an integer$"):
+        hj.gram_inverse_form(chain, (1,))
     chain2 = hj.chain_for_cpq(3, 1)
     x = gram_solve(chain2, (-3, 0))
     g = gram_matrix(chain2)
@@ -375,16 +352,47 @@ def _oracle_chains(rng):
     return sorted(chains) + sorted(long_chains) + sorted(short)
 
 
+def check_inverse_form(chain, v, expected) -> bool:
+    """`gram_inverse_form` is the oracle's value as an int where that is an
+    integer, and raises ValueError elsewhere; True if it was an integer."""
+    if expected.denominator != 1:
+        with pytest.raises(ValueError, match="is not an integer$"):
+            hj.gram_inverse_form(chain, v)
+        return False
+    got = hj.gram_inverse_form(chain, v)
+    assert got == expected and type(got) is int, (chain, v)
+    return True
+
+
 def test_inverse_form_matches_thomas_oracle():
     rng = random.Random(19940614)
-    cases = 0
+    cases = integral = 0
+    # integral inputs come from their own stream, so rng's vectors are as
+    # before: v = G w has v^T G^-1 v = w^T G w, and on a C_{p,q} chain a v of
+    # residue 0 mod p is p*x in coker G = Z_{p^2}, where the discriminant form,
+    # v^T G^-1 v mod 1, takes x^2 * p^2 * q(g), an integer
+    extra = random.Random(2023)
     for chain in _oracle_chains(rng):
         vectors = [hj.canonical_vector(chain)]
         vectors += [tuple(rng.randint(-30, 30) for _ in chain) for _ in range(2)]
         for v in vectors:
-            assert hj.gram_inverse_form(chain, v) == thomas_inverse_form(chain, v), (chain, v)
+            integral += check_inverse_form(chain, v, thomas_inverse_form(chain, v))
             cases += 1
+        g = gram_matrix(chain)
+        w = [extra.randint(-9, 9) for _ in chain]
+        v = tuple(sum(a * b for a, b in zip(row, w)) for row in g)
+        form = sum(x * y for x, y in zip(v, w))
+        assert thomas_inverse_form(chain, v) == form
+        assert check_inverse_form(chain, v, form), (chain, v)
+        integral += 1
+        data = hj.chain_data(chain)
+        if data is not None:
+            v = [extra.randint(-30, 30) for _ in chain]
+            v[0] -= data.invariants(v)[1]  # coeffs[0] is 1: the residue is now 0
+            assert check_inverse_form(chain, v, thomas_inverse_form(chain, v)), (chain, v)
+            integral += 1
     assert cases >= 1500
+    assert integral >= 1000, integral
 
 
 def test_inverse_form_fails_where_thomas_fails():
@@ -401,7 +409,7 @@ def test_inverse_form_fails_where_thomas_fails():
                 hj.gram_inverse_form(chain, v)
             raised += 1
             continue
-        assert hj.gram_inverse_form(chain, v) == expected, (chain, v)
+        check_inverse_form(chain, v, expected)
     assert 100 <= raised <= 1900, raised
 
 

@@ -3,14 +3,13 @@ import random
 import re
 import time
 import tracemalloc
-from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from blowdown import hirzebruch, swledger as sw
 from blowdown.swledger import LinExpr
-from ledger_rows import QN_ROWS, XN_ROWS
+from ledger_rows import QN_ROWS, XN_ROWS, thomas_inverse_form
 from test_hirzebruch import smith_coeffs
 
 
@@ -257,6 +256,10 @@ def test_dimension():
     # square 0 class on the unsurgered elliptic surface: dimension 0
     assert sw.dimension_from_square(0, 12, -8) == 0
     assert sw.dimension_from_square(-11, 23, -19) == 0
+    assert type(sw.dimension_from_square(4, 12, -8)) is int
+    # square 2 would give dimension 1/2: raised, not returned
+    with pytest.raises(ValueError, match=r"^formal dimension 1/2; need a nonnegative integer$"):
+        sw.dimension_from_square(2, 12, -8)
 
 
 def qn_blown_ledger():
@@ -492,22 +495,6 @@ def test_blown_entries_view_reads_like_the_eager_tuple():
                         lazy.entry(probe)
 
 
-def dense_inverse_form(chain, v):
-    """v^T G^-1 v by Gauss-Jordan elimination on the dense chain Gram matrix."""
-    k = len(chain)
-    a = [[Fraction(w if i == j else int(abs(i - j) == 1)) for j in range(k)] + [Fraction(v[i])]
-         for i, w in enumerate(chain)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        a[col] = [x / a[col][col] for x in a[col]]
-        for r in range(k):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return sum(x * a[i][k] for i, x in enumerate(v))
-
-
 def eager_blowdown(ledger, chain, rows, chambered):
     """Survivors by scanning every entry: the dense restriction sum, then the
     characteristic test and the Smith-form discriminant image mod p."""
@@ -520,7 +507,7 @@ def eager_blowdown(ledger, chain, rows, chambered):
             continue
         if sum(x * c for x, c in zip(r, coeffs)) % p:
             continue
-        square = ent.square - dense_inverse_form(chain, r)
+        square = ent.square - thomas_inverse_form(chain, r)
         assert square.denominator == 1, (chain, r)
         entries.append((ent.cls, ent.value, int(square), ent.verified))
         restrictions.append((ent.cls, r))
