@@ -9,9 +9,10 @@ constructions are made of: setting a pairing, blow-ups (including infinitely
 close ones, via incidence with the previous exceptional curve), smoothing of
 transverse intersections, chain extraction, the knot-surgery relabeling, and
 rational blow-down of a recognized chain.  Each operation returns a new
-configuration and never changes its input: it copies only the dicts it
-changes and shares the rest, so a move costs what it touches, not the rank;
-a table of pairings (`pairing_table`) costs its nonzero products.
+configuration and never changes its input: it copies the outer generator
+and curve maps it changes, which grow with the rank, and only the rows and
+classes it changes, sharing the rest; a table of pairings (`pairing_table`)
+costs its nonzero products.
 """
 
 from __future__ import annotations

@@ -14,13 +14,15 @@ power `(w)^e` out in full when that takes at most EXPAND_LIMIT letters, so
 short words print letter by letter; a larger power stays symbolic, prints as
 `(w)^e` and is evaluated by repeated squaring in O(log e) products.
 Parentheses nest at most MAX_DEPTH deep, which also bounds the recursion of
-every function here over nested powers, and a fibration has at most
-MAX_TWISTS unit twists.  Everything here is a pure function over immutable
-values and all integers are exact.
+`invert_word`, `eval_word` and `word_to_str` over nested powers, and a
+fibration has at most MAX_TWISTS unit twists.  Everything here is a pure
+function over immutable values and all integers are exact.
 """
 
 from __future__ import annotations
 
+import re
+from math import gcd
 from typing import NamedTuple
 
 SL2 = tuple[tuple[int, int], tuple[int, int]]
@@ -39,6 +41,10 @@ MAX_TWISTS = 4096
 # A hyperbolic power whose exact matrix provably needs more bits than this is
 # refused: (aB)^100000 (about 139k bits) evaluates, (aB)^1000000 raises.
 MAX_POWER_BITS = 1 << 18
+# One lexeme of word syntax: a letter or `)` with its optional `^` and integer
+# exponent, or any other character; blanks before each are skipped.  It is
+# compiled on first use (through `re`'s cache), so an import compiles nothing.
+_LEXEME = r"\s*(?:([abAB)])(\s*\^\s*([+-]?\d+)?)?|(\S))"
 
 
 def sl2_mul(m: SL2, n: SL2) -> SL2:
@@ -149,70 +155,30 @@ def parse_word(text: str) -> Word:
     """
     if text.strip() == "1":
         return ()
-    tokens = list(text)
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(tokens) and tokens[pos].isspace():
-            pos += 1
-
-    def read_exponent() -> int:
-        nonlocal pos
-        skip_ws()
-        if pos < len(tokens) and tokens[pos] == "^":
-            pos += 1
-            skip_ws()
-            start = pos
-            if pos < len(tokens) and tokens[pos] in "+-":
-                pos += 1
-            while pos < len(tokens) and tokens[pos].isdigit():
-                pos += 1
-            if pos == start or not tokens[start:pos]:
-                raise ValueError(f"expected integer exponent at position {start} in {text!r}")
-            digits = "".join(tokens[start:pos])
-            if digits in ("+", "-"):
-                raise ValueError(f"expected integer exponent at position {start} in {text!r}")
-            return int(digits)
-        return 1
-
-    def parse_seq(depth: int) -> list:
-        nonlocal pos
-        items: list = []
-        while True:
-            skip_ws()
-            if pos >= len(tokens):
-                if depth:
-                    raise ValueError(f"unbalanced parenthesis in {text!r}")
-                break
-            ch = tokens[pos]
-            if ch == ")":
-                if not depth:
-                    raise ValueError(f"unbalanced parenthesis at position {pos} in {text!r}")
-                break
-            if ch == "(":
-                if depth == MAX_DEPTH:
-                    raise ValueError(f"parentheses nested deeper than {MAX_DEPTH} "
-                                     f"at position {pos}")
-                pos += 1
-                inner = normalize(parse_seq(depth + 1))
-                skip_ws()
-                if pos >= len(tokens) or tokens[pos] != ")":
-                    raise ValueError(f"unbalanced parenthesis in {text!r}")
-                pos += 1
-                items.extend(_power(inner, read_exponent()))
-            elif ch in "abAB":
-                pos += 1
-                exp = read_exponent()
-                tag = ch.lower()
-                if ch.isupper():
-                    exp = -exp
-                items.append((tag, exp))
-            else:
-                raise ValueError(f"unexpected character {ch!r} at position {pos} in {text!r}")
-        return items
-
-    return normalize(parse_seq(0))
+    groups: list[list] = [[]]  # the syllables of each open group, outermost first
+    for m in re.finditer(_LEXEME, text):
+        ch, caret, digits, other = m.groups()
+        if other == "(":
+            if len(groups) > MAX_DEPTH:
+                raise ValueError(f"parentheses nested deeper than {MAX_DEPTH} "
+                                 f"at position {m.start(4)}")
+            groups.append([])
+            continue
+        if other:
+            raise ValueError(f"unexpected character {other!r} at position {m.start(4)} in {text!r}")
+        if ch == ")" and len(groups) == 1:
+            raise ValueError(f"unbalanced parenthesis at position {m.start(1)} in {text!r}")
+        if caret and not digits:
+            raise ValueError(f"expected integer exponent at position {m.end(2)} in {text!r}")
+        e = int(digits) if digits else 1
+        if ch == ")":
+            inner = normalize(groups.pop())
+            groups[-1].extend(_power(inner, e))
+        else:
+            groups[-1].append((ch.lower(), -e if ch.isupper() else e))
+    if len(groups) > 1:
+        raise ValueError(f"unbalanced parenthesis in {text!r}")
+    return normalize(groups[0])
 
 
 def word_to_str(w: Word) -> str:
@@ -264,8 +230,6 @@ def expand_factorization(twists) -> Word:
 
 def normalize_cycle(u: int, v: int) -> tuple[int, int]:
     """Primitive class up to sign; first nonzero coordinate made positive."""
-    from math import gcd
-
     g = gcd(u, v)
     if g:
         u, v = u // g, v // g

@@ -37,9 +37,30 @@ def test_word_algebra():
 
 
 def test_parse_word_rejects_garbage():
-    for bad in ["c", "a^", "(ab", "a**2", "3a", "(" * 1000 + "a" + ")" * 1000]:
-        with pytest.raises(ValueError):
-            mcg.parse_word(bad)
+    deep = "(" * 1000 + "a" + ")" * 1000
+    rows = [
+        ("c", "unexpected character 'c' at position 0 in 'c'"),
+        ("a^", "expected integer exponent at position 2 in 'a^'"),
+        ("(ab", "unbalanced parenthesis in '(ab'"),
+        ("a**2", "unexpected character '*' at position 1 in 'a**2'"),
+        ("3a", "unexpected character '3' at position 0 in '3a'"),
+        (deep, "parentheses nested deeper than 32 at position 32"),
+        # one row per message; an exponent error is placed after the blanks that follow `^`
+        ("a ^ ", "expected integer exponent at position 4 in 'a ^ '"),
+        ("a^+ 2", "expected integer exponent at position 2 in 'a^+ 2'"),
+        (")^2", "unbalanced parenthesis at position 0 in ')^2'"),
+        ("((a)", "unbalanced parenthesis in '((a)'"),
+        ("a*2", "unexpected character '*' at position 1 in 'a*2'"),
+        ("(" * 33 + "a" + ")" * 33, "parentheses nested deeper than 32 at position 32"),
+        # `str.isdigit` accepts a superscript two, but an exponent takes decimal digits only
+        ("a^²", "expected integer exponent at position 2 in 'a^²'"),
+        ("A^5²", "unexpected character '²' at position 3 in 'A^5²'"),
+    ]
+    for text, message in rows:
+        with pytest.raises(ValueError) as exc:
+            mcg.parse_word(text)
+        assert str(exc.value) == message, text[:40]
+    assert mcg.parse_word("(" * 32 + "a" + ")" * 32) == (("a", 1),)
 
 
 def test_word_to_str_round_trip():
