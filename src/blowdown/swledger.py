@@ -26,24 +26,32 @@ XOR in one fixed mask, and only they keep a residue each, for the walk: a base
 entry whose mask is not the chain's parity has no survivor, and when no base
 entry's mask is, the filter stops before building anything.
 Otherwise a sign pattern a survives iff res(base) + sum a_i*residue_i lands on
-the one residue the ball accepts (`ChainData.target`): a subset sum mod p.  One
+the one residue the ball accepts (`ChainData.target`): a subset sum mod p.  A
 backward pass from that residue gives, per level i, the residues from which
-the remaining signs can still land there (at most p of them), and the filter
-walks the signs -1 before +1 through those sets only.  Survivors come out
-sorted, each restriction is the base entry's plus one signed row per step,
-and the cost is O(m*p + survivors*m) instead of O(2^m * rank).
+the remaining signs can still land there, up to the first level that would
+hold more than 2^ceil(m/2) of them; the levels above accept every residue, as
+in the meet-in-the-middle subset sum (Horowitz-Sahni 1974).  The filter
+expands each base entry one level at a time, each pattern's -1 child before
+its +1 child, keeping a child only if its residue is live, so every level
+stays sorted.  The unpruned levels hold at most 2^floor(m/2) patterns, and
+every pattern on a pruned level reaches a survivor.  Each restriction is the
+base entry's plus one signed row per level, and the cost is
+O(m*min(p, 2^ceil(m/2)) + b*2^floor(m/2) + survivors*m) for b base entries,
+instead of O(2^m * rank).
 
-The walk yields each survivor as (base entry, class, restriction), and the
-blow-down builds its one Entry from that: the square is the base's minus m
-minus v^T G^-1 v, and the check and value set are shared per base entry.
-`substitute` keeps an entry whose value is already concrete and the view's
-m, so neither costs more than the base entries that change.
+The walk yields each base entry with its survivors' (class, restriction)
+pairs, and the blow-down builds one Entry per survivor: the square is the
+base's minus m minus v^T G^-1 v, and the check and value set are shared per
+base entry.  `substitute` keeps an entry whose value is already concrete and
+the view's m, and substitutes each distinct symbolic value once, so neither
+costs more than the base entries that change.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from functools import cache, partial
 from itertools import product
 from math import comb, gcd
 from operator import itemgetter
@@ -275,7 +283,8 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
     sign choices a_i = +-1, keeping its value.  Squares drop by count, so the
     formal dimension of every descendant equals its parent's.  The entries are
     an `Entries` view over the same base with m + count signs, so this builds
-    no entry; a blow-down of the result costs O(m*p + survivors*m) (see the
+    no entry; a blow-down of the result costs
+    O(m*min(p, 2^ceil(m/2)) + len(base)*2^floor(m/2) + survivors*m) (see the
     module docstring), not len(base) << m.
     """
     if count < 1:
@@ -325,7 +334,8 @@ def _survivor_lookup(pairs, cls: tuple[int, ...]):
 
 
 def _survivors(ledger: Ledger, chain, chain_pairings):
-    """Yield (base entry, class, restriction) per survivor, sorted by class."""
+    """Yield (base entry, [(class, restriction), ...]) per base entry that has
+    survivors, in class order."""
     test = hirzebruch.discriminant(chain)
     if len(chain_pairings) != len(ledger.basis):
         raise ValueError("need one chain-pairing row per tracked class")
@@ -348,38 +358,27 @@ def _survivors(ledger: Ledger, chain, chain_pairings):
         starts.append((r, mask ^ tail_mask, residue))
     if all(mask != test.parity for _r, mask, _s in starts):
         return  # no class is characteristic: build no level
-    # live[i]: the residues from which signs i.. can still land on the target
-    live = [{test.target}]
+    # live[i]: the residues from which signs i.. can still land on the target,
+    # built back while a set holds at most 2^ceil(m/2); the levels above accept
+    # every residue
+    p, live = test.p, [{test.target}]
     for x in reversed(tail):
-        live.append({(s + a * x) % test.p for s in live[-1] for a in (-1, 1)})
-    live.reverse()
+        nxt = {(s + a * x) % p for s in live[-1] for a in (-1, 1)}
+        if len(nxt) > 1 << (m + 1) // 2:
+            break
+        live.append(nxt)
+    live = [range(p)] * (m + 1 - len(live)) + live[::-1]
     # nonzero (sphere, pairing) pairs of each exceptional row
     steps = [[(i, x) for i, x in enumerate(row) if x] for row in exceptional]
     for ent, (r, mask, residue) in zip(base, starts):
         if mask != test.parity or residue not in live[0]:
             continue
-        for cls, restriction in _sign_walk(residue, ent.cls, r, tail, steps, live, test.p):
-            yield ent, cls, restriction
-
-
-def _sign_walk(start: int, head, restriction, tail, steps, live, p: int):
-    """Yield (head + signs, restriction) for each sign pattern, in ascending
-    order, whose residues from `start` stay in `live`; a step adds the signed
-    exceptional row to its parent's restriction."""
-    cls = list(head) + [0] * len(tail)  # a node at depth i sets sign i - 1
-    cut = len(head) - 1
-    stack = [(0, start, restriction, 0)]
-    while stack:
-        i, s, r, a = stack.pop()
-        if i:
-            cls[cut + i] = a
-        if i == len(tail):
-            yield tuple(cls), r
-            continue
-        for a in (1, -1):  # -1 is popped first
-            t = (s + a * tail[i]) % p
-            if t in live[i + 1]:
-                stack.append((i + 1, t, _add_row(r, a, steps[i]), a))
+        level = [(ent.cls, residue, r)]  # sign patterns so far, -1 before +1
+        for x, step, nxt in zip(tail, steps, live[1:]):
+            level = [(cls + (a,), t, _add_row(r, a, step))
+                     for cls, s, r in level for a in (-1, 1) if (t := (s + a * x) % p) in nxt]
+        if level:
+            yield ent, [(cls, r) for cls, _s, r in level]
 
 
 def _add_row(r: tuple[int, ...], a: int, step) -> tuple[int, ...]:
@@ -395,24 +394,21 @@ def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: 
     chain = tuple(chain)
     m = ledger.entries.m
     new_entries, restrictions, value_sets = [], [], []
-    inverse_forms: dict[tuple[int, ...], int] = {}  # one per distinct restriction
-    parent = None
-    # survivors come sorted by class and grouped by base entry, and each is
-    # built once, here: the square, check and value set follow from its base
-    for ent, cls, r in _survivors(ledger, chain, chain_pairings):
-        if ent is not parent:
-            parent, square, v = ent, ent.square - m, ent.value
-            values = (v.shift(-1), v, v.shift(1)) if chambered else (v,)
-            try:
-                dimension_from_square(square, ledger.e, ledger.sigma)
-            except ValueError as exc:
-                raise ValueError(f"class {cls} has {exc}") from None
-        form = inverse_forms.get(r)
-        if form is None:
-            form = inverse_forms[r] = hirzebruch.gram_inverse_form(chain, r)
-        new_entries.append(Entry(cls, v, square - form, ent.verified))
-        restrictions.append((cls, r))
-        value_sets.append((cls, values))
+    # one inverse form per distinct restriction
+    inverse_form = cache(partial(hirzebruch.gram_inverse_form, chain))
+    # survivors come sorted by class and grouped by base entry: the square,
+    # check and value set follow from the base entry, once per batch
+    for ent, survivors in _survivors(ledger, chain, chain_pairings):
+        square, v = ent.square - m, ent.value
+        try:
+            dimension_from_square(square, ledger.e, ledger.sigma)
+        except ValueError as exc:
+            raise ValueError(f"class {survivors[0][0]} has {exc}") from None
+        values = (v.shift(-1), v, v.shift(1)) if chambered else (v,)
+        new_entries += [Entry(cls, v, square - inverse_form(r), ent.verified)
+                        for cls, r in survivors]
+        restrictions += survivors
+        value_sets += [(cls, values) for cls, _r in survivors]
     label = new_label if new_label is not None else f"{ledger.label} (chain blown down)"
     out = Ledger(label=label, e=ledger.e - len(chain), sigma=ledger.sigma + len(chain),
                  basis=ledger.basis, entries=Entries(tuple(new_entries), 0))
@@ -455,13 +451,13 @@ def chambered_blowdown_ledger(
 
 def substitute(ledger: Ledger, n: int) -> Ledger:
     """The ledger at twist parameter n, a view over the substituted base with
-    the same m: a concrete entry is kept as it is (entries are frozen), and
-    nothing is written out or sorted again."""
-    base = tuple(
-        Entry(ent.cls, LinExpr(ent.value.subst(n), 0), ent.square, ent.verified)
-        if ent.value.c1 else ent
-        for ent in ledger.entries.base
-    )
+    the same m: a concrete entry is kept as it is (entries are frozen), each
+    distinct symbolic value is substituted once, and nothing is written out or
+    sorted again."""
+    base = ledger.entries.base
+    concrete = {v: LinExpr(v.subst(n), 0) for v in {ent.value for ent in base if ent.value.c1}}
+    base = tuple(Entry(ent.cls, concrete[ent.value], ent.square, ent.verified)
+                 if ent.value.c1 else ent for ent in base)
     return Ledger(ledger.label, ledger.e, ledger.sigma, ledger.basis,
                   Entries(base, ledger.entries.m))
 

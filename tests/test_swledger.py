@@ -324,6 +324,11 @@ def test_blowdown_checks_each_survivors_formal_dimension():
     ]:
         with pytest.raises(ValueError, match=fr"^{re.escape(message)}; need a nonnegative integer$"):
             sw.rational_blowdown_ledger(ledger(squares), (-4,), [(0,)], corrections=(True, True))
+    # blown up twice, a base entry's four survivors share its dimension, and
+    # the first of them in class order is named
+    with pytest.raises(ValueError, match=r"^class \(2, -1, -1\) has formal dimension 1/2;"):
+        sw.rational_blowdown_ledger(sw.blow_up_ledger(ledger([0, 2]), 2), (-4,), [(0,)] * 3,
+                                    corrections=(True, True))
 
 
 def test_chambered_blowdown_ledger():
@@ -612,6 +617,7 @@ def test_blowdown_walk_matches_eager_scan_on_stacked_blowups_and_large_p():
         return tuple(c * x for x in row)
 
     large_p_survivors = stacked_survivors = zero_residue_rows = 0
+    unpruned_cases = unpruned_survivors = 0
     for case in range(60):
         chain = rng.choice(chains if case % 2 else small)
         order, coeffs = smith_coeffs(chain)
@@ -627,8 +633,32 @@ def test_blowdown_walk_matches_eager_scan_on_stacked_blowups_and_large_p():
             if sum(x * c for x, c in zip(r, coeffs)) % p == 0 and any(x % 2 for x in r))
         large_p_survivors += kept if p >= 100 else 0
         stacked_survivors += kept if len(counts) == 2 else 0
+        # p above 2^ceil(m/2): the walk's top levels accept every residue
+        if kept and p > 1 << (sum(counts) + 1) // 2:
+            unpruned_cases += 1
+            unpruned_survivors += kept
     assert large_p_survivors >= 20 and stacked_survivors >= 20 and zero_residue_rows >= 20, (
         large_p_survivors, stacked_survivors, zero_residue_rows)
+    # only 9 of the 60 cases keep any survivor, so the floor counts survivors
+    assert unpruned_cases >= 5 and unpruned_survivors >= 20, (unpruned_cases, unpruned_survivors)
+
+
+def test_blowdown_walk_accepts_every_start_residue_above_the_capped_levels():
+    # 4 names on C_{p,q} with p > 2^2, so the residue sets stop two levels
+    # below the top.  The T row is the canonical vector plus 2j on the first
+    # sphere (coefficient 1, p odd), so as j runs over Z_p the start residue
+    # does too; the exceptional rows are even, so every class is characteristic.
+    rng = random.Random(4)
+    seed = sw.knot_surgery_ledger([sw.alexander_twist()], label="Y_n")
+    for p, q in ((11, 3), (13, 5), (17, 4)):
+        chain = hirzebruch.chain_for_cpq(p, q)
+        canonical = hirzebruch.canonical_vector(chain)
+        exceptional = [(2 * rng.randrange(1, p),) + (0,) * (len(chain) - 1) for _ in range(4)]
+        lazy, eager = blow_up_both_ways(seed, (4,))
+        kept = [check_blowdown(lazy, eager, chain,
+                               [(canonical[0] + 2 * j,) + canonical[1:]] + exceptional)
+                for j in range(p)]
+        assert sum(map(bool, kept)) >= p // 2, (p, kept)
 
 
 def test_ledgers_built_out_of_order_are_sorted_by_class():
@@ -676,7 +706,7 @@ def test_blowdown_with_no_characteristic_class_builds_no_residue_level():
     # row is the canonical vector and each exceptional row differs from it by
     # an even vector, so all 22 rows have the chain's parity and every class's
     # mask is their XOR, 0: no class is characteristic.  The filter must see
-    # that before building residue levels, which could hold 2^21 residues.
+    # that before building residue levels, which could hold 2^11 residues.
     rng = random.Random(21)
     chain = hirzebruch.chain_for_cpq(1000003, 621999)
     canonical = hirzebruch.canonical_vector(chain)
@@ -696,6 +726,64 @@ def test_blowdown_with_no_characteristic_class_builds_no_residue_level():
         tracemalloc.stop()
     assert tuple(result.ledger.entries) == ()
     assert elapsed < 0.1 and peak < 1_000_000, (elapsed, peak)
+
+
+LARGE_P_NAMES = 24
+
+
+def meet_in_the_middle_survivors(chain, rows):
+    """(class, restriction) of each survivor of the +-T seed blown up at
+    len(rows) - 1 names, sorted: the residue sums of the two halves of the
+    signs joined on the Smith-form residue 0 mod p (Horowitz-Sahni), then the
+    parity check on each joined class."""
+    order, coeffs = smith_coeffs(chain)
+    p = math.isqrt(order)
+    residues = [sum(x * c for x, c in zip(row, coeffs)) % p for row in rows]
+    half = len(rows) // 2
+
+    def sums(part):
+        return [(signs, sum(a * x for a, x in zip(signs, part)) % p)
+                for signs in product((-1, 1), repeat=len(part))]
+
+    right = {}
+    for signs, s in sums(residues[half:]):
+        right.setdefault(s, []).append(signs)
+    out = []
+    for left, s in sums(residues[:half]):
+        for signs in right.get(-s % p, ()):
+            cls = left + signs
+            r = tuple(sum(c * row[i] for c, row in zip(cls, rows)) for i in range(len(chain)))
+            if all((x - w) % 2 == 0 for x, w in zip(r, chain)):
+                out.append((cls, r))
+    return sorted(out)
+
+
+def test_blowdown_on_a_large_p_chain_costs_half_the_signs():
+    # C_{1000003,621999} (32 spheres) after 24 names on the +-T seed.  The T
+    # row is the canonical vector and each exceptional row differs from it by
+    # an even vector, so with an even number of names every one of the 2^25
+    # classes is characteristic and only the residue mod p decides.  The
+    # backward residue sets stop at 2^12, so neither time nor memory follows p.
+    rng = random.Random(24)
+    chain = hirzebruch.chain_for_cpq(1000003, 621999)
+    canonical = hirzebruch.canonical_vector(chain)
+    rows = (canonical,) + tuple(
+        tuple(x + 2 * rng.randint(-3, 3) for x in canonical) for _ in range(LARGE_P_NAMES))
+    seed = sw.knot_surgery_ledger([sw.alexander_twist()], label="Y_n")
+    blown = sw.blow_up_ledger(seed, LARGE_P_NAMES)
+    start = time.perf_counter()
+    result = sw.chambered_blowdown_ledger(blown, chain, rows)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        sw.chambered_blowdown_ledger(blown, chain, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    survivors = meet_in_the_middle_survivors(chain, rows)
+    assert survivors and list(result.restrictions) == survivors
+    assert [e.cls for e in result.ledger.entries] == [cls for cls, _r in survivors]
+    assert elapsed < 0.5 and peak < 20_000_000, (elapsed, peak)
 
 
 def test_blowdown_filter_memory_follows_survivors():
