@@ -1,18 +1,20 @@
 """Homology-level bookkeeping for curve configurations in 4-manifolds.
 
-State is an ambient integer lattice (Gram rows, Euler characteristic,
-signature, assumption flags) plus the curves, by name, each a class with a
-genus and a count of positive double points.  The lattice is sparse: the Gram
-form maps each generator to its nonzero pairings, in basis order, and a class
-maps generators to nonzero coefficients.  The operations are the moves the
-constructions are made of: setting a pairing, blow-ups (including infinitely
-close ones, via incidence with the previous exceptional curve), smoothing of
-transverse intersections, chain extraction, the knot-surgery relabeling, and
-rational blow-down of a recognized chain.  Each operation returns a new
-configuration and never changes its input: it copies the outer generator
-and curve maps it changes, which grow with the rank, and only the rows and
-classes it changes, sharing the rest; a table of pairings (`pairing_table`)
-costs its nonzero products.
+A configuration is one record: an integer lattice (Gram rows), the curves
+on it, by name, each a class with a genus and a count of positive double
+points, and the Euler characteristic, signature, label and assumption
+flags of the manifold.  The lattice is sparse: the Gram form maps each
+generator to its nonzero pairings, in basis order, and a class maps
+generators to nonzero coefficients.  The operations are the moves the
+constructions are made of: setting a pairing, blow-ups (including
+infinitely close ones, via incidence with the previous exceptional curve),
+smoothing of transverse intersections, chain extraction, the knot-surgery
+relabeling, and rational blow-down of a recognized chain, which leaves no
+generators and no curves.  Each move returns a new configuration and never
+changes its input: it copies the outer generator and curve maps it
+changes, which grow with the rank, and only the rows and classes it
+changes, sharing the rest; a table of pairings (`pairing_table`) costs its
+nonzero products.
 """
 
 from __future__ import annotations
@@ -26,14 +28,6 @@ class ConfigError(ValueError):
     pass
 
 
-class Ambient(NamedTuple):
-    gram: dict[str, dict[str, int]]  # generator -> {generator: nonzero pairing}
-    e: int
-    sigma: int
-    label: str
-    flags: frozenset[str] = frozenset()
-
-
 class Curve(NamedTuple):
     name: str
     cls: dict[str, int]  # generator -> nonzero coefficient
@@ -42,8 +36,12 @@ class Curve(NamedTuple):
 
 
 class CurveConfig(NamedTuple):
-    ambient: Ambient
+    gram: dict[str, dict[str, int]]  # generator -> {generator: nonzero pairing}
     curves: dict[str, Curve]
+    e: int
+    sigma: int
+    label: str
+    flags: frozenset[str] = frozenset()
 
     def curve(self, name: str) -> Curve:
         try:
@@ -51,13 +49,10 @@ class CurveConfig(NamedTuple):
         except KeyError:
             raise ConfigError(f"no curve named {name!r}") from None
 
-    def has_curve(self, name: str) -> bool:
-        return name in self.curves
-
 
 def new_config(label: str, e: int, sigma: int, flags, basis) -> CurveConfig:
     """No curves yet over the generators `basis`, in order; every pairing 0."""
-    return CurveConfig(Ambient({g: {} for g in basis}, e, sigma, label, frozenset(flags)), {})
+    return CurveConfig({g: {} for g in basis}, {}, e, sigma, label, frozenset(flags))
 
 
 def pair_vectors(gram, u, v) -> int:
@@ -102,7 +97,7 @@ def _dot(image, v) -> int:
 
 
 def pairing(cfg: CurveConfig, c1: str, c2: str) -> int:
-    return pair_vectors(cfg.ambient.gram, cfg.curve(c1).cls, cfg.curve(c2).cls)
+    return pair_vectors(cfg.gram, cfg.curve(c1).cls, cfg.curve(c2).cls)
 
 
 def square(cfg: CurveConfig, c: str) -> int:
@@ -111,7 +106,10 @@ def square(cfg: CurveConfig, c: str) -> int:
 
 def set_pairing(cfg: CurveConfig, g1: str, g2: str, value: int) -> CurveConfig:
     """Set the (symmetric) Gram entry of two generators; a 0 drops the entry."""
-    gram = dict(cfg.ambient.gram)
+    for g in (g1, g2):
+        if g not in cfg.gram:
+            raise ConfigError(f"no generator named {g!r}")
+    gram = dict(cfg.gram)
     for a, b in ((g1, g2), (g2, g1)):
         row = dict(gram[a])
         if value:
@@ -119,17 +117,17 @@ def set_pairing(cfg: CurveConfig, g1: str, g2: str, value: int) -> CurveConfig:
         else:
             row.pop(b, None)
         gram[a] = row
-    amb = cfg.ambient
-    return CurveConfig(Ambient(gram, amb.e, amb.sigma, amb.label, amb.flags), cfg.curves)
+    return CurveConfig(gram, cfg.curves, cfg.e, cfg.sigma, cfg.label, cfg.flags)
 
 
 def add_curve(cfg: CurveConfig, curve: Curve) -> CurveConfig:
     for g in curve.cls:
-        if g not in cfg.ambient.gram:
+        if g not in cfg.gram:
             raise ConfigError(f"class of {curve.name!r} names {g!r}, not an ambient generator")
-    if cfg.has_curve(curve.name):
+    if curve.name in cfg.curves:
         raise ConfigError(f"curve {curve.name!r} already exists")
-    return CurveConfig(cfg.ambient, {**cfg.curves, curve.name: curve})
+    return CurveConfig(cfg.gram, {**cfg.curves, curve.name: curve}, cfg.e, cfg.sigma, cfg.label,
+                       cfg.flags)
 
 
 def blow_up(cfg: CurveConfig, name: str, at=(), double_point_of: str | None = None) -> CurveConfig:
@@ -141,14 +139,13 @@ def blow_up(cfg: CurveConfig, name: str, at=(), double_point_of: str | None = No
     double point of a curve requires multiplicity exactly 2 on that curve and
     decrements its double-point count.  Only the incident curves are rebuilt.
     """
-    amb = cfg.ambient
-    if name in amb.gram:
+    if name in cfg.gram:
         raise ConfigError(f"generator {name!r} already exists")
-    if cfg.has_curve(name):
+    if name in cfg.curves:
         raise ConfigError(f"curve {name!r} already exists")
     incidences = dict()
     for cname, mult in at:
-        if not cfg.has_curve(cname):
+        if cname not in cfg.curves:
             raise ConfigError(f"no curve named {cname!r}")
         if mult < 1:
             raise ConfigError(f"multiplicity for {cname!r} must be >= 1, got {mult}")
@@ -162,15 +159,14 @@ def blow_up(cfg: CurveConfig, name: str, at=(), double_point_of: str | None = No
         if incidences.setdefault(double_point_of, 2) != 2:
             raise ConfigError("a double-point blow-up carries multiplicity exactly 2")
 
-    gram = {**amb.gram, name: {name: -1}}
-    new_amb = Ambient(gram, amb.e + 1, amb.sigma - 1, amb.label, amb.flags)
     curves = dict(cfg.curves)
     for cname, mult in incidences.items():
         c = curves[cname]
         dps = c.double_points - (1 if cname == double_point_of else 0)
         curves[cname] = Curve(cname, {**c.cls, name: -mult}, c.genus, dps)
     curves[name] = Curve(name, {name: 1})
-    return CurveConfig(ambient=new_amb, curves=curves)
+    return CurveConfig({**cfg.gram, name: {name: -1}}, curves, cfg.e + 1, cfg.sigma - 1, cfg.label,
+                       cfg.flags)
 
 
 def smooth(cfg: CurveConfig, name: str, c1: str, c2: str) -> CurveConfig:
@@ -182,7 +178,7 @@ def smooth(cfg: CurveConfig, name: str, c1: str, c2: str) -> CurveConfig:
     a, b = cfg.curve(c1), cfg.curve(c2)
     if a.name == b.name:
         raise ConfigError("cannot smooth a curve with itself")
-    p = pair_vectors(cfg.ambient.gram, a.cls, b.cls)
+    p = pair_vectors(cfg.gram, a.cls, b.cls)
     if p < 1:
         raise ConfigError(f"curves {c1!r} and {c2!r} have pairing {p}; need >= 1 to smooth")
     merged = Curve(
@@ -196,7 +192,7 @@ def smooth(cfg: CurveConfig, name: str, c1: str, c2: str) -> CurveConfig:
     if name in curves:
         raise ConfigError(f"curve {name!r} already exists")
     curves[name] = merged
-    return CurveConfig(cfg.ambient, curves)
+    return CurveConfig(cfg.gram, curves, cfg.e, cfg.sigma, cfg.label, cfg.flags)
 
 
 def extract_chain(cfg: CurveConfig, names) -> hirzebruch.Chain:
@@ -212,7 +208,7 @@ def extract_chain(cfg: CurveConfig, names) -> hirzebruch.Chain:
     """
     curves = [cfg.curve(n) for n in names]
     classes = [c.cls for c in curves]
-    table = pairing_table(cfg.ambient.gram, classes, classes)
+    table = pairing_table(cfg.gram, classes, classes)
     for i, c in enumerate(curves):
         if c.genus != 0:
             raise ConfigError(f"chain curve {c.name!r} has genus {c.genus}, expected 0")
@@ -239,41 +235,34 @@ def knot_surgery_shadow(cfg: CurveConfig, label: str, add_flags=()) -> CurveConf
     are carried across by the natural correspondence; only the name and the
     recorded assumptions change.
     """
-    amb = cfg.ambient
-    return CurveConfig(Ambient(amb.gram, amb.e, amb.sigma, label, amb.flags | frozenset(add_flags)),
-                       cfg.curves)
+    return CurveConfig(cfg.gram, cfg.curves, cfg.e, cfg.sigma, label,
+                       cfg.flags | frozenset(add_flags))
 
 
-def rational_blowdown(amb: Ambient, chain, new_label: str | None = None) -> Ambient:
-    """Replace a recognized C_{p,q} chain of `amb`, given by the weights that
+def rational_blowdown(cfg: CurveConfig, chain, new_label: str | None = None) -> CurveConfig:
+    """Replace a recognized C_{p,q} chain of `cfg`, given by the weights that
 
     `extract_chain` read off it, by the rational ball it shares a boundary
-    with: e drops by the chain length, sigma rises by it, and curve-level
-    data is dropped.
+    with: e drops by the chain length, sigma rises by it, the flags carry
+    across, and no generators or curves are kept.
     """
     pq = hirzebruch.identify_cpq(chain)
     if pq is None:
         raise ConfigError(f"chain {hirzebruch.chain_to_str(chain)} is not a C_{{p,q}} plumbing")
     k = len(chain)
-    label = new_label if new_label is not None else f"{amb.label} (C_{{{pq[0]},{pq[1]}}} blown down)"
-    return Ambient(
-        gram={},
-        e=amb.e - k,
-        sigma=amb.sigma + k,
-        label=label,
-        flags=amb.flags,
-    )
+    label = new_label if new_label is not None else f"{cfg.label} (C_{{{pq[0]},{pq[1]}}} blown down)"
+    return CurveConfig({}, {}, cfg.e - k, cfg.sigma + k, label, cfg.flags)
 
 
-def homeo_fingerprint(a: Ambient):
-    """Freedman-style lookup: a simply-connected ambient with an odd form,
+def homeo_fingerprint(cfg: CurveConfig):
+    """Freedman-style lookup: a simply-connected configuration with an odd
 
-    e = 3 + k and sigma = 1 - k (k >= 0) prints as "CP2 # k CP2bar".
+    form, e = 3 + k and sigma = 1 - k (k >= 0) prints as "CP2 # k CP2bar".
     Returns None when no k fits or a required flag is missing.
     """
-    if "simply-connected" not in a.flags or "odd" not in a.flags:
+    if "simply-connected" not in cfg.flags or "odd" not in cfg.flags:
         return None
-    k = a.e - 3
-    if k < 0 or a.sigma != 1 - k:
+    k = cfg.e - 3
+    if k < 0 or cfg.sigma != 1 - k:
         return None
     return f"CP2 # {k} CP2bar"

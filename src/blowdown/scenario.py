@@ -458,9 +458,9 @@ class _Runner:
         """Resolve a linear combination of generators and/or curve names."""
         vec: dict[str, int] = {}
         for coef, name in lc:
-            if name in self.cfg.ambient.gram:
+            if name in self.cfg.gram:
                 terms = ((name, 1),)
-            elif self.cfg.has_curve(name):
+            elif name in self.cfg.curves:
                 terms = self.cfg.curve(name).cls.items()
             else:
                 raise ValueError(f"unknown class name {name!r}")
@@ -468,23 +468,16 @@ class _Runner:
                 vec[g] = vec.get(g, 0) + coef * x
         return {g: x for g, x in vec.items() if x}
 
-    def ambient(self, *args):
-        self.cfg = homcalc.new_config(*args)
-
     def chain(self, name, curves):
         weights = homcalc.extract_chain(self.cfg, curves)
         self.chains[name] = _ChainRec(weights, tuple(self.cfg.curve(c).cls for c in curves))
-
-    def blowdown(self, chain, label):
-        amb = homcalc.rational_blowdown(self.cfg.ambient, self.chains[chain].weights, label)
-        self.cfg = homcalc.CurveConfig(ambient=amb, curves={})
 
     def mcg(self, name, expected, twists):
         self.mcgs[name] = mcg.verify_fibration(twists, expected)
 
     def sw_ledger(self, name, e, sigma, fiber, knots):
         fiber_vec = self._class_vec(fiber)
-        fsq = homcalc.pair_vectors(self.cfg.ambient.gram, fiber_vec, fiber_vec)
+        fsq = homcalc.pair_vectors(self.cfg.gram, fiber_vec, fiber_vec)
         if fsq != 0:
             raise ValueError(f"fiber class squares to {fsq}, expected 0")
         polys = [swledger.alexander_twist(k) for k in knots]
@@ -502,10 +495,9 @@ class _Runner:
         the live generator of its name."""
         src = self.sw[source]
         rec = self.chains[chain]
-        gram = self.cfg.ambient.gram
         tracked = [src.fiber_vec] + [{g: 1} for g in src.ledger.basis[1:]]
         pairings = [tuple(row.get(j, 0) for j in range(len(rec.classes)))
-                    for row in homcalc.pairing_table(gram, tracked, rec.classes)]
+                    for row in homcalc.pairing_table(self.cfg.gram, tracked, rec.classes)]
         if chambered:
             result = swledger.chambered_blowdown_ledger(
                 src.ledger, rec.weights, pairings, new_label=label
@@ -681,7 +673,7 @@ def _equal(description: str, expected, actual, show=str) -> AssertionRecord:
 def _check_square_class(run: _Runner, lc: Lincomb, expected: int) -> AssertionRecord:
     vec = run._class_vec(lc)
     return _equal(f"square of class {lincomb_to_str(lc)}", expected,
-                  homcalc.pair_vectors(run.cfg.ambient.gram, vec, vec))
+                  homcalc.pair_vectors(run.cfg.gram, vec, vec))
 
 
 def _check_mcg_pass(run: _Runner, name: str) -> AssertionRecord:
@@ -740,7 +732,8 @@ _KINDS: dict[str, _Kind] = {
     "ambient": _Kind(
         (_text("manifold label"), "e", _int("Euler characteristic"), "sigma", _int("signature"),
          _opt("flags", _list(_text("flag"), stop="basis"), ()), "basis", _GENS),
-        _Runner.ambient, (("have_ambient", "duplicate ambient declaration"),),
+        lambda run, *args: setattr(run, "cfg", homcalc.new_config(*args)),
+        (("have_ambient", "duplicate ambient declaration"),),
         _ParseChecker.ambient),
     "pair": _Kind(
         (_GEN, _GEN, _int("pairing value")),
@@ -773,7 +766,9 @@ _KINDS: dict[str, _Kind] = {
         _Runner.chain, (_DROPPED,), lambda chk, name, curves: chk.chains.add(name)),
     "blowdown": _Kind(
         (_CHAIN, _opt("label", _text("manifold label"))),
-        _Runner.blowdown, (("blown_down", "already blown down"),), _ParseChecker.blowdown),
+        lambda run, chain, label: run.move(
+            homcalc.rational_blowdown, run.chains[chain].weights, label),
+        (("blown_down", "already blown down"),), _ParseChecker.blowdown),
     "mcg": _Kind(
         (_new("report name", "mcgs"), "expected", _int("expected twist count"),
          "twists", _list(_parsed("twist spec", _parse_twistspec, _show_twist))),
@@ -801,13 +796,13 @@ _KINDS: dict[str, _Kind] = {
         f"chain {name} identified", (p, q), hirzebruch.identify_cpq(run.chains[name].weights),
         lambda pq: f"C_{{{pq[0]},{pq[1]}}}" if pq else "none")),
     "assert euler": _assertion((_int("integer"),), lambda run, e: _equal(
-        "euler characteristic", e, run.cfg.ambient.e)),
+        "euler characteristic", e, run.cfg.e)),
     "assert signature": _assertion((_int("integer"),), lambda run, sigma: _equal(
-        "signature", sigma, run.cfg.ambient.sigma)),
+        "signature", sigma, run.cfg.sigma)),
     "assert label": _assertion((_LABEL,), lambda run, label: _equal(
-        "manifold label", label, run.cfg.ambient.label)),
+        "manifold label", label, run.cfg.label)),
     "assert fingerprint": _assertion((_FINGERPRINT,), lambda run, fp: _equal(
-        "homeomorphism fingerprint", fp, homcalc.homeo_fingerprint(run.cfg.ambient),
+        "homeomorphism fingerprint", fp, homcalc.homeo_fingerprint(run.cfg),
         lambda s: "none" if s is None else s)),
     "assert pairing": _assertion(
         (_CURVE, _CURVE, _int("pairing value")), lambda run, c1, c2, n: _equal(

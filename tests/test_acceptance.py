@@ -105,13 +105,12 @@ def test_acceptance_4_characteristic_numbers():
 
     # knot surgery preserves (e, sigma): the Y_n and V_n intermediates both
     # sit at (12, -8)
-    amb = homcalc.Ambient(gram={"S": {"S": -1}}, e=12, sigma=-8,
-                          label="E(1)", flags=frozenset({"simply-connected", "odd"}))
-    cfg = homcalc.CurveConfig(ambient=amb, curves={})
+    cfg = homcalc.CurveConfig(gram={"S": {"S": -1}}, curves={}, e=12, sigma=-8, label="E(1)",
+                              flags=frozenset({"simply-connected", "odd"}))
     y_n = homcalc.knot_surgery_shadow(cfg, "Y_n")
-    assert (y_n.ambient.e, y_n.ambient.sigma) == (12, -8)
+    assert (y_n.e, y_n.sigma) == (12, -8)
     v_n = homcalc.knot_surgery_shadow(y_n, "V_n")
-    assert (v_n.ambient.e, v_n.ambient.sigma) == (12, -8)
+    assert (v_n.e, v_n.sigma) == (12, -8)
 
     # the unsurgered comparison manifold goes (14, -10) -> (8, -4)
     r = report_for("r")

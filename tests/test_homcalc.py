@@ -5,15 +5,14 @@ import time
 import pytest
 
 from blowdown import hirzebruch, homcalc
-from blowdown.homcalc import Ambient, ConfigError, Curve, CurveConfig
+from blowdown.homcalc import ConfigError, Curve, CurveConfig
 
 
 def e1_with_section():
     """Rational elliptic surface shadow: section S and one (-2) fiber piece."""
     gram = {"S": {"S": -1, "T": 1}, "T": {"S": 1, "T": -2}}
-    amb = Ambient(gram=gram, e=12, sigma=-8, label="E(1)",
-                  flags=frozenset({"simply-connected", "odd", "section"}))
-    cfg = CurveConfig(ambient=amb, curves={})
+    cfg = CurveConfig(gram=gram, curves={}, e=12, sigma=-8, label="E(1)",
+                      flags=frozenset({"simply-connected", "odd", "section"}))
     cfg = homcalc.add_curve(cfg, Curve("s", {"S": 1}))
     cfg = homcalc.add_curve(cfg, Curve("t", {"T": 1}))
     return cfg
@@ -26,6 +25,15 @@ def test_pairing_and_square():
     assert homcalc.pairing(cfg, "s", "t") == 1
 
 
+def test_set_pairing_names_a_missing_generator():
+    cfg = homcalc.new_config("X", 3, 1, (), ("S",))
+    snapshot = copy.deepcopy(cfg)
+    for g1, g2 in (("S", "Q"), ("Q", "S"), ("Q", "Q")):
+        with pytest.raises(ConfigError, match="^no generator named 'Q'$"):
+            homcalc.set_pairing(cfg, g1, g2, 1)
+    assert cfg == snapshot
+
+
 def test_add_curve_rejects_duplicates_and_bad_rank():
     cfg = e1_with_section()
     with pytest.raises(ConfigError):
@@ -36,9 +44,8 @@ def test_add_curve_rejects_duplicates_and_bad_rank():
 
 def test_blow_up_generic():
     cfg = homcalc.blow_up(e1_with_section(), "E1")
-    amb = cfg.ambient
-    assert tuple(amb.gram) == ("S", "T", "E1")
-    assert amb.e == 13 and amb.sigma == -9
+    assert tuple(cfg.gram) == ("S", "T", "E1")
+    assert cfg.e == 13 and cfg.sigma == -9
     assert homcalc.square(cfg, "E1") == -1
     # existing curves are untouched
     assert homcalc.square(cfg, "s") == -1
@@ -87,7 +94,7 @@ def test_blow_up_validation():
 def test_smooth_pair():
     cfg = e1_with_section()
     out = homcalc.smooth(cfg, "u", "s", "t")
-    assert not out.has_curve("s") and not out.has_curve("t")
+    assert "s" not in out.curves and "t" not in out.curves
     u = out.curve("u")
     assert u.cls == {"S": 1, "T": 1}
     # (-1) + (-2) + 2*1 = -1
@@ -96,9 +103,7 @@ def test_smooth_pair():
 
 
 def test_smooth_needs_positive_pairing():
-    amb = Ambient(gram={"A": {"A": -1}, "B": {"B": -1}}, e=4, sigma=-2,
-                  label="x", flags=frozenset())
-    cfg = CurveConfig(ambient=amb, curves={})
+    cfg = CurveConfig(gram={"A": {"A": -1}, "B": {"B": -1}}, curves={}, e=4, sigma=-2, label="x")
     cfg = homcalc.add_curve(cfg, Curve("a", {"A": 1}))
     cfg = homcalc.add_curve(cfg, Curve("b", {"B": 1}))
     with pytest.raises(ConfigError):
@@ -106,9 +111,7 @@ def test_smooth_needs_positive_pairing():
 
 
 def test_smooth_excess_pairing_becomes_double_points():
-    amb = Ambient(gram={"A": {"B": 3}, "B": {"A": 3}}, e=4, sigma=0,
-                  label="x", flags=frozenset())
-    cfg = CurveConfig(ambient=amb, curves={})
+    cfg = CurveConfig(gram={"A": {"B": 3}, "B": {"A": 3}}, curves={}, e=4, sigma=0, label="x")
     cfg = homcalc.add_curve(cfg, Curve("a", {"A": 1}))
     cfg = homcalc.add_curve(cfg, Curve("b", {"B": 1}))
     out = homcalc.smooth(cfg, "c", "a", "b")
@@ -155,10 +158,10 @@ def test_extract_chain_reports_the_first_curves_defect():
 def test_knot_surgery_shadow():
     cfg = e1_with_section()
     out = homcalc.knot_surgery_shadow(cfg, "Y_n", add_flags=("pseudo-section",))
-    assert out.ambient.label == "Y_n"
-    assert out.ambient.e == 12 and out.ambient.sigma == -8
-    assert "pseudo-section" in out.ambient.flags
-    assert "simply-connected" in out.ambient.flags
+    assert out.label == "Y_n"
+    assert out.e == 12 and out.sigma == -8
+    assert "pseudo-section" in out.flags
+    assert "simply-connected" in out.flags
     # curve data carries across unchanged
     assert homcalc.square(out, "s") == -1
 
@@ -167,11 +170,24 @@ def test_rational_blowdown_counts():
     cfg = e1_with_section()
     cfg = homcalc.blow_up(cfg, "E1", at=[("s", 2)])
     # (-5,-2) is C_{3,1}
-    amb = homcalc.rational_blowdown(
-        cfg.ambient, homcalc.extract_chain(cfg, ("s", "t")), new_label="Z")
-    assert amb.e == 13 - 2 and amb.sigma == -9 + 2
-    assert amb.label == "Z"
-    assert amb.gram == {}
+    out = homcalc.rational_blowdown(cfg, homcalc.extract_chain(cfg, ("s", "t")), new_label="Z")
+    assert out.e == 13 - 2 and out.sigma == -9 + 2
+    assert out.label == "Z"
+    assert out.gram == {} and out.curves == {}
+
+
+def test_rational_blowdown_keeps_no_generators_or_curves():
+    cfg = homcalc.blow_up(e1_with_section(), "E1", at=[("s", 2)])
+    snapshot = copy.deepcopy(cfg)
+    # (-5,-2) is C_{3,1}
+    out = homcalc.rational_blowdown(cfg, homcalc.extract_chain(cfg, ("s", "t")))
+    assert cfg == snapshot
+    assert out == CurveConfig({}, {}, 11, -7, "E(1) (C_{3,1} blown down)",
+                              frozenset({"simply-connected", "odd", "section"}))
+    with pytest.raises(ConfigError, match="'S', not an ambient generator"):
+        homcalc.add_curve(out, Curve("s", {"S": 1}))
+    with pytest.raises(ConfigError, match="^no curve named 's'$"):
+        out.curve("s")
 
 
 def test_rational_blowdown_requires_plumbing():
@@ -179,41 +195,32 @@ def test_rational_blowdown_requires_plumbing():
     cfg = homcalc.blow_up(cfg, "E1", at=[("s", 3)])
     # (-7,-2) is not any C_{p,q}
     with pytest.raises(ConfigError):
-        homcalc.rational_blowdown(cfg.ambient, homcalc.extract_chain(cfg, ("s", "t")))
+        homcalc.rational_blowdown(cfg, homcalc.extract_chain(cfg, ("s", "t")))
 
 
 def test_rational_blowdown_counts_on_a_long_chain():
     # longer than any corpus chain (C_{540,301} has 19 spheres)
     chain = hirzebruch.chain_for_cpq(1000003, 621999)
     assert len(chain) == 32
-    amb = Ambient(gram={}, e=100, sigma=-60, label="big", flags=frozenset())
-    out = homcalc.rational_blowdown(amb, chain)
+    cfg = CurveConfig(gram={}, curves={}, e=100, sigma=-60, label="big")
+    out = homcalc.rational_blowdown(cfg, chain)
     assert (out.e, out.sigma) == (68, -28)
 
 
 def test_homeo_fingerprint():
-    amb = Ambient(gram={}, e=8, sigma=-4, label="X",
-                  flags=frozenset({"simply-connected", "odd"}))
-    assert homcalc.homeo_fingerprint(amb) == "CP2 # 5 CP2bar"
+    def fingerprint(e, sigma, flags=("simply-connected", "odd")):
+        return homcalc.homeo_fingerprint(CurveConfig({}, {}, e, sigma, "X", frozenset(flags)))
+
+    assert fingerprint(8, -4) == "CP2 # 5 CP2bar"
     # wrong signature for the Euler characteristic
-    amb2 = Ambient(gram={}, e=8, sigma=-2, label="X",
-                   flags=frozenset({"simply-connected", "odd"}))
-    assert homcalc.homeo_fingerprint(amb2) is None
+    assert fingerprint(8, -2) is None
     # without the parity flag nothing is claimed
-    amb3 = Ambient(gram={}, e=8, sigma=-4, label="X",
-                   flags=frozenset({"simply-connected"}))
-    assert homcalc.homeo_fingerprint(amb3) is None
+    assert fingerprint(8, -4, ("simply-connected",)) is None
     # the blown-up projective plane itself
-    amb4 = Ambient(gram={}, e=4, sigma=0, label="CP2#CP2bar",
-                   flags=frozenset({"simply-connected", "odd"}))
-    assert homcalc.homeo_fingerprint(amb4) == "CP2 # 1 CP2bar"
-    amb5 = Ambient(gram={}, e=2, sigma=-1, label="tiny",
-                   flags=frozenset({"simply-connected", "odd"}))
-    assert homcalc.homeo_fingerprint(amb5) is None
+    assert fingerprint(4, 0) == "CP2 # 1 CP2bar"
+    assert fingerprint(2, -1) is None
     # e < 3 fits no k >= 0, even where sigma = 1 - k would hold at k = -1
-    amb6 = Ambient(gram={}, e=2, sigma=2, label="tiny",
-                   flags=frozenset({"simply-connected", "odd"}))
-    assert homcalc.homeo_fingerprint(amb6) is None
+    assert fingerprint(2, 2) is None
 
 
 def test_pair_vectors_matches_dense_sum():
@@ -304,8 +311,8 @@ def dense_chain(cfg, names):
     """Oracle for `extract_chain`: the weights, or the message of the first
     ConfigError, from full G.v products over every coordinate of the Gram
     matrix and classes written out densely in basis order."""
-    basis = list(cfg.ambient.gram)
-    gram = [dense_vec(basis, cfg.ambient.gram[g]) for g in basis]
+    basis = list(cfg.gram)
+    gram = [dense_vec(basis, cfg.gram[g]) for g in basis]
     rank = len(gram)
 
     def pair(u, v):
@@ -370,13 +377,13 @@ def random_chain_config(rng):
         bump = [rng.choice((-1, 0, 0, 1)) for _ in range(rank)]
         cls = [x + y for x, y in zip(dense_vec(basis, curves[i].cls), bump)]
         curves[i] = Curve(curves[i].name, sparse(basis, cls))
-    amb = Ambient(gram=sparse_gram(basis, gram), e=rank + 2, sigma=0, label="x")
+    cfg = CurveConfig(sparse_gram(basis, gram), {c.name: c for c in curves}, rank + 2, 0, "x")
     names = [c.name for c in curves]
     if rng.random() < 0.2:
         rng.shuffle(names)
     elif rng.random() < 0.2:
         names.reverse()
-    return CurveConfig(ambient=amb, curves={c.name: c for c in curves}), names
+    return cfg, names
 
 
 def test_extract_chain_matches_dense_oracle():
@@ -406,9 +413,8 @@ def test_long_chain_extracts_in_output_time():
         f"g{i}": {f"g{j}": weights[i] if j == i else 1 for j in (i - 1, i, i + 1) if 0 <= j < k}
         for i in range(k)
     }
-    amb = Ambient(gram=gram, e=k + 2, sigma=0, label="long")
     curves = {f"c{i}": Curve(f"c{i}", {f"g{i}": 1}) for i in range(k)}
-    cfg = CurveConfig(ambient=amb, curves=curves)
+    cfg = CurveConfig(gram=gram, curves=curves, e=k + 2, sigma=0, label="long")
     t0 = time.perf_counter()
     got = homcalc.extract_chain(cfg, list(curves))
     elapsed = time.perf_counter() - t0
@@ -427,9 +433,8 @@ def test_max_chain_extracts_in_output_time():
         for i in range(k)
     }
     gram.update({f"e{i}": {f"e{i}": -1} for i in range(k)})
-    amb = Ambient(gram=gram, e=2 * k + 2, sigma=0, label="max")
     curves = {f"c{i}": Curve(f"c{i}", {f"g{i}": 1, f"e{i}": 1}) for i in range(k)}
-    cfg = CurveConfig(ambient=amb, curves=curves)
+    cfg = CurveConfig(gram=gram, curves=curves, e=2 * k + 2, sigma=0, label="max")
     start = time.perf_counter()
     got = homcalc.extract_chain(cfg, list(curves))
     elapsed = time.perf_counter() - start
@@ -439,12 +444,14 @@ def test_max_chain_extracts_in_output_time():
 
 class DenseModel:
     """The oracle for the moves: a list-of-lists Gram matrix and dense class
-    lists over `basis`, written out here with no call into `homcalc`."""
+    lists over `basis`, with e, sigma, the label and the flags, written out
+    here with no call into `homcalc`."""
 
-    def __init__(self, basis):
+    def __init__(self, basis, e, sigma, label):
         self.basis = list(basis)
         self.gram = [[0] * len(basis) for _ in basis]
         self.curves = {}  # name -> [class list, genus, double points]
+        self.e, self.sigma, self.label, self.flags = e, sigma, label, set()
 
     def image(self, v):
         return [sum(x * y for x, y in zip(row, v)) for row in self.gram]
@@ -460,6 +467,7 @@ class DenseModel:
         self.curves[name] = [list(cls), genus, dps]
 
     def blow_up(self, name, at, double_point_of):
+        self.e, self.sigma = self.e + 1, self.sigma - 1
         for row in self.gram:
             row.append(0)
         self.gram.append([0] * len(self.basis) + [-1])
@@ -477,12 +485,18 @@ class DenseModel:
         p = self.pair(u, v)
         self.curves[name] = [[x + y for x, y in zip(u, v)], g1 + g2, d1 + d2 + p - 1]
 
+    def relabel(self, label, add_flags):
+        self.label = label
+        self.flags.update(add_flags)
+
 
 def check_against_dense(cfg, model):
-    assert tuple(cfg.ambient.gram) == tuple(model.basis)
-    for g, row in cfg.ambient.gram.items():
+    assert (cfg.e, cfg.sigma, cfg.label) == (model.e, model.sigma, model.label)
+    assert cfg.flags == frozenset(model.flags)
+    assert tuple(cfg.gram) == tuple(model.basis)
+    for g, row in cfg.gram.items():
         assert all(row.values()), (g, row)  # no stored zero
-        assert all(cfg.ambient.gram[h][g] == x for h, x in row.items())
+        assert all(cfg.gram[h][g] == x for h, x in row.items())
     assert list(cfg.curves) == list(model.curves)
     images = {name: model.image(vec) for name, (vec, _g, _d) in model.curves.items()}
     for name, (vec, genus, dps) in model.curves.items():
@@ -497,10 +511,10 @@ def check_against_dense(cfg, model):
 def test_moves_match_a_dense_model_and_copy_on_write():
     rng = random.Random(31337)
     moves = dict.fromkeys(("pair", "pair to 0", "curve", "blowup", "double point", "smooth",
-                           "smooth with excess"), 0)
+                           "smooth with excess", "relabel", "relabel with flags", "rejected"), 0)
     for _walk in range(12):
         basis = [f"g{i}" for i in range(rng.randint(1, 4))]
-        model = DenseModel(basis)
+        model = DenseModel(basis, 3, 1, "x")
         cfg = homcalc.new_config("x", 3, 1, (), basis)
         history = [(cfg, copy.deepcopy(cfg))]
         fresh = 0
@@ -513,14 +527,14 @@ def test_moves_match_a_dense_model_and_copy_on_write():
                 cfg = homcalc.set_pairing(cfg, g1, g2, value)
                 model.set_pairing(g1, g2, value)
                 moves["pair" if value else "pair to 0"] += 1
-            elif roll < 0.5 or not model.curves:
+            elif roll < 0.45 or not model.curves:
                 fresh += 1
                 cls = [rng.choice((-2, -1, 0, 0, 1, 2)) for _ in gens]
                 genus, dps = rng.choice((0, 0, 1)), rng.choice((0, 1, 2))
                 cfg = homcalc.add_curve(cfg, Curve(f"c{fresh}", sparse(gens, cls), genus, dps))
                 model.add_curve(f"c{fresh}", cls, genus, dps)
                 moves["curve"] += 1
-            elif roll < 0.8:
+            elif roll < 0.7:
                 fresh += 1
                 names = rng.sample(list(model.curves), rng.randint(0, min(3, len(model.curves))))
                 with_dp = [n for n in names if model.curves[n][2] > 0]
@@ -529,7 +543,7 @@ def test_moves_match_a_dense_model_and_copy_on_write():
                 cfg = homcalc.blow_up(cfg, f"E{fresh}", at, double_point_of=dp_of)
                 model.blow_up(f"E{fresh}", at, dp_of)
                 moves["double point" if dp_of else "blowup"] += 1
-            else:
+            elif roll < 0.85:
                 pairs = [(a, b) for a in model.curves for b in model.curves
                          if a < b and model.pair(model.curves[a][0], model.curves[b][0]) >= 1]
                 if not pairs:
@@ -540,6 +554,25 @@ def test_moves_match_a_dense_model_and_copy_on_write():
                 cfg = homcalc.smooth(cfg, f"c{fresh}", a, b)
                 model.smooth(f"c{fresh}", a, b)
                 moves["smooth with excess" if excess else "smooth"] += 1
+            elif roll < 0.93:
+                fresh += 1
+                flags = rng.sample(("odd", "pseudo-section", "f g", f"k{fresh}"),
+                                   rng.choice((0, 0, 1, 2)))
+                cfg = homcalc.knot_surgery_shadow(cfg, f"Y{fresh}", flags)
+                model.relabel(f"Y{fresh}", flags)
+                moves["relabel with flags" if flags else "relabel"] += 1
+            else:
+                # a rejected move raises and leaves its input as it was
+                c = rng.choice(list(model.curves))
+                move = rng.choice((
+                    lambda: homcalc.set_pairing(cfg, rng.choice(gens), "missing", 1),
+                    lambda: homcalc.add_curve(cfg, Curve(c, {})),
+                    lambda: homcalc.blow_up(cfg, rng.choice(gens)),
+                    lambda: homcalc.smooth(cfg, f"c{fresh + 1}", c, c),
+                ))
+                with pytest.raises(ConfigError):
+                    move()
+                moves["rejected"] += 1
             check_against_dense(cfg, model)
             history.append((cfg, copy.deepcopy(cfg)))
             for old, snapshot in history:

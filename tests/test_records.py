@@ -23,7 +23,6 @@ def public_records():
         "Entry": (ledger.entries.base[0], "value"),
         "Ledger": (ledger, "entries"),
         "BlowdownResult": (result, "ledger"),
-        "Ambient": (cfg.ambient, "gram"),
         "Curve": (cfg.curve("c"), "cls"),
         "CurveConfig": (cfg, "curves"),
         "Twist": (twists[0], "multiplicity"),

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import random
@@ -463,7 +464,7 @@ def test_sw_blowdown_rows_at_the_chain_bound_cost_their_nonzero_pairings(monkeyp
         classes.append(cls)
     fiber_vec = dict.fromkeys(fiber, 1)
     run = scenario._Runner(scenario.Scenario("rows", ()))
-    run.cfg = homcalc.CurveConfig(homcalc.Ambient(gram, 2 * k, 0, "X"), {})
+    run.cfg = homcalc.CurveConfig(gram, {}, 2 * k, 0, "X")
     run.chains["C"] = scenario._ChainRec(hirzebruch.chain_for_cpq(k + 1, k), tuple(classes))
     seed = swledger.Ledger("seed", 12, -8, ("T", *exceptional), ())
     run.sw["blown"] = scenario._SwRec(ledger=seed, fiber_vec=fiber_vec)
@@ -494,7 +495,7 @@ def test_sw_blowdown_rows_match_pair_vectors(name, monkeypatch):
         if step.kind in SW_BLOWDOWNS:
             _new, source, chain, *_ = step.args
             src, rec = run.sw[source], run.chains[chain]
-            gram = run.cfg.ambient.gram
+            gram = run.cfg.gram
             tracked = [src.fiber_vec] + [{g: 1} for g in src.ledger.basis[1:]]
             want = [tuple(homcalc.pair_vectors(gram, t, u) for u in rec.classes) for t in tracked]
         scenario._KINDS[step.kind].run(run, *step.args)
@@ -727,6 +728,28 @@ def test_cli_corpus_json_matches_text(capsys):
     assert payload["passed"] == payload["total"]
     assert [s["scenario"] for s in payload["scenarios"]] == sorted(CORPUS)
     assert all(a["pass"] for s in payload["scenarios"] for a in s["assertions"])
+
+
+def test_corpus_calls_every_homcalc_function_at_its_module_attribute(monkeypatch, capsys):
+    # a tracer wraps each public function at its module attribute, so it sees a
+    # call only if the caller looks the function up when it runs: a kind-table
+    # entry that bound one when the table was built would leave it uncounted
+    calls = {name: 0 for name, fn in vars(homcalc).items()
+             if not name.startswith("_") and inspect.isfunction(fn)
+             and fn.__module__ == homcalc.__name__}
+
+    def wrap(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(homcalc, name, wrap(name, getattr(homcalc, name)))
+    assert cli.main(["corpus"]) == 0
+    capsys.readouterr()
+    assert "rational_blowdown" in calls and "new_config" in calls
+    assert min(calls.values()) >= 1, calls
 
 
 def test_cli_verify_reports_failures(tmp_path, capsys):
