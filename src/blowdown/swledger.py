@@ -39,12 +39,17 @@ base entry's plus one signed row per level, and the cost is
 O(m*min(p, 2^ceil(m/2)) + b*2^floor(m/2) + survivors*m) for b base entries,
 instead of O(2^m * rank).
 
-The walk yields each base entry with its survivors' (class, restriction)
-pairs, and the blow-down builds one Entry per survivor: the square is the
-base's minus m minus v^T G^-1 v, and the check and value set are shared per
-base entry.  `substitute` keeps an entry whose value is already concrete and
-the view's m, and substitutes each distinct symbolic value once, so neither
-costs more than the base entries that change.
+A trailing run of z exceptional classes with zero rows changes no
+restriction, residue or value, only the square: a blow-up away from the chain
+commutes with the blow-down, and SW(K +- E) = SW(K) (Fintushel-Stern 1995).
+So the walk takes the other m - z levels, the result is a view with z signs,
+and m above counts only the walked ones; a zero row that is not trailing is
+walked.  The walk yields each base entry with its survivors' (class,
+restriction) pairs, and the blow-down builds one Entry per walked survivor:
+the square is the base's minus m - z minus v^T G^-1 v, and the dimension
+check is shared per base entry.  `substitute` keeps an entry whose value is
+already concrete and the view's m, and substitutes each distinct symbolic
+value once, so neither costs more than the base entries that change.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ from bisect import bisect_left
 from functools import cache, partial
 from itertools import product
 from math import comb, gcd
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import hirzebruch
@@ -196,17 +200,24 @@ class Ledger(_LedgerFields):
         return super().__new__(cls, label, e, sigma, basis, entries)
 
     def entry(self, cls) -> Entry:
-        """The entry at `cls` in O(rank + log base): the trailing m coordinates
-        must each be +-1, and the rest is bisected in the sorted base."""
+        """The entry at `cls` in O(rank + log base) (see `_base_index`)."""
         cls = tuple(cls)
-        base, m = self.entries.base, self.entries.m
-        cut = len(cls) - m
-        head, signs = cls[:cut], cls[cut:]
-        if cut >= 0 and all(a in (-1, 1) for a in signs):
-            i = bisect_left(base, head, key=_class_of)
-            if i < len(base) and base[i].cls == head:
-                return _descendant(base[i], signs)
-        raise KeyError(f"no ledger entry for class {cls}")
+        i = _base_index(self.entries, cls)
+        if i < 0:
+            raise KeyError(f"no ledger entry for class {cls}")
+        ent = self.entries.base[i]
+        return _descendant(ent, cls[len(ent.cls):])
+
+
+def _base_index(entries: Entries, cls: tuple[int, ...]) -> int:
+    """The index of the base entry that `cls` descends from, or -1: the
+    trailing m coordinates must each be +-1, and the rest is bisected."""
+    base, cut = entries.base, len(cls) - entries.m
+    if cut >= 0 and all(a in (-1, 1) for a in cls[cut:]):
+        i = bisect_left(base, cls[:cut], key=_class_of)
+        if i < len(base) and base[i].cls == cls[:cut]:
+            return i
+    return -1
 
 
 def entry_count(ledger: Ledger) -> int:
@@ -285,7 +296,8 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
     an `Entries` view over the same base with m + count signs, so this builds
     no entry; a blow-down of the result costs
     O(m*min(p, 2^ceil(m/2)) + len(base)*2^floor(m/2) + survivors*m) (see the
-    module docstring), not len(base) << m.
+    module docstring), not len(base) << m, where m and the survivors leave
+    out the trailing names orthogonal to the chain, which stay free signs.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -311,39 +323,56 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
 
 
 class BlowdownResult(NamedTuple):
-    """The blown-down ledger and each survivor's restriction and value set,
-    sorted by class like the ledger, so a lookup bisects."""
+    """The blown-down ledger and the restriction of each base entry of its
+    view: the view's m signs are the trailing exceptional classes whose
+    chain-pairing rows are zero, and a class shares its restriction and value
+    with its sign twins.  `restrictions` and `value_sets` yield one
+    (class, ...) pair per entry, in class order; a lookup strips the m signs
+    and bisects the base.  A result equals its written-out twin's."""
 
     ledger: Ledger
-    restrictions: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    value_sets: tuple[tuple[tuple[int, ...], tuple[LinExpr, ...]], ...]
+    base_restrictions: tuple[tuple[int, ...], ...]
     chambered: bool
 
+    @property
+    def restrictions(self):
+        m = self.ledger.entries.m
+        return ((ent.cls + a, r) for ent, r in zip(self.ledger.entries.base, self.base_restrictions)
+                for a in product((-1, 1), repeat=m))
+
+    @property
+    def value_sets(self):
+        return ((ent.cls, self._values(ent.value)) for ent in self.ledger.entries)
+
     def restriction_of(self, cls) -> tuple[int, ...]:
-        return _survivor_lookup(self.restrictions, tuple(cls))
+        return self.base_restrictions[self._index(cls)]
 
     def value_set_of(self, cls) -> tuple[LinExpr, ...]:
-        return _survivor_lookup(self.value_sets, tuple(cls))
+        return self._values(self.ledger.entries.base[self._index(cls)].value)
+
+    def _index(self, cls) -> int:
+        i = _base_index(self.ledger.entries, cls := tuple(cls))
+        if i < 0:
+            raise KeyError(f"no surviving class {cls}")
+        return i
+
+    def _values(self, v: LinExpr) -> tuple[LinExpr, ...]:
+        return (v.shift(-1), v, v.shift(1)) if self.chambered else (v,)
+
+    def __eq__(self, other):
+        if not isinstance(other, BlowdownResult):
+            return NotImplemented
+        return ((self.ledger, self.chambered) == (other.ledger, other.chambered)
+                and list(self.restrictions) == list(other.restrictions))
+
+    def __ne__(self, other):
+        return not self == other
 
 
-def _survivor_lookup(pairs, cls: tuple[int, ...]):
-    i = bisect_left(pairs, cls, key=itemgetter(0))
-    if i < len(pairs) and pairs[i][0] == cls:
-        return pairs[i][1]
-    raise KeyError(f"no surviving class {cls}")
-
-
-def _survivors(ledger: Ledger, chain, chain_pairings):
+def _survivors(test, base, m, rows):
     """Yield (base entry, [(class, restriction), ...]) per base entry that has
-    survivors, in class order."""
-    test = hirzebruch.discriminant(chain)
-    if len(chain_pairings) != len(ledger.basis):
-        raise ValueError("need one chain-pairing row per tracked class")
-    for row in chain_pairings:
-        if len(row) != len(chain):
-            raise ValueError("chain-pairing row length does not match the chain")
-    base, m = ledger.entries.base, ledger.entries.m
-    exceptional = chain_pairings[len(chain_pairings) - m:]
+    survivors, in class order; the last m rows are the exceptional signs'."""
+    exceptional = rows[len(rows) - m:]
     tail_mask, tail = 0, []  # every exceptional sign is odd: one fixed mask
     for mask, residue in map(test.invariants, exceptional):
         tail_mask ^= mask
@@ -351,8 +380,8 @@ def _survivors(ledger: Ledger, chain, chain_pairings):
     starts = []
     for ent in base:
         r = tuple(
-            sum(c * row[i] for c, row in zip(ent.cls, chain_pairings))
-            for i in range(len(chain))
+            sum(c * row[i] for c, row in zip(ent.cls, rows))
+            for i in range(len(test.coeffs))
         )
         mask, residue = test.invariants(r)
         starts.append((r, mask ^ tail_mask, residue))
@@ -392,28 +421,37 @@ def _add_row(r: tuple[int, ...], a: int, step) -> tuple[int, ...]:
 
 def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: bool):
     chain = tuple(chain)
+    test = hirzebruch.discriminant(chain)
+    if len(chain_pairings) != len(ledger.basis):
+        raise ValueError("need one chain-pairing row per tracked class")
+    for row in chain_pairings:
+        if len(row) != len(chain):
+            raise ValueError("chain-pairing row length does not match the chain")
     m = ledger.entries.m
-    new_entries, restrictions, value_sets = [], [], []
+    # a trailing run of z zero exceptional rows stays free signs: a blow-up
+    # away from the chain commutes with the blow-down
+    z = 0
+    while z < m and not any(chain_pairings[-1 - z]):
+        z += 1
+    walked = chain_pairings[:len(chain_pairings) - z]
+    new_entries, restrictions = [], []
     # one inverse form per distinct restriction
     inverse_form = cache(partial(hirzebruch.gram_inverse_form, chain))
-    # survivors come sorted by class and grouped by base entry: the square,
-    # check and value set follow from the base entry, once per batch
-    for ent, survivors in _survivors(ledger, chain, chain_pairings):
-        square, v = ent.square - m, ent.value
+    # survivors come sorted by class and grouped by base entry: the square
+    # and its check follow from the base entry, once per batch
+    for ent, survivors in _survivors(test, ledger.entries.base, m - z, walked):
+        square = ent.square - m
         try:
             dimension_from_square(square, ledger.e, ledger.sigma)
         except ValueError as exc:
-            raise ValueError(f"class {survivors[0][0]} has {exc}") from None
-        values = (v.shift(-1), v, v.shift(1)) if chambered else (v,)
-        new_entries += [Entry(cls, v, square - inverse_form(r), ent.verified)
+            raise ValueError(f"class {survivors[0][0] + (-1,) * z} has {exc}") from None
+        new_entries += [Entry(cls, ent.value, square + z - inverse_form(r), ent.verified)
                         for cls, r in survivors]
-        restrictions += survivors
-        value_sets += [(cls, values) for cls, _r in survivors]
+        restrictions += [r for _cls, r in survivors]
     label = new_label if new_label is not None else f"{ledger.label} (chain blown down)"
     out = Ledger(label=label, e=ledger.e - len(chain), sigma=ledger.sigma + len(chain),
-                 basis=ledger.basis, entries=Entries(tuple(new_entries), 0))
-    return BlowdownResult(ledger=out, restrictions=tuple(restrictions),
-                          value_sets=tuple(value_sets), chambered=chambered)
+                 basis=ledger.basis, entries=Entries(tuple(new_entries), z))
+    return BlowdownResult(out, tuple(restrictions), chambered)
 
 
 def rational_blowdown_ledger(

@@ -325,6 +325,32 @@ def test_long_blowups_line_costs_neither_seconds_nor_megabytes():
     assert peak < 1_000_000, peak
 
 
+def test_blowups_away_from_the_chain_cost_neither_seconds_nor_megabytes():
+    # Q_n blown up at Z1..Z16 away from the plumbing before the chain, the
+    # names appended to its `sw blowups` line: their rows are zero, so the
+    # blow-down keeps Q_n's two survivors with 16 free signs, 2 * 2^16 entries
+    names = [f"Z{i}" for i in range(1, 17)]
+    text = CORPUS["qn"][:CORPUS["qn"].index("blowdown C label")]
+    text = text.replace("chain C =", "".join(f"blowup {z}\n" for z in names) + "chain C =")
+    text = text.replace("sw blowups blown base E1 E2\nassert sw-entries blown 16\n",
+                        f"sw blowups blown base E1 E2 {' '.join(names)}\n")
+    text = text[:text.index("assert sw-entries final")] + (
+        "assert sw-entries final 131072\n"
+        f"assert sw-value final 3*T+E1+E2+{'+'.join(names)} n\n"
+        f"assert sw-restriction final -3*T-E1-E2-{'+'.join(names)} (-7,0,0,0,0,0)\n")
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        report = run_scenario(parse_scenario(text, name="qn"))
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed, [r for r in report.records if not r.passed]
+    assert [r.actual for r in report.records[-3:]] == ["131072", "0 + 1*n", "(-7,0,0,0,0,0)"]
+    assert elapsed < 0.25, elapsed
+    assert peak < 1_000_000, peak
+
 
 def test_huge_twist_multiplicity_stops_at_its_line():
     # 86 bytes that would list ten million vanishing cycles, one per unit twist
@@ -469,7 +495,7 @@ def test_sw_blowdown_rows_at_the_chain_bound_cost_their_nonzero_pairings(monkeyp
     seed = swledger.Ledger("seed", 12, -8, ("T", *exceptional), ())
     run.sw["blown"] = scenario._SwRec(ledger=seed, fiber_vec=fiber_vec)
     seen = record_blowdown_rows(
-        monkeypatch, lambda ledger: swledger.BlowdownResult(ledger, (), (), False))
+        monkeypatch, lambda ledger: swledger.BlowdownResult(ledger, (), False))
     start = time.perf_counter()
     run.sw_blowdown("final", "blown", "C", None)
     elapsed = time.perf_counter() - start

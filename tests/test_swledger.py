@@ -3,6 +3,7 @@ import random
 import re
 import time
 import tracemalloc
+from functools import partial
 from itertools import product
 
 import pytest
@@ -643,6 +644,53 @@ def test_blowdown_walk_matches_eager_scan_on_stacked_blowups_and_large_p():
     assert unpruned_cases >= 5 and unpruned_survivors >= 20, (unpruned_cases, unpruned_survivors)
 
 
+def test_blowdown_keeps_trailing_zero_rows_as_free_signs():
+    # the last z exceptional rows are zero (blow-ups away from the chain): the
+    # result keeps those z signs as its view's m and must read like the eager
+    # scan of the written-out blow-up and equal the blow-down of the written-out
+    # twin; a zero row with a nonzero row after it is walked like any other
+    rng = random.Random(2601)
+    chains = [c for cs in cpq_chains_by_length(6).values() for c in cs]
+    free_cases = inner_cases = free_kept = inner_kept = 0
+    for case in range(80):
+        chain = rng.choice(chains)
+        base = random_ledger(rng, rng.randint(1, 2))
+        count = rng.randint(1, 5)
+        lazy, eager = blow_up_both_ways(base, (count,))
+        z = rng.randint(1, count) if case % 4 else 0
+        # canonical-type rows for the seed's classes and nonzero even rows for
+        # the walked signs, so an odd class is characteristic and the residue
+        # decides
+        rows = [tuple(w + 2 + 2 * rng.randint(-1, 1) for w in chain) for _ in base.basis]
+        rows += [(2 * rng.choice((-1, 1)),) + tuple(2 * rng.randint(-1, 1) for _ in chain[1:])
+                 for _ in range(count - z)]
+        inner = count - z >= 2 and rng.random() < 0.8
+        if inner:
+            rows[rng.randrange(len(base.basis), len(rows) - 1)] = (0,) * len(chain)
+            inner_cases += 1
+        rows += [(0,) * len(chain)] * z
+        kept = check_blowdown(lazy, eager, chain, rows)
+        flat = replace(lazy, entries=tuple(lazy.entries))
+        results = []
+        for blowdown in (partial(sw.rational_blowdown_ledger, corrections=(True, True)),
+                         sw.chambered_blowdown_ledger):
+            result, twin = blowdown(lazy, chain, rows), blowdown(flat, chain, rows)
+            results.append(result)
+            assert result.ledger.entries.m == z and twin.ledger.entries.m == 0
+            assert result == twin and twin == result and not result != twin
+            assert len(result.base_restrictions) == len(result.ledger.entries.base)
+            for cls, r in twin.restrictions:
+                assert result.restriction_of(cls) == r
+                assert result.value_set_of(list(cls)) == twin.value_set_of(cls)
+        # the exact and the chambered result differ in their value sets
+        assert results[0] != results[1] and not results[0] == results[1]
+        free_cases += z >= 1
+        free_kept += bool(kept) if z else 0
+        inner_kept += bool(kept) if inner else 0
+    assert free_cases >= 20 and inner_cases >= 20, (free_cases, inner_cases)
+    assert free_kept >= 20 and inner_kept >= 12, (free_kept, inner_kept)
+
+
 def test_blowdown_walk_accepts_every_start_residue_above_the_capped_levels():
     # 4 names on C_{p,q} with p > 2^2, so the residue sets stop two levels
     # below the top.  The T row is the canonical vector plus 2j on the first
@@ -837,17 +885,30 @@ def test_blowdown_builds_one_entry_per_survivor(monkeypatch):
     ):
         built.clear()
         entries = blowdown().ledger.entries
-        assert len(entries) == 512
-        # every entry built is a survivor of the result, built once
-        assert len(built) == 512 and all(a is b for a, b in zip(built, entries))
+        # Z1..Z8 stay free signs: each walked survivor is built once, as a
+        # base entry of the result, and the 512 entries are read from them
+        assert len(built) == 2 and all(a is b for a, b in zip(built, entries.base))
+        assert entries.m == 8 and len(entries) == 512 and len(list(entries)) == 512
+
+
+def test_ledger_report_of_a_blowdown_with_free_signs_writes_base_lines():
+    # Z1..Z8 trail with zero rows, so the 512 survivors of each blow-down are
+    # dumped as Q_n's two base lines with 8 trailing +-1 signs
+    signs = ",+-1" * 8
+    for result in qn_wide_blowdowns(qn_wide_ledger()):
+        assert sw.ledger_report(result.ledger) == (
+            "ledger V_n (chain blown down): e=16 sigma=-12 entries=512\n"
+            f"  (-3,-1,-1{signs}) -> 0 - 1*n\n"
+            f"  (3,1,1{signs}) -> 0 + 1*n"
+        )
 
 
 def test_substitute_keeps_concrete_entries():
     for result in qn_wide_blowdowns(qn_wide_ledger(5)):
         led = result.ledger
         concrete = sw.substitute(led, 7)
-        assert concrete == led
-        assert all(a is b for a, b in zip(concrete.entries, led.entries))
+        assert concrete == led and len(led.entries.base) == 2
+        assert all(a is b for a, b in zip(concrete.entries.base, led.entries.base))
     # a symbolic ledger still gets new values
     led = qn_wide_blowdowns(qn_wide_ledger())[0].ledger
     assert [(e.cls, e.value, e.square) for e in sw.substitute(led, 7).entries] == [
@@ -873,7 +934,7 @@ def test_blowdown_and_substitute_do_not_sort_the_survivors_again(monkeypatch):
     for result in qn_wide_blowdowns(symbolic_seed):
         concrete = sw.substitute(sw.blow_up_ledger(result.ledger, 2, ("F1", "F2")), 7)
         assert sorts == []
-        assert concrete.entries.m == 2 and sw.entry_count(concrete) == 2048
+        assert concrete.entries.m == 10 and sw.entry_count(concrete) == 2048
         assert all(ent.value.c1 == 0 for ent in concrete.entries.base)
     # a hand-built ledger is still sorted, once
     sw.Ledger("L", 12, -8, ("G",), [sw.Entry((1,), LinExpr(1, 0), 0)] * 3)
