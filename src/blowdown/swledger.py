@@ -11,11 +11,11 @@ blow-down keeps exactly the classes whose restriction to the chain extends
 over the rational ball.
 
 Every ledger's entries are one `Entries` view over (base entries sorted by
-class, m trailing exceptional signs); a written-out ledger has m = 0.  A
-blow-up adds to m and writes nothing out, so it costs O(1) and a ledger of
-base * 2^m entries holds only its base.  A hand-built ledger's entries are
-sorted once, on construction; the pipeline builds its bases in class order,
-and a lookup bisects.
+class, the places of m free exceptional signs); a written-out ledger has
+m = 0.  A blow-up appends its names as free signs and writes nothing out, so
+it costs O(1) and a ledger of base * 2^m entries holds only its base.  A hand-built
+ledger's entries are sorted once, on construction; the pipeline builds its
+bases in class order, and a lookup strips the free signs and bisects.
 
 The restriction of a class c is sum c_j*row_j over the tracked generators'
 chain-pairing rows, and extension depends only on its parity mask (r mod 2)
@@ -39,17 +39,19 @@ base entry's plus one signed row per level, and the cost is
 O(m*min(p, 2^ceil(m/2)) + b*2^floor(m/2) + survivors*m) for b base entries,
 instead of O(2^m * rank).
 
-A trailing run of z exceptional classes with zero rows changes no
-restriction, residue or value, only the square: a blow-up away from the chain
-commutes with the blow-down, and SW(K +- E) = SW(K) (Fintushel-Stern 1995).
-So the walk takes the other m - z levels, the result is a view with z signs,
-and m above counts only the walked ones; a zero row that is not trailing is
-walked.  The walk yields each base entry with its survivors' (class,
-restriction) pairs, and the blow-down builds one Entry per walked survivor:
-the square is the base's minus m - z minus v^T G^-1 v, and the dimension
-check is shared per base entry.  `substitute` keeps an entry whose value is
-already concrete and the view's m, and substitutes each distinct symbolic
-value once, so neither costs more than the base entries that change.
+An exceptional class with a zero row changes no restriction, residue or
+value, only the square: a blow-up away from the chain commutes with the
+blow-down, and SW(K +- E) = SW(K) (Fintushel-Stern 1995).  So every free sign
+with a zero row stays a free sign of the result, wherever it sits in the
+class, and m above counts only the walked ones.  A walked sign with a base
+coordinate after it, one that an earlier blow-down kept free, is written into
+the base first, so the walked signs trail.  The walk yields each base entry
+with its survivors' (class, restriction) pairs, and the blow-down builds one
+Entry per walked survivor: the square is the base's minus every sign minus
+v^T G^-1 v, and the dimension check is shared per base entry.  `substitute`
+keeps an entry whose value is already concrete and the view's free places,
+and substitutes each distinct symbolic value once, so neither costs more than
+the base entries that change.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from functools import cache, partial
-from itertools import product
+from itertools import groupby, product
 from math import comb, gcd
 from typing import NamedTuple
 
@@ -135,48 +137,105 @@ class Entry(NamedTuple):
     verified: bool = True
 
 
-def _descendant(ent: Entry, signs: tuple[int, ...]) -> Entry:
-    """The blow-up descendant K + sum(a_i * E_i) of `ent`, keeping its value."""
-    return Entry(ent.cls + signs, ent.value, ent.square - len(signs), ent.verified)
+def _descendant(ent: Entry, cls: tuple[int, ...]) -> Entry:
+    """The blow-up descendant of `ent` at `cls`, its class with the signs put
+    in, keeping its value: the square drops by one per sign."""
+    return Entry(cls, ent.value, ent.square - len(cls) + len(ent.cls), ent.verified)
 
 
 class Entries:
     """A ledger's entries, as a sorted read-only view.
 
-    Holds the base entries, sorted by class, and the number m of trailing
-    exceptional classes: each base entry stands for its 2^m descendants
-    base + sum(a_i * E_i), a_i = +-1, in ascending sign order, so the view is
-    sorted.  Its length is len(base) << m (see `entry_count` for m >= 63),
-    and nothing is built until an entry is read.  Two views are equal when
-    their counts are and the base of the one with more signs, written out to
-    the other's m, is the other's base, which costs that base's size.  The
-    base is taken as given, already sorted.
+    Holds the base entries, sorted by class, and where m free exceptional
+    signs sit in the full class: `after[j]` counts the base coordinates after
+    the j-th free sign, so m signs at the end have after = (0,) * m.  Each base
+    entry stands for its 2^m descendants, its class with a sign +-1 put in at
+    each free place.  Iteration groups the sorted base by the coordinates
+    before each free place and reads the -1 group before the +1 group, so the
+    view is read in class order.  Its length is len(base) << m (see
+    `entry_count` for m >= 63), and nothing is built until an entry is read.
+    Two views are equal when their counts are and, once each writes out the
+    signs that are free in it and not in the other, their bases are, which
+    costs the written-out bases' size.  The base is taken as given, already
+    sorted.
     """
 
-    __slots__ = ("base", "m")
+    __slots__ = ("base", "after")
 
-    def __init__(self, base: tuple[Entry, ...], m: int):
+    def __init__(self, base: tuple[Entry, ...], after: tuple[int, ...]):
         self.base = base
-        self.m = m
+        self.after = after
+
+    @property
+    def m(self) -> int:
+        return len(self.after)
 
     def __len__(self) -> int:
-        return len(self.base) << self.m
+        return len(self.base) << len(self.after)
 
     def __iter__(self):
-        if not self.m:
+        if not self.after:
             return iter(self.base)
-        return (_descendant(ent, signs)
-                for ent in self.base for signs in product((-1, 1), repeat=self.m))
+        return (_descendant(self.base[i], cls) for i, cls in _spread(self))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Entries):
             return NotImplemented
-        wide, narrow = (self, other) if self.m >= other.m else (other, self)
-        return (len(self.base) << self.m == len(other.base) << other.m
-                and narrow.base == tuple(Entries(wide.base, wide.m - narrow.m)))
+        if len(self.base) << self.m != len(other.base) << other.m:
+            return False
+        ends, other_ends = _places(self.after, 0), _places(other.after, 0)
+        return (_write_out(self, {j for j, e in enumerate(ends) if e not in other_ends}).base
+                == _write_out(other, {j for j, e in enumerate(other_ends) if e not in ends}).base)
 
     def __repr__(self) -> str:
         return f"Entries({len(self.base)} base entries x 2^{self.m} signs)"
+
+
+def _places(after: tuple[int, ...], n: int) -> list[int]:
+    """The places of the free signs in a full class of length n (n = 0
+    counts them back from the end)."""
+    return [n - len(after) - a + j for j, a in enumerate(after)]
+
+
+def _insert(cls: tuple, after: tuple[int, ...], signs: tuple) -> tuple:
+    """The base class `cls` with `signs` put in at the free places."""
+    out = list(cls)
+    for i, s in zip(_places(after, len(cls) + len(after)), signs):
+        out.insert(i, s)
+    return tuple(out)
+
+
+def _spread(entries: Entries):
+    """Yield (base index, class) per entry of the view, in class order."""
+    base = entries.base
+    k = len(base[0].cls) if base else 0
+    runs = [(k - a, len(tuple(same))) for a, same in groupby(entries.after)]
+    return _spread_runs(base, range(len(base)), runs, 0, ())
+
+
+def _spread_runs(base, group, runs, start, prefix):
+    # runs: (base coordinates before, count) per run of adjacent free signs;
+    # `group` shares the coordinates before `start`, read into `prefix`
+    if not runs:
+        for i in group:
+            yield i, prefix + base[i].cls[start:]
+        return
+    (cut, count), runs = runs[0], runs[1:]
+    for key, same in groupby(group, key=lambda i: base[i].cls[start:cut]):
+        same = tuple(same)
+        for signs in product((-1, 1), repeat=count):
+            yield from _spread_runs(base, same, runs, cut, prefix + key + signs)
+
+
+def _write_out(entries: Entries, drop: set[int]) -> Entries:
+    """The same entries with the free signs numbered in `drop` written into
+    the base, which costs len(base) << len(drop)."""
+    if not drop:
+        return entries
+    after = entries.after
+    keep = tuple(a + sum(i > j for i in drop) for j, a in enumerate(after) if j not in drop)
+    part = Entries(entries.base, tuple(a for j, a in enumerate(after) if j in drop))
+    return Entries(tuple(part), keep)
 
 
 class _LedgerFields(NamedTuple):
@@ -196,7 +255,7 @@ class Ledger(_LedgerFields):
 
     def __new__(cls, label: str, e: int, sigma: int, basis: tuple[str, ...], entries):
         if not isinstance(entries, Entries):
-            entries = Entries(_sorted_entries(entries), 0)
+            entries = Entries(_sorted_entries(entries), ())
         return super().__new__(cls, label, e, sigma, basis, entries)
 
     def entry(self, cls) -> Entry:
@@ -205,19 +264,20 @@ class Ledger(_LedgerFields):
         i = _base_index(self.entries, cls)
         if i < 0:
             raise KeyError(f"no ledger entry for class {cls}")
-        ent = self.entries.base[i]
-        return _descendant(ent, cls[len(ent.cls):])
+        return _descendant(self.entries.base[i], cls)
 
 
 def _base_index(entries: Entries, cls: tuple[int, ...]) -> int:
     """The index of the base entry that `cls` descends from, or -1: the
-    trailing m coordinates must each be +-1, and the rest is bisected."""
-    base, cut = entries.base, len(cls) - entries.m
-    if cut >= 0 and all(a in (-1, 1) for a in cls[cut:]):
-        i = bisect_left(base, cls[:cut], key=_class_of)
-        if i < len(base) and base[i].cls == cls[:cut]:
-            return i
-    return -1
+    coordinates at the m free places must each be +-1, and the rest is
+    bisected."""
+    places = _places(entries.after, len(cls))
+    if places and places[0] < 0 or any(cls[i] not in (-1, 1) for i in places):
+        return -1
+    skip = set(places)
+    core, base = tuple(x for i, x in enumerate(cls) if i not in skip), entries.base
+    i = bisect_left(base, core, key=_class_of)
+    return i if i < len(base) and base[i].cls == core else -1
 
 
 def entry_count(ledger: Ledger) -> int:
@@ -297,7 +357,9 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
     no entry; a blow-down of the result costs
     O(m*min(p, 2^ceil(m/2)) + len(base)*2^floor(m/2) + survivors*m) (see the
     module docstring), not len(base) << m, where m and the survivors leave
-    out the trailing names orthogonal to the chain, which stay free signs.
+    out the names orthogonal to the chain, which stay free signs.  The new
+    signs go at the end of the class, after any that an earlier blow-down
+    kept free.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -318,17 +380,18 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
         e=ledger.e + count,
         sigma=ledger.sigma - count,
         basis=ledger.basis + names,
-        entries=Entries(ledger.entries.base, ledger.entries.m + count),
+        entries=Entries(ledger.entries.base, ledger.entries.after + (0,) * count),
     )
 
 
 class BlowdownResult(NamedTuple):
     """The blown-down ledger and the restriction of each base entry of its
-    view: the view's m signs are the trailing exceptional classes whose
-    chain-pairing rows are zero, and a class shares its restriction and value
-    with its sign twins.  `restrictions` and `value_sets` yield one
-    (class, ...) pair per entry, in class order; a lookup strips the m signs
-    and bisects the base.  A result equals its written-out twin's."""
+    view: the view's m free signs are the exceptional classes whose
+    chain-pairing rows are zero, wherever they sit, and a class shares its
+    restriction and value with its sign twins.  `restrictions` and
+    `value_sets` yield one (class, ...) pair per entry, in class order; a
+    lookup strips the m signs and bisects the base.  A result equals its
+    written-out twin's."""
 
     ledger: Ledger
     base_restrictions: tuple[tuple[int, ...], ...]
@@ -336,9 +399,8 @@ class BlowdownResult(NamedTuple):
 
     @property
     def restrictions(self):
-        m = self.ledger.entries.m
-        return ((ent.cls + a, r) for ent, r in zip(self.ledger.entries.base, self.base_restrictions)
-                for a in product((-1, 1), repeat=m))
+        rs = self.base_restrictions
+        return ((cls, rs[i]) for i, cls in _spread(self.ledger.entries))
 
     @property
     def value_sets(self):
@@ -427,30 +489,35 @@ def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: 
     for row in chain_pairings:
         if len(row) != len(chain):
             raise ValueError("chain-pairing row length does not match the chain")
-    m = ledger.entries.m
-    # a trailing run of z zero exceptional rows stays free signs: a blow-up
-    # away from the chain commutes with the blow-down
-    z = 0
-    while z < m and not any(chain_pairings[-1 - z]):
-        z += 1
-    walked = chain_pairings[:len(chain_pairings) - z]
+    n, entries = len(ledger.basis), ledger.entries
+    # a free sign with a zero row stays free: a blow-up away from the chain
+    # commutes with the blow-down.  The others are walked; those with a base
+    # coordinate after them are written out first, so the walked signs trail.
+    zero = [not any(chain_pairings[i]) for i in _places(entries.after, n)]
+    entries = _write_out(entries, {j for j, a in enumerate(entries.after) if a and not zero[j]})
+    places = _places(entries.after, n)
+    free = [i for i in places if not any(chain_pairings[i])]
+    walked = [chain_pairings[i] for i in places if i not in free]
+    rows = [row for i, row in enumerate(chain_pairings) if i not in places] + walked
+    after = tuple(n - len(free) - i + j for j, i in enumerate(free))
     new_entries, restrictions = [], []
     # one inverse form per distinct restriction
     inverse_form = cache(partial(hirzebruch.gram_inverse_form, chain))
     # survivors come sorted by class and grouped by base entry: the square
     # and its check follow from the base entry, once per batch
-    for ent, survivors in _survivors(test, ledger.entries.base, m - z, walked):
-        square = ent.square - m
+    for ent, survivors in _survivors(test, entries.base, len(walked), rows):
+        square = ent.square - entries.m
         try:
             dimension_from_square(square, ledger.e, ledger.sigma)
         except ValueError as exc:
-            raise ValueError(f"class {survivors[0][0] + (-1,) * z} has {exc}") from None
-        new_entries += [Entry(cls, ent.value, square + z - inverse_form(r), ent.verified)
+            first = _insert(survivors[0][0], after, (-1,) * len(free))
+            raise ValueError(f"class {first} has {exc}") from None
+        new_entries += [Entry(cls, ent.value, square + len(free) - inverse_form(r), ent.verified)
                         for cls, r in survivors]
         restrictions += [r for _cls, r in survivors]
     label = new_label if new_label is not None else f"{ledger.label} (chain blown down)"
     out = Ledger(label=label, e=ledger.e - len(chain), sigma=ledger.sigma + len(chain),
-                 basis=ledger.basis, entries=Entries(tuple(new_entries), z))
+                 basis=ledger.basis, entries=Entries(tuple(new_entries), after))
     return BlowdownResult(out, tuple(restrictions), chambered)
 
 
@@ -497,7 +564,7 @@ def substitute(ledger: Ledger, n: int) -> Ledger:
     base = tuple(Entry(ent.cls, concrete[ent.value], ent.square, ent.verified)
                  if ent.value.c1 else ent for ent in base)
     return Ledger(ledger.label, ledger.e, ledger.sigma, ledger.basis,
-                  Entries(base, ledger.entries.m))
+                  Entries(base, ledger.entries.after))
 
 
 def minimality_report(ledger: Ledger) -> bool:
@@ -520,14 +587,15 @@ def minimality_report(ledger: Ledger) -> bool:
 def ledger_report(ledger: Ledger) -> str:
     """Deterministic serialization: one line per base entry, classes in
 
-    lexicographic vector order with the m trailing signs as +-1, values as
-    c0 + c1*n.
+    lexicographic vector order with +-1 at each of the m free places, values
+    as c0 + c1*n.
     """
     lines = [f"ledger {ledger.label}: e={ledger.e} sigma={ledger.sigma} "
              f"entries={entry_count(ledger)}"]
-    signs = ("+-1",) * ledger.entries.m
+    after = ledger.entries.after
+    signs = ("+-1",) * len(after)
     for ent in ledger.entries.base:
-        cls = "(" + ",".join(tuple(map(str, ent.cls)) + signs) + ")"
+        cls = "(" + ",".join(_insert(tuple(map(str, ent.cls)), after, signs)) + ")"
         mark = "" if ent.verified else "  [unverified]"
         lines.append(f"  {cls} -> {ent.value}{mark}")
     return "\n".join(lines)

@@ -325,15 +325,18 @@ def test_long_blowups_line_costs_neither_seconds_nor_megabytes():
     assert peak < 1_000_000, peak
 
 
-def test_blowups_away_from_the_chain_cost_neither_seconds_nor_megabytes():
-    # Q_n blown up at Z1..Z16 away from the plumbing before the chain, the
-    # names appended to its `sw blowups` line: their rows are zero, so the
-    # blow-down keeps Q_n's two survivors with 16 free signs, 2 * 2^16 entries
-    names = [f"Z{i}" for i in range(1, 17)]
+ORTHOGONAL_NAMES = [f"Z{i}" for i in range(1, 17)]
+
+
+def run_qn_with_orthogonal_blowups(blowups):
+    """Q_n blown up at Z1..Z16 away from the plumbing before the chain, with
+    `blowups` as its `sw blowups` line.  Their rows are zero, so the blow-down
+    keeps Q_n's two survivors with 16 free signs, 2 * 2^16 entries, wherever
+    the names sit.  Returns the elapsed time and tracemalloc peak."""
+    names = ORTHOGONAL_NAMES
     text = CORPUS["qn"][:CORPUS["qn"].index("blowdown C label")]
     text = text.replace("chain C =", "".join(f"blowup {z}\n" for z in names) + "chain C =")
-    text = text.replace("sw blowups blown base E1 E2\nassert sw-entries blown 16\n",
-                        f"sw blowups blown base E1 E2 {' '.join(names)}\n")
+    text = text.replace("sw blowups blown base E1 E2\nassert sw-entries blown 16\n", blowups + "\n")
     text = text[:text.index("assert sw-entries final")] + (
         "assert sw-entries final 131072\n"
         f"assert sw-value final 3*T+E1+E2+{'+'.join(names)} n\n"
@@ -348,6 +351,26 @@ def test_blowups_away_from_the_chain_cost_neither_seconds_nor_megabytes():
         tracemalloc.stop()
     assert report.all_passed, [r for r in report.records if not r.passed]
     assert [r.actual for r in report.records[-3:]] == ["131072", "0 + 1*n", "(-7,0,0,0,0,0)"]
+    return elapsed, peak
+
+
+def test_blowups_away_from_the_chain_cost_neither_seconds_nor_megabytes():
+    # the names appended to the `sw blowups` line
+    elapsed, peak = run_qn_with_orthogonal_blowups(
+        f"sw blowups blown base E1 E2 {' '.join(ORTHOGONAL_NAMES)}")
+    assert elapsed < 0.25, elapsed
+    assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("blowups", [
+    f"sw blowups blown base {' '.join(ORTHOGONAL_NAMES)} E1 E2",
+    "sw blowups blown base " + " ".join(
+        ORTHOGONAL_NAMES[:5] + ["E1"] + ORTHOGONAL_NAMES[5:11] + ["E2"] + ORTHOGONAL_NAMES[11:]),
+], ids=["before", "among"])
+def test_blowups_away_from_the_chain_cost_nothing_wherever_they_are_named(blowups):
+    # a zero row before a walked row stays a free sign too, so placing the
+    # names before E1 E2 or among them costs what appending them does
+    elapsed, peak = run_qn_with_orthogonal_blowups(blowups)
     assert elapsed < 0.25, elapsed
     assert peak < 1_000_000, peak
 

@@ -4,7 +4,7 @@ import re
 import time
 import tracemalloc
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -332,6 +332,18 @@ def test_blowdown_checks_each_survivors_formal_dimension():
                                     corrections=(True, True))
 
 
+def test_blowdown_names_the_full_class_in_a_dimension_error_with_an_inner_free_sign():
+    # G of square 2 (dimension 1/2) blown up at E1, away from the chain, and
+    # E2 on C_{3,1}: only E2 = +1 survives, and E1 stays a free sign between
+    # G and E2, so the class named has -1 at E1's place, not at the end
+    led = sw.blow_up_ledger(
+        sw.Ledger("L", 12, -8, ("G",), [sw.Entry((1,), LinExpr(1, 0), 2)]), 2)
+    message = r"^class \(1, -1, 1\) has formal dimension 1/2; need a nonnegative integer$"
+    with pytest.raises(ValueError, match=message):
+        sw.rational_blowdown_ledger(led, (-5, -2), [(-3, -2), (0, 0), (-2, 0)],
+                                    corrections=(True, True))
+
+
 def test_chambered_blowdown_ledger():
     blown = qn_blown_ledger()
     result = sw.chambered_blowdown_ledger(blown, QN_CHAIN, QN_ROWS, new_label="Xish")
@@ -395,7 +407,7 @@ def test_entries_of_equal_width_compare_by_base():
     a, b = sw.blow_up_ledger(seed, 63), sw.blow_up_ledger(seed, 63)
     assert a.entries == b.entries and a == b
     base = a.entries.base
-    changed = sw.Entries((replace(base[0], value=LinExpr(0, -2)),) + base[1:], 63)
+    changed = sw.Entries((replace(base[0], value=LinExpr(0, -2)),) + base[1:], (0,) * 63)
     assert a.entries != changed
     wide, twin = sw.blow_up_ledger(seed, 20).entries, sw.blow_up_ledger(seed, 20).entries
     start = time.perf_counter()
@@ -414,7 +426,8 @@ def test_entries_of_different_width_compare_by_rebasing(monkeypatch):
     assert wide == narrow and narrow == wide
     assert time.perf_counter() - start < 0.1
     base = narrow.base
-    changed = sw.Entries(base[:1] + (replace(base[1], value=LinExpr(1, 1)),) + base[2:], 19)
+    changed = sw.Entries(base[:1] + (replace(base[1], value=LinExpr(1, 1)),) + base[2:],
+                         (0,) * 19)
     assert wide != changed and changed != wide
     # different counts are unequal before any descendant is built
     monkeypatch.setattr(sw, "_descendant", None)
@@ -645,10 +658,10 @@ def test_blowdown_walk_matches_eager_scan_on_stacked_blowups_and_large_p():
 
 
 def test_blowdown_keeps_trailing_zero_rows_as_free_signs():
-    # the last z exceptional rows are zero (blow-ups away from the chain): the
-    # result keeps those z signs as its view's m and must read like the eager
-    # scan of the written-out blow-up and equal the blow-down of the written-out
-    # twin; a zero row with a nonzero row after it is walked like any other
+    # the last z exceptional rows are zero (blow-ups away from the chain), and
+    # often one more before a nonzero row: the result keeps every sign with a
+    # zero row free, as its view's m, and must read like the eager scan of the
+    # written-out blow-up and equal the blow-down of the written-out twin
     rng = random.Random(2601)
     chains = [c for cs in cpq_chains_by_length(6).values() for c in cs]
     free_cases = inner_cases = free_kept = inner_kept = 0
@@ -671,12 +684,13 @@ def test_blowdown_keeps_trailing_zero_rows_as_free_signs():
         rows += [(0,) * len(chain)] * z
         kept = check_blowdown(lazy, eager, chain, rows)
         flat = replace(lazy, entries=tuple(lazy.entries))
+        zero_rows = sum(not any(row) for row in rows[len(base.basis):])
         results = []
         for blowdown in (partial(sw.rational_blowdown_ledger, corrections=(True, True)),
                          sw.chambered_blowdown_ledger):
             result, twin = blowdown(lazy, chain, rows), blowdown(flat, chain, rows)
             results.append(result)
-            assert result.ledger.entries.m == z and twin.ledger.entries.m == 0
+            assert result.ledger.entries.m == zero_rows and twin.ledger.entries.m == 0
             assert result == twin and twin == result and not result != twin
             assert len(result.base_restrictions) == len(result.ledger.entries.base)
             for cls, r in twin.restrictions:
@@ -859,9 +873,12 @@ QN_WIDE_NAMES = ("E1", "E2") + tuple(f"Z{i}" for i in range(1, 9))
 QN_WIDE_ROWS = QN_ROWS + ((0,) * 6,) * 8
 
 
-def qn_wide_ledger(knot=None):
+QN_ROW_OF = dict(zip(("T",) + QN_WIDE_NAMES, QN_WIDE_ROWS))
+
+
+def qn_wide_ledger(knot=None, names=QN_WIDE_NAMES):
     seed = sw.knot_surgery_ledger([sw.alexander_twist(1), sw.alexander_twist(knot)], label="V_n")
-    return sw.blow_up_ledger(seed, 10, QN_WIDE_NAMES)
+    return sw.blow_up_ledger(seed, len(names), tuple(names))
 
 
 def qn_wide_blowdowns(blown):
@@ -889,6 +906,109 @@ def test_blowdown_builds_one_entry_per_survivor(monkeypatch):
         # base entry of the result, and the 512 entries are read from them
         assert len(built) == 2 and all(a is b for a, b in zip(built, entries.base))
         assert entries.m == 8 and len(entries) == 512 and len(list(entries)) == 512
+
+
+def qn_placed_ledger(names):
+    """The benchmark's Q_n ledger blown up in the order `names`, a
+    permutation of QN_WIDE_NAMES, and its chain-pairing rows."""
+    blown = qn_wide_ledger(names=names)
+    return blown, [QN_ROW_OF[g] for g in blown.basis]
+
+
+def placed(e1, e2):
+    """Z1..Z8 in order, with E1 put at index e1 and E2 at index e2 > e1."""
+    names = list(QN_WIDE_NAMES[2:])
+    names.insert(e1, "E1")
+    names.insert(e2, "E2")
+    return names
+
+
+# Z1 Z2 E1 Z3 Z4 Z5 E2 Z6 Z7 Z8: free signs before, between and after E1 E2
+INNER_PLACEMENT = placed(2, 6)
+
+
+def test_blowdown_keeps_zero_rows_free_wherever_they_sit(monkeypatch):
+    # each of the 45 places of E1 and E2 among Z1..Z8, as the benchmark's
+    # shuffle draws them: every Z sign stays free, the blow-down builds only
+    # the two walked survivors, and it equals its written-out twin's.  The two
+    # blow-downs filter alike, so the costly twin (4,096 entries scanned) is
+    # blown down once, chambered, and the exact result matches the chambered
+    # one's ledger and restrictions.
+    built = []
+    entry = sw.Entry
+
+    def counting_entry(*args, **kwargs):
+        built.append(entry(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(sw, "Entry", counting_entry)
+    for e1, e2 in combinations(range(10), 2):
+        blown, rows = qn_placed_ledger(placed(e1, e2))
+        flat = replace(blown, entries=tuple(blown.entries))
+        results = []
+        for blowdown in (partial(sw.rational_blowdown_ledger, corrections=(True, True)),
+                         sw.chambered_blowdown_ledger):
+            built.clear()
+            results.append(blowdown(blown, QN_CHAIN, rows))
+            entries = results[-1].ledger.entries
+            assert len(built) == 2 and all(a is b for a, b in zip(built, entries.base))
+            assert entries.m == 8 and len(entries) == 512 and len(list(entries)) == 512
+        exact, chambered = results
+        assert chambered == sw.chambered_blowdown_ledger(flat, QN_CHAIN, rows)
+        assert exact.ledger == chambered.ledger
+        assert list(exact.restrictions) == list(chambered.restrictions)
+
+
+def test_blowdown_of_a_view_with_inner_free_signs_matches_eager_scan():
+    # a Q_n blow-down keeps its Z names as free signs wherever they sit; that
+    # view is blown up again and blown down on a second chain, on which some
+    # of those signs have nonzero rows and are walked, some with a base
+    # coordinate after them, and the others stay free
+    rng = random.Random(2702)
+    chains = [c for cs in cpq_chains_by_length(4).values() for c in cs]
+    inner_cases = written_cases = kept_free_cases = cases_with_survivors = 0
+    for _ in range(60):
+        zs = tuple(f"Z{i}" for i in range(1, rng.randint(2, 5)))
+        names = ["E1", "E2", *zs]
+        rng.shuffle(names)
+        blown, rows = qn_placed_ledger(names)
+        first = sw.rational_blowdown_ledger(
+            blown, QN_CHAIN, rows, corrections=(True, True)).ledger
+        assert first.entries.m == len(zs)
+        inner_cases += any(first.entries.after)
+        lazy = sw.blow_up_ledger(first, rng.randint(1, 3))
+        eager = eager_blow_up(replace(first, entries=tuple(first.entries)),
+                              len(lazy.basis) - len(first.basis), lazy.basis[len(first.basis):])
+        chain = rng.choice(chains)
+        # a canonical-type T row and even rows elsewhere, so every class (its
+        # T coefficient is odd) is characteristic and the residue decides
+        rows = [tuple(w + 2 + 2 * rng.randint(-1, 1) for w in chain)]
+        rows += [(0,) * len(chain) if rng.random() < 0.4 else
+                 (2 * rng.choice((-1, 1)),) + tuple(2 * rng.randint(-1, 1) for _ in chain[1:])
+                 for _ in lazy.basis[1:]]
+        free = [i for i, g in enumerate(lazy.basis) if g in zs or g not in first.basis]
+        last_base = max(i for i in range(len(rows)) if i not in free)
+        written_cases += any(any(rows[i]) and i < last_base for i in free)
+        kept = check_blowdown(lazy, eager, chain, rows)
+        result = sw.chambered_blowdown_ledger(lazy, chain, rows)
+        zero = [i for i in free if not any(rows[i])]
+        assert result.ledger.entries.m == len(zero)
+        kept_free_cases += bool(kept) and any(i < len(rows) - len(zero) for i in zero)
+        cases_with_survivors += bool(kept)
+    assert inner_cases >= 40 and written_cases >= 30, (inner_cases, written_cases)
+    assert cases_with_survivors >= 25 and kept_free_cases >= 20, (
+        cases_with_survivors, kept_free_cases)
+
+
+def test_ledger_report_writes_free_signs_in_place():
+    # Z1 Z2 E1 Z3 Z4 Z5 E2 Z6 Z7 Z8: +-1 at each Z place, between E1 and E2
+    blown, rows = qn_placed_ledger(INNER_PLACEMENT)
+    result = sw.rational_blowdown_ledger(blown, QN_CHAIN, rows, corrections=(True, True))
+    assert sw.ledger_report(result.ledger) == (
+        "ledger V_n (chain blown down): e=16 sigma=-12 entries=512\n"
+        "  (-3,+-1,+-1,-1,+-1,+-1,+-1,-1,+-1,+-1,+-1) -> 0 - 1*n\n"
+        "  (3,+-1,+-1,1,+-1,+-1,+-1,1,+-1,+-1,+-1) -> 0 + 1*n"
+    )
 
 
 def test_ledger_report_of_a_blowdown_with_free_signs_writes_base_lines():
@@ -999,31 +1119,41 @@ def test_substitute_and_minimality_of_a_wide_blow_up_stay_lazy():
 
 
 def test_survivor_lookups_match_a_linear_scan():
-    def scan(pairs, cls):
+    def scan(pairs, cls, message):
         for c, x in pairs:
             if c == cls:
                 return x
-        raise KeyError(f"no surviving class {cls}")
+        raise KeyError(f"{message} {cls}")
 
-    result = sw.chambered_blowdown_ledger(qn_wide_ledger(), QN_CHAIN, QN_WIDE_ROWS)
-    classes = [c for c, _r in result.restrictions]
-    assert classes == sorted(classes) and len(classes) == 512
-    first, last = classes[0], classes[-1]
-    absent = [
-        first[:-1] + (first[-1] - 1,),  # before the first
-        (0,) * len(first),  # between the -T and the +T survivors
-        last[:-1] + (last[-1] + 1,),  # after the last
-        first[:-1], first + (1,), (),  # wrong length
-    ]
-    assert not set(absent) & set(classes)
-    for cls in classes + absent:
-        for lookup, pairs in ((result.restriction_of, result.restrictions),
-                              (result.value_set_of, result.value_sets)):
-            try:
-                want = scan(pairs, cls)
-            except KeyError as exc:
-                with pytest.raises(KeyError) as got:
-                    lookup(list(cls))
-                assert got.value.args == exc.args
-            else:
-                assert lookup(list(cls)) == want
+    # Z1..Z8 after E1 E2, and Z1 Z2 E1 Z3 Z4 Z5 E2 Z6 Z7 Z8
+    for names in (QN_WIDE_NAMES, INNER_PLACEMENT):
+        blown, rows = qn_placed_ledger(names)
+        result = sw.chambered_blowdown_ledger(blown, QN_CHAIN, rows)
+        classes = [c for c, _r in result.restrictions]
+        assert classes == sorted(classes) and len(classes) == 512
+        first, last = classes[0], classes[-1]
+        absent = [
+            first[:-1] + (first[-1] - 1,),  # before the first
+            (0,) * len(first),  # between the -T and the +T survivors
+            last[:-1] + (last[-1] + 1,),  # after the last
+            first[:-1], first + (1,), (),  # wrong length
+        ]
+        # 0 or +-3 at a free place
+        absent += [cls[:i] + (x,) + cls[i + 1:] for cls in (first, last)
+                   for i, g in enumerate(blown.basis) if g.startswith("Z") for x in (0, 3, -3)]
+        assert not set(absent) & set(classes)
+        lookups = (
+            (result.restriction_of, list(result.restrictions), "no surviving class"),
+            (result.value_set_of, list(result.value_sets), "no surviving class"),
+            (result.ledger.entry, [(e.cls, e) for e in result.ledger.entries],
+             "no ledger entry for class"))
+        for cls in classes + absent:
+            for lookup, pairs, message in lookups:
+                try:
+                    want = scan(pairs, cls, message)
+                except KeyError as exc:
+                    with pytest.raises(KeyError) as got:
+                        lookup(list(cls))
+                    assert got.value.args == exc.args
+                else:
+                    assert lookup(list(cls)) == want
