@@ -15,8 +15,13 @@ short words print letter by letter; a larger power stays symbolic, prints as
 `(w)^e` and is evaluated by repeated squaring in O(log e) products.
 Parentheses nest at most MAX_DEPTH deep, which also bounds the recursion of
 `invert_word`, `eval_word` and `word_to_str` over nested powers, and a
-fibration has at most MAX_TWISTS unit twists.  Everything here is a pure
-function over immutable values and all integers are exact.
+fibration has at most MAX_TWISTS unit twists.  Checking a fibration walks its
+conjugators once: each twist adds only the letters of its conjugator past the
+start it shares with the one before, so twists conjugated by one long word cost
+that word about twice, not once per twist.  The shared start ends at the first
+power, because a power and its inverse are different syllables to `normalize`.
+Everything here is a pure function over immutable values and all integers are
+exact.
 """
 
 from __future__ import annotations
@@ -219,13 +224,34 @@ class Twist(_TwistFields):
         return super().__new__(cls, cycle, conjugator, multiplicity)
 
 
+def _walk(twists) -> tuple[Word, list[Word]]:
+    """The normalized word of the twists and each one's junction c_{i-1}^-1 c_i,
+    from conjugators c_i with c_0 = () and, last, c_{n+1} = ()."""
+    syllables, junctions, prev = [], [], ()
+    for t in (*twists, None):
+        c = t.conjugator if t else ()
+        k, n = 0, min(len(prev), len(c))
+        while k < n and prev[k] == c[k] and isinstance(c[k][0], str):
+            k += 1
+        junctions.append(invert_word(prev[k:]) + c[k:])
+        syllables += junctions[-1]
+        if t:
+            syllables.append((t.cycle, t.multiplicity))
+        prev = c
+    return normalize(syllables), junctions
+
+
 def expand_factorization(twists) -> Word:
     """The word of the twists in order, each as conjugator, cycle^multiplicity
-    and inverted conjugator, normalized once."""
-    syllables: list = []
-    for t in twists:
-        syllables += (*t.conjugator, (t.cycle, t.multiplicity), *invert_word(t.conjugator))
-    return normalize(syllables)
+    and inverted conjugator, normalized once.
+
+    Each conjugator enters only past the letters it shares at its start with the
+    one before: those letters and their inverses cancel in `normalize`, a free
+    reduction, so the word is the same and costs the output plus the junctions,
+    not 2 * sum |c_i|.  The cut stops at a power, which `normalize` never cancels
+    against its inverse (a power with another base).
+    """
+    return _walk(twists)[0]
 
 
 def normalize_cycle(u: int, v: int) -> tuple[int, int]:
@@ -238,11 +264,15 @@ def normalize_cycle(u: int, v: int) -> tuple[int, int]:
     return (u, v)
 
 
+def _cycle_of(m: SL2, cycle: str) -> tuple[int, int]:
+    """The image of the core cycle, (1,0) for a and (0,1) for b, under m."""
+    i = 0 if cycle == "a" else 1
+    return normalize_cycle(m[0][i], m[1][i])
+
+
 def vanishing_cycle(t: Twist) -> tuple[int, int]:
     """Image of the core cycle under the conjugator: (1,0) for a, (0,1) for b."""
-    m = eval_word(t.conjugator)
-    c = (1, 0) if t.cycle == "a" else (0, 1)
-    return normalize_cycle(m[0][0] * c[0] + m[0][1] * c[1], m[1][0] * c[0] + m[1][1] * c[1])
+    return _cycle_of(eval_word(t.conjugator), t.cycle)
 
 
 class FibrationReport(NamedTuple):
@@ -263,17 +293,20 @@ def verify_fibration(twists, expected_twists: int) -> FibrationReport:
     the expanded word must evaluate to the identity and the number of unit
     twists must match the expected count of singular fibers.  Failures are
     report fields, not exceptions, but over MAX_TWISTS unit twists is an error.
+    The word and the conjugator matrices come from one walk: twist i's matrix is
+    twist i-1's times that of its junction word (see `expand_factorization`), so
+    no conjugator is evaluated or inverted in full.
     """
     if expected_twists < 0:
         raise ValueError("expected_twists must be >= 0")
     twist_count = sum(t.multiplicity for t in twists)
     if twist_count > MAX_TWISTS:
         raise ValueError(f"{twist_count} unit twists; at most {MAX_TWISTS} are allowed")
-    word = expand_factorization(twists)
-    cycles = []
-    for t in twists:
-        c = vanishing_cycle(t)
-        cycles.extend([c] * t.multiplicity)
+    word, junctions = _walk(twists)
+    m, cycles = IDENTITY, []
+    for t, j in zip(twists, junctions):
+        m = sl2_mul(m, eval_word(j))
+        cycles.extend([_cycle_of(m, t.cycle)] * t.multiplicity)
     return FibrationReport(
         is_identity=eval_word(word) == IDENTITY,
         twist_count=twist_count,
