@@ -16,10 +16,11 @@ short words print letter by letter; a larger power stays symbolic, prints as
 Parentheses nest at most MAX_DEPTH deep, which also bounds the recursion of
 `invert_word`, `eval_word` and `word_to_str` over nested powers, and a
 fibration has at most MAX_TWISTS unit twists.  Checking a fibration walks its
-conjugators once: each twist adds only the letters of its conjugator past the
-start it shares with the one before, so twists conjugated by one long word cost
-that word about twice, not once per twist.  The shared start ends at the first
-power, because a power and its inverse are different syllables to `normalize`.
+conjugators once: each twist compares its conjugator's start with the one before
+and inverts, reduces and evaluates only the letters past the start they share,
+so a long word that conjugates every twist is reduced and evaluated about twice,
+not once per twist.  The shared start ends at the first power, because a power
+and its inverse are different syllables to `normalize`.
 Everything here is a pure function over immutable values and all integers are
 exact.
 """
@@ -243,13 +244,11 @@ def _walk(twists) -> tuple[Word, list[Word]]:
 
 def expand_factorization(twists) -> Word:
     """The word of the twists in order, each as conjugator, cycle^multiplicity
-    and inverted conjugator, normalized once.
-
-    Each conjugator enters only past the letters it shares at its start with the
-    one before: those letters and their inverses cancel in `normalize`, a free
-    reduction, so the word is the same and costs the output plus the junctions,
-    not 2 * sum |c_i|.  The cut stops at a power, which `normalize` never cancels
-    against its inverse (a power with another base).
+    and inverted conjugator, normalized once.  Normalizing is a free reduction,
+    so the letters a conjugator shares at its start with the one before cancel
+    and are cut beforehand, up to the first power, which never cancels against
+    its inverse.  Past one comparison per shared syllable, it costs the output
+    plus each conjugator past that shared start, not 2 * sum |c_i|.
     """
     return _walk(twists)[0]
 
@@ -293,9 +292,8 @@ def verify_fibration(twists, expected_twists: int) -> FibrationReport:
     the expanded word must evaluate to the identity and the number of unit
     twists must match the expected count of singular fibers.  Failures are
     report fields, not exceptions, but over MAX_TWISTS unit twists is an error.
-    The word and the conjugator matrices come from one walk: twist i's matrix is
-    twist i-1's times that of its junction word (see `expand_factorization`), so
-    no conjugator is evaluated or inverted in full.
+    Each conjugator's matrix is the one before times its junction's (`_walk`), so
+    a check costs `expand_factorization` plus evaluating the junctions and word.
     """
     if expected_twists < 0:
         raise ValueError("expected_twists must be >= 0")

@@ -1,5 +1,6 @@
 import random
 import re
+from math import gcd
 import time
 import tracemalloc
 
@@ -315,3 +316,175 @@ def test_bounded_traces_and_short_hyperbolic_powers_still_evaluate():
         lucas = (lucas[1], (lucas[0] + lucas[1]) % ORACLE_PRIME)
     assert (p + s) % ORACLE_PRIME == lucas[1]
     assert (p + s).bit_length() > 100_000
+
+
+# --- an independent reading of fibration factorizations -------------------------
+# The oracle writes every twist out in full, conjugator, cycle^multiplicity and
+# inverted conjugator, reduces the whole concatenation with its own run-length
+# stack and multiplies each conjugator letter by letter; it shares no code with
+# the walk in mcg, which cuts the letters that neighbouring conjugators share.
+
+SMALL_POWERS = (((("a", 1), ("b", 1)), 3), ((("a", 2), ("b", -1)), 2), ((("b", 1), ("a", -3)), 4))
+
+
+def oracle_invert(word) -> tuple:
+    """Letters reversed and negated; a power keeps its exponent and inverts its base."""
+    return tuple((g, -e) if isinstance(g, str) else (oracle_invert(g), e)
+                 for g, e in reversed(word))
+
+
+def oracle_expand(word) -> list:
+    """Every power of a syllable tuple written out: a flat list of (generator, exponent)."""
+    out = []
+    for g, e in word:
+        if isinstance(g, str):
+            out.append((g, e))
+        else:
+            base = oracle_expand(g if e > 0 else oracle_invert(g))
+            out.extend(base * abs(e))
+    return out
+
+
+def oracle_reduce(syllables) -> tuple:
+    """Run-length reduction on a stack: a syllable merges into the top when their
+    tags agree, and whatever has exponent 0 is dropped."""
+    stack = []
+    for g, e in syllables:
+        if stack and stack[-1][0] == g:
+            e += stack.pop()[1]
+        if e:
+            stack.append((g, e))
+    return tuple(stack)
+
+
+def oracle_cycle(m, cycle: str) -> tuple[int, int]:
+    u, v = (m[0][0], m[1][0]) if cycle == "a" else (m[0][1], m[1][1])
+    g = gcd(u, v)
+    u, v = u // g, v // g
+    return (u, v) if u > 0 or (u == 0 and v > 0) else (-u, -v)
+
+
+def oracle_fibration(twists) -> tuple:
+    """(word, cycles, is_identity, twist_count) from the full concatenation."""
+    full, cycles = [], []
+    for t in twists:
+        full += [*t.conjugator, (t.cycle, t.multiplicity), *oracle_invert(t.conjugator)]
+        m = oracle_matrix(oracle_expand(t.conjugator))
+        cycles += [oracle_cycle(m, t.cycle)] * t.multiplicity
+    word = oracle_reduce(full)  # the same element, so its matrix decides identity
+    is_identity = oracle_matrix(oracle_expand(word)) == ((1, 0), (0, 1))
+    return word, tuple(cycles), is_identity, sum(t.multiplicity for t in twists)
+
+
+def report_fields(report) -> tuple:
+    return report.word, report.cycles, report.is_identity, report.twist_count
+
+
+def random_syllable(rng: random.Random) -> tuple:
+    """A letter with exponent in [-3, 3], 0 included, or a small power or its inverse."""
+    if rng.random() < 0.2:
+        base, e = rng.choice(SMALL_POWERS)
+        return (base if rng.random() < 0.5 else oracle_invert(base), e)
+    return (rng.choice("ab"), rng.randint(-3, 3))
+
+
+def random_factorization(rng: random.Random) -> list:
+    """Twists whose conjugators, not normalized, share a random start: some are a
+    standard factorization under one conjugator, so their product is 1."""
+    shared = tuple(random_syllable(rng) for _ in range(rng.randint(0, 10)))
+    if rng.random() < 0.15:
+        name = rng.choice(sorted(mcg.standard_factorizations()))
+        return [Twist(t.cycle, shared + t.conjugator, t.multiplicity)
+                for t in mcg.standard_factorizations()[name]]
+    twists, prev = [], ()
+    for _ in range(rng.randint(1, 6)):
+        tail = tuple(random_syllable(rng) for _ in range(rng.randint(0, 3)))
+        r = rng.random()
+        if r < 0.15:
+            c = prev
+        elif r < 0.3:
+            c = prev + tail
+        elif r < 0.4:
+            c = ()
+        else:
+            c = shared[:rng.randint(0, len(shared))] + tail
+        twists.append(Twist(rng.choice("ab"), c, rng.choice((1, 1, 1, 2, 3))))
+        prev = c
+    return twists
+
+
+def neighbour_cases(u, v) -> set:
+    """The shapes two neighbouring conjugators take, named for the coverage counts."""
+    common = 0
+    while common < min(len(u), len(v)) and u[common] == v[common]:
+        common += 1
+    powers = [i for i in range(common) if not isinstance(u[i][0], str)]
+    cases = set()
+    if powers and powers[0] < common - 1:
+        cases.add("power inside the shared start")
+    if powers and powers[0] == common - 1:
+        cases.add("power at the end of the shared start")
+    if common < min(len(u), len(v)) and not (isinstance(u[common][0], str)
+                                             and isinstance(v[common][0], str)):
+        cases.add("power at the first difference")
+    if u == v and u:
+        cases.add("identical neighbours")
+    if len(u) < len(v) and v[:len(u)] == u and u:
+        cases.add("prefix of the next")
+    return cases
+
+
+def test_fibration_walk_matches_full_concatenation_oracle():
+    rng = random.Random(20261019)
+    counts: dict = {}
+    for _ in range(2400):
+        twists = random_factorization(rng)
+        got = report_fields(mcg.verify_fibration(twists, 0))
+        assert got == oracle_fibration(twists), twists
+        assert mcg.expand_factorization(twists) == got[0]
+        conjugators = [t.conjugator for t in twists]
+        cases = set().union(*(neighbour_cases(u, v) for u, v in zip(conjugators, conjugators[1:])))
+        cases |= {"identity" if got[2] else "not identity"}
+        if any(e == 0 for c in conjugators for _g, e in c):
+            cases.add("exponent 0")
+        if any(x[0] == y[0] for c in conjugators for x, y in zip(c, c[1:])):
+            cases.add("adjacent equal tags")
+        if () in conjugators:
+            cases.add("empty conjugator")
+        if any(t.multiplicity > 1 for t in twists):
+            cases.add("multiplicity > 1")
+        for case in cases:
+            counts[case] = counts.get(case, 0) + 1
+    floors = {"power inside the shared start": 300, "power at the end of the shared start": 120,
+              "power at the first difference": 200, "identical neighbours": 300,
+              "prefix of the next": 400, "identity": 150, "not identity": 1500, "exponent 0": 1000,
+              "adjacent equal tags": 1000, "empty conjugator": 500, "multiplicity > 1": 1000}
+    assert all(counts.get(case, 0) >= floor for case, floor in floors.items()), counts
+
+
+def test_the_cut_stops_at_a_power():
+    # The conjugators share (ab)^40 and no letter before it.  normalize keeps a
+    # power next to its inverse (BA)^40, so the word repeats both.
+    twists = (Twist("a", mcg.parse_word("(ab)^40 a")), Twist("b", mcg.parse_word("(ab)^40 b")))
+    report = mcg.verify_fibration(twists, 2)
+    assert mcg.word_to_str(report.word) == "(a b)^40 a (B A)^40 (a b)^40 b (B A)^40"
+    assert report.cycles == ((0, 1), (1, 1))
+    assert not report.is_identity
+    assert report_fields(report) == oracle_fibration(twists)
+
+
+def test_a_shared_conjugator_is_walked_once():
+    # 1,000 twists under one 500-letter word.  Writing out, inverting, reducing
+    # and evaluating every conjugator in full handles about 10^6 syllables; the
+    # walk compares the shared word once per twist and handles the rest only.
+    rng = random.Random(28)
+    w = tuple(("ab"[i % 2], rng.choice((-3, -2, -1, 1, 2, 3))) for i in range(500))
+    twists = [Twist(rng.choice("ab"),
+                    mcg.concat(w, tuple((rng.choice("ab"), rng.choice((-2, -1, 1, 2)))
+                                        for _ in range(rng.randint(0, 3)))))
+              for _ in range(1000)]
+    t0 = time.perf_counter()
+    report = mcg.verify_fibration(twists, 1000)
+    elapsed = time.perf_counter() - t0
+    assert report_fields(report) == oracle_fibration(twists)
+    assert elapsed < 0.25, elapsed
