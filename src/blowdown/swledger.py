@@ -12,46 +12,52 @@ over the rational ball.
 
 Every ledger's entries are one `Entries` view over (base entries sorted by
 class, the places of m free exceptional signs); a written-out ledger has
-m = 0.  A blow-up appends its names as free signs and writes nothing out, so
-it costs O(1) and a ledger of base * 2^m entries holds only its base.  A hand-built
-ledger's entries are sorted once, on construction; the pipeline builds its
-bases in class order, and a lookup strips the free signs and bisects.
+m = 0.  Every class is written over the whole basis: a base class holds 0 at
+each free place, a free place is a basis index, and a base entry carries its
+descendants' square.  A blow-up pads each base class with a 0 per name and
+adds the names' places, so it costs O(base * rank), writes out no sign, and
+a ledger of base * 2^m entries holds only its base.  A hand-built ledger's
+entries are sorted once, on construction, and each class must have one
+coordinate per basis class; the pipeline builds its bases in class order,
+and a lookup puts 0 at the free places and bisects.
 
 The restriction of a class c is sum c_j*row_j over the tracked generators'
 chain-pairing rows, and extension depends only on its parity mask (r mod 2)
 and its residue (discriminant image mod p); see `hirzebruch.ChainData`.  The
-filter restricts each base entry once and reads its (mask, residue) from
-`ChainData.invariants`.  Every exceptional sign is odd, so the exceptional rows
-XOR in one fixed mask, and only they keep a residue each, for the walk: a base
-entry whose mask is not the chain's parity has no survivor, and when no base
-entry's mask is, the filter stops before building anything.
-Otherwise a sign pattern a survives iff res(base) + sum a_i*residue_i lands on
-the one residue the ball accepts (`ChainData.target`): a subset sum mod p.  A
-backward pass from that residue gives, per level i, the residues from which
-the remaining signs can still land there, up to the first level that would
-hold more than 2^ceil(m/2) of them; the levels above accept every residue, as
-in the meet-in-the-middle subset sum (Horowitz-Sahni 1974).  The filter
-expands each base entry one level at a time, each pattern's -1 child before
-its +1 child, keeping a child only if its residue is live, so every level
-stays sorted.  The unpruned levels hold at most 2^floor(m/2) patterns, and
-every pattern on a pruned level reaches a survivor.  Each restriction is the
-base entry's plus one signed row per level, and the cost is
+filter restricts each base entry once, over its nonzero coordinates, and
+reads its (mask, residue) from `ChainData.invariants`.  Every exceptional
+sign is odd, so the exceptional rows XOR in one fixed mask, and only they
+keep a residue each, for the walk: a base entry whose mask is not the
+chain's parity has no survivor, and when no base entry's mask is, the filter
+stops before building anything.  Otherwise a sign pattern a survives iff
+res(base) + sum a_i*residue_i lands on the one residue the ball accepts
+(`ChainData.target`): a subset sum mod p.  A backward pass from that residue
+gives, per level i, the residues from which the remaining signs can still
+land there, up to the first level that would hold more than 2^ceil(m/2) of
+them; the levels above accept every residue, as in the meet-in-the-middle
+subset sum (Horowitz-Sahni 1974).  The filter expands each base entry one
+level at a time, each pattern's -1 child before its +1 child, keeping a
+child only if its residue is live, so every level stays sorted.  The
+unpruned levels hold at most 2^floor(m/2) patterns, and every pattern on a
+pruned level reaches a survivor.  Each restriction is the base entry's plus
+one signed row per level, and the cost is
 O(m*min(p, 2^ceil(m/2)) + b*2^floor(m/2) + survivors*m) for b base entries,
 instead of O(2^m * rank).
 
 An exceptional class with a zero row changes no restriction, residue or
 value, only the square: a blow-up away from the chain commutes with the
-blow-down, and SW(K +- E) = SW(K) (Fintushel-Stern 1995).  So every free sign
-with a zero row stays a free sign of the result, wherever it sits in the
-class, and m above counts only the walked ones.  A walked sign with a base
-coordinate after it, one that an earlier blow-down kept free, is written into
-the base first, so the walked signs trail.  The walk yields each base entry
-with its survivors' (class, restriction) pairs, and the blow-down builds one
-Entry per walked survivor: the square is the base's minus every sign minus
-v^T G^-1 v, and the dimension check is shared per base entry.  `substitute`
-keeps an entry whose value is already concrete and the view's free places,
-and substitutes each distinct symbolic value once, so neither costs more than
-the base entries that change.
+blow-down, and SW(K +- E) = SW(K) (Fintushel-Stern 1995).  So every free
+place with a zero row stays a free place of the result, at the same index,
+and m above counts only the walked ones.  Every other free place is walked
+where it sits: the walk appends one sign per walked place and sets the signs
+at their places at the end.  It yields each base entry with its survivors'
+(class, restriction) pairs, and the blow-down builds one Entry per walked
+survivor: the square is the base's minus v^T G^-1 v, and the dimension check
+is shared per base entry.  A walked place before a base coordinate
+interleaves the base entries' survivors, so they are sorted by class at the
+end.  `substitute` keeps an entry whose value is already concrete and the
+view's free places, and substitutes each distinct symbolic value once, so
+neither costs more than the base entries that change.
 """
 
 from __future__ import annotations
@@ -137,84 +143,73 @@ class Entry(NamedTuple):
     verified: bool = True
 
 
-def _descendant(ent: Entry, cls: tuple[int, ...]) -> Entry:
-    """The blow-up descendant of `ent` at `cls`, its class with the signs put
-    in, keeping its value: the square drops by one per sign."""
-    return Entry(cls, ent.value, ent.square - len(cls) + len(ent.cls), ent.verified)
-
-
 class Entries:
     """A ledger's entries, as a sorted read-only view.
 
-    Holds the base entries, sorted by class, and where m free exceptional
-    signs sit in the full class: `after[j]` counts the base coordinates after
-    the j-th free sign, so m signs at the end have after = (0,) * m.  Each base
-    entry stands for its 2^m descendants, its class with a sign +-1 put in at
-    each free place.  Iteration groups the sorted base by the coordinates
-    before each free place and reads the -1 group before the +1 group, so the
-    view is read in class order.  Its length is len(base) << m (see
-    `entry_count` for m >= 63), and nothing is built until an entry is read.
-    Two views are equal when their counts are and, once each writes out the
-    signs that are free in it and not in the other, their bases are, which
-    costs the written-out bases' size.  The base is taken as given, already
-    sorted.
+    Holds the base entries, sorted by class, and `free`, the ascending basis
+    indices of m free exceptional signs.  Each base class is written over the
+    whole basis with 0 at every free place, and the base entry stands for its
+    2^m descendants, its class with a sign +-1 at each free place; they share
+    its value, flag and square.  Iteration groups the sorted base by the
+    coordinates before each run of adjacent free places and reads the -1
+    group before the +1 group, so the view is read in class order.  Its
+    length is len(base) << m (see `entry_count` for m >= 63), and nothing is
+    built until an entry is read.  Two views are equal when their counts are
+    and, once each writes out the places that are free in it and not in the
+    other, their bases are, which costs the written-out bases' size.  The
+    base is taken as given, already sorted.
     """
 
-    __slots__ = ("base", "after")
+    __slots__ = ("base", "free")
 
-    def __init__(self, base: tuple[Entry, ...], after: tuple[int, ...]):
+    def __init__(self, base: tuple[Entry, ...], free: tuple[int, ...]):
         self.base = base
-        self.after = after
+        self.free = free
 
     @property
     def m(self) -> int:
-        return len(self.after)
+        return len(self.free)
 
     def __len__(self) -> int:
-        return len(self.base) << len(self.after)
+        return len(self.base) << len(self.free)
 
     def __iter__(self):
-        if not self.after:
+        if not self.free:
             return iter(self.base)
-        return (_descendant(self.base[i], cls) for i, cls in _spread(self))
+        return (Entry(cls, *self.base[i][1:]) for i, cls in _spread(self))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Entries):
             return NotImplemented
         if len(self.base) << self.m != len(other.base) << other.m:
             return False
-        ends, other_ends = _places(self.after, 0), _places(other.after, 0)
-        return (_write_out(self, {j for j, e in enumerate(ends) if e not in other_ends}).base
-                == _write_out(other, {j for j, e in enumerate(other_ends) if e not in ends}).base)
+        # write out the places free in one view only, as two tuples in class order
+        both = set(self.free) & set(other.free)
+        return (tuple(Entries(self.base, tuple(i for i in self.free if i not in both)))
+                == tuple(Entries(other.base, tuple(i for i in other.free if i not in both))))
 
     def __repr__(self) -> str:
         return f"Entries({len(self.base)} base entries x 2^{self.m} signs)"
 
 
-def _places(after: tuple[int, ...], n: int) -> list[int]:
-    """The places of the free signs in a full class of length n (n = 0
-    counts them back from the end)."""
-    return [n - len(after) - a + j for j, a in enumerate(after)]
-
-
-def _insert(cls: tuple, after: tuple[int, ...], signs: tuple) -> tuple:
-    """The base class `cls` with `signs` put in at the free places."""
+def _put(cls: tuple, places, values) -> tuple:
+    """`cls` with `values` set at `places`."""
     out = list(cls)
-    for i, s in zip(_places(after, len(cls) + len(after)), signs):
-        out.insert(i, s)
+    for i, x in zip(places, values):
+        out[i] = x
     return tuple(out)
 
 
 def _spread(entries: Entries):
     """Yield (base index, class) per entry of the view, in class order."""
     base = entries.base
-    k = len(base[0].cls) if base else 0
-    runs = [(k - a, len(tuple(same))) for a, same in groupby(entries.after)]
+    # runs of adjacent free places, as (first place, count)
+    runs = [(next(run)[1], 1 + len(tuple(run)))
+            for _k, run in groupby(enumerate(entries.free), lambda t: t[1] - t[0])]
     return _spread_runs(base, range(len(base)), runs, 0, ())
 
 
 def _spread_runs(base, group, runs, start, prefix):
-    # runs: (base coordinates before, count) per run of adjacent free signs;
     # `group` shares the coordinates before `start`, read into `prefix`
     if not runs:
         for i in group:
@@ -224,18 +219,7 @@ def _spread_runs(base, group, runs, start, prefix):
     for key, same in groupby(group, key=lambda i: base[i].cls[start:cut]):
         same = tuple(same)
         for signs in product((-1, 1), repeat=count):
-            yield from _spread_runs(base, same, runs, cut, prefix + key + signs)
-
-
-def _write_out(entries: Entries, drop: set[int]) -> Entries:
-    """The same entries with the free signs numbered in `drop` written into
-    the base, which costs len(base) << len(drop)."""
-    if not drop:
-        return entries
-    after = entries.after
-    keep = tuple(a + sum(i > j for i in drop) for j, a in enumerate(after) if j not in drop)
-    part = Entries(entries.base, tuple(a for j, a in enumerate(after) if j in drop))
-    return Entries(tuple(part), keep)
+            yield from _spread_runs(base, same, runs, cut + count, prefix + key + signs)
 
 
 class _LedgerFields(NamedTuple):
@@ -249,13 +233,18 @@ class _LedgerFields(NamedTuple):
 class Ledger(_LedgerFields):
     """The tracked classes and their entries, an `Entries` view sorted by
     class: any other iterable is sorted into a written-out view (m = 0) on
-    construction, so lookups bisect and the blow-down walks in that order."""
+    construction, so lookups bisect and the blow-down walks in that order.
+    Each of its classes must have one coordinate per basis class."""
 
     __slots__ = ()
 
     def __new__(cls, label: str, e: int, sigma: int, basis: tuple[str, ...], entries):
         if not isinstance(entries, Entries):
             entries = Entries(_sorted_entries(entries), ())
+            for ent in entries.base:
+                if len(ent.cls) != len(basis):
+                    raise ValueError(f"class {ent.cls} has {len(ent.cls)} coordinates "
+                                     f"for a basis of {len(basis)}")
         return super().__new__(cls, label, e, sigma, basis, entries)
 
     def entry(self, cls) -> Entry:
@@ -264,18 +253,17 @@ class Ledger(_LedgerFields):
         i = _base_index(self.entries, cls)
         if i < 0:
             raise KeyError(f"no ledger entry for class {cls}")
-        return _descendant(self.entries.base[i], cls)
+        return Entry(cls, *self.entries.base[i][1:])
 
 
 def _base_index(entries: Entries, cls: tuple[int, ...]) -> int:
     """The index of the base entry that `cls` descends from, or -1: the
-    coordinates at the m free places must each be +-1, and the rest is
-    bisected."""
-    places = _places(entries.after, len(cls))
-    if places and places[0] < 0 or any(cls[i] not in (-1, 1) for i in places):
+    coordinates at the m free places must each be +-1, and `cls` with 0 put
+    there is bisected."""
+    base, free = entries.base, entries.free
+    if not base or len(cls) != len(base[0].cls) or any(cls[i] not in (-1, 1) for i in free):
         return -1
-    skip = set(places)
-    core, base = tuple(x for i, x in enumerate(cls) if i not in skip), entries.base
+    core = _put(cls, free, (0,) * len(free))
     i = bisect_left(base, core, key=_class_of)
     return i if i < len(base) and base[i].cls == core else -1
 
@@ -353,13 +341,13 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
 
     sign choices a_i = +-1, keeping its value.  Squares drop by count, so the
     formal dimension of every descendant equals its parent's.  The entries are
-    an `Entries` view over the same base with m + count signs, so this builds
-    no entry; a blow-down of the result costs
+    an `Entries` view whose base is the old one, each class padded with a 0
+    per name and its square lowered by count, and whose free places gain the
+    new names' indices at the end of the basis.  So this writes out no sign
+    and costs O(len(base) * len(basis)); a blow-down of the result costs
     O(m*min(p, 2^ceil(m/2)) + len(base)*2^floor(m/2) + survivors*m) (see the
     module docstring), not len(base) << m, where m and the survivors leave
-    out the names orthogonal to the chain, which stay free signs.  The new
-    signs go at the end of the class, after any that an earlier blow-down
-    kept free.
+    out the names orthogonal to the chain, which stay free signs.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -380,18 +368,21 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
         e=ledger.e + count,
         sigma=ledger.sigma - count,
         basis=ledger.basis + names,
-        entries=Entries(ledger.entries.base, ledger.entries.after + (0,) * count),
+        entries=Entries(
+            tuple(Entry(ent.cls + (0,) * count, ent.value, ent.square - count, ent.verified)
+                  for ent in ledger.entries.base),
+            ledger.entries.free + tuple(range(len(ledger.basis), len(ledger.basis) + count))),
     )
 
 
 class BlowdownResult(NamedTuple):
     """The blown-down ledger and the restriction of each base entry of its
-    view: the view's m free signs are the exceptional classes whose
+    view: the view's m free places are the exceptional classes whose
     chain-pairing rows are zero, wherever they sit, and a class shares its
     restriction and value with its sign twins.  `restrictions` and
-    `value_sets` yield one (class, ...) pair per entry, in class order; a
-    lookup strips the m signs and bisects the base.  A result equals its
-    written-out twin's."""
+    `value_sets` yield one (class, ...) pair per entry, in class order, and
+    build no Entry; a lookup puts 0 at the m places and bisects the base.  A
+    result equals its written-out twin's."""
 
     ledger: Ledger
     base_restrictions: tuple[tuple[int, ...], ...]
@@ -404,7 +395,8 @@ class BlowdownResult(NamedTuple):
 
     @property
     def value_sets(self):
-        return ((ent.cls, self._values(ent.value)) for ent in self.ledger.entries)
+        values = [self._values(ent.value) for ent in self.ledger.entries.base]
+        return ((cls, values[i]) for i, cls in _spread(self.ledger.entries))
 
     def restriction_of(self, cls) -> tuple[int, ...]:
         return self.base_restrictions[self._index(cls)]
@@ -431,20 +423,19 @@ class BlowdownResult(NamedTuple):
         return not self == other
 
 
-def _survivors(test, base, m, rows):
+def _survivors(test, base, rows, walked):
     """Yield (base entry, [(class, restriction), ...]) per base entry that has
-    survivors, in class order; the last m rows are the exceptional signs'."""
-    exceptional = rows[len(rows) - m:]
+    survivors, in base order; `walked` lists the places of the exceptional
+    signs to walk, whose coordinates are 0 in every base class."""
+    exceptional = [rows[i] for i in walked]
     tail_mask, tail = 0, []  # every exceptional sign is odd: one fixed mask
     for mask, residue in map(test.invariants, exceptional):
         tail_mask ^= mask
         tail.append(residue)
     starts = []
     for ent in base:
-        r = tuple(
-            sum(c * row[i] for c, row in zip(ent.cls, rows))
-            for i in range(len(test.coeffs))
-        )
+        terms = [(c, row) for c, row in zip(ent.cls, rows) if c]
+        r = tuple(sum(c * row[i] for c, row in terms) for i in range(len(test.coeffs)))
         mask, residue = test.invariants(r)
         starts.append((r, mask ^ tail_mask, residue))
     if all(mask != test.parity for _r, mask, _s in starts):
@@ -452,7 +443,7 @@ def _survivors(test, base, m, rows):
     # live[i]: the residues from which signs i.. can still land on the target,
     # built back while a set holds at most 2^ceil(m/2); the levels above accept
     # every residue
-    p, live = test.p, [{test.target}]
+    m, p, live = len(walked), test.p, [{test.target}]
     for x in reversed(tail):
         nxt = {(s + a * x) % p for s in live[-1] for a in (-1, 1)}
         if len(nxt) > 1 << (m + 1) // 2:
@@ -464,12 +455,12 @@ def _survivors(test, base, m, rows):
     for ent, (r, mask, residue) in zip(base, starts):
         if mask != test.parity or residue not in live[0]:
             continue
-        level = [(ent.cls, residue, r)]  # sign patterns so far, -1 before +1
+        level = [((), residue, r)]  # sign patterns so far, -1 before +1
         for x, step, nxt in zip(tail, steps, live[1:]):
-            level = [(cls + (a,), t, _add_row(r, a, step))
-                     for cls, s, r in level for a in (-1, 1) if (t := (s + a * x) % p) in nxt]
+            level = [(signs + (a,), t, _add_row(r, a, step))
+                     for signs, s, r in level for a in (-1, 1) if (t := (s + a * x) % p) in nxt]
         if level:
-            yield ent, [(cls, r) for cls, _s, r in level]
+            yield ent, [(_put(ent.cls, walked, signs), r) for signs, _s, r in level]
 
 
 def _add_row(r: tuple[int, ...], a: int, step) -> tuple[int, ...]:
@@ -489,36 +480,30 @@ def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: 
     for row in chain_pairings:
         if len(row) != len(chain):
             raise ValueError("chain-pairing row length does not match the chain")
-    n, entries = len(ledger.basis), ledger.entries
-    # a free sign with a zero row stays free: a blow-up away from the chain
-    # commutes with the blow-down.  The others are walked; those with a base
-    # coordinate after them are written out first, so the walked signs trail.
-    zero = [not any(chain_pairings[i]) for i in _places(entries.after, n)]
-    entries = _write_out(entries, {j for j, a in enumerate(entries.after) if a and not zero[j]})
-    places = _places(entries.after, n)
-    free = [i for i in places if not any(chain_pairings[i])]
-    walked = [chain_pairings[i] for i in places if i not in free]
-    rows = [row for i, row in enumerate(chain_pairings) if i not in places] + walked
-    after = tuple(n - len(free) - i + j for j, i in enumerate(free))
-    new_entries, restrictions = [], []
+    # a free sign with a zero row stays free at its place: a blow-up away from
+    # the chain commutes with the blow-down.  The others are walked in place.
+    free = tuple(i for i in ledger.entries.free if not any(chain_pairings[i]))
+    walked = [i for i in ledger.entries.free if any(chain_pairings[i])]
+    survivors = []
     # one inverse form per distinct restriction
     inverse_form = cache(partial(hirzebruch.gram_inverse_form, chain))
-    # survivors come sorted by class and grouped by base entry: the square
-    # and its check follow from the base entry, once per batch
-    for ent, survivors in _survivors(test, entries.base, len(walked), rows):
-        square = ent.square - entries.m
+    # survivors come grouped by base entry, which shares its square and its
+    # dimension check with them
+    for ent, found in _survivors(test, ledger.entries.base, chain_pairings, walked):
         try:
-            dimension_from_square(square, ledger.e, ledger.sigma)
+            dimension_from_square(ent.square, ledger.e, ledger.sigma)
         except ValueError as exc:
-            first = _insert(survivors[0][0], after, (-1,) * len(free))
+            first = _put(found[0][0], free, (-1,) * len(free))
             raise ValueError(f"class {first} has {exc}") from None
-        new_entries += [Entry(cls, ent.value, square + len(free) - inverse_form(r), ent.verified)
-                        for cls, r in survivors]
-        restrictions += [r for _cls, r in survivors]
+        survivors += [(Entry(cls, ent.value, ent.square - inverse_form(r), ent.verified), r)
+                      for cls, r in found]
+    # a walked place before a base coordinate interleaves the base entries'
+    # survivors
+    survivors.sort(key=lambda s: s[0].cls)
     label = new_label if new_label is not None else f"{ledger.label} (chain blown down)"
     out = Ledger(label=label, e=ledger.e - len(chain), sigma=ledger.sigma + len(chain),
-                 basis=ledger.basis, entries=Entries(tuple(new_entries), after))
-    return BlowdownResult(out, tuple(restrictions), chambered)
+                 basis=ledger.basis, entries=Entries(tuple(s[0] for s in survivors), free))
+    return BlowdownResult(out, tuple(s[1] for s in survivors), chambered)
 
 
 def rational_blowdown_ledger(
@@ -564,7 +549,7 @@ def substitute(ledger: Ledger, n: int) -> Ledger:
     base = tuple(Entry(ent.cls, concrete[ent.value], ent.square, ent.verified)
                  if ent.value.c1 else ent for ent in base)
     return Ledger(ledger.label, ledger.e, ledger.sigma, ledger.basis,
-                  Entries(base, ledger.entries.after))
+                  Entries(base, ledger.entries.free))
 
 
 def minimality_report(ledger: Ledger) -> bool:
@@ -592,10 +577,10 @@ def ledger_report(ledger: Ledger) -> str:
     """
     lines = [f"ledger {ledger.label}: e={ledger.e} sigma={ledger.sigma} "
              f"entries={entry_count(ledger)}"]
-    after = ledger.entries.after
-    signs = ("+-1",) * len(after)
+    free = ledger.entries.free
+    signs = ("+-1",) * len(free)
     for ent in ledger.entries.base:
-        cls = "(" + ",".join(_insert(tuple(map(str, ent.cls)), after, signs)) + ")"
+        cls = "(" + ",".join(_put(map(str, ent.cls), free, signs)) + ")"
         mark = "" if ent.verified else "  [unverified]"
         lines.append(f"  {cls} -> {ent.value}{mark}")
     return "\n".join(lines)

@@ -332,6 +332,17 @@ def test_blowdown_checks_each_survivors_formal_dimension():
                                     corrections=(True, True))
 
 
+def test_ledger_rejects_a_class_whose_length_differs_from_its_basis():
+    # a third coordinate on a two-class basis would be dropped by the
+    # blow-down's restriction sum, not reported
+    entries = [sw.Entry((2, 0, 5), LinExpr(1, 0), 0), sw.Entry((2, 0, 7), LinExpr(-1, 0), 0)]
+    message = r"^class \(2, 0, 5\) has 3 coordinates for a basis of 2$"
+    with pytest.raises(ValueError, match=message):
+        sw.Ledger("L", 12, -8, ("T", "E1"), entries)
+    with pytest.raises(ValueError, match=r"^class \(1,\) has 1 coordinates for a basis of 2$"):
+        sw.Ledger("L", 12, -8, ("T", "E1"), [sw.Entry((1,), LinExpr(1, 0), 0)])
+
+
 def test_blowdown_names_the_full_class_in_a_dimension_error_with_an_inner_free_sign():
     # G of square 2 (dimension 1/2) blown up at E1, away from the chain, and
     # E2 on C_{3,1}: only E2 = +1 survives, and E1 stays a free sign between
@@ -407,7 +418,7 @@ def test_entries_of_equal_width_compare_by_base():
     a, b = sw.blow_up_ledger(seed, 63), sw.blow_up_ledger(seed, 63)
     assert a.entries == b.entries and a == b
     base = a.entries.base
-    changed = sw.Entries((replace(base[0], value=LinExpr(0, -2)),) + base[1:], (0,) * 63)
+    changed = sw.Entries((replace(base[0], value=LinExpr(0, -2)),) + base[1:], a.entries.free)
     assert a.entries != changed
     wide, twin = sw.blow_up_ledger(seed, 20).entries, sw.blow_up_ledger(seed, 20).entries
     start = time.perf_counter()
@@ -427,10 +438,10 @@ def test_entries_of_different_width_compare_by_rebasing(monkeypatch):
     assert time.perf_counter() - start < 0.1
     base = narrow.base
     changed = sw.Entries(base[:1] + (replace(base[1], value=LinExpr(1, 1)),) + base[2:],
-                         (0,) * 19)
+                         narrow.free)
     assert wide != changed and changed != wide
-    # different counts are unequal before any descendant is built
-    monkeypatch.setattr(sw, "_descendant", None)
+    # different counts are unequal before any entry is read
+    monkeypatch.setattr(sw, "_spread", None)
     three, two = sw.blow_up_ledger(seed, 3).entries, sw.blow_up_ledger(seed, 2).entries
     assert three != two and two != three
 
@@ -495,9 +506,12 @@ def test_blown_entries_view_reads_like_the_eager_tuple():
         eager = eager_blow_up(eager_blow_up(base, first, names[:first]), second, names[first:])
         assert lazy == eager
         view, entries = lazy.entries, tuple(eager.entries)
-        # a stacked blow-up keeps the base and adds to the sign count; the
-        # eager construction is written out (m = 0)
-        assert (view.base, view.m) == (base.entries.base, first + second)
+        # a stacked blow-up pads the base with a 0 per name, lowers its
+        # squares by the count and adds to the free places; the eager
+        # construction is written out (m = 0)
+        m = first + second
+        assert (view.base, view.m) == (tuple(replace(e, cls=e.cls + (0,) * m, square=e.square - m)
+                                             for e in base.entries.base), m)
         assert eager.entries.m == 0
         assert len(view) == len(entries) and tuple(view) == entries and view == eager.entries
         classes = {ent.cls: ent for ent in entries}
@@ -908,6 +922,44 @@ def test_blowdown_builds_one_entry_per_survivor(monkeypatch):
         assert entries.m == 8 and len(entries) == 512 and len(list(entries)) == 512
 
 
+def test_reading_value_sets_builds_no_entry(monkeypatch):
+    # the 512-entry Q_n results are read from their two base entries
+    results = qn_wide_blowdowns(qn_wide_ledger())
+    built = []
+    entry = sw.Entry
+
+    def counting_entry(*args, **kwargs):
+        built.append(entry(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(sw, "Entry", counting_entry)
+    for result in results:
+        value_sets = list(result.value_sets)
+        assert len(value_sets) == 512 and built == []
+        assert [cls for cls, _v in value_sets] == [cls for cls, _r in result.restrictions]
+        assert all(values == result.value_set_of(cls) for cls, values in value_sets)
+
+
+def test_blow_up_pads_each_base_entry_once(monkeypatch):
+    # a 4,096-entry written-out ledger blown up at 63 names: one padded Entry
+    # per base entry, and none of the 4,096 << 63 descendants
+    blown = qn_wide_ledger()
+    written = replace(blown, entries=tuple(blown.entries))
+    built = []
+    entry = sw.Entry
+
+    def counting_entry(*args, **kwargs):
+        built.append(entry(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(sw, "Entry", counting_entry)
+    start = time.perf_counter()
+    wide = sw.blow_up_ledger(written, 63)
+    elapsed = time.perf_counter() - start
+    assert len(built) == 4096 and sw.entry_count(wide) == 4096 << 63
+    assert elapsed < 0.1, elapsed
+
+
 def qn_placed_ledger(names):
     """The benchmark's Q_n ledger blown up in the order `names`, a
     permutation of QN_WIDE_NAMES, and its chain-pairing rows."""
@@ -975,7 +1027,8 @@ def test_blowdown_of_a_view_with_inner_free_signs_matches_eager_scan():
         first = sw.rational_blowdown_ledger(
             blown, QN_CHAIN, rows, corrections=(True, True)).ledger
         assert first.entries.m == len(zs)
-        inner_cases += any(first.entries.after)
+        # a free place precedes a base coordinate
+        inner_cases += first.entries.free[0] < len(first.basis) - first.entries.m
         lazy = sw.blow_up_ledger(first, rng.randint(1, 3))
         eager = eager_blow_up(replace(first, entries=tuple(first.entries)),
                               len(lazy.basis) - len(first.basis), lazy.basis[len(first.basis):])
@@ -987,6 +1040,7 @@ def test_blowdown_of_a_view_with_inner_free_signs_matches_eager_scan():
                  (2 * rng.choice((-1, 1)),) + tuple(2 * rng.randint(-1, 1) for _ in chain[1:])
                  for _ in lazy.basis[1:]]
         free = [i for i, g in enumerate(lazy.basis) if g in zs or g not in first.basis]
+        # a sign walked in place, with a base coordinate after it
         last_base = max(i for i in range(len(rows)) if i not in free)
         written_cases += any(any(rows[i]) and i < last_base for i in free)
         kept = check_blowdown(lazy, eager, chain, rows)
