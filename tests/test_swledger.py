@@ -1054,6 +1054,24 @@ def test_blowdown_of_a_view_with_inner_free_signs_matches_eager_scan():
         cases_with_survivors, kept_free_cases)
 
 
+def test_blowdown_sorts_survivors_that_an_inner_walked_sign_interleaves():
+    # G blown up at Z and E on C_{2,1}: Z's row is zero and stays free at
+    # index 1, E is walked into the base, so (g, 0, -1) and (g, 0, 1) are
+    # base entries.  On a second C_{2,1} Z is walked at index 1, before E, so
+    # each base entry's survivors differ from the other's after the walked
+    # place, and the two lists interleave in class order.
+    seed = sw.Ledger("L", 12, -8, ("G",), [sw.Entry((g,), LinExpr(g, 0), 0) for g in (1, 3)])
+    blown = sw.blow_up_ledger(seed, 2, ("Z", "E"))
+    first = sw.rational_blowdown_ledger(blown, (-4,), [(0,), (0,), (2,)],
+                                        corrections=(True, True)).ledger
+    assert first.entries.free == (1,) and len(first.entries.base) == 4
+    flat = replace(first, entries=tuple(first.entries))
+    assert check_blowdown(first, flat, (-4,), [(0,), (2,), (0,)]) == 8
+    result = sw.rational_blowdown_ledger(first, (-4,), [(0,), (2,), (0,)], corrections=(True, True))
+    assert [e.cls for e in result.ledger.entries][:4] == [
+        (1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 1, 1)]
+
+
 def test_ledger_report_writes_free_signs_in_place():
     # Z1 Z2 E1 Z3 Z4 Z5 E2 Z6 Z7 Z8: +-1 at each Z place, between E1 and E2
     blown, rows = qn_placed_ledger(INNER_PLACEMENT)
@@ -1090,7 +1108,7 @@ def test_substitute_keeps_concrete_entries():
 
 
 def test_blowdown_and_substitute_do_not_sort_the_survivors_again(monkeypatch):
-    # the walk yields the survivors in class order and substitute keeps it,
+    # the blow-down orders its own survivors and substitute keeps that order,
     # so neither result goes through the sort a hand-built ledger gets; nor
     # does a blow-up of a survivor ledger or a substitution of that view
     sorts = []
