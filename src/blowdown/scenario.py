@@ -4,7 +4,10 @@ A scenario declares an ambient lattice, builds curves through blow-ups and
 smoothings, extracts plumbing chains, blows them down, and runs the
 Seiberg-Witten ledger pipeline alongside, checking assertions as it goes.
 Scenarios are plain text (one directive per line, `#` comments, shell-style
-quoting), so the bundled corpus doubles as documentation.  Every line is split
+quoting), so the bundled corpus doubles as documentation.  A line ends at
+`\\n`, `\\r\\n` or `\\r`, the breaks that reading a file in text mode turns
+into `\\n`; other characters `str.splitlines` breaks at, such as `\\f` or
+U+2028, stay inside their line as ordinary characters.  Every line is split
 into the tokens `shlex.split(line, comments=True)` gives; `split_line` takes a
 plain line (no quote, backslash or newline) apart without shlex, cutting it at
 the first `#` and splitting on space, tab and carriage return, and shlex stays
@@ -67,22 +70,22 @@ class ScenarioError(ValueError):
 
 
 Lincomb = tuple[tuple[int, str], ...]
+_TERM = r"([+-]?)(?:(\d+)\*?)?([A-Za-z_][A-Za-z0-9_]*)"  # sign, coefficient, name
 
 
 def parse_lincomb(text: str) -> Lincomb:
     s = text.replace(" ", "")
+    if s.isascii() and s.isidentifier():  # one name, the usual case
+        return ((1, s),)
+    # terms, each followed by a sign or the end
+    if re.fullmatch(r"(?:[+-]?(?:\d+\*?)?[A-Za-z_][A-Za-z0-9_]*(?=[+-]|$))+", s):
+        return tuple((-int(c or 1) if sign == "-" else int(c or 1), name)
+                     for sign, c, name in re.findall(_TERM, s))
     if not s:
         raise ValueError("empty class expression")
-    out = []
-    # signed terms: cut before every sign but a leading one
-    for term in re.split(r"(?<!^)(?=[+-])", s):
-        m = re.fullmatch(r"([+-]?)(?:(\d+)\*?)?([A-Za-z_][A-Za-z0-9_]*)", term)
-        if not m:
-            raise ValueError(f"bad term {term!r} in class expression {text!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        coef = int(m.group(2)) if m.group(2) else 1
-        out.append((sign * coef, m.group(3)))
-    return tuple(out)
+    # cut before every sign but a leading one: one of the pieces is a bad term
+    bad = next(t for t in re.split(r"(?<!^)(?=[+-])", s) if not re.fullmatch(_TERM, t))
+    raise ValueError(f"bad term {bad!r} in class expression {text!r}")
 
 
 def lincomb_to_str(lc: Lincomb) -> str:
@@ -135,24 +138,28 @@ class Scenario(NamedTuple):
 # --- parsing -----------------------------------------------------------------
 
 class _Tokens:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """The cursor `parse_scenario` moves along each line's tokens in turn."""
+
+    def __init__(self):
+        self.tokens: list[str] = []
         self.pos = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self, what: str) -> str:
-        pos = self.pos
-        if pos >= len(self.tokens):
-            raise ValueError(f"expected {what} at end of line")
-        self.pos = pos + 1
-        return self.tokens[pos]
+        try:
+            tok = self.tokens[self.pos]
+        except IndexError:
+            raise ValueError(f"expected {what} at end of line") from None
+        self.pos += 1
+        return tok
 
     def take_name(self, what: str) -> str:
         """A declared name: printed bare, so it must read back as one plain token."""
         tok = self.take(what)
-        if not tok or any(ch.isspace() or ch in "\"'\\#,:" for ch in tok):
+        # an identifier holds none of the characters searched for
+        if not tok.isidentifier() and (not tok or re.search(r"[\s\"'\\#,:]", tok)):
             raise ValueError(f"bad {what} {tok!r} (no whitespace, "
                              "quotes, backslash, '#', ',' or ':')")
         return tok
@@ -165,13 +172,10 @@ class _Tokens:
             raise ValueError(f"expected {what}, got {tok!r}") from None
 
     def take_keyword(self, word: str):
-        tok = self.take(f"keyword {word!r}")
-        if tok != word:
+        if self.peek() != word:
+            tok = self.take(f"keyword {word!r}")
             raise ValueError(f"expected {word!r}, got {tok!r}")
-
-    def end(self):
-        if self.pos < len(self.tokens):
-            raise ValueError(f"unexpected trailing token {self.tokens[self.pos]!r}")
+        self.pos += 1
 
 
 def _parse_twistspec(tok: str) -> mcg.Twist:
@@ -286,36 +290,40 @@ def split_line(raw: str) -> list[str]:
     """The tokens of one line, exactly as `shlex.split(raw, comments=True)`.
 
     A plain line (no quote, backslash or newline) is cut at its first `#` and
-    split on shlex's whitespace, space, tab and carriage return; `str.split()`
-    would also split on characters such as \\x1f and \\xa0.  Any other line
-    goes to shlex itself, whose ValueError on an unclosed quote or a trailing
-    backslash propagates.
+    split on shlex's whitespace, space, tab and carriage return.  Printable
+    text holds no whitespace but the space, so `str.split()` splits it; on
+    other text it would also split on characters such as \\x1f and \\xa0.
+    Any other line goes to shlex itself, whose ValueError on an unclosed quote
+    or a trailing backslash propagates.
     """
     if "'" in raw or '"' in raw or "\\" in raw or "\n" in raw:
         return shlex.split(raw, comments=True)
     line = raw.split("#", 1)[0]
-    if "\t" in line or "\r" in line:
-        line = line.replace("\t", " ").replace("\r", " ")
-    return [tok for tok in line.split(" ") if tok]
+    if line.isprintable():
+        return line.split()
+    return [tok for tok in line.replace("\t", " ").replace("\r", " ").split(" ") if tok]
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     steps: list[Step] = []
     chk = _ParseChecker()
+    t = _Tokens()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         try:
-            tokens = split_line(raw)
+            t.tokens = tokens = split_line(raw)
             if not tokens:
                 continue
-            t = _Tokens(tokens)
-            head = kind = t.take("directive")
+            t.pos = 1
+            head = kind = tokens[0]
             if head == "sw":
                 kind = "sw " + t.take("sw directive")
             # two-word kinds are reached only through their first word
             if head != "assert" and (kind not in _KINDS or " " in head):
                 raise ValueError(f"unknown directive {head!r}")
-            chk.need(head == "ambient" or chk.have_ambient, "no ambient declared")
+            if not chk.have_ambient and head != "ambient":
+                raise ValueError("no ambient declared")
             if head == "assert":
                 kind = "assert " + t.take("assertion kind")
                 if kind not in _KINDS:
@@ -332,7 +340,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                     args.append(part.read(t, chk))
             if entry.declare is not None:
                 entry.declare(chk, *args)
-            t.end()
+            if t.pos < len(tokens):
+                raise ValueError(f"unexpected trailing token {tokens[t.pos]!r}")
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from None
         steps.append(Step(kind, tuple(args), lineno))
