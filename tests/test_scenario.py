@@ -4,6 +4,7 @@ import os
 import random
 import re
 import shlex
+import string
 import subprocess
 import sys
 import time
@@ -243,6 +244,54 @@ def test_parse_lincomb_rejects(text, message):
     with pytest.raises(ValueError) as exc:
         scenario.parse_lincomb(text)
     assert str(exc.value) == message
+
+
+def reference_lincomb(text: str):
+    """parse_lincomb's grammar, read term by term with string methods only."""
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError("empty class expression")
+    cuts = [0] + [i for i in range(1, len(s)) if s[i] in "+-"] + [len(s)]
+    word = string.ascii_letters + "_"
+    out = []
+    for start, stop in zip(cuts, cuts[1:]):
+        term = s[start:stop]
+        rest = term[1:] if term[0] in "+-" else term
+        digits = 0
+        while digits < len(rest) and rest[digits].isdecimal():
+            digits += 1
+        coef, name = (int(rest[:digits]), rest[digits:]) if digits else (1, rest)
+        if digits and name.startswith("*"):
+            name = name[1:]
+        if not name or name[0] not in word or any(ch not in word + string.digits for ch in name):
+            raise ValueError(f"bad term {term!r} in class expression {text!r}")
+        out.append((-coef if term[0] == "-" else coef, name))
+    return tuple(out)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_parse_lincomb_matches_a_term_by_term_reference():
+    # \d reads \u0663 (ARABIC-INDIC DIGIT THREE) as a coefficient digit, and
+    # str.isidentifier takes \u00e9, which no name in a class may hold
+    pieces = ("S", "T1", "_a", "x9", "E", "\u00e9", "\u0663", "2", "10", "0", "*", "+", "-", " ", "\t")
+    rng = random.Random(3141)
+    seen = {"one name": 0, "several terms": 0, "non-ASCII": 0, "rejected": 0}
+    for _ in range(20_000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 7)))
+        want = outcome(reference_lincomb, text)
+        assert outcome(scenario.parse_lincomb, text) == want, repr(text)
+        if isinstance(want, str):
+            seen["rejected"] += 1
+        else:
+            seen["one name" if len(want) == 1 else "several terms"] += 1
+            seen["non-ASCII"] += not text.isascii()
+    assert min(seen.values()) >= 100, seen
 
 
 def test_parse_error_unbalanced_quote():
@@ -557,7 +606,7 @@ def test_sw_blowdown_rows_match_pair_vectors(name, monkeypatch):
 
 # --- line splitting and parser fuzz ---------------------------------------
 
-PLAIN_CHARS = "ab1- \t\r\x1f\xa0　#,:=()^*"
+PLAIN_CHARS = "ab1- \t\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u2029　#,:=()^*"
 SPECIAL_CHARS = "'\"\\\n"
 FUZZ_TOKENS = (
     "", "0", "-1", "7", "x", "S", "E1", "basis", "flags", "label", "at", "class", "genus",
@@ -587,6 +636,22 @@ def test_split_line_matches_shlex():
             continue
         assert scenario.split_line(line) == want, repr(line)
     assert checked >= 3_000 and plain >= 1_000, (checked, plain)
+
+
+def test_only_lines_with_a_quote_backslash_or_newline_go_to_shlex(monkeypatch):
+    calls = []
+    split = shlex.split
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(scenario.shlex, "split", counted)
+    special = 0
+    for name in sorted(CORPUS):
+        parse_scenario(CORPUS[name], name=name)
+        special += sum(any(ch in line for ch in SPECIAL_CHARS) for line in CORPUS[name].split("\n"))
+    assert len(calls) == special == 11
 
 
 def mutate_scenario(rng, text: str) -> str:
@@ -843,6 +908,33 @@ def test_cli_verify_parse_error_exit_code(tmp_path, capsys):
     p.write_text("ambient X e 4 sigma 0 basis S\nblowdwn C label Y\n")
     assert cli.main(["verify", str(p)]) == 3
     assert capsys.readouterr().err.startswith(f"error: {p}: line 2: unknown directive")
+
+
+# U+2028 (LINE SEPARATOR) and \f end a line for str.splitlines, not for a scenario
+MID_LINE_BREAKS = [
+    ("ambient X e 4 sigma 0 basis S\n# see Fintushel\u2028Stern 1997\nassert euler 4\n", None),
+    ("ambient X e 4 sigma 0 basis S\n# end of page\x0c\npair S S -4\npair S U 1\n",
+     "line 4: unknown generator 'U'"),
+]
+
+
+@pytest.mark.parametrize("text,message", MID_LINE_BREAKS, ids=["u2028", "formfeed"])
+def test_a_line_ends_only_at_a_newline_or_carriage_return(tmp_path, capsys, text, message):
+    path = tmp_path / "breaks.plm"
+    path.write_text(text, encoding="utf-8")
+    if message is None:
+        assert cli.main(["verify", str(path)]) == 0
+    else:
+        assert cli.main(["verify", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    # \r\n and \r end a line as \n does
+    for newline in ("\n", "\r\n", "\r"):
+        variant = text.replace("\n", newline)
+        if message is None:
+            assert [step.lineno for step in parse_scenario(variant).directives] == [1, 3]
+        else:
+            with pytest.raises(ScenarioError, match=f"^{message}$"):
+                parse_scenario(variant)
 
 
 BAD_DIRECTIVE = "ambient X e 4 sigma 0 basis S\nfrob\n"
