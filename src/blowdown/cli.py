@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands, each a subparser that carries its handler as `run`:
     verify <file>...   run scenario files and report their assertions
     corpus             run every bundled scenario
     hj <p> <q>         print the linear plumbing chain for C_{p,q}
@@ -10,19 +10,22 @@ Subcommands:
 Exit codes: 0 all checks passed, 1 assertion failures, 2 usage errors,
 3 scenario parse/step errors.  `--json` switches to JSON with the same
 content; `--seed` shuffles corpus execution order (output is unaffected:
-reports are aggregated in name order).
+reports are aggregated in name order).  The parser is built on the first
+`main` call and kept; every handler prints through `_emit`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import hirzebruch, mcg, scenario
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="blowdown",
         description="verification tools for rational blow-down constructions",
@@ -34,18 +37,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run scenario files")
     v.add_argument("files", nargs="+", metavar="file")
+    v.set_defaults(run=_cmd_verify)
 
-    sub.add_parser("corpus", help="run every bundled scenario")
+    # `_corpus_items` is looked up per call, so a test can replace it
+    sub.add_parser("corpus", help="run every bundled scenario").set_defaults(
+        run=lambda args: _run_scenarios(_corpus_items(), args))
 
     h = sub.add_parser("hj", help="Hirzebruch-Jung chain for C_{p,q}")
     h.add_argument("p", type=int)
     h.add_argument("q", type=int)
+    h.set_defaults(run=_cmd_hj)
 
     i = sub.add_parser("identify", help="identify a chain as some C_{p,q}")
     i.add_argument("chain", help='weights, e.g. "(-4)" or "(-9,-2,-2,-2,-2,-2)"')
+    i.set_defaults(run=_cmd_identify)
 
-    sub.add_parser("mcg-suite", help="run the mapping-class-group identity suite")
+    sub.add_parser("mcg-suite", help="run the mapping-class-group identity suite").set_defaults(
+        run=_cmd_mcg_suite)
     return p
+
+
+def _emit(args, payload, lines, indent=None) -> None:
+    """Print `payload()` as sorted JSON under --json, else each of `lines()`."""
+    if args.json:
+        import json
+        print(json.dumps(payload(), indent=indent, sort_keys=True))
+    else:
+        print(*lines(), sep="\n")
 
 
 def _corpus_items() -> list[tuple[str, str]]:
@@ -53,12 +71,12 @@ def _corpus_items() -> list[tuple[str, str]]:
     return sorted((path.stem, path.read_text(encoding="utf-8")) for path in root.glob("*.plm"))
 
 
-def _run_scenarios(named_texts, as_json: bool, seed: int | None) -> int:
+def _run_scenarios(named_texts, args) -> int:
     order = list(range(len(named_texts)))
-    if seed is not None:
+    if args.seed is not None:
         import random
-        random.Random(seed).shuffle(order)
-    reports = {}
+        random.Random(args.seed).shuffle(order)
+    reports = [None] * len(named_texts)
     for idx in order:
         source, text = named_texts[idx]
         try:
@@ -66,53 +84,34 @@ def _run_scenarios(named_texts, as_json: bool, seed: int | None) -> int:
             reports[idx] = scenario.run_scenario(s)
         except scenario.ScenarioError as exc:
             raise scenario.ScenarioError(f"{source}: {exc}") from None
-    ordered = [reports[i] for i in range(len(named_texts))]
-    total = sum(r.total for r in ordered)
-    passed = sum(r.passed for r in ordered)
-    if as_json:
-        import json
-        payload = {
-            "scenarios": [r.to_json_obj() for r in ordered],
-            "passed": passed,
-            "total": total,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for r in ordered:
-            print(r.to_text())
-        print(f"total: {passed}/{total} assertions passed in {len(ordered)} scenario(s)")
+    total = sum(r.total for r in reports)
+    passed = sum(r.passed for r in reports)
+    _emit(args, lambda: {"scenarios": [r.to_json_obj() for r in reports],
+                         "passed": passed, "total": total},
+          lambda: [*(r.to_text() for r in reports),
+                   f"total: {passed}/{total} assertions passed in {len(reports)} scenario(s)"],
+          indent=2)
     return 0 if passed == total else 1
 
 
 def _cmd_verify(args) -> int:
     named_texts = []
     for f in args.files:
-        path = Path(f)
         try:
-            text = path.read_text(encoding="utf-8")
+            named_texts.append((f, Path(f).read_text(encoding="utf-8")))
         except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read {f}: {exc}", file=sys.stderr)
             return 2
-        named_texts.append((f, text))
-    return _run_scenarios(named_texts, args.json, args.seed)
-
-
-def _cmd_corpus(args) -> int:
-    return _run_scenarios(_corpus_items(), args.json, args.seed)
+    return _run_scenarios(named_texts, args)
 
 
 def _cmd_hj(args) -> int:
     try:
-        chain = hirzebruch.chain_for_cpq(args.p, args.q)
+        chain = hirzebruch.chain_to_str(hirzebruch.chain_for_cpq(args.p, args.q))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        import json
-        print(json.dumps({"p": args.p, "q": args.q, "chain": hirzebruch.chain_to_str(chain)},
-                         sort_keys=True))
-    else:
-        print(hirzebruch.chain_to_str(chain))
+    _emit(args, lambda: {"p": args.p, "q": args.q, "chain": chain}, lambda: [chain])
     return 0
 
 
@@ -124,47 +123,27 @@ def _cmd_identify(args) -> int:
         return 2
     got = hirzebruch.identify_cpq(chain)
     result = f"C_{{{got[0]},{got[1]}}}" if got else "none"
-    if args.json:
-        import json
-        print(json.dumps({"chain": hirzebruch.chain_to_str(chain), "result": result}, sort_keys=True))
-    else:
-        print(result)
+    _emit(args, lambda: {"chain": hirzebruch.chain_to_str(chain), "result": result},
+          lambda: [result])
     return 0
 
 
 def _cmd_mcg_suite(args) -> int:
     results = mcg.relation_suite()
-    ok = all(flag for _name, flag in results)
-    if args.json:
-        import json
-        payload = {
-            "identities": [{"name": name, "pass": flag} for name, flag in results],
-            "passed": sum(1 for _n, f in results if f),
-            "total": len(results),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for name, flag in results:
-            print(f"{'PASS' if flag else 'FAIL'} {name}")
-        print(f"summary: {sum(1 for _n, f in results if f)}/{len(results)} identities hold")
-    return 0 if ok else 1
+    passed = sum(1 for _name, flag in results if flag)
+    _emit(args, lambda: {"identities": [{"name": name, "pass": flag} for name, flag in results],
+                         "passed": passed, "total": len(results)},
+          lambda: [*(f"{'PASS' if flag else 'FAIL'} {name}" for name, flag in results),
+                   f"summary: {passed}/{len(results)} identities hold"], indent=2)
+    return 0 if passed == len(results) else 1
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    handlers = {
-        "verify": _cmd_verify,
-        "corpus": _cmd_corpus,
-        "hj": _cmd_hj,
-        "identify": _cmd_identify,
-        "mcg-suite": _cmd_mcg_suite,
-    }
-    try:
-        return handlers[args.command](args)
+        args = _parser().parse_args(argv)
+        return args.run(args)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return exc.code if isinstance(exc.code, int) else 2
     except scenario.ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -269,11 +269,6 @@ def _cycle_of(m: SL2, cycle: str) -> tuple[int, int]:
     return normalize_cycle(m[0][i], m[1][i])
 
 
-def vanishing_cycle(t: Twist) -> tuple[int, int]:
-    """Image of the core cycle under the conjugator: (1,0) for a, (0,1) for b."""
-    return _cycle_of(eval_word(t.conjugator), t.cycle)
-
-
 class FibrationReport(NamedTuple):
     is_identity: bool
     twist_count: int

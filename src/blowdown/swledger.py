@@ -157,12 +157,18 @@ class Entries:
     built until an entry is read.  Two views are equal when their counts are
     and, once each writes out the places that are free in it and not in the
     other, their bases are, which costs the written-out bases' size.  The
-    base is taken as given, already sorted.
+    base is taken as given, already sorted; a base class that is not 0 at a
+    free place would read as entries that lookup cannot find, so it is a
+    ValueError, checked in O(base x m).
     """
 
     __slots__ = ("base", "free")
 
     def __init__(self, base: tuple[Entry, ...], free: tuple[int, ...]):
+        for i in free:
+            for ent in base:
+                if ent.cls[i]:
+                    raise ValueError(f"base class {ent.cls} is not 0 at free place {i}")
         self.base = base
         self.free = free
 

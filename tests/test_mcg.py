@@ -107,16 +107,20 @@ def test_expand_twist_conjugates():
 
 
 def test_vanishing_cycles():
-    """Cycle of the conjugated twist = conjugator matrix applied to the core cycle."""
-    assert mcg.vanishing_cycle(Twist("a")) == (1, 0)
-    assert mcg.vanishing_cycle(Twist("b")) == (0, 1)
-    assert mcg.vanishing_cycle(Twist("b", mcg.parse_word("A^4"))) == (4, -1)
-    assert mcg.vanishing_cycle(Twist("b", mcg.parse_word("A"))) == (1, -1)
-    assert mcg.vanishing_cycle(Twist("b", mcg.parse_word("a^-1"))) == (1, -1)
-    assert mcg.vanishing_cycle(Twist("b", mcg.parse_word("A^3"))) == (3, -1)
-    assert mcg.vanishing_cycle(Twist("b", mcg.parse_word("A^2"))) == (2, -1)
-    assert mcg.vanishing_cycle(Twist("b", mcg.parse_word("a^2"))) == (2, 1)
-    assert mcg.vanishing_cycle(Twist("a", mcg.parse_word("B"))) == (1, 1)
+    """Cycle of the conjugated twist = conjugator matrix applied to the core cycle,
+    as a fibration check reports it."""
+    for t, cycle in [
+        (Twist("a"), (1, 0)),
+        (Twist("b"), (0, 1)),
+        (Twist("b", mcg.parse_word("A^4")), (4, -1)),
+        (Twist("b", mcg.parse_word("A")), (1, -1)),
+        (Twist("b", mcg.parse_word("a^-1")), (1, -1)),
+        (Twist("b", mcg.parse_word("A^3")), (3, -1)),
+        (Twist("b", mcg.parse_word("A^2")), (2, -1)),
+        (Twist("b", mcg.parse_word("a^2")), (2, 1)),
+        (Twist("a", mcg.parse_word("B")), (1, 1)),
+    ]:
+        assert mcg.verify_fibration((t,), t.multiplicity).cycles == (cycle,), t
 
 
 def test_normalize_cycle():

@@ -804,6 +804,68 @@ def test_cli_mcg_suite_json(capsys):
     assert {i["name"] for i in payload["identities"]} >= {"(ab)^6 = 1", "(a^3b)^3 = 1"}
 
 
+MCG_SUITE_NAMES = [
+    "(ab)^6 = 1",
+    "(a^3b)^3 = 1",
+    "(a^3b)^3 = a^7 b^(a^-4) b^(a^-1) a^2 b",
+    "a^3 b a^2 b^2 a^2 b a = 1",
+    "a^3 b a^2 b^2 a^2 b a = a^8 b^(a^-2) b^2 b^(a^2)",
+    "(a^3b)^3 = a^6 b^(a^-3) b^2 (a^(b^-1))^3",
+    "b = a^(ab)",
+]
+MCG_SUITE_JSON = ('{\n  "identities": [\n'
+                  + ",\n".join(f'    {{\n      "name": "{name}",\n      "pass": true\n    }}'
+                               for name in MCG_SUITE_NAMES)
+                  + '\n  ],\n  "passed": 7,\n  "total": 7\n}\n')
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["hj", "71", "8"], "(-9,-10,-2,-2,-2,-2,-2,-3,-2,-2,-2,-2,-2,-2,-2)\n"),
+    (["--json", "hj", "7", "1"], '{"chain": "(-9,-2,-2,-2,-2,-2)", "p": 7, "q": 1}\n'),
+    (["identify", "(-9,-2,-2,-2,-2,-2)"], "C_{7,1}\n"),
+    (["--json", "identify", "(-7,-2)"], '{"chain": "(-7,-2)", "result": "none"}\n'),
+    (["mcg-suite"], "".join(f"PASS {name}\n" for name in MCG_SUITE_NAMES)
+     + "summary: 7/7 identities hold\n"),
+    (["--json", "mcg-suite"], MCG_SUITE_JSON),
+])
+def test_cli_commands_print_exact_bytes(argv, out, capsys):
+    # key order and indent included: JSON read back with json.loads would hide them
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == (out, "")
+
+
+def test_cli_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    good = tmp_path / "good.plm"
+    good.write_text(MINIMAL)
+
+    def run(argv, fresh=False):
+        if fresh:
+            cli._parser.cache_clear()
+        code = cli.main(argv)
+        return code, *capsys.readouterr()
+
+    pairs = [
+        (["--json", "hj", "7", "1"], ["hj", "7", "1"]),
+        (["--seed", "5", "corpus"], ["corpus"]),
+        (["hj", "7"], ["hj", "7", "1"]),
+        (["verify", str(tmp_path / "missing.plm")], ["verify", str(good)]),
+    ]
+    for before, after in pairs:
+        # each call as it reads on a freshly built parser
+        first = run(before, fresh=True), run(after, fresh=True)
+        assert (run(before, fresh=True), run(after)) == first, (before, after)
+        assert cli._parser.cache_info().misses == 1
+    assert run(["hj", "7"])[0] == run(["verify", str(tmp_path / "missing.plm")])[0] == 2
+
+
+def test_cli_parser_is_not_built_at_import():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import blowdown.cli as c; print(c._parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout == "0\n"
+
+
 def test_cli_corpus(capsys):
     assert cli.main(["corpus"]) == 0
     out = capsys.readouterr().out

@@ -343,6 +343,20 @@ def test_ledger_rejects_a_class_whose_length_differs_from_its_basis():
         sw.Ledger("L", 12, -8, ("T", "E1"), [sw.Entry((1,), LinExpr(1, 0), 0)])
 
 
+def test_entries_reject_a_base_class_that_is_not_zero_at_a_free_place():
+    # such a base entry would iterate as classes that lookup cannot find
+    with pytest.raises(ValueError, match=r"^base class \(1, 5\) is not 0 at free place 1$"):
+        sw.Ledger("x", 12, -8, ("T", "E1"),
+                  sw.Entries((sw.Entry((1, 5), LinExpr(1, 0), -1),), (1,)))
+    good = sw.Entry((1, 0, 0), LinExpr(1, 0), -1)
+    bad = sw.Entry((2, 0, -1), LinExpr(1, 0), -1)
+    with pytest.raises(ValueError, match=r"^base class \(2, 0, -1\) is not 0 at free place 2$"):
+        sw.Entries((good, bad), (1, 2))
+    led = sw.Ledger("x", 12, -8, ("T", "E1", "E2"), sw.Entries((good,), (1, 2)))
+    assert [ent.cls for ent in led.entries] == [(1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 1, 1)]
+    assert all(led.entry(ent.cls) == ent for ent in led.entries)
+
+
 def test_blowdown_names_the_full_class_in_a_dimension_error_with_an_inner_free_sign():
     # G of square 2 (dimension 1/2) blown up at E1, away from the chain, and
     # E2 on C_{3,1}: only E2 = +1 survives, and E1 stays a free sign between
