@@ -58,7 +58,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, payload, lines, indent=None) -> None:
-    """Print `payload()` as sorted JSON under --json, else each of `lines()`."""
+    """Print `payload()` as sorted JSON under --json, else `lines()`; only one is built."""
     if args.json:
         import json
         print(json.dumps(payload(), indent=indent, sort_keys=True))

@@ -157,9 +157,9 @@ class Entries:
     built until an entry is read.  Two views are equal when their counts are
     and, once each writes out the places that are free in it and not in the
     other, their bases are, which costs the written-out bases' size.  The
-    base is taken as given, already sorted; a base class that is not 0 at a
-    free place would read as entries that lookup cannot find, so it is a
-    ValueError, checked in O(base x m).
+    base is taken as given, already sorted.  A base class that is not 0 at
+    a free place, whose entries lookup could not find, is a ValueError
+    (checked in O(base x m)).
     """
 
     __slots__ = ("base", "free")
