@@ -18,9 +18,9 @@ Parentheses nest at most MAX_DEPTH deep, which also bounds the recursion of
 fibration has at most MAX_TWISTS unit twists.  Checking a fibration walks its
 conjugators once: each twist compares its conjugator's start with the one before
 and inverts, reduces and evaluates only the letters past the start they share,
-so a long word that conjugates every twist is reduced and evaluated about twice,
-not once per twist.  The shared start ends at the first power, because a power
-and its inverse are different syllables to `normalize`.
+so a long word that conjugates every twist is reduced about twice and evaluated
+once, and the expanded word is never evaluated.  The shared start ends at the
+first power, since `normalize` never cancels a power against its inverse.
 Everything here is a pure function over immutable values and all integers are
 exact.
 """
@@ -66,11 +66,13 @@ def _sl2_pow(m: SL2, e: int) -> SL2:
     A hyperbolic m (|trace t| > 2) has an eigenvalue |l| > |t| - 1, and the
     trace of m^e is l^e + l^-e, so some entry of m^e has at least
     e * ((|t| - 1).bit_length() - 1) - 1 bits.  When e * ((|t| - 1).bit_length()
-    - 1) exceeds MAX_POWER_BITS, ValueError is raised before any product is
-    formed.
+    - 1) exceeds MAX_POWER_BITS, or e < 0, ValueError is raised before any
+    product is formed.
     Elliptic and parabolic bases (|t| <= 2) grow at most linearly in e and are
     never refused.
     """
+    if e < 0:
+        raise ValueError(f"power with negative exponent {e}")
     t = abs(m[0][0] + m[1][1])
     if t > 2 and e * ((t - 1).bit_length() - 1) > MAX_POWER_BITS:
         raise ValueError(f"power with exponent {e} of a matrix with trace {m[0][0] + m[1][1]} "
@@ -189,17 +191,9 @@ def parse_word(text: str) -> Word:
 
 def word_to_str(w: Word) -> str:
     """Letters as `a^3`, `B`; a power as `(...)^e`.  `parse_word` reads it back."""
-    if not w:
-        return "1"
-    parts = []
-    for tag, exp in w:
-        if isinstance(tag, tuple):
-            parts.append(f"({word_to_str(tag)})^{exp}")
-            continue
-        letter = tag if exp > 0 else tag.upper()
-        e = abs(exp)
-        parts.append(letter if e == 1 else f"{letter}^{e}")
-    return " ".join(parts)
+    return " ".join([(tag if exp == 1 else tag.upper() if exp == -1 else f"{tag}^{exp}" if exp > 0
+                      else f"{tag.upper()}^{-exp}") if isinstance(tag, str)
+                     else f"({word_to_str(tag)})^{exp}" for tag, exp in w]) or "1"
 
 
 class _TwistFields(NamedTuple):
@@ -287,8 +281,9 @@ def verify_fibration(twists, expected_twists: int) -> FibrationReport:
     the expanded word must evaluate to the identity and the number of unit
     twists must match the expected count of singular fibers.  Failures are
     report fields, not exceptions, but over MAX_TWISTS unit twists is an error.
-    Each conjugator's matrix is the one before times its junction's (`_walk`), so
-    a check costs `expand_factorization` plus evaluating the junctions and word.
+    Each conjugator's matrix m is the one before times its junction's (`_walk`);
+    the word J_1 X_1 ... J_n X_n m^-1 is 1 iff the product of the J_i X_i is m,
+    so a check costs `expand_factorization` plus evaluating the junctions once.
     """
     if expected_twists < 0:
         raise ValueError("expected_twists must be >= 0")
@@ -296,12 +291,15 @@ def verify_fibration(twists, expected_twists: int) -> FibrationReport:
     if twist_count > MAX_TWISTS:
         raise ValueError(f"{twist_count} unit twists; at most {MAX_TWISTS} are allowed")
     word, junctions = _walk(twists)
-    m, cycles = IDENTITY, []
+    m, total, cycles = IDENTITY, IDENTITY, []
     for t, j in zip(twists, junctions):
-        m = sl2_mul(m, eval_word(j))
-        cycles.extend([_cycle_of(m, t.cycle)] * t.multiplicity)
+        mj, k = eval_word(j), t.multiplicity
+        m = sl2_mul(m, mj)
+        (p, q), (r, s) = sl2_mul(total, mj)  # then times a^k or b^k in closed form
+        total = ((p, q + k*p), (r, s + k*r)) if t.cycle == "a" else ((p - k*q, q), (r - k*s, s))
+        cycles.extend([_cycle_of(m, t.cycle)] * k)
     return FibrationReport(
-        is_identity=eval_word(word) == IDENTITY,
+        is_identity=total == m,
         twist_count=twist_count,
         expected_twists=expected_twists,
         cycles=tuple(cycles),
