@@ -69,6 +69,26 @@ def test_word_to_str_round_trip():
                  "a (a b)^-100 B", "((a^2 B)^40 b)^3", "(((ab)^1000)^1000)^1000"]:
         w = mcg.parse_word(text)
         assert mcg.parse_word(mcg.word_to_str(w)) == w
+    # Exact text, one row per shape; the hand-built rows are what `normalize`
+    # leaves of an exponent 0 or of merged powers.
+    ab = (("a", 1), ("b", 1))
+    rows = [
+        ((("a", 1),), "a"),
+        ((("a", -1),), "A"),
+        ((("a", 3), ("b", -2)), "a^3 B^2"),
+        ((("b", -7), ("a", 12), ("b", 1), ("a", -1)), "B^7 a^12 b A"),
+        ((("a", 0),), "A^0"),
+        ((("b", 0), ("a", 1)), "B^0 a"),
+        (mcg.parse_word("(ab)^1000"), "(a b)^1000"),
+        (mcg.parse_word("a (a b)^-100 B"), "a (B A)^100 B"),
+        (mcg.parse_word("((a^2 B)^40 b)^3"), "((a^2 B)^40 b)^3"),
+        (((ab, 1),), "(a b)^1"),
+        (((ab, -1), ("b", -1)), "(a b)^-1 B"),
+        (((ab, -3),), "(a b)^-3"),
+        ((), "1"),
+    ]
+    for w, text in rows:
+        assert mcg.word_to_str(w) == text, w
 
 
 def test_relation_suite_all_hold():
@@ -165,6 +185,42 @@ def test_verify_fibration_failures():
     # right count but wrong expectation
     report2 = mcg.verify_fibration(facts["I7"], 11)
     assert report2.is_identity and not report2.passed
+
+
+def test_verify_fibration_never_evaluates_its_expanded_word(monkeypatch):
+    # The identity test reuses the junction matrices: the word J_1 X_1 ... J_n X_n
+    # c_n^-1 is read off the running products, never evaluated as a whole.
+    rng = random.Random(32)
+    conj = tuple(("ab"[i % 2], rng.choice((-3, -2, -1, 1, 2, 3))) for i in range(120))
+    calls = []
+    eval_word = mcg.eval_word
+
+    def counting(w):
+        calls.append(w)
+        return eval_word(w)
+
+    monkeypatch.setattr(mcg, "eval_word", counting)
+    for name, twists in sorted(mcg.standard_factorizations().items()):
+        moved = [Twist(t.cycle, mcg.concat(conj, t.conjugator), t.multiplicity) for t in twists]
+        calls.clear()
+        report = mcg.verify_fibration(moved, 12)
+        assert report.passed, name
+        assert len(report.word) > 200, name
+        assert all(w != report.word for w in calls), name
+        junctions = mcg._walk(moved)[1]
+        assert sum(map(len, calls)) <= sum(map(len, junctions)), name
+
+
+def test_a_negative_power_exponent_raises():
+    # normalize merges hand-built powers of one base, so (P, 2) (P, -5) is (P, -3).
+    ab = (("a", 1), ("b", 1))
+    merged = mcg.normalize([(ab, 2), (ab, -5)])
+    assert merged == ((ab, -3),)
+    for w in (merged, (("a", 2), (ab, -1), ("b", 1)), ((ab, -10**30),)):
+        with pytest.raises(ValueError, match=r"negative exponent -\d+"):
+            mcg.eval_word(w)
+    with pytest.raises(ValueError, match="negative exponent -3"):
+        mcg.verify_fibration((Twist("a", merged),), 1)
 
 
 def test_words_equal_in_group():
