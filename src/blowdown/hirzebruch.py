@@ -49,6 +49,7 @@ per u_j.
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import NamedTuple
 
 Chain = tuple[int, ...]
@@ -116,7 +117,7 @@ def _parity_mask(v) -> int:
 
 
 class ChainData(NamedTuple):
-    """Everything the certifier reads off a C_{p,q} chain, from one sweep.
+    """Everything the certifier reads off a C_{p,q} chain, from one sweep (`chain_data`).
 
     coeffs present coker(Gram) = Z_{p^2}: v maps to sum(v_i * coeffs_i) mod
     p^2, and coeffs[0] = 1, so the first sphere's dual generates.  v extends
@@ -139,23 +140,23 @@ class ChainData(NamedTuple):
         """(parity mask, residue mod p) of a restriction vector."""
         if len(v) != len(self.coeffs):
             raise ValueError(f"value vector has length {len(v)}, expected {len(self.coeffs)}")
-        return _parity_mask(v), sum(x * c for x, c in zip(v, self.coeffs)) % self.p
+        return _parity_mask(v), sum(map(mul, v, self.coeffs)) % self.p
 
 
 def chain_data(chain: Chain) -> ChainData | None:
     """The record of a C_{p,q} chain, or None for any other chain, from the
     signed sweep of the module docstring."""
-    if not chain or any(w > -2 for w in chain):
+    if not chain or max(chain) > -2:
         return None
-    phi = [0, 1]
+    coeffs, den, num = [], 0, 1  # at sphere i: phi_1..phi_{i-1}, phi_{i-1}, phi_i
     for w in chain:
-        phi.append(-w * phi[-1] - phi[-2])
-    num, den = phi[-1], phi[-2]
+        coeffs.append(num)
+        den, num = num, -w * num - den
     p = math.isqrt(num)
     r, rest = divmod(den + 1, p)
     if p * p != num or rest or not p > r or math.gcd(p, r) != 1:
         return None
-    return ChainData(p, p - r, tuple(phi[1:-1]), _parity_mask(chain), 0)
+    return ChainData(p, p - r, tuple(coeffs), _parity_mask(chain), 0)
 
 
 def discriminant(chain: Chain) -> ChainData:

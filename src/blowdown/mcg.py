@@ -28,6 +28,7 @@ exact.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from math import gcd
 from typing import NamedTuple
 
@@ -90,19 +91,28 @@ def _sl2_pow(m: SL2, e: int) -> SL2:
 def normalize(syllables) -> Word:
     """Run-length normal form: merge adjacent syllables with the same tag (a
     generator, or a power's base), drop exponent 0.  A power is opaque: letters
-    never merge across it or into it."""
-    out: list = []
-    for tag, exp in syllables:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == tag:
-            merged = out[-1][1] + exp
-            out.pop()
-            if merged:
-                out.append((tag, merged))
-        else:
-            out.append((tag, exp))
-    return tuple(out)
+    never merge across it or into it.  Two powers of one base P merge to (P, e)
+    for e >= 2, to P's syllables for e = 1, and for e <= -1 to (P^-1, -e) by the
+    same two rules; what they merge to merges on with its neighbours."""
+    return tuple(_merge([], syllables))
+
+
+def _merge(out: list, syllables) -> list:
+    last = out[-1][0] if out else None  # the tag of out[-1]
+    for syl in syllables:  # a syllable that merges with nothing is kept as given
+        tag, exp = syl
+        if exp and tag != last:
+            out.append(syl)
+            last = tag
+        elif exp:
+            exp += out.pop()[1]
+            if exp > 1 or (exp and isinstance(tag, str)):
+                out.append((tag, exp))
+                continue
+            if exp:  # a power's base once, or its inverse
+                _merge(out, tag if exp == 1 else invert_word(tag if exp == -1 else ((tag, -exp),)))
+            last = out[-1][0] if out else None
+    return out
 
 
 def invert_word(w: Word) -> Word:
@@ -111,10 +121,7 @@ def invert_word(w: Word) -> Word:
 
 
 def concat(*words: Word) -> Word:
-    letters: list = []
-    for w in words:
-        letters.extend(w)
-    return normalize(letters)
+    return normalize(chain(*words))
 
 
 def _power(base: Word, e: int) -> Word:

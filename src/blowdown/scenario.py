@@ -8,12 +8,12 @@ quoting), so the bundled corpus doubles as documentation.  A line ends at
 `\\n`, `\\r\\n` or `\\r`, the breaks that reading a file in text mode turns
 into `\\n`; other characters `str.splitlines` breaks at, such as `\\f` or
 U+2028, stay inside their line as ordinary characters.  Every line is split
-into the tokens `shlex.split(line, comments=True)` gives; `split_line` takes a
-plain line (no quote, backslash or newline) apart without shlex, cutting it at
-the first `#` and splitting on space, tab and carriage return, and shlex stays
-its oracle in the tests.  The printer double-quotes a label, flag or basis
-name unless it is a plain word, escaping backslash and double quote; declared
-names must be plain words without , or :.
+into the tokens `shlex.split(line, comments=True)` gives; `split_line` cuts a
+line at its first `#` and splits it on space, tab and carriage return without
+shlex unless the line holds a newline, or a quote or backslash before that `#`.
+shlex stays its oracle in the tests.  The printer double-quotes a label, flag
+or basis name unless it is a plain word, escaping backslash and double quote;
+declared names must be plain words without , or :.
 
 Directives:
 
@@ -289,16 +289,16 @@ class _ParseChecker:
 def split_line(raw: str) -> list[str]:
     """The tokens of one line, exactly as `shlex.split(raw, comments=True)`.
 
-    A plain line (no quote, backslash or newline) is cut at its first `#` and
-    split on shlex's whitespace, space, tab and carriage return.  Printable
-    text holds no whitespace but the space, so `str.split()` splits it; on
-    other text it would also split on characters such as \\x1f and \\xa0.
-    Any other line goes to shlex itself, whose ValueError on an unclosed quote
-    or a trailing backslash propagates.
+    shlex starts a comment at any unquoted `#`, even mid-word, so a line with no
+    newline and no quote or backslash before its first `#` is cut there and split
+    on space, tab and carriage return, shlex's whitespace.  Printable text holds
+    no whitespace but the space, so `str.split()` splits it; on other text it
+    would also split on characters such as \\x1f and \\xa0.  Any other line goes
+    to shlex, whose ValueError on an unclosed quote or trailing backslash propagates.
     """
-    if "'" in raw or '"' in raw or "\\" in raw or "\n" in raw:
-        return shlex.split(raw, comments=True)
     line = raw.split("#", 1)[0]
+    if "'" in line or '"' in line or "\\" in line or "\n" in raw:
+        return shlex.split(raw, comments=True)
     if line.isprintable():
         return line.split()
     return [tok for tok in line.replace("\t", " ").replace("\r", " ").split(" ") if tok]
@@ -312,7 +312,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
         try:
-            t.tokens = tokens = split_line(raw)
+            t.tokens = tokens = split_line(raw) if raw else []
             if not tokens:
                 continue
             t.pos = 1

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from functools import cache, partial
 from itertools import groupby, product
 from math import comb, gcd
 from typing import NamedTuple
@@ -491,8 +490,7 @@ def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: 
     free = tuple(i for i in ledger.entries.free if not any(chain_pairings[i]))
     walked = [i for i in ledger.entries.free if any(chain_pairings[i])]
     survivors = []
-    # one inverse form per distinct restriction
-    inverse_form = cache(partial(hirzebruch.gram_inverse_form, chain))
+    forms: dict = {}  # one inverse form per distinct restriction
     # survivors come grouped by base entry, which shares its square and its
     # dimension check with them
     for ent, found in _survivors(test, ledger.entries.base, chain_pairings, walked):
@@ -501,8 +499,11 @@ def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: 
         except ValueError as exc:
             first = _put(found[0][0], free, (-1,) * len(free))
             raise ValueError(f"class {first} has {exc}") from None
-        survivors += [(Entry(cls, ent.value, ent.square - inverse_form(r), ent.verified), r)
-                      for cls, r in found]
+        for cls, r in found:
+            form = forms.get(r)
+            if form is None:
+                form = forms[r] = hirzebruch.gram_inverse_form(chain, r)
+            survivors.append((Entry(cls, ent.value, ent.square - form, ent.verified), r))
     # a walked place before a base coordinate interleaves the base entries'
     # survivors
     survivors.sort(key=lambda s: s[0].cls)

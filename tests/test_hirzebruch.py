@@ -64,8 +64,9 @@ def test_identify_rejects_non_plumbings():
     assert hj.identify_cpq((-2,)) is None
     assert hj.identify_cpq((-4, -4)) is None
     assert hj.identify_cpq((-9, -2, -2, -2, -2, -3)) is None
-    # weights must be <= -2 throughout
-    assert hj.identify_cpq((-1, -2)) is None
+    # weights must be <= -2 throughout, and there must be one
+    for chain in [(-1, -2), (), (3, -2), (-2, 0, -2)]:
+        assert hj.identify_cpq(chain) is None, chain
 
 
 def test_parse_chain_round_trip():
@@ -243,10 +244,11 @@ def test_discriminant_matches_smith():
         assert (data.order, data.coeffs) == smith_coeffs(chain), pq
 
 
-@pytest.mark.parametrize("chain", [(-2, -2), (0,), (-1, -1), (-3, -2, -2, -3)])
+@pytest.mark.parametrize("chain", [(-2, -2), (0,), (-1, -1), (-3, -2, -2, -3), (5,)])
 def test_discriminant_rejects_bad_chains(chain):
     # |det| = 3 is not a perfect square; (0,) and (-1,-1) have det 0;
-    # (-3,-2,-2,-3) has |det| = 16 but would read as C_{4,2}, and gcd(4, 2) = 2
+    # (-3,-2,-2,-3) has |det| = 16 but would read as C_{4,2}, and gcd(4, 2) = 2;
+    # (5,) has a positive weight
     with pytest.raises(ValueError):
         hj.discriminant(chain)
 

@@ -69,8 +69,8 @@ def test_word_to_str_round_trip():
                  "a (a b)^-100 B", "((a^2 B)^40 b)^3", "(((ab)^1000)^1000)^1000"]:
         w = mcg.parse_word(text)
         assert mcg.parse_word(mcg.word_to_str(w)) == w
-    # Exact text, one row per shape; the hand-built rows are what `normalize`
-    # leaves of an exponent 0 or of merged powers.
+    # Exact text, one row per shape; the hand-built rows hold an exponent 0, or
+    # a power with exponent 1 or below 0, which `normalize` never leaves.
     ab = (("a", 1), ("b", 1))
     rows = [
         ((("a", 1),), "a"),
@@ -212,15 +212,42 @@ def test_verify_fibration_never_evaluates_its_expanded_word(monkeypatch):
 
 
 def test_a_negative_power_exponent_raises():
-    # normalize merges hand-built powers of one base, so (P, 2) (P, -5) is (P, -3).
     ab = (("a", 1), ("b", 1))
-    merged = mcg.normalize([(ab, 2), (ab, -5)])
-    assert merged == ((ab, -3),)
+    merged = ((ab, -3),)  # hand-built: normalize leaves no such power
     for w in (merged, (("a", 2), (ab, -1), ("b", 1)), ((ab, -10**30),)):
         with pytest.raises(ValueError, match=r"negative exponent -\d+"):
             mcg.eval_word(w)
     with pytest.raises(ValueError, match="negative exponent -3"):
         mcg.verify_fibration((Twist("a", merged),), 1)
+
+
+def test_merged_powers_keep_the_power_invariant():
+    # Powers of one base P merge to (P, e) for e >= 2, to P for e = 1 and to
+    # P^-1 by the same rules for e < 0, which merges on with its neighbours.
+    P = (("a", 1), ("b", 1))
+    Q = mcg.invert_word(P)
+    R = ((P, 2), ("a", 1))
+    rows = [
+        ([(P, 2), (P, -5)], ((Q, 3),)),
+        ([("a", 1), (P, 2), (P, -1), ("b", 1)], (("a", 2), ("b", 2))),
+        ([("b", 1), (P, 2), (P, -3)], (("a", -1),)),
+        ([(Q, 2), (P, 2), (P, -5)], ((Q, 5),)),
+        ([(P, 2), (P, -1)], P),
+        ([(P, 3), (P, -3), ("a", 1)], (("a", 1),)),
+        ([(R, 2), (R, -1), ("a", -1), (P, -2)], ()),
+    ]
+    for syllables, want in rows:
+        got = mcg.normalize(syllables)
+        assert got == want, syllables
+        assert mcg.eval_word(got) == oracle_matrix(oracle_expand(syllables)), syllables
+        assert all(isinstance(tag, str) or e >= 2 for tag, e in got), got
+
+
+def test_normalize_keeps_unmerged_syllables():
+    w = mcg.parse_word("a^3 (ab)^100 B a^-2 (a^2 B)^40")
+    letters = [*w, ("b", 0)]
+    got = mcg.normalize(letters)
+    assert got == w and all(x is y for x, y in zip(got, letters))
 
 
 def test_words_equal_in_group():
