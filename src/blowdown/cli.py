@@ -11,7 +11,8 @@ Exit codes: 0 all checks passed, 1 assertion failures, 2 usage errors,
 3 scenario parse/step errors.  `--json` switches to JSON with the same
 content; `--seed` shuffles corpus execution order (output is unaffected:
 reports are aggregated in name order).  The parser is built on the first
-`main` call and kept; every handler prints through `_emit`.
+`main` call and kept; every handler prints through `_emit`, whose `_json` writes
+the bytes of `json.dumps(..., sort_keys=True)` without json's Python encoder.
 """
 
 from __future__ import annotations
@@ -58,12 +59,30 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, payload, lines, indent=None) -> None:
-    """Print `payload()` as sorted JSON under --json, else `lines()`; only one is built."""
-    if args.json:
-        import json
-        print(json.dumps(payload(), indent=indent, sort_keys=True))
-    else:
-        print(*lines(), sep="\n")
+    """Print `_json(payload(), indent)` under --json, else `lines()`; only one is built."""
+    print(_json(payload(), indent) if args.json else "\n".join(lines()))
+
+
+def _json(obj, indent=None) -> str:
+    """`json.dumps(obj, indent=indent, sort_keys=True)` for the types payloads hold: dicts
+    with str keys, lists, str, bool and int.  Any other type is a TypeError."""
+    from json.encoder import encode_basestring_ascii as quote  # the C escaper json uses
+    step = " " * (indent or 0)
+    def put(o, pad):
+        t = type(o)
+        if t is str:
+            return quote(o)
+        if t is bool or t is int:
+            return ("false", "true")[o] if t is bool else repr(o)
+        inner = pad + step
+        if t is dict:
+            parts, ends = [quote(k) + ": " + put(o[k], inner) for k in sorted(o)], "{}"
+        elif t is list:
+            parts, ends = [put(v, inner) for v in o], "[]"
+        else:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+        return ends[0] + inner + ("," + (inner or " ")).join(parts) + pad + ends[1] if parts else ends
+    return put(obj, "\n" if indent else "")
 
 
 def _corpus_items() -> list[tuple[str, str]]:

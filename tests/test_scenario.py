@@ -914,6 +914,111 @@ def test_cli_corpus_json_matches_text(capsys):
     assert all(a["pass"] for s in payload["scenarios"] for a in s["assertions"])
 
 
+# `cli._json` writes --json output; `json.dumps(..., sort_keys=True)` is its oracle
+JSON_CHARS = ("azAZ09 /'" '"\\' "\x00\x01\b\t\n\x0b\f\r\x1f\x7f"
+              "\x85\xa0\xe9\u2028\u2029\u2603\ud800\udfff\U000103ff\U0001d53d\U0001f600")
+
+
+def json_oracle(obj, indent):
+    return json.dumps(obj, indent=indent, sort_keys=True)
+
+
+def random_text(rng):
+    return "".join(rng.choice(JSON_CHARS) for _ in range(rng.randrange(6)))
+
+
+def random_payload(rng, depth, empties):
+    """A dict or list nested `depth` levels, each level holding an empty dict
+    and list at random places among leaves and one deeper container."""
+    if depth == 0:
+        return rng.choice([random_text(rng), rng.choice((True, False)),
+                           rng.randrange(-2**70, 2**70), rng.randrange(-3, 4), {}, []])
+    items = [{}, [], random_payload(rng, depth - 1, empties)]
+    items += [random_payload(rng, 0, empties) for _ in range(rng.randrange(4))]
+    rng.shuffle(items)
+    empties.add(depth)
+    if rng.random() < 0.5:
+        return items
+    keys = {random_text(rng) + str(i) for i in range(len(items))}
+    return dict(zip(rng.sample(sorted(keys), len(keys)), items))
+
+
+def test_json_writer_matches_json_dumps_on_random_payloads():
+    rng = random.Random(34)
+    empties = set()
+    for _ in range(1200):
+        obj = random_payload(rng, rng.randrange(6), empties)
+        for indent in (None, 2):
+            assert cli._json(obj, indent) == json_oracle(obj, indent), obj
+    assert empties == {1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("obj", [
+    JSON_CHARS, -1, -2**64 - 1, 2**64, 2**200, True, False, 0, "", {}, [],
+    {"\U0001f600": {" ": ["\U0001f600", "\\", '"']}, "\xe9": [[], {}, [True, -7]]},
+    [JSON_CHARS[i:] for i in range(len(JSON_CHARS))],
+])
+def test_json_writer_matches_json_dumps_on_escapes_and_integers(obj):
+    for indent in (None, 2):
+        assert cli._json(obj, indent) == json_oracle(obj, indent)
+
+
+@pytest.mark.parametrize("obj", [1.0, None, (1, 2), {"a": [1, None]}, [{"b": 0.5}],
+                                 {"c": (3,)}, {1: 2}])
+def test_json_writer_rejects_other_types(obj):
+    for indent in (None, 2):
+        with pytest.raises(TypeError):
+            cli._json(obj, indent)
+
+
+def test_json_writer_matches_json_dumps_on_every_command_payload(tmp_path, monkeypatch, capsys):
+    seen = []
+    write = cli._json
+    monkeypatch.setattr(cli, "_json", lambda obj, indent=None: seen.append(obj) or write(obj, indent))
+    good = tmp_path / "good.plm"
+    good.write_text(MINIMAL)
+    for argv in (["corpus"], ["verify", str(good)], ["hj", "71", "8"], ["identify", "(-4)"],
+                 ["identify", "(-7,-2)"], ["mcg-suite"]):
+        assert cli.main(["--json", *argv]) == 0
+    capsys.readouterr()
+    assert len(seen) == 6
+    for obj in seen:
+        for indent in (None, 2):
+            assert write(obj, indent) == json_oracle(obj, indent)
+
+
+def test_cli_json_never_calls_the_json_encoder(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's encoder was called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+    for argv, out in ((["corpus"], (GOLDEN / "corpus.json").read_text(encoding="utf-8")),
+                      (["mcg-suite"], MCG_SUITE_JSON),
+                      (["hj", "7", "1"], '{"chain": "(-9,-2,-2,-2,-2,-2)", "p": 7, "q": 1}\n')):
+        assert cli.main(["--json", *argv]) == 0
+        assert capsys.readouterr() == (out, ""), argv
+
+
+def test_cli_verify_json_escapes_labels(tmp_path, capsys):
+    ambient = '\xcb(1) "\xe4" \\ \t\U0001d53d'
+    surgery = 'Y\u2014"n"\\ \u2028 \u2603'
+    text = (f"ambient {shlex.quote(ambient)} e 4 sigma 0 basis S\n"
+            f"assert label {shlex.quote(ambient)}\n"
+            f"surgery {shlex.quote(surgery)} flags odd\n"
+            f"assert label {shlex.quote(surgery)}\n"
+            "assert label 'wrong \u2603'\n")
+    path = tmp_path / '\xe9"q.plm'
+    path.write_text(text, encoding="utf-8")
+    report = run_scenario(parse_scenario(text, name='\xe9"q'))
+    assert [r.actual for r in report.records] == [ambient, surgery, surgery]
+    payload = {"scenarios": [report.to_json_obj()], "passed": 2, "total": 3}
+    assert cli.main(["--json", "verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert out.isascii() and "\\u2028" in out and "\\ud835\\udd3d" in out
+
+
 def test_corpus_calls_every_homcalc_function_at_its_module_attribute(monkeypatch, capsys):
     # a tracer wraps each public function at its module attribute, so it sees a
     # call only if the caller looks the function up when it runs: a kind-table
