@@ -82,7 +82,7 @@ def _json(obj, indent=None) -> str:
         else:
             raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
         return ends[0] + inner + ("," + (inner or " ")).join(parts) + pad + ends[1] if parts else ends
-    return put(obj, "\n" if indent else "")
+    return put(obj, "" if indent is None else "\n")
 
 
 def _corpus_items() -> list[tuple[str, str]]:

@@ -959,7 +959,7 @@ def test_json_writer_matches_json_dumps_on_random_payloads():
     [JSON_CHARS[i:] for i in range(len(JSON_CHARS))],
 ])
 def test_json_writer_matches_json_dumps_on_escapes_and_integers(obj):
-    for indent in (None, 2):
+    for indent in (None, 0, 2, 4):
         assert cli._json(obj, indent) == json_oracle(obj, indent)
 
 
