@@ -49,8 +49,8 @@ per u_j.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from operator import mul
-from typing import NamedTuple
 
 Chain = tuple[int, ...]
 
@@ -116,7 +116,7 @@ def _parity_mask(v) -> int:
     return mask
 
 
-class ChainData(NamedTuple):
+class ChainData(namedtuple("ChainData", "p q coeffs parity target")):
     """Everything the certifier reads off a C_{p,q} chain, from one sweep (`chain_data`).
 
     coeffs present coker(Gram) = Z_{p^2}: v maps to sum(v_i * coeffs_i) mod
@@ -126,11 +126,7 @@ class ChainData(NamedTuple):
     is 0: the image lies in the index-p subgroup of Z_{p^2}.
     """
 
-    p: int
-    q: int
-    coeffs: tuple[int, ...]
-    parity: int
-    target: int
+    __slots__ = ()
 
     @property
     def order(self) -> int:

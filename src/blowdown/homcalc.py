@@ -19,7 +19,7 @@ nonzero products.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import hirzebruch
 
@@ -28,20 +28,14 @@ class ConfigError(ValueError):
     pass
 
 
-class Curve(NamedTuple):
-    name: str
-    cls: dict[str, int]  # generator -> nonzero coefficient
-    genus: int = 0
-    double_points: int = 0
+# Curve.cls: generator -> nonzero coefficient
+Curve = namedtuple("Curve", "name cls genus double_points", defaults=(0, 0))
 
 
-class CurveConfig(NamedTuple):
-    gram: dict[str, dict[str, int]]  # generator -> {generator: nonzero pairing}
-    curves: dict[str, Curve]
-    e: int
-    sigma: int
-    label: str
-    flags: frozenset[str] = frozenset()
+# CurveConfig.gram: generator -> {generator: nonzero pairing}
+class CurveConfig(namedtuple("CurveConfig", "gram curves e sigma label flags",
+                             defaults=(frozenset(),))):
+    __slots__ = ()
 
     def curve(self, name: str) -> Curve:
         try:

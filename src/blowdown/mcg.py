@@ -28,9 +28,9 @@ exact.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from itertools import chain
 from math import gcd
-from typing import NamedTuple
 
 SL2 = tuple[tuple[int, int], tuple[int, int]]
 Letter = tuple[str, int]  # generator tag, nonzero exponent
@@ -203,13 +203,7 @@ def word_to_str(w: Word) -> str:
                      else f"({word_to_str(tag)})^{exp}" for tag, exp in w]) or "1"
 
 
-class _TwistFields(NamedTuple):
-    cycle: str
-    conjugator: Word = ()
-    multiplicity: int = 1
-
-
-class Twist(_TwistFields):
+class Twist(namedtuple("Twist", "cycle conjugator multiplicity", defaults=((), 1))):
     """One group of right-handed Dehn twists: conjugator . cycle^multiplicity . conjugator^-1,
 
     counted as `multiplicity` separate twists along the image of the core cycle
@@ -270,12 +264,11 @@ def _cycle_of(m: SL2, cycle: str) -> tuple[int, int]:
     return normalize_cycle(m[0][i], m[1][i])
 
 
-class FibrationReport(NamedTuple):
-    is_identity: bool
-    twist_count: int
-    expected_twists: int
-    cycles: tuple[tuple[int, int], ...]  # one entry per unit twist
-    word: Word = ()
+# FibrationReport.cycles: one entry per unit twist
+class FibrationReport(namedtuple("FibrationReport",
+                                 "is_identity twist_count expected_twists cycles word",
+                                 defaults=((),))):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -33,7 +33,10 @@ Directives:
     assert <kind> <args>...
 
 The flag list of `ambient` ends at the word `basis`, so neither its flags nor
-its generators can be named `basis`.
+its generators can be named `basis`.  In a class expression a name that is
+both a generator and a curve, as a `blowup` name is, means the generator:
+after `blowup E2 at E1:1`, `assert square-class E1 -1` reads the generator
+and `assert square E1 -2` the curve, whose class is E1 - E2.
 
 No `blowup` or `smooth` may follow a `chain`, so the lattice and curves a
 chain was read from stay as they were: `blowdown` and `sw blowdown` use the
@@ -60,7 +63,7 @@ from __future__ import annotations
 
 import re
 import shlex
-from typing import Any, Callable, NamedTuple
+from collections import namedtuple
 
 from . import hirzebruch, homcalc, mcg, swledger
 
@@ -112,13 +115,11 @@ def resolve_lincomb(lc: Lincomb, basis) -> tuple[int, ...]:
     return tuple(vec)
 
 
-class Step(NamedTuple):
+class Step(namedtuple("Step", "kind args lineno", defaults=(0,))):
     """One scenario line: `kind` is a key of `_KINDS`, `args` the values its
     slots read, in order.  Equality and hash ignore `lineno`."""
 
-    kind: str
-    args: tuple
-    lineno: int = 0
+    __slots__ = ()
 
     def __eq__(self, other):
         return self[:2] == other[:2] if isinstance(other, Step) else NotImplemented
@@ -130,9 +131,7 @@ class Step(NamedTuple):
         return hash(self[:2])
 
 
-class Scenario(NamedTuple):
-    name: str
-    directives: tuple[Step, ...]
+Scenario = namedtuple("Scenario", "name directives")
 
 
 # --- parsing -----------------------------------------------------------------
@@ -378,16 +377,11 @@ def print_scenario(s: Scenario) -> str:
 
 # --- running -----------------------------------------------------------------
 
-class AssertionRecord(NamedTuple):
-    description: str
-    expected: str
-    actual: str
-    passed: bool
+AssertionRecord = namedtuple("AssertionRecord", "description expected actual passed")
 
 
-class Report(NamedTuple):
-    scenario: str
-    records: tuple[AssertionRecord, ...]
+class Report(namedtuple("Report", "scenario records")):
+    __slots__ = ()
 
     @property
     def total(self) -> int:
@@ -428,15 +422,9 @@ class Report(NamedTuple):
         }
 
 
-class _ChainRec(NamedTuple):
-    weights: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
-
-
-class _SwRec(NamedTuple):
-    ledger: swledger.Ledger
-    fiber_vec: dict[str, int]  # the class T; later exceptional generators pair 0 with it
-    result: swledger.BlowdownResult | None = None
+_ChainRec = namedtuple("_ChainRec", "weights classes")
+# _SwRec.fiber_vec: the class T; later exceptional generators pair 0 with it
+_SwRec = namedtuple("_SwRec", "ledger fiber_vec result", defaults=(None,))
 
 
 class _Runner:
@@ -524,7 +512,7 @@ def run_scenario(s: Scenario) -> Report:
 
 # --- the kind table ----------------------------------------------------------
 
-class _Slot(NamedTuple):
+class _Slot(namedtuple("_Slot", "read show", defaults=(str,))):
     """One argument: `read(tokens, checker)` takes it from the line, checking
     any name it refers to and raising a plain ValueError; `show(value)` prints
     it back, or gives "" for a part the printer leaves out.
@@ -533,21 +521,17 @@ class _Slot(NamedTuple):
     wrapper installed on a module attribute sees the call.
     """
 
-    read: Callable[[_Tokens, _ParseChecker], Any]
-    show: Callable[[Any], str] = str
+    __slots__ = ()
 
 
-class _Kind(NamedTuple):
+class _Kind(namedtuple("_Kind", "syntax run place declare", defaults=((), None))):
     """One kind of line.  `syntax` lists its keywords (strings) and argument
     slots in order; `place` holds (checker flag, message) pairs, each flag of
     which must be unset before the line is read; `declare(checker, *args)`
     records what the line declares; `run(runner, *args)` runs it.  Reading and
     declaring raise plain ValueErrors, which `parse_scenario` prefixes once."""
 
-    syntax: tuple
-    run: Callable[..., None]
-    place: tuple[tuple[str, str], ...] = ()
-    declare: Callable[..., None] | None = None
+    __slots__ = ()
 
 
 _NOUNS = {"gens": "generator", "curves": "curve", "chains": "chain",
@@ -732,7 +716,7 @@ _check_unverified = _sw_class_check(
 )
 
 
-def _assertion(slots: tuple[_Slot, ...], check: Callable[..., AssertionRecord]) -> _Kind:
+def _assertion(slots: tuple[_Slot, ...], check) -> _Kind:
     """An assertion kind: running it records `check(runner, *args)`."""
     return _Kind(slots, lambda run, *args: run.records.append(check(run, *args)))
 

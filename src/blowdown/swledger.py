@@ -64,18 +64,17 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections import namedtuple
 from itertools import groupby, product
 from math import comb, gcd
-from typing import NamedTuple
 
 from . import hirzebruch
 
 
-class LinExpr(NamedTuple):
+class LinExpr(namedtuple("LinExpr", "c0 c1", defaults=(0, 0))):
     """c0 + c1*n for the formal parameter n."""
 
-    c0: int = 0
-    c1: int = 0
+    __slots__ = ()
 
     def __add__(self, other: "LinExpr") -> "LinExpr":
         return LinExpr(self.c0 + other.c0, self.c1 + other.c1)
@@ -135,11 +134,7 @@ def alexander_twist(n: int | None = None) -> LinExpr:
     return LinExpr(0, 1) if n is None else LinExpr(n, 0)
 
 
-class Entry(NamedTuple):
-    cls: tuple[int, ...]
-    value: LinExpr
-    square: int
-    verified: bool = True
+Entry = namedtuple("Entry", "cls value square verified", defaults=(True,))
 
 
 class Entries:
@@ -227,15 +222,7 @@ def _spread_runs(base, group, runs, start, prefix):
             yield from _spread_runs(base, same, runs, cut + count, prefix + key + signs)
 
 
-class _LedgerFields(NamedTuple):
-    label: str
-    e: int
-    sigma: int
-    basis: tuple[str, ...]
-    entries: Entries
-
-
-class Ledger(_LedgerFields):
+class Ledger(namedtuple("Ledger", "label e sigma basis entries")):
     """The tracked classes and their entries, an `Entries` view sorted by
     class: any other iterable is sorted into a written-out view (m = 0) on
     construction, so lookups bisect and the blow-down walks in that order.
@@ -380,7 +367,7 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
     )
 
 
-class BlowdownResult(NamedTuple):
+class BlowdownResult(namedtuple("BlowdownResult", "ledger base_restrictions chambered")):
     """The blown-down ledger and the restriction of each base entry of its
     view: the view's m free places are the exceptional classes whose
     chain-pairing rows are zero, wherever they sit, and a class shares its
@@ -389,9 +376,7 @@ class BlowdownResult(NamedTuple):
     build no Entry; a lookup puts 0 at the m places and bisects the base.  A
     result equals its written-out twin's."""
 
-    ledger: Ledger
-    base_restrictions: tuple[tuple[int, ...], ...]
-    chambered: bool
+    __slots__ = ()
 
     @property
     def restrictions(self):

@@ -70,19 +70,21 @@ def test_a_float_is_caught():
 
 
 def test_package_does_not_import_dataclasses():
-    """Records are `typing.NamedTuple`s: a dataclass costs its decoration on
-    every start and loads `inspect`, `ast` and `dis` with it."""
+    """Records are `collections.namedtuple`s, which the interpreter loads
+    anyway: a dataclass costs its decoration on every start and loads
+    `inspect`, `ast` and `dis` with it, and `typing` is a module the package
+    would load only to declare records."""
     for path in sorted(PACKAGE.glob("*.py")):
         roots = {name.partition(".")[0] for name in absolute_imports(path.read_text("utf-8"))}
-        assert "dataclasses" not in roots, path.name
+        assert not roots & {"dataclasses", "typing"}, path.name
 
 
 def test_cold_cli_import_loads_no_path_specific_module():
     """`json` and `random` are imported by the `--json` and `--seed` paths
-    only, and no path needs `fractions` or `decimal`."""
+    only, no path needs `fractions` or `decimal`, and no record needs `typing`."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     code = ("import sys, blowdown.cli; print(sorted({'dataclasses', 'inspect', 'json', "
-            "'random', 'fractions', 'decimal'} & set(sys.modules)))")
+            "'random', 'fractions', 'decimal', 'typing'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"

@@ -1,6 +1,6 @@
-"""The contract every public record keeps: read-only fields, constructor
-checks, Step equality without the line number, the Ledger sort and LinExpr
-arithmetic and order."""
+"""The contract every public record keeps: read-only fields, field order and
+defaults, constructor checks, Step equality without the line number, the
+Ledger sort and LinExpr arithmetic and order."""
 
 import pytest
 
@@ -29,6 +29,7 @@ def public_records():
         "FibrationReport": (mcg.verify_fibration(twists, 12), "is_identity"),
         "ChainData": (hirzebruch.chain_data((-4,)), "target"),
         "Step": (steps.directives[0], "lineno"),
+        "Scenario": (steps, "directives"),
         "Report": (report, "records"),
         "AssertionRecord": (report.records[0], "passed"),
     }
@@ -42,6 +43,32 @@ def test_record_fields_are_read_only(name):
         setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.extra = 0
+
+
+# Field order and defaults, as the package declares them: `Entry(cls, *base[i][1:])`,
+# `new_config` and the `_KINDS` entries build records by position.
+FIELDS = {
+    "LinExpr": (("c0", "c1"), {"c0": 0, "c1": 0}),
+    "Entry": (("cls", "value", "square", "verified"), {"verified": True}),
+    "Ledger": (("label", "e", "sigma", "basis", "entries"), {}),
+    "BlowdownResult": (("ledger", "base_restrictions", "chambered"), {}),
+    "Curve": (("name", "cls", "genus", "double_points"), {"genus": 0, "double_points": 0}),
+    "CurveConfig": (("gram", "curves", "e", "sigma", "label", "flags"), {"flags": frozenset()}),
+    "Twist": (("cycle", "conjugator", "multiplicity"), {"conjugator": (), "multiplicity": 1}),
+    "FibrationReport": (("is_identity", "twist_count", "expected_twists", "cycles", "word"),
+                        {"word": ()}),
+    "ChainData": (("p", "q", "coeffs", "parity", "target"), {}),
+    "Step": (("kind", "args", "lineno"), {"lineno": 0}),
+    "Scenario": (("name", "directives"), {}),
+    "Report": (("scenario", "records"), {}),
+    "AssertionRecord": (("description", "expected", "actual", "passed"), {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(public_records()))
+def test_record_fields_keep_their_order_and_defaults(name):
+    record = type(public_records()[name][0])
+    assert (record._fields, record._field_defaults) == FIELDS[name]
 
 
 def test_step_equality_and_hash_ignore_the_line_number():

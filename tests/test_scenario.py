@@ -108,6 +108,17 @@ def test_minimal_scenario_passes():
     assert report.all_passed and report.total == 3
 
 
+def test_a_name_that_is_a_generator_and_a_curve_means_the_generator_in_a_class():
+    # blowing up E2 on the curve E1 makes its class E1 - E2; the generator E1 stays
+    text = ("ambient X e 3 sigma 1 basis H\npair H H 1\nblowup E1\nblowup E2 at E1:1\n"
+            "curve d class E1\nassert square E1 -2\nassert square-class E1 -1\n"
+            "assert square d -1\nassert square-class E1-E2 -2\n")
+    report = run_scenario(parse_scenario(text, name="names"))
+    assert [(r.description, r.actual, r.passed) for r in report.records] == [
+        ("square of E1", "-2", True), ("square of class E1", "-1", True),
+        ("square of d", "-1", True), ("square of class E1-E2", "-2", True)]
+
+
 def test_report_text_format():
     text = MINIMAL.replace("assert chain C (-4)", "assert chain C (-5)")
     report = run_scenario(parse_scenario(text, name="demo"))
