@@ -219,6 +219,8 @@ class Twist(namedtuple("Twist", "cycle conjugator multiplicity", defaults=((), 1
             raise ValueError("twist multiplicity must be >= 1")
         return super().__new__(cls, cycle, conjugator, multiplicity)
 
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` checks too
+
 
 def _walk(twists) -> tuple[Word, list[Word]]:
     """The normalized word of the twists and each one's junction c_{i-1}^-1 c_i,

@@ -9,11 +9,11 @@ quoting), so the bundled corpus doubles as documentation.  A line ends at
 into `\\n`; other characters `str.splitlines` breaks at, such as `\\f` or
 U+2028, stay inside their line as ordinary characters.  Every line is split
 into the tokens `shlex.split(line, comments=True)` gives; `split_line` cuts a
-line at its first `#` and splits it on space, tab and carriage return without
-shlex unless the line holds a newline, or a quote or backslash before that `#`.
-shlex stays its oracle in the tests.  The printer double-quotes a label, flag
-or basis name unless it is a plain word, escaping backslash and double quote;
-declared names must be plain words without , or :.
+line at its first `#` and splits it on spaces without shlex unless the line
+holds a newline, or a quote, a backslash or a non-printable character before
+that `#`.  shlex stays its oracle in the tests.  The printer double-quotes a
+label, flag or basis name unless it is a plain word, escaping backslash and
+double quote; declared names must be plain words without , or :.
 
 Directives:
 
@@ -289,18 +289,15 @@ def split_line(raw: str) -> list[str]:
     """The tokens of one line, exactly as `shlex.split(raw, comments=True)`.
 
     shlex starts a comment at any unquoted `#`, even mid-word, so a line with no
-    newline and no quote or backslash before its first `#` is cut there and split
-    on space, tab and carriage return, shlex's whitespace.  Printable text holds
-    no whitespace but the space, so `str.split()` splits it; on other text it
-    would also split on characters such as \\x1f and \\xa0.  Any other line goes
-    to shlex, whose ValueError on an unclosed quote or trailing backslash propagates.
+    newline, and whose text before its first `#` is printable and holds no quote
+    or backslash, is cut there and split by `str.split()`: printable text holds
+    no whitespace but the space.  Any other line goes to shlex, whose ValueError
+    on an unclosed quote or trailing backslash propagates.
     """
     line = raw.split("#", 1)[0]
-    if "'" in line or '"' in line or "\\" in line or "\n" in raw:
+    if "'" in line or '"' in line or "\\" in line or "\n" in raw or not line.isprintable():
         return shlex.split(raw, comments=True)
-    if line.isprintable():
-        return line.split()
-    return [tok for tok in line.replace("\t", " ").replace("\r", " ").split(" ") if tok]
+    return line.split()
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:

@@ -56,8 +56,8 @@ survivor: the square is the base's minus v^T G^-1 v, and the dimension check
 is shared per base entry.  A walked place before a base coordinate
 interleaves the base entries' survivors, so they are sorted by class at the
 end.  `substitute` keeps an entry whose value is already concrete and the
-view's free places, and substitutes each distinct symbolic value once, so
-neither costs more than the base entries that change.
+view's free places, and substitutes each symbolic value where it sits, so it
+costs no more than the base entries that change.
 """
 
 from __future__ import annotations
@@ -238,6 +238,8 @@ class Ledger(namedtuple("Ledger", "label e sigma basis entries")):
                     raise ValueError(f"class {ent.cls} has {len(ent.cls)} coordinates "
                                      f"for a basis of {len(basis)}")
         return super().__new__(cls, label, e, sigma, basis, entries)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` sorts too
 
     def entry(self, cls) -> Entry:
         """The entry at `cls` in O(rank + log base) (see `_base_index`)."""
@@ -454,8 +456,6 @@ def _survivors(test, base, rows, walked):
 
 
 def _add_row(r: tuple[int, ...], a: int, step) -> tuple[int, ...]:
-    if not step:
-        return r
     out = list(r)
     for i, x in step:
         out[i] += a * x
@@ -475,7 +475,6 @@ def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: 
     free = tuple(i for i in ledger.entries.free if not any(chain_pairings[i]))
     walked = [i for i in ledger.entries.free if any(chain_pairings[i])]
     survivors = []
-    forms: dict = {}  # one inverse form per distinct restriction
     # survivors come grouped by base entry, which shares its square and its
     # dimension check with them
     for ent, found in _survivors(test, ledger.entries.base, chain_pairings, walked):
@@ -485,10 +484,8 @@ def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: 
             first = _put(found[0][0], free, (-1,) * len(free))
             raise ValueError(f"class {first} has {exc}") from None
         for cls, r in found:
-            form = forms.get(r)
-            if form is None:
-                form = forms[r] = hirzebruch.gram_inverse_form(chain, r)
-            survivors.append((Entry(cls, ent.value, ent.square - form, ent.verified), r))
+            square = ent.square - hirzebruch.gram_inverse_form(chain, r)
+            survivors.append((Entry(cls, ent.value, square, ent.verified), r))
     # a walked place before a base coordinate interleaves the base entries'
     # survivors
     survivors.sort(key=lambda s: s[0].cls)
@@ -534,12 +531,10 @@ def chambered_blowdown_ledger(
 def substitute(ledger: Ledger, n: int) -> Ledger:
     """The ledger at twist parameter n, a view over the substituted base with
     the same m: a concrete entry is kept as it is (entries are frozen), each
-    distinct symbolic value is substituted once, and nothing is written out or
-    sorted again."""
-    base = ledger.entries.base
-    concrete = {v: LinExpr(v.subst(n), 0) for v in {ent.value for ent in base if ent.value.c1}}
-    base = tuple(Entry(ent.cls, concrete[ent.value], ent.square, ent.verified)
-                 if ent.value.c1 else ent for ent in base)
+    symbolic one gets its value at n, and nothing is written out or sorted
+    again."""
+    base = tuple(Entry(ent.cls, LinExpr(ent.value.subst(n), 0), ent.square, ent.verified)
+                 if ent.value.c1 else ent for ent in ledger.entries.base)
     return Ledger(ledger.label, ledger.e, ledger.sigma, ledger.basis,
                   Entries(base, ledger.entries.free))
 

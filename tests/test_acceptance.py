@@ -14,7 +14,7 @@ from importlib import resources
 
 from blowdown import hirzebruch, homcalc, mcg, scenario, swledger as sw
 from blowdown.swledger import LinExpr
-from ledger_rows import QN_ROWS, XN_ROWS, det, gram_matrix
+from ledger_rows import QN_ROWS, XN_ROWS, det, enumerate_box, gram_matrix
 
 
 def _corpus() -> dict[str, str]:
@@ -240,12 +240,6 @@ def test_acceptance_7_property_suites():
     assert time.monotonic() - t0 < 30.0
 
 
-def _characteristic_box(weights):
-    """All characteristic vectors v with |v_i| <= |w_i|, brute force."""
-    ranges = [range(w, -w + 1, 2) for w in weights]
-    return [v for v in itertools.product(*ranges)]
-
-
 def _in_coset(chain, v, p):
     """Independent test: v = G x (mod p) for some x, componentwise."""
     gram = gram_matrix(chain)
@@ -260,7 +254,7 @@ def _in_coset(chain, v, p):
 def test_acceptance_8_oracle_calibration():
     for p, q, total, accepted in [(2, 1, 5, 5), (3, 1, 18, 6)]:
         chain = hirzebruch.chain_for_cpq(p, q)
-        box = _characteristic_box(chain)
+        box = enumerate_box(chain)
         assert len(box) == total
         kept = [v for v in box if hirzebruch.extends_over_ball(chain, v)]
         assert len(kept) == accepted

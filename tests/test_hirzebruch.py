@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from blowdown import hirzebruch as hj
-from ledger_rows import det, gram_matrix, gram_solve, thomas_inverse_form
+from ledger_rows import (det, enumerate_box, gram_matrix, gram_solve, smith_coeffs,
+                         thomas_inverse_form)
 
 # The nine chains that actually occur in the bundled constructions, frozen.
 KNOWN_CHAINS = {
@@ -154,79 +155,6 @@ def test_discriminant_matches_recurrence(pq):
     # the two routes can differ by a unit of Z_{p^2}; normalizing the
     # recurrence by its own first coefficient (already 1) they must agree
     assert data.coeffs == rec
-
-
-def _smith_left(mat):
-    """Diagonalize an integer matrix by row and column operations.
-
-    Returns (diag, U) with U * mat * V = diag(d_1..d_k) for some unimodular V,
-    d_i >= 0 and d_i | d_{i+1}.  Only the row transform U is tracked; it is
-    what presents the cokernel Z^k / im(mat).
-    """
-    a = [list(row) for row in mat]
-    k = len(a)
-    u = [[int(i == j) for j in range(k)] for i in range(k)]
-
-    def add_row(i, j, c):
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, c):
-        for row in a:
-            row[i] += c * row[j]
-
-    for t in range(k):
-        while True:
-            piv = None
-            for i in range(t, k):
-                for j in range(t, k):
-                    if a[i][j] and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                        piv = (i, j)
-            if piv is None:
-                break
-            if piv[0] != t:
-                a[t], a[piv[0]] = a[piv[0]], a[t]
-                u[t], u[piv[0]] = u[piv[0]], u[t]
-            if piv[1] != t:
-                for row in a:
-                    row[t], row[piv[1]] = row[piv[1]], row[t]
-            clean = True
-            for i in range(t + 1, k):
-                if a[i][t]:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
-                    clean = clean and a[i][t] == 0
-            for j in range(t + 1, k):
-                if a[t][j]:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-                    clean = clean and a[t][j] == 0
-            if not clean:
-                continue
-            # pivot divides everything below-right, or pull a bad row up
-            bad = None
-            for i in range(t + 1, k):
-                for j in range(t + 1, k):
-                    if a[i][j] % a[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            add_row(t, bad, 1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-    return [a[i][i] for i in range(k)], u
-
-
-def smith_coeffs(chain):
-    """(order, coefficients) of coker(Gram) from its Smith form, first entry 1."""
-    diag, u = _smith_left(gram_matrix(chain))
-    order = diag[-1]
-    assert all(d == 1 for d in diag[:-1]), f"cokernel {diag} is not cyclic"
-    coeffs = [c % order for c in u[-1]]
-    unit = pow(coeffs[0], -1, order)
-    return order, tuple(c * unit % order for c in coeffs)
 
 
 def test_discriminant_matches_smith():
@@ -415,24 +343,9 @@ def test_inverse_form_fails_where_thomas_fails():
     assert 100 <= raised <= 1900, raised
 
 
-def enumerate_box(weights):
-    """All characteristic vectors v with |v_i| <= |w_i|, brute force."""
-    ranges = [range(w, -w + 1) for w in weights]
-
-    def rec(i, acc):
-        if i == len(weights):
-            yield tuple(acc)
-            return
-        for v in ranges[i]:
-            if (v - weights[i]) % 2 == 0:
-                yield from rec(i + 1, acc + [v])
-
-    yield from rec(0, [])
-
-
 def test_box_enumeration_c21():
     chain = hj.chain_for_cpq(2, 1)
-    box = list(enumerate_box(chain))
+    box = enumerate_box(chain)
     assert len(box) == 5
     accepted = [v for v in box if hj.extends_over_ball(chain, v)]
     assert accepted == [(-4,), (-2,), (0,), (2,), (4,)]
@@ -440,7 +353,7 @@ def test_box_enumeration_c21():
 
 def test_box_enumeration_c31():
     chain = hj.chain_for_cpq(3, 1)
-    box = list(enumerate_box(chain))
+    box = enumerate_box(chain)
     assert len(box) == 18
     accepted = [v for v in box if hj.extends_over_ball(chain, v)]
     assert accepted == [(-5, -2), (-3, 0), (-1, 2), (1, -2), (3, 0), (5, 2)]
@@ -448,7 +361,7 @@ def test_box_enumeration_c31():
 
 def test_box_enumeration_c71_counts():
     chain = hj.chain_for_cpq(7, 1)
-    box = list(enumerate_box(chain))
+    box = enumerate_box(chain)
     assert len(box) == 2430
     accepted = [v for v in box if hj.extends_over_ball(chain, v)]
     assert len(accepted) == 348

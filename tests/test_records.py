@@ -85,6 +85,17 @@ def test_twist_rejects_a_bad_cycle_or_multiplicity():
         mcg.Twist("a", (), 0)
 
 
+def test_replace_goes_through_the_constructor_checks():
+    twist = mcg.Twist("a")
+    with pytest.raises(ValueError, match="twist multiplicity must be >= 1"):
+        twist._replace(multiplicity=0)
+    with pytest.raises(ValueError, match="twist cycle must be 'a' or 'b', got 'c'"):
+        mcg.Twist._make(("c", (), 1))
+    entries = [Entry((j,), LinExpr(j, 0), 0) for j in range(-3, 4)]
+    ledger = sw.Ledger("L", 12, -8, ("T",), entries=entries[:1])._replace(entries=entries[::-1])
+    assert isinstance(ledger.entries, sw.Entries) and list(ledger.entries) == entries
+
+
 def test_ledger_sorts_written_out_entries():
     entries = [Entry((j,), LinExpr(j, 0), 0) for j in range(-3, 4)]
     ledger = sw.Ledger("L", 12, -8, ("T",), entries=list(reversed(entries)))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from blowdown import cli, hirzebruch, homcalc, scenario, swledger
+from blowdown import cli, hirzebruch, homcalc, mcg, scenario, swledger
 from blowdown.scenario import ScenarioError, parse_scenario, print_scenario, run_scenario
 
 
@@ -101,6 +101,14 @@ def test_every_kind_round_trips_and_runs():
 def test_xn_scenario_is_substantial():
     s = parse_scenario(CORPUS["xn"], name="xn")
     assert len(s.directives) >= 30
+
+
+def test_corpus_mcg_lines_are_the_standard_factorizations():
+    # `blowdown corpus` and `blowdown mcg-suite` certify the same three words
+    standard = mcg.standard_factorizations()
+    for name, fibre in (("qn", "I6"), ("xn", "I7"), ("c44", "I8")):
+        [step] = [s for s in parse_scenario(CORPUS[name], name=name).directives if s.kind == "mcg"]
+        assert step.args[2] == standard[fibre], name
 
 
 def test_minimal_scenario_passes():
@@ -653,11 +661,14 @@ def test_split_line_matches_shlex():
 
 
 def needs_shlex(line: str) -> bool:
-    """A quote or backslash before the first `#`, or a newline anywhere."""
-    return "\n" in line or any(ch in line.split("#", 1)[0] for ch in "'\"\\")
+    """A quote, a backslash or a non-printable character before the first `#`,
+    or a newline anywhere."""
+    before = line.split("#", 1)[0]
+    return "\n" in line or not before.isprintable() or any(ch in before for ch in "'\"\\")
 
 
-def test_only_a_quote_or_backslash_before_the_comment_or_a_newline_goes_to_shlex(monkeypatch):
+def test_only_a_quote_backslash_or_unprintable_text_before_the_comment_or_a_newline_goes_to_shlex(
+        monkeypatch):
     calls = []
     split = shlex.split
 
@@ -666,6 +677,12 @@ def test_only_a_quote_or_backslash_before_the_comment_or_a_newline_goes_to_shlex
         return split(*args, **kwargs)
 
     monkeypatch.setattr(scenario.shlex, "split", counted)
+    routed = ["a\tb", "a\xa0b", "a\x1fb # c", "a\u2028b", "a 'b'", "a\\ b", "a\nb"]
+    for line in ["a  b", "a b # 'c", "a b #\tc"] + routed:
+        calls.clear()
+        scenario.split_line(line)
+        assert len(calls) == needs_shlex(line) == (line in routed), repr(line)
+    calls.clear()
     special = 0
     for name in sorted(CORPUS):
         parse_scenario(CORPUS[name], name=name)

@@ -10,14 +10,7 @@ import pytest
 
 from blowdown import hirzebruch, swledger as sw
 from blowdown.swledger import LinExpr
-from ledger_rows import QN_ROWS, XN_ROWS, thomas_inverse_form
-from test_hirzebruch import smith_coeffs
-
-
-def replace(record, **changes):
-    """`record` with some fields changed, rebuilt through its constructor so
-    that `Ledger` still sorts written-out entries."""
-    return type(record)(**{**record._asdict(), **changes})
+from ledger_rows import QN_ROWS, XN_ROWS, smith_coeffs, thomas_inverse_form
 
 
 def test_linexpr_arithmetic():
@@ -432,7 +425,7 @@ def test_entries_of_equal_width_compare_by_base():
     a, b = sw.blow_up_ledger(seed, 63), sw.blow_up_ledger(seed, 63)
     assert a.entries == b.entries and a == b
     base = a.entries.base
-    changed = sw.Entries((replace(base[0], value=LinExpr(0, -2)),) + base[1:], a.entries.free)
+    changed = sw.Entries((base[0]._replace(value=LinExpr(0, -2)),) + base[1:], a.entries.free)
     assert a.entries != changed
     wide, twin = sw.blow_up_ledger(seed, 20).entries, sw.blow_up_ledger(seed, 20).entries
     start = time.perf_counter()
@@ -451,7 +444,7 @@ def test_entries_of_different_width_compare_by_rebasing(monkeypatch):
     assert wide == narrow and narrow == wide
     assert time.perf_counter() - start < 0.1
     base = narrow.base
-    changed = sw.Entries(base[:1] + (replace(base[1], value=LinExpr(1, 1)),) + base[2:],
+    changed = sw.Entries(base[:1] + (base[1]._replace(value=LinExpr(1, 1)),) + base[2:],
                          narrow.free)
     assert wide != changed and changed != wide
     # different counts are unequal before any entry is read
@@ -492,7 +485,7 @@ def random_ledger(rng, rank):
 def eager_blow_up(ledger, count, names):
     """The blow-up as a sorted `replace` over every sign pattern."""
     entries = [
-        replace(ent, cls=ent.cls + signs, square=ent.square - count)
+        ent._replace(cls=ent.cls + signs, square=ent.square - count)
         for ent in ledger.entries
         for signs in product((1, -1), repeat=count)
     ]
@@ -524,7 +517,7 @@ def test_blown_entries_view_reads_like_the_eager_tuple():
         # squares by the count and adds to the free places; the eager
         # construction is written out (m = 0)
         m = first + second
-        assert (view.base, view.m) == (tuple(replace(e, cls=e.cls + (0,) * m, square=e.square - m)
+        assert (view.base, view.m) == (tuple(e._replace(cls=e.cls + (0,) * m, square=e.square - m)
                                              for e in base.entries.base), m)
         assert eager.entries.m == 0
         assert len(view) == len(entries) and tuple(view) == entries and view == eager.entries
@@ -589,7 +582,7 @@ def check_blowdown(lazy, eager, chain, rows):
     """Blow down the lazy ledger, its copy with the entries written out (m = 0,
     so the filter only scans) and, by the eager scan, the eager construction;
     all three must agree.  Returns the survivor count."""
-    flat = replace(lazy, entries=tuple(lazy.entries))
+    flat = lazy._replace(entries=tuple(lazy.entries))
     for chambered in (False, True):
         if chambered:
             result = sw.chambered_blowdown_ledger(lazy, chain, rows)
@@ -711,7 +704,7 @@ def test_blowdown_keeps_trailing_zero_rows_as_free_signs():
             inner_cases += 1
         rows += [(0,) * len(chain)] * z
         kept = check_blowdown(lazy, eager, chain, rows)
-        flat = replace(lazy, entries=tuple(lazy.entries))
+        flat = lazy._replace(entries=tuple(lazy.entries))
         zero_rows = sum(not any(row) for row in rows[len(base.basis):])
         results = []
         for blowdown in (partial(sw.rational_blowdown_ledger, corrections=(True, True)),
@@ -761,7 +754,7 @@ def test_ledgers_built_out_of_order_are_sorted_by_class():
         ordered = random_ledger(rng, rng.randint(1, 3))
         shuffled = list(ordered.entries)
         rng.shuffle(shuffled)
-        led = replace(ordered, entries=shuffled)
+        led = ordered._replace(entries=shuffled)
         assert led == ordered and led.entries.m == 0
         assert tuple(led.entries) == tuple(ordered.entries)
         assert sw.blow_up_ledger(led, 2).entries == sw.blow_up_ledger(ordered, 2).entries
@@ -958,7 +951,7 @@ def test_blow_up_pads_each_base_entry_once(monkeypatch):
     # a 4,096-entry written-out ledger blown up at 63 names: one padded Entry
     # per base entry, and none of the 4,096 << 63 descendants
     blown = qn_wide_ledger()
-    written = replace(blown, entries=tuple(blown.entries))
+    written = blown._replace(entries=tuple(blown.entries))
     built = []
     entry = sw.Entry
 
@@ -1010,7 +1003,7 @@ def test_blowdown_keeps_zero_rows_free_wherever_they_sit(monkeypatch):
     monkeypatch.setattr(sw, "Entry", counting_entry)
     for e1, e2 in combinations(range(10), 2):
         blown, rows = qn_placed_ledger(placed(e1, e2))
-        flat = replace(blown, entries=tuple(blown.entries))
+        flat = blown._replace(entries=tuple(blown.entries))
         results = []
         for blowdown in (partial(sw.rational_blowdown_ledger, corrections=(True, True)),
                          sw.chambered_blowdown_ledger):
@@ -1044,7 +1037,7 @@ def test_blowdown_of_a_view_with_inner_free_signs_matches_eager_scan():
         # a free place precedes a base coordinate
         inner_cases += first.entries.free[0] < len(first.basis) - first.entries.m
         lazy = sw.blow_up_ledger(first, rng.randint(1, 3))
-        eager = eager_blow_up(replace(first, entries=tuple(first.entries)),
+        eager = eager_blow_up(first._replace(entries=tuple(first.entries)),
                               len(lazy.basis) - len(first.basis), lazy.basis[len(first.basis):])
         chain = rng.choice(chains)
         # a canonical-type T row and even rows elsewhere, so every class (its
@@ -1079,7 +1072,7 @@ def test_blowdown_sorts_survivors_that_an_inner_walked_sign_interleaves():
     first = sw.rational_blowdown_ledger(blown, (-4,), [(0,), (0,), (2,)],
                                         corrections=(True, True)).ledger
     assert first.entries.free == (1,) and len(first.entries.base) == 4
-    flat = replace(first, entries=tuple(first.entries))
+    flat = first._replace(entries=tuple(first.entries))
     assert check_blowdown(first, flat, (-4,), [(0,), (2,), (0,)]) == 8
     result = sw.rational_blowdown_ledger(first, (-4,), [(0,), (2,), (0,)], corrections=(True, True))
     assert [e.cls for e in result.ledger.entries][:4] == [
@@ -1180,7 +1173,7 @@ def test_substitute_keeps_a_blown_up_view():
         written = tuple(blown.entries)
         assert tuple(concrete.entries) == tuple(
             sw.Entry(e.cls, LinExpr(e.value.subst(n), 0), e.square, e.verified) for e in written)
-        flat = sw.substitute(replace(blown, entries=written), n)
+        flat = sw.substitute(blown._replace(entries=written), n)
         assert concrete == flat
         assert sw.minimality_report(concrete) == sw.minimality_report(flat)
 
