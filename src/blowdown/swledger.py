@@ -23,41 +23,37 @@ and a lookup puts 0 at the free places and bisects.
 
 The restriction of a class c is sum c_j*row_j over the tracked generators'
 chain-pairing rows, and extension depends only on its parity mask (r mod 2)
-and its residue (discriminant image mod p); see `hirzebruch.ChainData`.  The
-filter restricts each base entry once, over its nonzero coordinates, and
-reads its (mask, residue) from `ChainData.invariants`.  Every exceptional
-sign is odd, so the exceptional rows XOR in one fixed mask, and only they
-keep a residue each, for the walk: a base entry whose mask is not the
-chain's parity has no survivor, and when no base entry's mask is, the filter
-stops before building anything.  Otherwise a sign pattern a survives iff
-res(base) + sum a_i*residue_i lands on the one residue the ball accepts
-(`ChainData.target`): a subset sum mod p.  A backward pass from that residue
-gives, per level i, the residues from which the remaining signs can still
-land there, up to the first level that would hold more than 2^ceil(m/2) of
-them; the levels above accept every residue, as in the meet-in-the-middle
-subset sum (Horowitz-Sahni 1974).  The filter expands each base entry one
-level at a time, each pattern's -1 child before its +1 child, keeping a
-child only if its residue is live, so every level stays sorted.  The
-unpruned levels hold at most 2^floor(m/2) patterns, and every pattern on a
-pruned level reaches a survivor.  Each restriction is the base entry's plus
-one signed row per level, and the cost is
-O(m*min(p, 2^ceil(m/2)) + b*2^floor(m/2) + survivors*m) for b base entries,
-instead of O(2^m * rank).
+and its residue (discriminant image mod p); see `hirzebruch.ChainData`.  Both
+are linear, so the filter reads each row's pair off its nonzero (sphere,
+pairing) pairs once, and a base entry's is the XOR of its odd coordinates'
+masks and sum c_j*residue_j mod p.  Every exceptional sign is odd, so those
+rows XOR in one fixed mask: a base entry whose mask is not the chain's parity
+has no survivor, and if none is, the filter stops there.  Otherwise a sign
+pattern a survives iff res(base) + sum a_i*residue_i is the residue the ball
+accepts (`ChainData.target`): a subset sum mod p.  A backward pass from it
+gives, per level i, the residues from which the remaining signs can still land
+there, up to the first level that would hold more than 2^ceil(m/2); the levels
+above accept every residue (meet in the middle, Horowitz-Sahni 1974).  Each
+base entry expands one level at a time, -1 child before +1 child, keeping a
+pattern (signs and residue, no restriction) only if its residue is live: every
+level stays sorted, the unpruned ones hold at most 2^floor(m/2) patterns, and
+every pattern on a pruned one reaches a survivor.  Only survivors are
+restricted, once each, over their z nonzero pairings: the cost is O(rank*k +
+b*(rank + 2^floor(m/2)) + m*min(p, 2^ceil(m/2)) + survivors*(rank + z)) for b
+base entries and k spheres, instead of O(2^m * rank).
 
-An exceptional class with a zero row changes no restriction, residue or
-value, only the square: a blow-up away from the chain commutes with the
-blow-down, and SW(K +- E) = SW(K) (Fintushel-Stern 1995).  So every free
-place with a zero row stays a free place of the result, at the same index,
-and m above counts only the walked ones.  Every other free place is walked
-where it sits: the walk appends one sign per walked place and sets the signs
-at their places at the end.  It yields each base entry with its survivors'
-(class, restriction) pairs, and the blow-down builds one Entry per walked
-survivor: the square is the base's minus v^T G^-1 v, and the dimension check
-is shared per base entry.  A walked place before a base coordinate
-interleaves the base entries' survivors, so they are sorted by class at the
-end.  `substitute` keeps an entry whose value is already concrete and the
-view's free places, and substitutes each symbolic value where it sits, so it
-costs no more than the base entries that change.
+An exceptional class with a zero row changes no restriction, residue or value,
+only the square: a blow-up away from the chain commutes with the blow-down,
+and SW(K +- E) = SW(K) (Fintushel-Stern 1995).  So every free place with a
+zero row stays a free place of the result, at the same index, and m above
+counts only the walked ones.  Every other free place is walked where it sits,
+and the walk yields each base entry with its survivors' (class, restriction)
+pairs; the blow-down builds one Entry per walked survivor: the square is the
+base's minus v^T G^-1 v, and the dimension check is shared per base entry.  A
+walked place before a base coordinate interleaves the base entries' survivors,
+so they are sorted by class at the end.  `substitute` keeps an entry whose
+value is already concrete and the view's free places, and substitutes each
+symbolic value where it sits, so it costs only the base entries that change.
 """
 
 from __future__ import annotations
@@ -224,19 +220,20 @@ def _spread_runs(base, group, runs, start, prefix):
 
 class Ledger(namedtuple("Ledger", "label e sigma basis entries")):
     """The tracked classes and their entries, an `Entries` view sorted by
-    class: any other iterable is sorted into a written-out view (m = 0) on
-    construction, so lookups bisect and the blow-down walks in that order.
-    Each of its classes must have one coordinate per basis class."""
+    class: any other iterable is sorted into a written-out view (m = 0), so
+    lookups bisect and the blow-down walks in that order.  Each class needs
+    one coordinate per basis class; of a view, the first is checked (O(1))."""
 
     __slots__ = ()
 
     def __new__(cls, label: str, e: int, sigma: int, basis: tuple[str, ...], entries):
-        if not isinstance(entries, Entries):
+        view = isinstance(entries, Entries)
+        if not view:
             entries = Entries(_sorted_entries(entries), ())
-            for ent in entries.base:
-                if len(ent.cls) != len(basis):
-                    raise ValueError(f"class {ent.cls} has {len(ent.cls)} coordinates "
-                                     f"for a basis of {len(basis)}")
+        for ent in entries.base[:1] if view else entries.base:
+            if len(ent.cls) != len(basis):
+                raise ValueError(f"class {ent.cls} has {len(ent.cls)} coordinates "
+                                 f"for a basis of {len(basis)}")
         return super().__new__(cls, label, e, sigma, basis, entries)
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` sorts too
@@ -338,10 +335,10 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
     an `Entries` view whose base is the old one, each class padded with a 0
     per name and its square lowered by count, and whose free places gain the
     new names' indices at the end of the basis.  So this writes out no sign
-    and costs O(len(base) * len(basis)); a blow-down of the result costs
-    O(m*min(p, 2^ceil(m/2)) + len(base)*2^floor(m/2) + survivors*m) (see the
-    module docstring), not len(base) << m, where m and the survivors leave
-    out the names orthogonal to the chain, which stay free signs.
+    and costs O(len(base) * len(basis)); a blow-down of the result walks
+    O(m*min(p, 2^ceil(m/2)) + len(base)*2^floor(m/2)) (signs, residue)
+    patterns, not len(base) << m entries, and restricts survivors only; m
+    leaves out the names orthogonal to the chain, which stay free signs.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -416,50 +413,55 @@ class BlowdownResult(namedtuple("BlowdownResult", "ledger base_restrictions cham
 
 
 def _survivors(test, base, rows, walked):
-    """Yield (base entry, [(class, restriction), ...]) per base entry that has
-    survivors, in base order; `walked` lists the places of the exceptional
-    signs to walk, whose coordinates are 0 in every base class."""
-    exceptional = [rows[i] for i in walked]
-    tail_mask, tail = 0, []  # every exceptional sign is odd: one fixed mask
-    for mask, residue in map(test.invariants, exceptional):
-        tail_mask ^= mask
-        tail.append(residue)
-    starts = []
+    """Yield (base entry, [(class, restriction), ...]) per base entry with
+    survivors, in base order, walking the signs at `walked` (0 in every base
+    class) as (signs, residue) patterns and restricting survivors only."""
+    p, pairs, inv = test.p, [], []
+    for row in rows:  # each row's nonzero (sphere, pairing) pairs and (parity mask, residue)
+        pairs.append(nz := [(i, x) for i, x in enumerate(row) if x])
+        bits = s = 0
+        for i, x in nz:
+            bits, s = bits | (x & 1) << i, s + x * test.coeffs[i]
+        inv.append((bits, s % p))
+    tail, tail_mask = [inv[i][1] for i in walked], 0
+    for i in walked:  # every exceptional sign is odd: one fixed mask
+        tail_mask ^= inv[i][0]
+    starts = []  # each base entry's pair, by linearity over its coordinates
     for ent in base:
-        terms = [(c, row) for c, row in zip(ent.cls, rows) if c]
-        r = tuple(sum(c * row[i] for c, row in terms) for i in range(len(test.coeffs)))
-        mask, residue = test.invariants(r)
-        starts.append((r, mask ^ tail_mask, residue))
-    if all(mask != test.parity for _r, mask, _s in starts):
+        mask, residue = tail_mask, 0
+        for c, (bits, s) in zip(ent.cls, inv):
+            mask, residue = mask ^ (bits if c & 1 else 0), residue + c * s
+        starts.append((mask, residue % p))
+    if all(mask != test.parity for mask, _s in starts):
         return  # no class is characteristic: build no level
-    # live[i]: the residues from which signs i.. can still land on the target,
-    # built back while a set holds at most 2^ceil(m/2); the levels above accept
-    # every residue
-    m, p, live = len(walked), test.p, [{test.target}]
+    # live[i]: the residues from which signs i.. can still land on the target, built
+    # back while a set holds at most 2^ceil(m/2); the levels above accept every residue
+    m, live = len(walked), [{test.target}]
     for x in reversed(tail):
         nxt = {(s + a * x) % p for s in live[-1] for a in (-1, 1)}
         if len(nxt) > 1 << (m + 1) // 2:
             break
         live.append(nxt)
     live = [range(p)] * (m + 1 - len(live)) + live[::-1]
-    # nonzero (sphere, pairing) pairs of each exceptional row
-    steps = [[(i, x) for i, x in enumerate(row) if x] for row in exceptional]
-    for ent, (r, mask, residue) in zip(base, starts):
+    for ent, (mask, residue) in zip(base, starts):
         if mask != test.parity or residue not in live[0]:
             continue
-        level = [((), residue, r)]  # sign patterns so far, -1 before +1
-        for x, step, nxt in zip(tail, steps, live[1:]):
-            level = [(signs + (a,), t, _add_row(r, a, step))
-                     for signs, s, r in level for a in (-1, 1) if (t := (s + a * x) % p) in nxt]
+        level = [((), residue)]  # sign patterns so far, -1 before +1
+        for x, nxt in zip(tail, live[1:]):
+            level = [(signs + (a,), t)
+                     for signs, s in level for a in (-1, 1) if (t := (s + a * x) % p) in nxt]
         if level:
-            yield ent, [(_put(ent.cls, walked, signs), r) for signs, _s, r in level]
+            yield ent, [_restricted(_put(ent.cls, walked, signs), pairs, len(test.coeffs))
+                        for signs, _s in level]
 
 
-def _add_row(r: tuple[int, ...], a: int, step) -> tuple[int, ...]:
-    out = list(r)
-    for i, x in step:
-        out[i] += a * x
-    return tuple(out)
+def _restricted(cls: tuple, pairs, k: int):
+    """(cls, sum c_j*row_j), read from the nonzero pairs of the rows with c_j != 0."""
+    out = [0] * k
+    for c, nz in zip(cls, pairs):
+        for i, x in nz if c else ():
+            out[i] += c * x
+    return cls, tuple(out)
 
 
 def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: bool):

@@ -336,6 +336,22 @@ def test_ledger_rejects_a_class_whose_length_differs_from_its_basis():
         sw.Ledger("L", 12, -8, ("T", "E1"), [sw.Entry((1,), LinExpr(1, 0), 0)])
 
 
+
+def test_ledger_over_a_view_checks_its_basis_length():
+    # a view's first base class must fit the basis too; a longer basis would
+    # print a report and then fail every lookup
+    seed = sw.knot_surgery_ledger([sw.alexander_twist()], label="Y")
+    message = r"^class \(-1,\) has 1 coordinates for a basis of 2$"
+    with pytest.raises(ValueError, match=message):
+        seed._replace(basis=("T", "E1"))
+    with pytest.raises(ValueError, match=message):
+        sw.Ledger("Y", 12, -8, ("T", "E1"), seed.entries)
+    blown = sw.blow_up_ledger(seed, 2)
+    with pytest.raises(ValueError, match=r"^class \(-1, 0, 0\) has 3 coordinates for a basis of 2$"):
+        sw.Ledger("Y", 14, -10, ("T", "E1"), sw.Entries(blown.entries.base, (1, 2)))
+    assert blown._replace(label="Z").entries == blown.entries
+    assert sw.Ledger("E", 12, -8, ("T", "E1"), sw.Entries((), (1,))).entries.base == ()
+
 def test_entries_reject_a_base_class_that_is_not_zero_at_a_free_place():
     # such a base entry would iterate as classes that lookup cannot find
     with pytest.raises(ValueError, match=r"^base class \(1, 5\) is not 0 at free place 1$"):
@@ -869,6 +885,28 @@ def test_blowdown_on_a_large_p_chain_costs_half_the_signs():
     assert elapsed < 0.5 and peak < 20_000_000, (elapsed, peak)
 
 
+
+def test_blowdown_on_a_large_p_chain_builds_restrictions_for_survivors_only():
+    # the large-p guard's row recipe at 28 names (2^29 classes, 492 survivors):
+    # a sign pattern carries its residue, not its 32-entry restriction, so the
+    # walk's peak stays near its 2^14 patterns
+    rng = random.Random(24)
+    chain = hirzebruch.chain_for_cpq(1000003, 621999)
+    canonical = hirzebruch.canonical_vector(chain)
+    rows = (canonical,) + tuple(
+        tuple(x + 2 * rng.randint(-3, 3) for x in canonical) for _ in range(28))
+    blown = sw.blow_up_ledger(sw.knot_surgery_ledger([sw.alexander_twist()], label="Y_n"), 28)
+    tracemalloc.start()
+    try:
+        result = sw.chambered_blowdown_ledger(blown, chain, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    survivors = meet_in_the_middle_survivors(chain, rows)
+    assert len(survivors) == 492 and list(result.restrictions) == survivors
+    assert peak < 10_000_000, peak
+
+
 def test_blowdown_filter_memory_follows_survivors():
     # the same 65,536-entry X_n blow-up and chambered blow-down: the view and
     # the residue walk build the 32 survivors, not the 65,536 entries
@@ -946,6 +984,22 @@ def test_reading_value_sets_builds_no_entry(monkeypatch):
         assert [cls for cls, _v in value_sets] == [cls for cls, _r in result.restrictions]
         assert all(values == result.value_set_of(cls) for cls, values in value_sets)
 
+
+def test_blowdown_restricts_each_walked_survivor_once(monkeypatch):
+    # Q_n's 4,096 entries: two walked survivors, each restricted once, and no
+    # base entry restricted to be tested
+    blown = qn_wide_ledger()
+    restricted = []
+    build = sw._restricted
+
+    def counting(cls, *args):
+        restricted.append(cls)
+        return build(cls, *args)
+
+    monkeypatch.setattr(sw, "_restricted", counting)
+    results = qn_wide_blowdowns(blown)
+    assert restricted == [ent.cls for result in results for ent in result.ledger.entries.base]
+    assert len(restricted) == 4
 
 def test_blow_up_pads_each_base_entry_once(monkeypatch):
     # a 4,096-entry written-out ledger blown up at 63 names: one padded Entry
