@@ -191,7 +191,6 @@ def smooth(cfg: CurveConfig, name: str, c1: str, c2: str) -> CurveConfig:
 
 def extract_chain(cfg: CurveConfig, names) -> hirzebruch.Chain:
     """Read off a linear plumbing: consecutive pairings 1, all others 0,
-
     every curve an embedded sphere of square <= -2.  Returns the weights.
 
     Every square and adjacency is read from one `pairing_table` of the curves
@@ -225,7 +224,6 @@ def extract_chain(cfg: CurveConfig, names) -> hirzebruch.Chain:
 
 def knot_surgery_shadow(cfg: CurveConfig, label: str, add_flags=()) -> CurveConfig:
     """Relabel after a fiber-sum knot surgery: the lattice, curves, e and sigma
-
     are carried across by the natural correspondence; only the name and the
     recorded assumptions change.
     """
@@ -235,7 +233,6 @@ def knot_surgery_shadow(cfg: CurveConfig, label: str, add_flags=()) -> CurveConf
 
 def rational_blowdown(cfg: CurveConfig, chain, new_label: str | None = None) -> CurveConfig:
     """Replace a recognized C_{p,q} chain of `cfg`, given by the weights that
-
     `extract_chain` read off it, by the rational ball it shares a boundary
     with: e drops by the chain length, sigma rises by it, the flags carry
     across, and no generators or curves are kept.
@@ -250,7 +247,6 @@ def rational_blowdown(cfg: CurveConfig, chain, new_label: str | None = None) -> 
 
 def homeo_fingerprint(cfg: CurveConfig):
     """Freedman-style lookup: a simply-connected configuration with an odd
-
     form, e = 3 + k and sigma = 1 - k (k >= 0) prints as "CP2 # k CP2bar".
     Returns None when no k fits or a required flag is missing.
     """

@@ -205,7 +205,6 @@ def word_to_str(w: Word) -> str:
 
 class Twist(namedtuple("Twist", "cycle conjugator multiplicity", defaults=((), 1))):
     """One group of right-handed Dehn twists: conjugator . cycle^multiplicity . conjugator^-1,
-
     counted as `multiplicity` separate twists along the image of the core cycle
     under the conjugator.
     """

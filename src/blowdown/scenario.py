@@ -27,7 +27,7 @@ Directives:
     blowdown <chain> [label <label>]       # blows down the recorded chain; drops the lattice
     mcg <name> expected <int> twists <spec>...   # spec: cycle[*mult][~conjword]
     sw ledger <name> e <int> sigma <int> fiber <lincomb> knots <twist(..),..|none>
-    sw blowups <new> <ledger> <gen>...
+    sw blowups <new> <ledger> <gen>...     # tracks the fiber T, then each <gen>
     sw blowdown <new> <ledger> <chain> vanishing-r vanishing-background [label <l>]
     sw chambered-blowdown <new> <ledger> <chain> [label <l>]
     assert <kind> <args>...
@@ -43,7 +43,9 @@ chain was read from stay as they were: `blowdown` and `sw blowdown` use the
 weights and sphere classes the `chain` directive recorded, paired in the live
 lattice, and never read the chain again.  `blowdown` drops the curves and the
 generators, so no line after it may name one, and `sw blowdown` must come
-before it.
+before it.  A ledger blow-down first needs its tracked classes to pair as
+diag(0, -1, ..., -1) and its (e, sigma) to be the configuration's, the blow-up
+formula's premises; a failure names the first bad pair or both (e, sigma).
 
 Every line parses to one `Step(kind, args)`.  Its kind is a key of `_KINDS`:
 the first word, or the first two for `sw` and `assert` lines.  Each entry
@@ -420,8 +422,7 @@ class Report(namedtuple("Report", "scenario records")):
 
 
 _ChainRec = namedtuple("_ChainRec", "weights classes")
-# _SwRec.fiber_vec: the class T; later exceptional generators pair 0 with it
-_SwRec = namedtuple("_SwRec", "ledger fiber_vec result", defaults=(None,))
+_SwRec = namedtuple("_SwRec", "ledger tracked result", defaults=(None,))
 
 
 class _Runner:
@@ -469,38 +470,47 @@ class _Runner:
     def mcg(self, name, expected, twists):
         self.mcgs[name] = mcg.verify_fibration(twists, expected)
 
+    def check_tracked(self, basis, tracked):
+        """The blow-up formula's premise: the live classes `tracked`, named by `basis`,
+        pair as diag(0, -1, ..., -1).  A ValueError names the first pair that does not."""
+        for i, row in enumerate(homcalc.pairing_table(self.cfg.gram, tracked, tracked)):
+            want, got = -1 if i else 0, row.get(i, 0)
+            if got != want:
+                what = f"tracked class {basis[i]}" if i else "fiber class"
+                raise ValueError(f"{what} squares to {got}, expected {want}")
+            j = min((j for j in row if j > i), default=0)
+            if j:
+                raise ValueError(f"tracked pairing {basis[i]}.{basis[j]} = {row[j]}, expected 0")
+
     def sw_ledger(self, name, e, sigma, fiber, knots):
-        fiber_vec = self._class_vec(fiber)
-        fsq = homcalc.pair_vectors(self.cfg.gram, fiber_vec, fiber_vec)
-        if fsq != 0:
-            raise ValueError(f"fiber class squares to {fsq}, expected 0")
+        tracked = (self._class_vec(fiber),)
+        self.check_tracked(("T",), tracked)
         polys = [swledger.alexander_twist(k) for k in knots]
         ledger = swledger.knot_surgery_ledger(polys, label=name, e=e, sigma=sigma)
-        self.sw[name] = _SwRec(ledger=ledger, fiber_vec=fiber_vec)
+        self.sw[name] = _SwRec(ledger, tracked)
 
     def sw_blowups(self, name, source, gens):
         src = self.sw[source]
         ledger = swledger.blow_up_ledger(src.ledger, len(gens), gens)
-        self.sw[name] = _SwRec(ledger=ledger, fiber_vec=src.fiber_vec)
+        self.sw[name] = _SwRec(ledger, src.tracked + tuple({g: 1} for g in gens))
 
     def sw_blowdown(self, name, source, chain, label, chambered=False):
-        """Pair the ledger's classes with the recorded chain spheres in the
-        live lattice: T is the fiber class, and every other tracked class is
-        the live generator of its name."""
-        src = self.sw[source]
-        rec = self.chains[chain]
-        tracked = [src.fiber_vec] + [{g: 1} for g in src.ledger.basis[1:]]
+        """Pair the tracked classes with the recorded chain spheres in the live
+        lattice, once they pass `check_tracked` and the ledger's (e, sigma) are
+        the configuration's; either failure raises a ValueError."""
+        (ledger, tracked, _), rec, cfg = self.sw[source], self.chains[chain], self.cfg
+        self.check_tracked(ledger.basis, tracked)
+        if (ledger.e, ledger.sigma) != (cfg.e, cfg.sigma):
+            raise ValueError(f"ledger (e, sigma) is ({ledger.e}, {ledger.sigma}), "
+                             f"the configuration's ({cfg.e}, {cfg.sigma})")
         pairings = [tuple(row.get(j, 0) for j in range(len(rec.classes)))
-                    for row in homcalc.pairing_table(self.cfg.gram, tracked, rec.classes)]
+                    for row in homcalc.pairing_table(cfg.gram, tracked, rec.classes)]
         if chambered:
-            result = swledger.chambered_blowdown_ledger(
-                src.ledger, rec.weights, pairings, new_label=label
-            )
+            result = swledger.chambered_blowdown_ledger(ledger, rec.weights, pairings, new_label=label)
         else:
             result = swledger.rational_blowdown_ledger(
-                src.ledger, rec.weights, pairings, corrections=(True, True), new_label=label
-            )
-        self.sw[name] = _SwRec(ledger=result.ledger, fiber_vec=src.fiber_vec, result=result)
+                ledger, rec.weights, pairings, corrections=(True, True), new_label=label)
+        self.sw[name] = _SwRec(result.ledger, tracked, result)
 
 
 def run_scenario(s: Scenario) -> Report:

@@ -329,7 +329,6 @@ def knot_surgery_ledger(twists, label: str, e: int = 12, sigma: int = -8) -> Led
 
 def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
     """Blow up `count` times: each entry K spawns K + sum(a_i * E_i) over all
-
     sign choices a_i = +-1, keeping its value.  Squares drop by count, so the
     formal dimension of every descendant equals its parent's.  The entries are
     an `Entries` view whose base is the old one, each class padded with a 0
@@ -523,7 +522,6 @@ def chambered_blowdown_ledger(
     ledger: Ledger, chain, chain_pairings, new_label: str | None = None
 ) -> BlowdownResult:
     """Rational blow-down without exactness inputs: survivors are filtered the
-
     same way, but each value is only pinned up to one wall crossing, i.e. to
     the set {v-1, v, v+1}.
     """
@@ -543,7 +541,6 @@ def substitute(ledger: Ledger, n: int) -> Ledger:
 
 def minimality_report(ledger: Ledger) -> bool:
     """True when the ledger pins minimality: exactly two classes +-L with
-
     nonzero opposite values.  Such a ledger has no partition into blow-up
     pairs {K+E, K-E} of equal value, which is what the blow-up formula would
     force: its only pair is {L, -L}, and L's value v != 0 differs from -v.
@@ -560,7 +557,6 @@ def minimality_report(ledger: Ledger) -> bool:
 
 def ledger_report(ledger: Ledger) -> str:
     """Deterministic serialization: one line per base entry, classes in
-
     lexicographic vector order with +-1 at each of the m free places, values
     as c0 + c1*n.
     """

@@ -69,6 +69,33 @@ def test_a_float_is_caught():
     assert sorted(float_uses(source)) == ["/", "/=", "1.5", "2j", "Fraction", "float"]
 
 
+def cut_summaries(source: str) -> list[str]:
+    """The modules, classes and functions in `source` whose docstring's first
+    paragraph stops mid-sentence, so that `help()` shows half a sentence."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node)
+            if doc and not doc.split("\n\n")[0].rstrip().endswith((".", ":", "?", "!")):
+                found.append(getattr(node, "name", "<module>"))
+    return found
+
+
+def test_package_docstrings_open_with_whole_sentences():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert cut_summaries(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_a_cut_summary_is_caught():
+    source = ('"""A module: its summary runs on\n\nafter a blank line."""\n'
+              'def f():\n    """One whole sentence.\n\n    And a second paragraph,"""\n'
+              'class C:\n    """Lists follow:\n\n    - one\n    """\n'
+              '    def g(self):\n        """Returns the value of\n\n        g."""\n'
+              'async def h():\n    """No stop at all"""\n'
+              'def k():\n    pass\n')
+    assert sorted(cut_summaries(source)) == ["<module>", "g", "h"]
+
+
 def test_package_does_not_import_dataclasses():
     """Records are `collections.namedtuple`s, which the interpreter loads
     anyway: a dataclass costs its decoration on every start and loads

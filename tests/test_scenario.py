@@ -331,6 +331,58 @@ def test_runtime_errors_carry_line_numbers():
         run_scenario(parse_scenario(text))
 
 
+def qn_with(old: str, new: str) -> tuple[str, int]:
+    """`qn` with its one line `old` replaced by `new`, and the line number of
+    its `sw blowdown`."""
+    assert CORPUS["qn"].count(old) == 1
+    text = CORPUS["qn"].replace(old, new)
+    lines = text.splitlines()
+    return text, next(i for i, line in enumerate(lines, 1) if line.startswith("sw blowdown"))
+
+
+def lattice_before(text: str, lineno: int) -> scenario._Runner:
+    """A runner that has run every line of `text` before line `lineno`."""
+    run = scenario._Runner(parse_scenario(text))
+    for step in run.scenario.directives:
+        if step.lineno == lineno:
+            return run
+        scenario._KINDS[step.kind].run(run, *step.args)
+    raise AssertionError(f"no line {lineno}")
+
+
+def test_sw_blowdown_needs_the_ledger_e_and_sigma_of_the_configuration():
+    # two blow-ups take the ledger from (8, -8) to (10, -10); qn's own
+    # assertions put the configuration at (14, -10)
+    text, lineno = qn_with("sw ledger base e 12 sigma -8", "sw ledger base e 8 sigma -8")
+    with pytest.raises(ScenarioError) as exc:
+        run_scenario(parse_scenario(text))
+    assert str(exc.value) == (f"line {lineno}: ledger (e, sigma) is (10, -10), "
+                              "the configuration's (14, -10)")
+
+
+def test_sw_blowdown_needs_tracked_classes_orthogonal_to_the_fiber():
+    # the section S meets the fiber component T0 once, so it pairs 1 with T
+    text, lineno = qn_with("sw blowups blown base E1 E2", "sw blowups blown base E1 E2 S")
+    run = lattice_before(text, lineno)
+    t_dot_s = homcalc.pair_vectors(run.cfg.gram, run.cfg.curve("F").cls, {"S": 1})
+    assert t_dot_s == 1
+    with pytest.raises(ScenarioError) as exc:
+        run_scenario(parse_scenario(text))
+    assert str(exc.value) == f"line {lineno}: tracked pairing T.S = {t_dot_s}, expected 0"
+
+
+def test_sw_blowdown_needs_tracked_exceptional_classes_of_square_minus_one():
+    # T0 pairs 0 with the fiber (-2 + 1 + 1), so only its square gives it away
+    text, lineno = qn_with("sw blowups blown base E1 E2", "sw blowups blown base E1 E2 T0")
+    run = lattice_before(text, lineno)
+    assert homcalc.pair_vectors(run.cfg.gram, run.cfg.curve("F").cls, {"T0": 1}) == 0
+    square = homcalc.pair_vectors(run.cfg.gram, {"T0": 1}, {"T0": 1})
+    assert square == -2
+    with pytest.raises(ScenarioError) as exc:
+        run_scenario(parse_scenario(text))
+    assert str(exc.value) == f"line {lineno}: tracked class T0 squares to {square}, expected -1"
+
+
 def test_sw_blowups_with_a_repeated_name_stops_at_its_line():
     text = (
         "ambient X e 12 sigma -8 basis F E1\n"
@@ -569,8 +621,9 @@ def test_sw_blowdown_rows_at_the_chain_bound_cost_their_nonzero_pairings(monkeyp
     gram = {g: {g: -2} for g in spheres}
     for a, b in zip(spheres, spheres[1:]):
         gram[a][b] = gram[b][a] = 1
+    # the fiber is a cycle of 16 (-2)-spheres, an I_16 fiber of square 0
     for i, f in enumerate(fiber):
-        gram[f] = {f: -1, spheres[37 * i]: 1}
+        gram[f] = {f: -2, fiber[i - 1]: 1, fiber[(i + 1) % 16]: 1, spheres[37 * i]: 1}
         gram[spheres[37 * i]][f] = 1
     gram.update({e: {e: -1} for e in exceptional})
     classes = []
@@ -579,19 +632,18 @@ def test_sw_blowdown_rows_at_the_chain_bound_cost_their_nonzero_pairings(monkeyp
         for e in rng.sample(exceptional, rng.randint(0, 2)):
             cls[e] = -1
         classes.append(cls)
-    fiber_vec = dict.fromkeys(fiber, 1)
+    tracked = [dict.fromkeys(fiber, 1)] + [{e: 1} for e in exceptional]
     run = scenario._Runner(scenario.Scenario("rows", ()))
     run.cfg = homcalc.CurveConfig(gram, {}, 2 * k, 0, "X")
     run.chains["C"] = scenario._ChainRec(hirzebruch.chain_for_cpq(k + 1, k), tuple(classes))
-    seed = swledger.Ledger("seed", 12, -8, ("T", *exceptional), ())
-    run.sw["blown"] = scenario._SwRec(ledger=seed, fiber_vec=fiber_vec)
+    seed = swledger.Ledger("seed", 2 * k, 0, ("T", *exceptional), ())
+    run.sw["blown"] = scenario._SwRec(ledger=seed, tracked=tuple(tracked))
     seen = record_blowdown_rows(
         monkeypatch, lambda ledger: swledger.BlowdownResult(ledger, (), False))
     start = time.perf_counter()
     run.sw_blowdown("final", "blown", "C", None)
     elapsed = time.perf_counter() - start
     (rows,) = seen
-    tracked = [fiber_vec] + [{e: 1} for e in exceptional]
     assert len(rows) == m + 1 and all(len(row) == k for row in rows)
     assert sum(1 for row in rows for x in row if x) > k
     for _ in range(500):
@@ -604,16 +656,26 @@ def test_sw_blowdown_rows_at_the_chain_bound_cost_their_nonzero_pairings(monkeyp
 def test_sw_blowdown_rows_match_pair_vectors(name, monkeypatch):
     # run the scenario step by step; at each ledger blow-down, every row entry
     # the runner hands the filter is the one pairing of its tracked class (T,
-    # or the live generator of its name) with its chain sphere
+    # the `sw ledger` line's fiber expression, or the live generator of its
+    # name) with its chain sphere
     run = scenario._Runner(parse_scenario(CORPUS[name], name=name))
     seen = record_blowdown_rows(monkeypatch)
+    fibers = {}  # ledger name -> its fiber expression over the generators
     checked = 0
     for step in run.scenario.directives:
+        if step.kind == "sw ledger":
+            fiber = {}
+            for coef, term in step.args[3]:
+                for g, x in ({term: 1} if term in run.cfg.gram else run.cfg.curves[term].cls).items():
+                    fiber[g] = fiber.get(g, 0) + coef * x
+            fibers[step.args[0]] = fiber
+        elif step.kind == "sw blowups" or step.kind in SW_BLOWDOWNS:
+            fibers[step.args[0]] = fibers[step.args[1]]
         if step.kind in SW_BLOWDOWNS:
             _new, source, chain, *_ = step.args
             src, rec = run.sw[source], run.chains[chain]
             gram = run.cfg.gram
-            tracked = [src.fiber_vec] + [{g: 1} for g in src.ledger.basis[1:]]
+            tracked = [fibers[source]] + [{g: 1} for g in src.ledger.basis[1:]]
             want = [tuple(homcalc.pair_vectors(gram, t, u) for u in rec.classes) for t in tracked]
         scenario._KINDS[step.kind].run(run, *step.args)
         if step.kind in SW_BLOWDOWNS:
