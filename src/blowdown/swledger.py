@@ -8,7 +8,9 @@ value attached to each characteristic class vector.  The pipeline operations
 mirror the geometric ones: knot surgery seeds a ledger from twist knots'
 Alexander polynomials in closed form, blow-ups spawn +-E twins, and rational
 blow-down keeps exactly the classes whose restriction to the chain extends
-over the rational ball.
+over the rational ball.  The seed, SW(X_K) = SW(X)*Delta_K(t^2)
+(Fintushel-Stern 1998), runs on plain integers, e_k = a_k + b_k*n as two
+int lists, and builds one LinExpr per kept exponent.
 
 Every ledger's entries are one `Entries` view over (base entries sorted by
 class, the places of m free exceptional signs); a written-out ledger has
@@ -19,7 +21,8 @@ adds the names' places, so it costs O(base * rank), writes out no sign, and
 a ledger of base * 2^m entries holds only its base.  A hand-built ledger's
 entries are sorted once, on construction, and each class must have one
 coordinate per basis class; the pipeline builds its bases in class order,
-and a lookup puts 0 at the free places and bisects.
+and a lookup puts 0 at the free places and bisects.  A view checks that each
+base class is 0 at every free place, one `itemgetter` call per entry.
 
 The restriction of a class c is sum c_j*row_j over the tracked generators'
 chain-pairing rows, and extension depends only on its parity mask (r mod 2)
@@ -32,15 +35,16 @@ has no survivor, and if none is, the filter stops there.  Otherwise a sign
 pattern a survives iff res(base) + sum a_i*residue_i is the residue the ball
 accepts (`ChainData.target`): a subset sum mod p.  A backward pass from it
 gives, per level i, the residues from which the remaining signs can still land
-there, up to the first level that would hold more than 2^ceil(m/2); the levels
-above accept every residue (meet in the middle, Horowitz-Sahni 1974).  Each
-base entry expands one level at a time, -1 child before +1 child, keeping a
-pattern (signs and residue, no restriction) only if its residue is live: every
-level stays sorted, the unpruned ones hold at most 2^floor(m/2) patterns, and
-every pattern on a pruned one reaches a survivor.  Only survivors are
-restricted, once each, over their z nonzero pairings: the cost is O(rank*k +
-b*(rank + 2^floor(m/2)) + m*min(p, 2^ceil(m/2)) + survivors*(rank + z)) for b
-base entries and k spheres, instead of O(2^m * rank).
+there, until the next level could hold more than 2^ceil(m/2) (twice this
+one's); the levels above accept every residue (meet in the middle,
+Horowitz-Sahni 1974).  Each base entry expands one level at a time, -1 child
+before +1 child, keeping a pattern (signs and residue, no restriction) only
+if its residue is live: every level stays sorted, the unpruned ones hold at
+most 2^floor(m/2) patterns, and every pattern on a pruned one reaches a
+survivor.  Only survivors are restricted, once each, over their z nonzero
+pairings: the cost is O(rank*k + b*(rank + 2^floor(m/2)) + m*min(p,
+2^ceil(m/2)) + survivors*(rank + z)) for b base entries and k spheres,
+instead of O(2^m * rank).
 
 An exceptional class with a zero row changes no restriction, residue or value,
 only the square: a blow-up away from the chain commutes with the blow-down,
@@ -61,8 +65,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import groupby, product
+from itertools import compress, groupby, product
 from math import comb, gcd
+from operator import attrgetter, itemgetter
 
 from . import hirzebruch
 
@@ -78,11 +83,6 @@ class LinExpr(namedtuple("LinExpr", "c0 c1", defaults=(0, 0))):
     def __neg__(self) -> "LinExpr":
         return LinExpr(-self.c0, -self.c1)
 
-    def times(self, other: "LinExpr") -> "LinExpr":
-        if self.c1 and other.c1:
-            raise ValueError("product would be quadratic in n")
-        return LinExpr(self.c0 * other.c0, self.c0 * other.c1 + self.c1 * other.c0)
-
     def shift(self, k: int) -> "LinExpr":
         return LinExpr(self.c0 + k, self.c1)
 
@@ -96,10 +96,6 @@ class LinExpr(namedtuple("LinExpr", "c0 c1", defaults=(0, 0))):
         if self.c1 >= 0:
             return f"{self.c0} + {self.c1}*n"
         return f"{self.c0} - {-self.c1}*n"
-
-
-ZERO = LinExpr(0, 0)
-ONE = LinExpr(1, 0)
 
 
 def parse_linexpr(text: str) -> LinExpr:
@@ -131,6 +127,7 @@ def alexander_twist(n: int | None = None) -> LinExpr:
 
 
 Entry = namedtuple("Entry", "cls value square verified", defaults=(True,))
+_class_of = attrgetter("cls")
 
 
 class Entries:
@@ -149,16 +146,21 @@ class Entries:
     other, their bases are, which costs the written-out bases' size.  The
     base is taken as given, already sorted.  A base class that is not 0 at
     a free place, whose entries lookup could not find, is a ValueError
-    (checked in O(base x m)).
+    (checked in O(base x m), one `itemgetter` over the free places per
+    entry); it names the first such place, then the first entry there.
     """
 
     __slots__ = ("base", "free")
 
     def __init__(self, base: tuple[Entry, ...], free: tuple[int, ...]):
-        for i in free:
-            for ent in base:
-                if ent.cls[i]:
-                    raise ValueError(f"base class {ent.cls} is not 0 at free place {i}")
+        if free:
+            at_free = itemgetter(*free)  # an int for one place, else a tuple
+            zero = at_free((0,) * (max(free) + 1))
+            if any(map(zero.__ne__, map(at_free, map(_class_of, base)))):
+                for i in free:  # name the first free place, then its first entry
+                    for ent in base:
+                        if ent.cls[i]:
+                            raise ValueError(f"base class {ent.cls} is not 0 at free place {i}")
         self.base = base
         self.free = free
 
@@ -265,10 +267,6 @@ def entry_count(ledger: Ledger) -> int:
     return len(ledger.entries.base) << ledger.entries.m
 
 
-def _class_of(ent: Entry) -> tuple[int, ...]:
-    return ent.cls
-
-
 def _sorted_entries(entries) -> tuple[Entry, ...]:
     return tuple(sorted(entries, key=_class_of))
 
@@ -294,37 +292,35 @@ def knot_surgery_ledger(twists, label: str, e: int = 12, sigma: int = -8) -> Led
     each Delta_i(t^2) is 1 + n_i*x^2, so the relative invariant
     (prod Delta_i(t^2) - 1)/x is sum_k e_k*x^(2k-1), e_k the k-th elementary
     symmetric function of the n_i, and x^(2k-1) expands binomially; the
-    coefficient of t^j becomes the value at class j*T.  Extreme exponents
-    carry the quoted leading values; interior entries are marked unverified.
-    At most MAX_KNOTS knots are taken, and the cost grows as r^2.
+    coefficient of t^j becomes the value at class j*T.  Both steps run on
+    integers, e_k = a_k + b_k*n, and one LinExpr is built per kept exponent.
+    Extreme exponents carry the quoted leading values; interior entries are
+    marked unverified.  At most MAX_KNOTS knots are taken, and the cost
+    grows as r^2.
     """
     twists = tuple(twists)
-    if len(twists) > MAX_KNOTS:
-        raise ValueError(f"{len(twists)} knots; at most {MAX_KNOTS} are allowed")
-    sym = [ONE] + [ZERO] * len(twists)  # e_0..e_r
-    for i, n in enumerate(twists, 1):
-        for k in range(i, 0, -1):
-            sym[k] = sym[k] + n.times(sym[k - 1])
-    coeffs: dict[int, LinExpr] = {}
-    for k in range(1, len(sym)):
-        c0, c1 = sym[k].c0, sym[k].c1
+    r = len(twists)
+    if r > MAX_KNOTS:
+        raise ValueError(f"{r} knots; at most {MAX_KNOTS} are allowed")
+    a, b = [1] + [0] * r, [0] * (r + 1)  # e_k = a_k + b_k*n
+    for i, (n0, n1) in enumerate(twists, 1):
+        for k in range(i, 0, -1):  # e_k += (n0 + n1*n) * e_(k-1)
+            if b[k - 1]:
+                if n1:
+                    raise ValueError("product would be quadratic in n")
+                b[k] += n0 * b[k - 1]
+            a[k], b[k] = a[k] + n0 * a[k - 1], b[k] + n1 * a[k - 1]
+    # the coefficient of t^j, j = 2k-1-2i for i < 2k, at index (j + 2r - 1) // 2
+    ca, cb = [0] * (2 * r), [0] * (2 * r)
+    for k in range(1, r + 1):
         for i in range(2 * k):
-            b = (-1) ** i * comb(2 * k - 1, i)
-            j = 2 * k - 1 - 2 * i
-            coeffs[j] = coeffs.get(j, ZERO) + LinExpr(b * c0, b * c1)
-    coeffs = {j: c for j, c in coeffs.items() if not c.is_zero()}
-    top = max(map(abs, coeffs), default=0)
-    entries = [
-        Entry(cls=(j,), value=c, square=0, verified=abs(j) == top)
-        for j, c in coeffs.items()
-    ]
-    return Ledger(
-        label=label,
-        e=e,
-        sigma=sigma,
-        basis=("T",),
-        entries=tuple(entries),
-    )
+            c = -comb(2 * k - 1, i) if i & 1 else comb(2 * k - 1, i)
+            ca[r + k - 1 - i] += c * a[k]
+            cb[r + k - 1 - i] += c * b[k]
+    kept = [(2 * x - 2 * r + 1, c0, c1) for x, (c0, c1) in enumerate(zip(ca, cb)) if c0 or c1]
+    top = max(-kept[0][0], kept[-1][0]) if kept else 0
+    return Ledger(label, e, sigma, ("T",), Entries(tuple(
+        Entry((j,), LinExpr(c0, c1), 0, abs(j) == top) for j, c0, c1 in kept), ()))
 
 
 def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
@@ -415,32 +411,33 @@ def _survivors(test, base, rows, walked):
     """Yield (base entry, [(class, restriction), ...]) per base entry with
     survivors, in base order, walking the signs at `walked` (0 in every base
     class) as (signs, residue) patterns and restricting survivors only."""
-    p, pairs, inv = test.p, [], []
+    p, coeffs, pairs, inv = test.p, test.coeffs, [], []
     for row in rows:  # each row's nonzero (sphere, pairing) pairs and (parity mask, residue)
-        pairs.append(nz := [(i, x) for i, x in enumerate(row) if x])
+        pairs.append(nz := list(compress(enumerate(row), row)))
         bits = s = 0
         for i, x in nz:
-            bits, s = bits | (x & 1) << i, s + x * test.coeffs[i]
+            bits, s = bits | (x & 1) << i, s + x * coeffs[i]
         inv.append((bits, s % p))
     tail, tail_mask = [inv[i][1] for i in walked], 0
     for i in walked:  # every exceptional sign is odd: one fixed mask
         tail_mask ^= inv[i][0]
-    starts = []  # each base entry's pair, by linearity over its coordinates
+    starts = []  # each base entry's pair, by linearity over its nonzero coordinates
     for ent in base:
         mask, residue = tail_mask, 0
-        for c, (bits, s) in zip(ent.cls, inv):
-            mask, residue = mask ^ (bits if c & 1 else 0), residue + c * s
+        for j, c in compress(enumerate(ent.cls), ent.cls):
+            bits, s = inv[j]
+            mask, residue = mask ^ bits if c & 1 else mask, residue + c * s
         starts.append((mask, residue % p))
     if all(mask != test.parity for mask, _s in starts):
         return  # no class is characteristic: build no level
     # live[i]: the residues from which signs i.. can still land on the target, built
-    # back while a set holds at most 2^ceil(m/2); the levels above accept every residue
+    # back until the next level could hold more than 2^ceil(m/2); the levels above
+    # accept every residue
     m, live = len(walked), [{test.target}]
     for x in reversed(tail):
-        nxt = {(s + a * x) % p for s in live[-1] for a in (-1, 1)}
-        if len(nxt) > 1 << (m + 1) // 2:
+        if len(live[-1]) << 1 > 1 << (m + 1) // 2:
             break
-        live.append(nxt)
+        live.append({(s + a * x) % p for s in live[-1] for a in (-1, 1)})
     live = [range(p)] * (m + 1 - len(live)) + live[::-1]
     for ent, (mask, residue) in zip(base, starts):
         if mask != test.parity or residue not in live[0]:

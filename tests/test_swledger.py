@@ -18,15 +18,8 @@ def test_linexpr_arithmetic():
     assert n + n == LinExpr(0, 2)
     assert -n == LinExpr(0, -1)
     assert n.shift(3) == LinExpr(3, 1)
-    assert LinExpr(2, 0).times(n) == LinExpr(0, 2)
     assert n.subst(7) == 7
     assert LinExpr(1, -2).subst(3) == -5
-
-
-def test_linexpr_quadratic_guard():
-    n = LinExpr(0, 1)
-    with pytest.raises(ValueError):
-        n.times(n)
 
 
 def test_linexpr_str():
@@ -191,16 +184,18 @@ def test_knot_surgery_ledger_two_knots():
     assert not by_cls[(1,)].verified and not by_cls[(-1,)].verified
 
 
-def test_knot_count_is_checked_before_any_product(monkeypatch):
+def test_knot_count_is_checked_before_any_product():
     products = []
-    times = LinExpr.times
 
-    def counting_times(self, other):
-        products.append(1)
-        return times(self, other)
+    class Counted(int):
+        # the knot's coefficient: each product with it is recorded
+        def __mul__(self, other):
+            products.append(1)
+            return int(self) * other
 
-    monkeypatch.setattr(LinExpr, "times", counting_times)
-    twists = [sw.alexander_twist(3)] * sw.MAX_KNOTS
+        __rmul__ = __mul__
+
+    twists = [LinExpr(Counted(3), 0)] * sw.MAX_KNOTS
     assert sw.knot_surgery_ledger(twists, label="bound").entries
     # one product per (knot i, level k <= i) of the e_k recurrence
     assert len(products) == sw.MAX_KNOTS * (sw.MAX_KNOTS + 1) // 2
@@ -361,6 +356,11 @@ def test_entries_reject_a_base_class_that_is_not_zero_at_a_free_place():
     bad = sw.Entry((2, 0, -1), LinExpr(1, 0), -1)
     with pytest.raises(ValueError, match=r"^base class \(2, 0, -1\) is not 0 at free place 2$"):
         sw.Entries((good, bad), (1, 2))
+    # free-major: the first free place at which any entry is nonzero, then the
+    # first entry nonzero there, even when an earlier entry is bad later on
+    later = sw.Entry((3, 4, 0), LinExpr(1, 0), -1)
+    with pytest.raises(ValueError, match=r"^base class \(3, 4, 0\) is not 0 at free place 1$"):
+        sw.Entries((good, bad, later), (1, 2))
     led = sw.Ledger("x", 12, -8, ("T", "E1", "E2"), sw.Entries((good,), (1, 2)))
     assert [ent.cls for ent in led.entries] == [(1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 1, 1)]
     assert all(led.entry(ent.cls) == ent for ent in led.entries)
@@ -758,6 +758,30 @@ def test_blowdown_walk_accepts_every_start_residue_above_the_capped_levels():
                                [(canonical[0] + 2 * j,) + canonical[1:]] + exceptional)
                 for j in range(p)]
         assert sum(map(bool, kept)) >= p // 2, (p, kept)
+
+
+def test_blowdown_walk_matches_eager_scan_where_p_sits_just_above_the_level_cap():
+    # 11 walked names on chains with 2^6 < p < 2^7: X_n's C_{71,8} with its
+    # rows, and C_{67,8} and C_{73,8} with the canonical T row and random even
+    # exceptional rows.  On the last two, walking back from the target, some
+    # level would hold more than 2^ceil(m/2) = 64 of the p residues, so the
+    # level rule decides where the backward pass stops.
+    rng = random.Random(6771)
+    seed = sw.knot_surgery_ledger([sw.alexander_twist()], label="Y_n")
+    lazy, eager = blow_up_both_ways(seed, (11,))
+    assert check_blowdown(lazy, eager, hirzebruch.chain_for_cpq(71, 8), XN_ROWS) == 2
+    for p, q in ((67, 8), (73, 8)):
+        chain = hirzebruch.chain_for_cpq(p, q)
+        canonical = hirzebruch.canonical_vector(chain)
+        exceptional = [(2 * rng.randrange(1, p),) + (0,) * (len(chain) - 1) for _ in range(11)]
+        _order, coeffs = smith_coeffs(chain)
+        reach, widest = {0}, 1
+        for row in reversed(exceptional):
+            x = sum(a * c for a, c in zip(row, coeffs))
+            reach = {(s + a * x) % p for s in reach for a in (-1, 1)}
+            widest = max(widest, len(reach))
+        assert 1 << 6 < widest <= p < 1 << 7, (p, widest)
+        assert check_blowdown(lazy, eager, chain, [canonical] + exceptional) >= 20
 
 
 def test_ledgers_built_out_of_order_are_sorted_by_class():
