@@ -197,7 +197,8 @@ def test_knot_count_is_checked_before_any_product():
 
     twists = [LinExpr(Counted(3), 0)] * sw.MAX_KNOTS
     assert sw.knot_surgery_ledger(twists, label="bound").entries
-    # one product per (knot i, level k <= i) of the e_k recurrence
+    # one product per (knot i, level k <= i) of the e_k recurrence: with
+    # concrete knots no e_(k-1) has an n term to multiply
     assert len(products) == sw.MAX_KNOTS * (sw.MAX_KNOTS + 1) // 2
     products.clear()
     with pytest.raises(ValueError, match=fr"^{sw.MAX_KNOTS + 1} knots; at most {sw.MAX_KNOTS}"):
