@@ -73,7 +73,10 @@ def hj_expand(num: int, den: int) -> tuple[int, ...]:
         a, b = b, c * b - a
         if b == 0:
             return tuple(out)
-    raise ValueError(f"the expansion of {num}/{den} has more than {MAX_CHAIN} coefficients")
+    # str(int) stops at 4300 digits by default, 640 at the lowest: name a longer one by size
+    bits = num.bit_length()
+    what = f"{num}/{den}" if bits <= 2000 else f"a fraction with a {bits}-bit numerator"
+    raise ValueError(f"the expansion of {what} has more than {MAX_CHAIN} coefficients")
 
 
 def chain_for_cpq(p: int, q: int) -> Chain:

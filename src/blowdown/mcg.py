@@ -185,7 +185,10 @@ def parse_word(text: str) -> Word:
             raise ValueError(f"unbalanced parenthesis at position {m.start(1)} in {text!r}")
         if caret and not digits:
             raise ValueError(f"expected integer exponent at position {m.end(2)} in {text!r}")
-        e = int(digits) if digits else 1
+        try:
+            e = int(digits) if digits else 1
+        except ValueError:  # more digits than Python reads
+            raise ValueError(f"exponent too long at position {m.start(3)} in {text!r}") from None
         if ch == ")":
             inner = normalize(groups.pop())
             groups[-1].extend(_power(inner, e))

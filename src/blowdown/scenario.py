@@ -214,8 +214,8 @@ def _show_knots(knots) -> str:
 class _ParseChecker:
     """Static name tracking so references fail at parse time.
 
-    The methods named after a kind record what a line of that kind declares,
-    once its arguments are read, checking what spans several of them.
+    The methods named after a kind check and record what its lines declare,
+    once read; `seen` holds the kinds of the lines parsed so far.
     """
 
     def __init__(self):
@@ -225,9 +225,7 @@ class _ParseChecker:
         self.mcgs: set[str] = set()
         self.ledgers: set[str] = set()
         self.blowdown_ledgers: set[str] = set()
-        self.have_ambient = False
-        self.construction_started = False
-        self.blown_down = False
+        self.seen: set[str] = set()  # read by the placement rules
 
     def need(self, cond: bool, msg: str):
         if not cond:
@@ -246,31 +244,23 @@ class _ParseChecker:
         self.need("basis" not in basis, "'basis' is reserved and cannot name a generator")
         self.need(len(set(basis)) == len(basis), "duplicate basis generator")
         self.gens.update(basis)
-        self.have_ambient = True
 
     def curve(self, name, _lc, genus, dp):
         self.need(genus >= 0, "genus must be >= 0")
         self.need(dp >= 0, "double-point count must be >= 0")
         self.curves.add(name)
-        self.construction_started = True
 
     def blowup(self, name, *_):
         self.gens.add(name)
         self.curves.add(name)
-        self.construction_started = True
 
     def smooth(self, name, c1, c2):
         if name in self.curves - {c1, c2}:
             raise ValueError(f"curve {name!r} already declared")
         self.curves -= {c1, c2}
         self.curves.add(name)
-        self.construction_started = True
-
-    def surgery(self, *_):
-        self.construction_started = True
 
     def blowdown(self, *_):
-        self.blown_down = True
         self.curves.clear()
         self.gens.clear()
 
@@ -320,15 +310,15 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             # two-word kinds are reached only through their first word
             if head != "assert" and (kind not in _KINDS or " " in head):
                 raise ValueError(f"unknown directive {head!r}")
-            if not chk.have_ambient and head != "ambient":
+            if not steps and head != "ambient":
                 raise ValueError("no ambient declared")
             if head == "assert":
                 kind = "assert " + t.take("assertion kind")
                 if kind not in _KINDS:
                     raise ValueError(f"unknown assertion kind {kind[7:]!r}")
             entry = _KINDS[kind]
-            for flag, message in entry.place:
-                if getattr(chk, flag):
+            for kinds, message in entry.place:
+                if not kinds.isdisjoint(chk.seen):
                     raise ValueError(message)
             args = []
             for part in entry.syntax:
@@ -340,6 +330,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 entry.declare(chk, *args)
             if t.pos < len(tokens):
                 raise ValueError(f"unexpected trailing token {tokens[t.pos]!r}")
+            chk.seen.add(kind)
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from None
         steps.append(Step(kind, tuple(args), lineno))
@@ -533,10 +524,11 @@ class _Slot(namedtuple("_Slot", "read show", defaults=(str,))):
 
 class _Kind(namedtuple("_Kind", "syntax run place declare", defaults=((), None))):
     """One kind of line.  `syntax` lists its keywords (strings) and argument
-    slots in order; `place` holds (checker flag, message) pairs, each flag of
-    which must be unset before the line is read; `declare(checker, *args)`
-    records what the line declares; `run(runner, *args)` runs it.  Reading and
-    declaring raise plain ValueErrors, which `parse_scenario` prefixes once."""
+    slots in order; `place` holds (kinds, message) pairs, checked before the
+    line is read, each failing if a line of one of `kinds` came before;
+    `declare(checker, *args)` records what the line declares; `run(runner,
+    *args)` runs it.  Reading and declaring raise plain ValueErrors, which
+    `parse_scenario` prefixes once."""
 
     __slots__ = ()
 
@@ -658,7 +650,7 @@ _LABEL = _text("label")
 _FINGERPRINT = _parsed("fingerprint string or none", lambda s: None if s == "none" else s,
                        lambda s: "none" if s is None else _q(s))
 _GENS = _list(_text("generator"))
-_DROPPED = ("blown_down", "curve data was dropped by the blow-down")
+_DROPPED = (frozenset({"blowdown"}), "curve data was dropped by the blow-down")
 
 
 def _weights(what: str) -> _Slot:
@@ -733,12 +725,13 @@ _KINDS: dict[str, _Kind] = {
         (_text("manifold label"), "e", _int("Euler characteristic"), "sigma", _int("signature"),
          _opt("flags", _list(_text("flag"), stop="basis"), ()), "basis", _GENS),
         lambda run, *args: setattr(run, "cfg", homcalc.new_config(*args)),
-        (("have_ambient", "duplicate ambient declaration"),),
+        ((frozenset({"ambient"}), "duplicate ambient declaration"),),
         _ParseChecker.ambient),
     "pair": _Kind(
         (_GEN, _GEN, _int("pairing value")),
         lambda run, *args: run.move(homcalc.set_pairing, *args),
-        (("construction_started", "pair must precede construction steps"),)),
+        ((frozenset({"curve", "blowup", "smooth", "surgery"}),
+          "pair must precede construction steps"),)),
     "curve": _Kind(
         (_new("curve name", "curves"), "class", _CLASS,
          _opt("genus", _int("genus"), 0), _opt("dp", _int("double-point count"), 0)),
@@ -750,17 +743,17 @@ _KINDS: dict[str, _Kind] = {
          _opt("at", _Slot(_read_incidences, lambda at: ",".join(f"{c}:{m}" for c, m in at)), ()),
          _opt("doublepoint", _CURVE)),
         lambda run, *args: run.move(homcalc.blow_up, *args),
-        (("blown_down", "cannot blow up after the blow-down"),
-         ("chains", "blowup must precede every chain")), _ParseChecker.blowup),
+        ((frozenset({"blowdown"}), "cannot blow up after the blow-down"),
+         (frozenset({"chain"}), "blowup must precede every chain")), _ParseChecker.blowup),
     "smooth": _Kind(
         (_Slot(lambda t, chk: t.take_name("new curve name")), _CURVE, _CURVE),
         lambda run, *args: run.move(homcalc.smooth, *args),
-        (("blown_down", "cannot smooth after the blow-down"),
-         ("chains", "smooth must precede every chain")), _ParseChecker.smooth),
+        ((frozenset({"blowdown"}), "cannot smooth after the blow-down"),
+         (frozenset({"chain"}), "smooth must precede every chain")), _ParseChecker.smooth),
     "surgery": _Kind(
         (_text("manifold label"), _opt("flags", _list(_text("flag")), ())),
         lambda run, *args: run.move(homcalc.knot_surgery_shadow, *args),
-        (("blown_down", "cannot relabel after the blow-down"),), _ParseChecker.surgery),
+        ((frozenset({"blowdown"}), "cannot relabel after the blow-down"),)),
     "chain": _Kind(
         (_new("chain name", "chains"), "=", _Slot(_read_curve_list, ",".join)),
         _Runner.chain, (_DROPPED,), lambda chk, name, curves: chk.chains.add(name)),
@@ -768,7 +761,7 @@ _KINDS: dict[str, _Kind] = {
         (_CHAIN, _opt("label", _text("manifold label"))),
         lambda run, chain, label: run.move(
             homcalc.rational_blowdown, run.chains[chain].weights, label),
-        (("blown_down", "already blown down"),), _ParseChecker.blowdown),
+        ((frozenset({"blowdown"}), "already blown down"),), _ParseChecker.blowdown),
     "mcg": _Kind(
         (_new("report name", "mcgs"), "expected", _int("expected twist count"),
          "twists", _list(_parsed("twist spec", _parse_twistspec, _show_twist))),

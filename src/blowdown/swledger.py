@@ -65,7 +65,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import compress, groupby, product
+from heapq import merge
+from itertools import compress, product
 from math import comb, gcd
 from operator import attrgetter, itemgetter
 
@@ -137,17 +138,17 @@ class Entries:
     indices of m free exceptional signs.  Each base class is written over the
     whole basis with 0 at every free place, and the base entry stands for its
     2^m descendants, its class with a sign +-1 at each free place; they share
-    its value, flag and square.  Iteration groups the sorted base by the
-    coordinates before each run of adjacent free places and reads the -1
-    group before the +1 group, so the view is read in class order.  Its
-    length is len(base) << m (see `entry_count` for m >= 63), and nothing is
-    built until an entry is read.  Two views are equal when their counts are
-    and, once each writes out the places that are free in it and not in the
-    other, their bases are, which costs the written-out bases' size.  The
-    base is taken as given, already sorted.  A base class that is not 0 at
-    a free place, whose entries lookup could not find, is a ValueError
-    (checked in O(base x m), one `itemgetter` over the free places per
-    entry); it names the first such place, then the first entry there.
+    its value, flag and square.  Each base entry's descendants come in class
+    order, as the free places ascend and -1 comes before +1, so iteration is
+    one lazy merge of them, ties in base order.  Its length is len(base) << m
+    (see `entry_count` for m >= 63), and nothing is built until an entry is
+    read.  Two views are equal when their counts are and, once each writes
+    out the places that are free in it and not in the other, their bases are,
+    which costs the written-out bases' size.  The base is taken as given,
+    already sorted.  A base class that is not 0 at a free place, whose
+    entries lookup could not find, is a ValueError (checked in O(base x m),
+    one `itemgetter` over the free places per entry); it names the first such
+    place, then the first entry there.
     """
 
     __slots__ = ("base", "free")
@@ -174,7 +175,7 @@ class Entries:
     def __iter__(self):
         if not self.free:
             return iter(self.base)
-        return (Entry(cls, *self.base[i][1:]) for i, cls in _spread(self))
+        return (Entry(cls, *self.base[i][1:]) for cls, i in _spread(self))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Entries):
@@ -199,25 +200,14 @@ def _put(cls: tuple, places, values) -> tuple:
 
 
 def _spread(entries: Entries):
-    """Yield (base index, class) per entry of the view, in class order."""
-    base = entries.base
-    # runs of adjacent free places, as (first place, count)
-    runs = [(next(run)[1], 1 + len(tuple(run)))
-            for _k, run in groupby(enumerate(entries.free), lambda t: t[1] - t[0])]
-    return _spread_runs(base, range(len(base)), runs, 0, ())
+    """Yield (class, base index) per entry of the view: one lazy merge, ties in base order."""
+    free = entries.free
 
+    def descendants(cls, i):  # in class order: the free places ascend, -1 before +1
+        for signs in product((-1, 1), repeat=len(free)):
+            yield _put(cls, free, signs), i
 
-def _spread_runs(base, group, runs, start, prefix):
-    # `group` shares the coordinates before `start`, read into `prefix`
-    if not runs:
-        for i in group:
-            yield i, prefix + base[i].cls[start:]
-        return
-    (cut, count), runs = runs[0], runs[1:]
-    for key, same in groupby(group, key=lambda i: base[i].cls[start:cut]):
-        same = tuple(same)
-        for signs in product((-1, 1), repeat=count):
-            yield from _spread_runs(base, same, runs, cut + count, prefix + key + signs)
+    return merge(*[descendants(ent.cls, i) for i, ent in enumerate(entries.base)])
 
 
 class Ledger(namedtuple("Ledger", "label e sigma basis entries")):
@@ -374,13 +364,12 @@ class BlowdownResult(namedtuple("BlowdownResult", "ledger base_restrictions cham
 
     @property
     def restrictions(self):
-        rs = self.base_restrictions
-        return ((cls, rs[i]) for i, cls in _spread(self.ledger.entries))
+        return ((cls, self.base_restrictions[i]) for cls, i in _spread(self.ledger.entries))
 
     @property
     def value_sets(self):
         values = [self._values(ent.value) for ent in self.ledger.entries.base]
-        return ((cls, values[i]) for i, cls in _spread(self.ledger.entries))
+        return ((cls, values[i]) for cls, i in _spread(self.ledger.entries))
 
     def restriction_of(self, cls) -> tuple[int, ...]:
         return self.base_restrictions[self._index(cls)]

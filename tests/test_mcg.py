@@ -64,6 +64,14 @@ def test_parse_word_rejects_garbage():
     assert mcg.parse_word("(" * 32 + "a" + ")" * 32) == (("a", 1),)
 
 
+def test_parse_word_names_an_over_long_exponent_at_its_position():
+    # more digits than Python reads into an int, on a letter and on a group
+    for text, position in [("a^" + "9" * 5000, 2), ("b (ab)^-" + "9" * 5000, 7)]:
+        with pytest.raises(ValueError) as exc:
+            mcg.parse_word(text)
+        assert str(exc.value) == f"exponent too long at position {position} in {text!r}"
+
+
 def test_word_to_str_round_trip():
     for text in ["a^3 b a^3 b", "A^4 b a^4", "b", "a^-2 b a^2", "a A", "(ab)^1000",
                  "a (a b)^-100 B", "((a^2 B)^40 b)^3", "(((ab)^1000)^1000)^1000"]:

@@ -98,6 +98,28 @@ def test_every_kind_round_trips_and_runs():
     assert report.total == 25 + 5
 
 
+def directive_kind(line: str) -> str:
+    """The kind a directive line in the docs names: its first word, or two for `sw`."""
+    words = line.split()
+    return " ".join(words[:2]) if words[0] == "sw" else words[0]
+
+
+def test_docs_name_exactly_the_kinds_in_the_table():
+    """README's directive block and assertion table, and the module docstring's
+    directive list, name each kind of `_KINDS` once and no other."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n```\nambient ", 1)[1].split("```", 1)[0]
+    table = readme.split("| kind | checks |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    listed = scenario.__doc__.split("Directives:\n\n", 1)[1].split("\n\n", 1)[0]
+    # a row names one kind, or two as "`euler <int>` / `signature <int>`"
+    asserted = ["assert " + re.match(r"\s*`(\S+)", part)[1]
+                for row in table.splitlines() for part in row.split("|")[1].split(" / ")]
+    for lines in (("ambient " + block).splitlines(), listed.splitlines()):
+        kinds = [directive_kind(line) for line in lines if line.strip()]
+        assert kinds.pop() == "assert"  # `assert <kind> <args>...` closes each list
+        assert sorted(kinds + asserted) == sorted(scenario._KINDS)
+
+
 def test_xn_scenario_is_substantial():
     s = parse_scenario(CORPUS["xn"], name="xn")
     assert len(s.directives) >= 30
@@ -233,6 +255,60 @@ def test_parse_errors(text, message):
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(text)
     assert str(exc.value) == message
+
+
+AMBIENT = "ambient X e 4 sigma 0 basis S\n"
+# a well-formed line of each kind that a placement rule stops
+PLACED_LINE = {
+    "ambient": "ambient Y e 4 sigma 0 basis T", "pair": "pair S S -4",
+    "curve": "curve d class S", "blowup": "blowup E", "smooth": "smooth f c d",
+    "surgery": "surgery Y", "chain": "chain D = c", "blowdown": "blowdown C",
+    "sw blowdown": "sw blowdown m l C vanishing-r vanishing-background",
+    "sw chambered-blowdown": "sw chambered-blowdown m l C",
+}
+# (kind, message) -> the texts before a line of that kind that break the rule
+PLACEMENT_CASES = {
+    ("ambient", "duplicate ambient declaration"): [AMBIENT],
+    ("pair", "pair must precede construction steps"): [
+        AMBIENT + "curve c class S\n", AMBIENT + "blowup E\n",
+        AMBIENT + "curve c class S\ncurve d class S\nsmooth f c d\n", AMBIENT + "surgery Y\n"],
+    ("curve", "curve data was dropped by the blow-down"): [BLOWN],
+    ("blowup", "cannot blow up after the blow-down"): [BLOWN],
+    ("blowup", "blowup must precede every chain"): [AMBIENT + "curve c class S\nchain C = c\n"],
+    ("smooth", "cannot smooth after the blow-down"): [BLOWN],
+    ("smooth", "smooth must precede every chain"): [
+        AMBIENT + "curve c class S\ncurve d class S\nchain C = c\n"],
+    ("surgery", "cannot relabel after the blow-down"): [BLOWN],
+    ("chain", "curve data was dropped by the blow-down"): [BLOWN],
+    ("blowdown", "already blown down"): [BLOWN],
+    ("sw blowdown", "curve data was dropped by the blow-down"): [LEDGER + BLOWN[len(AMBIENT):]],
+    ("sw chambered-blowdown", "curve data was dropped by the blow-down"): [
+        LEDGER + BLOWN[len(AMBIENT):]],
+}
+
+
+PLACEMENT_RULES = [(kind, message)
+                   for kind, entry in scenario._KINDS.items() for _kinds, message in entry.place]
+
+
+@pytest.mark.parametrize("kind,message", PLACEMENT_RULES)
+def test_every_placement_rule_stops_its_line(kind, message):
+    for before in PLACEMENT_CASES[kind, message]:
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(before + PLACED_LINE[kind] + "\nassert euler 4\n")
+        lineno = before.count("\n") + 1
+        assert str(exc.value) == f"line {lineno}: {message}"
+
+
+def test_every_placement_rule_has_its_cases():
+    assert sorted(PLACEMENT_CASES) == sorted(PLACEMENT_RULES)
+
+
+@pytest.mark.parametrize("kind", sorted(set(scenario._KINDS) - {"ambient"}))
+def test_a_first_line_of_any_kind_but_ambient_has_no_ambient(kind):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(f"# comment\n\n{kind}\n")
+    assert str(exc.value) == "line 3: no ambient declared"
 
 
 @pytest.mark.parametrize("text,terms", [
@@ -566,6 +642,14 @@ def test_hyperbolic_word_power_reports_its_line():
     assert time.perf_counter() - t0 < 0.25
 
 
+def test_over_long_word_exponent_reports_its_line_and_position():
+    word = "a^" + "9" * 5000
+    text = f"ambient X e 4 sigma 0 basis S\nmcg m expected 1 twists a\nassert mcg-word-equal m {word}\n"
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    assert str(exc.value) == f"line 3: exponent too long at position 2 in {word!r}"
+
+
 def run_timed(text):
     t0 = time.perf_counter()
     report = run_scenario(parse_scenario(text))
@@ -871,6 +955,13 @@ def test_cli_hj_bounds_the_chain_length(capsys):
     assert time.perf_counter() - start < 0.1
     assert capsys.readouterr() == ("", "error: the expansion of 100000000000000/99999989999999 "
                                        "has more than 4096 coefficients\n")
+
+
+def test_cli_hj_names_a_numerator_too_long_to_print_by_its_size(capsys):
+    # p^2 has 4,401 digits, past the most Python writes; p itself has 2,201
+    assert cli.main(["hj", str(10 ** 2200 + 1), "1"]) == 2
+    assert capsys.readouterr() == ("", "error: the expansion of a fraction with a 14617-bit "
+                                       "numerator has more than 4096 coefficients\n")
 
 
 def test_cli_identify(capsys):

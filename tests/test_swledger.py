@@ -552,6 +552,50 @@ def test_blown_entries_view_reads_like_the_eager_tuple():
                         lazy.entry(probe)
 
 
+def random_view(rng):
+    """A view of m <= 6 free places, leading, interleaved or trailing, over a
+    sorted base of 1-6 classes, some of them repeated, each with its own value."""
+    m, fixed = rng.randint(0, 6), rng.randint(1, 4)
+    free = tuple(sorted(rng.sample(range(m + fixed), m)))
+    core = [tuple(rng.randint(-2, 2) for _ in range(fixed)) for _ in range(rng.randint(1, 4))]
+    core += rng.choices(core, k=rng.randint(0, 2))  # duplicate base classes
+    base = []
+    for i, c in enumerate(sorted(core)):
+        coords = iter(c)
+        cls = tuple(0 if j in free else next(coords) for j in range(m + fixed))
+        base.append(sw.Entry(cls, LinExpr(i, rng.randint(-1, 1)), -m, rng.random() < 0.5))
+    return sw.Entries(tuple(base), free)
+
+
+def written_out(view):
+    """(class, base index) per entry: every sign pattern written into each base
+    class, stably sorted by class, so ties keep base order."""
+    out = []
+    for i, ent in enumerate(view.base):
+        for signs in product((-1, 1), repeat=view.m):
+            cls = list(ent.cls)
+            for place, sign in zip(view.free, signs):
+                cls[place] = sign
+            out.append((tuple(cls), i))
+    return sorted(out, key=lambda pair: pair[0])
+
+
+def test_view_reads_match_a_sorted_write_out():
+    rng = random.Random(2026)
+    for _ in range(300):
+        view = random_view(rng)
+        order = written_out(view)
+        assert list(view) == [sw.Entry(cls, *view.base[i][1:]) for cls, i in order]
+        ledger = sw.Ledger("v", 0, 0, tuple(f"G{j}" for j in range(len(view.base[0].cls))), view)
+        chambered = rng.random() < 0.5
+        result = sw.BlowdownResult(ledger, tuple((i,) for i in range(len(view.base))), chambered)
+        assert list(result.restrictions) == [(cls, (i,)) for cls, i in order]
+        shifts = (-1, 0, 1) if chambered else (0,)
+        assert list(result.value_sets) == [
+            (cls, tuple(LinExpr(view.base[i].value.c0 + d, view.base[i].value.c1) for d in shifts))
+            for cls, i in order]
+
+
 def eager_blowdown(ledger, chain, rows, chambered):
     """Survivors by scanning every entry: the dense restriction sum, then the
     characteristic test and the Smith-form discriminant image mod p."""
