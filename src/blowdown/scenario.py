@@ -51,12 +51,14 @@ Every line parses to one `Step(kind, args)`.  Its kind is a key of `_KINDS`:
 the first word, or the first two for `sw` and `assert` lines.  Each entry
 gives the line's syntax (keywords, and argument slots that read, check and
 print one value each), the placement rules checked before any argument is
-read, what the line declares to the parse checker, and what running it does;
+read, what the line declares beyond its new names, and what running it does;
 `parse_scenario`, `print_directive` and `_Runner.run` are one loop each over
-that table.  A line's slots and `declare(checker, *args)` raise a plain
-ValueError, and `parse_scenario` prefixes it once with the line number.  The
-printer leaves out an optional part at its default (`genus 0`, `dp 0`, an
-empty flag list, no label).
+that table.  The slot that reads a new name declares it, and the name joins
+its pool once the whole line parses, so no other slot of the line can refer
+to it: `curve c class c` fails.  A line's slots and `declare(p, *args)`, over
+the parse state `p`, raise a plain ValueError, and `parse_scenario` prefixes
+it once with the line number.  The printer leaves out an optional part at its
+default (`genus 0`, `dp 0`, an empty flag list, no label).
 
 Reports are byte-deterministic; parse(print(parse(text))) == parse(text).
 """
@@ -138,12 +140,23 @@ Scenario = namedtuple("Scenario", "name directives")
 
 # --- parsing -----------------------------------------------------------------
 
-class _Tokens:
-    """The cursor `parse_scenario` moves along each line's tokens in turn."""
+class _Parse:
+    """The parse state: the line's tokens and the cursor `parse_scenario` moves
+    along them, the names declared so far in `pools`, keyed by noun, and `seen`,
+    the kinds of the lines parsed so far, which the placement rules read.
+
+    A name a line declares waits in `new` until the whole line parses, so no
+    slot of its own line can refer to it.  The methods named after a kind check
+    and record what else its lines declare, once read.
+    """
 
     def __init__(self):
         self.tokens: list[str] = []
         self.pos = 0
+        self.pools: dict[str, set[str]] = {noun: set() for noun in (
+            "generator", "curve", "chain", "mcg report", "ledger", "blown-down ledger")}
+        self.new: list[tuple[str, tuple[str, ...]]] = []  # (name, nouns) of this line
+        self.seen: set[str] = set()
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -178,6 +191,45 @@ class _Tokens:
             raise ValueError(f"expected {word!r}, got {tok!r}")
         self.pos += 1
 
+    def need(self, cond: bool, msg: str):
+        if not cond:
+            raise ValueError(msg)
+
+    def known(self, noun: str, name: str) -> str:
+        """`name`, if it is in the pool `noun`."""
+        if name not in self.pools[noun]:
+            if noun == "blown-down ledger":
+                raise ValueError(f"ledger {name!r} is not a blow-down result")
+            raise ValueError(f"unknown {noun} {name!r}")
+        return name
+
+    def ambient(self, _label, _e, _sigma, _flags, basis):
+        self.need(bool(basis), "ambient needs at least one basis generator")
+        self.need("basis" not in basis, "'basis' is reserved and cannot name a generator")
+        self.need(len(set(basis)) == len(basis), "duplicate basis generator")
+        self.pools["generator"].update(basis)
+
+    def curve(self, _name, _lc, genus, dp):
+        self.need(genus >= 0, "genus must be >= 0")
+        self.need(dp >= 0, "double-point count must be >= 0")
+
+    def smooth(self, name, c1, c2):
+        curves = self.pools["curve"]
+        if name in curves - {c1, c2}:
+            raise ValueError(f"curve {name!r} already declared")
+        curves -= {c1, c2}
+        curves.add(name)
+
+    def blowdown(self, *_):
+        self.pools["curve"].clear()
+        self.pools["generator"].clear()
+
+    def mcg(self, _name, _expected, twists):
+        self.need(bool(twists), "mcg directive needs at least one twist")
+
+    def sw_blowups(self, _name, _source, gens):
+        self.need(bool(gens), "sw blowups needs at least one exceptional class")
+
 
 def _parse_twistspec(tok: str) -> mcg.Twist:
     m = re.fullmatch(r"([ab])(?:\*(\d+))?(?:~(\S+))?", tok)
@@ -211,72 +263,6 @@ def _show_knots(knots) -> str:
     return ",".join("twist(n)" if k is None else f"twist({k})" for k in knots) or "none"
 
 
-class _ParseChecker:
-    """Static name tracking so references fail at parse time.
-
-    The methods named after a kind check and record what its lines declare,
-    once read; `seen` holds the kinds of the lines parsed so far.
-    """
-
-    def __init__(self):
-        self.gens: set[str] = set()
-        self.curves: set[str] = set()
-        self.chains: set[str] = set()
-        self.mcgs: set[str] = set()
-        self.ledgers: set[str] = set()
-        self.blowdown_ledgers: set[str] = set()
-        self.seen: set[str] = set()  # read by the placement rules
-
-    def need(self, cond: bool, msg: str):
-        if not cond:
-            raise ValueError(msg)
-
-    def known(self, pool: str, name: str) -> str:
-        """`name`, if it is in the set `pool`."""
-        if name not in getattr(self, pool):
-            if pool == "blowdown_ledgers":
-                raise ValueError(f"ledger {name!r} is not a blow-down result")
-            raise ValueError(f"unknown {_NOUNS[pool]} {name!r}")
-        return name
-
-    def ambient(self, _label, _e, _sigma, _flags, basis):
-        self.need(bool(basis), "ambient needs at least one basis generator")
-        self.need("basis" not in basis, "'basis' is reserved and cannot name a generator")
-        self.need(len(set(basis)) == len(basis), "duplicate basis generator")
-        self.gens.update(basis)
-
-    def curve(self, name, _lc, genus, dp):
-        self.need(genus >= 0, "genus must be >= 0")
-        self.need(dp >= 0, "double-point count must be >= 0")
-        self.curves.add(name)
-
-    def blowup(self, name, *_):
-        self.gens.add(name)
-        self.curves.add(name)
-
-    def smooth(self, name, c1, c2):
-        if name in self.curves - {c1, c2}:
-            raise ValueError(f"curve {name!r} already declared")
-        self.curves -= {c1, c2}
-        self.curves.add(name)
-
-    def blowdown(self, *_):
-        self.curves.clear()
-        self.gens.clear()
-
-    def mcg(self, name, _expected, twists):
-        self.need(bool(twists), "mcg directive needs at least one twist")
-        self.mcgs.add(name)
-
-    def sw_blowups(self, name, _source, gens):
-        self.need(bool(gens), "sw blowups needs at least one exceptional class")
-        self.ledgers.add(name)
-
-    def sw_blowdown(self, name, *_):
-        self.ledgers.add(name)
-        self.blowdown_ledgers.add(name)
-
-
 def split_line(raw: str) -> list[str]:
     """The tokens of one line, exactly as `shlex.split(raw, comments=True)`.
 
@@ -294,43 +280,46 @@ def split_line(raw: str) -> list[str]:
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     steps: list[Step] = []
-    chk = _ParseChecker()
-    t = _Tokens()
+    p = _Parse()
 
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
         try:
-            t.tokens = tokens = split_line(raw) if raw else []
+            p.tokens = tokens = split_line(raw) if raw else []
             if not tokens:
                 continue
-            t.pos = 1
+            p.pos = 1
             head = kind = tokens[0]
             if head == "sw":
-                kind = "sw " + t.take("sw directive")
+                kind = "sw " + p.take("sw directive")
             # two-word kinds are reached only through their first word
             if head != "assert" and (kind not in _KINDS or " " in head):
                 raise ValueError(f"unknown directive {head!r}")
             if not steps and head != "ambient":
                 raise ValueError("no ambient declared")
             if head == "assert":
-                kind = "assert " + t.take("assertion kind")
+                kind = "assert " + p.take("assertion kind")
                 if kind not in _KINDS:
                     raise ValueError(f"unknown assertion kind {kind[7:]!r}")
             entry = _KINDS[kind]
             for kinds, message in entry.place:
-                if not kinds.isdisjoint(chk.seen):
+                if not kinds.isdisjoint(p.seen):
                     raise ValueError(message)
             args = []
             for part in entry.syntax:
                 if part.__class__ is str:
-                    t.take_keyword(part)
+                    p.take_keyword(part)
                 else:
-                    args.append(part.read(t, chk))
+                    args.append(part.read(p))
             if entry.declare is not None:
-                entry.declare(chk, *args)
-            if t.pos < len(tokens):
-                raise ValueError(f"unexpected trailing token {tokens[t.pos]!r}")
-            chk.seen.add(kind)
+                entry.declare(p, *args)
+            if p.pos < len(tokens):
+                raise ValueError(f"unexpected trailing token {tokens[p.pos]!r}")
+            p.seen.add(kind)
+            while p.new:  # the line parsed: each name it declares joins its pools
+                new, nouns = p.new.pop()
+                for noun in nouns:
+                    p.pools[noun].add(new)
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from None
         steps.append(Step(kind, tuple(args), lineno))
@@ -511,9 +500,9 @@ def run_scenario(s: Scenario) -> Report:
 # --- the kind table ----------------------------------------------------------
 
 class _Slot(namedtuple("_Slot", "read show", defaults=(str,))):
-    """One argument: `read(tokens, checker)` takes it from the line, checking
-    any name it refers to and raising a plain ValueError; `show(value)` prints
-    it back, or gives "" for a part the printer leaves out.
+    """One argument: `read(p)` takes it from the line through the parse state
+    `p`, checking any name it refers to and raising a plain ValueError;
+    `show(value)` prints it back, or gives "" for a part the printer leaves out.
 
     Package functions are looked up when a slot runs, not when it is built, so a
     wrapper installed on a module attribute sees the call.
@@ -526,59 +515,58 @@ class _Kind(namedtuple("_Kind", "syntax run place declare", defaults=((), None))
     """One kind of line.  `syntax` lists its keywords (strings) and argument
     slots in order; `place` holds (kinds, message) pairs, checked before the
     line is read, each failing if a line of one of `kinds` came before;
-    `declare(checker, *args)` records what the line declares; `run(runner,
-    *args)` runs it.  Reading and declaring raise plain ValueErrors, which
+    `declare(p, *args)` checks the line's arguments together and records what
+    it declares beyond the names its `_new` slots read; `run(runner, *args)`
+    runs it.  Reading and declaring raise plain ValueErrors, which
     `parse_scenario` prefixes once."""
 
     __slots__ = ()
 
 
-_NOUNS = {"gens": "generator", "curves": "curve", "chains": "chain",
-          "mcgs": "mcg report", "ledgers": "ledger"}
+def _new(what: str, *nouns: str) -> _Slot:
+    """A name the line declares: a plain word in none of the pools `nouns`,
+    which it joins once the line parses."""
 
-
-def _new(what: str, *pools: str) -> _Slot:
-    """A name the line declares: a plain word in none of the checker's sets `pools`."""
-
-    def read(t: _Tokens, chk: _ParseChecker) -> str:
-        name = t.take_name(what)
-        for pool in pools:
-            if name in getattr(chk, pool):
-                raise ValueError(f"{_NOUNS[pool]} {name!r} already declared")
+    def read(p: _Parse) -> str:
+        name = p.take_name(what)
+        for noun in nouns:
+            if name in p.pools[noun]:
+                raise ValueError(f"{noun} {name!r} already declared")
+        p.new.append((name, nouns))
         return name
 
     return _Slot(read)
 
 
-def _known(what: str, pool: str, show=str) -> _Slot:
-    """A name already declared in the checker's set `pool`."""
-    return _Slot(lambda t, chk: chk.known(pool, t.take(what)), show)
+def _known(what: str, noun: str, show=str) -> _Slot:
+    """A name already declared in the pool `noun`."""
+    return _Slot(lambda p: p.known(noun, p.take(what)), show)
 
 
 def _text(what: str) -> _Slot:
     """One token of free text, quoted by the printer unless it is a plain word."""
-    return _Slot(lambda t, chk: t.take(what), _q)
+    return _Slot(lambda p: p.take(what), _q)
 
 
 def _int(what: str) -> _Slot:
-    return _Slot(lambda t, chk: t.take_int(what))
+    return _Slot(lambda p: p.take_int(what))
 
 
 def _parsed(what: str, parse, show=str) -> _Slot:
     """One token read by `parse(token)`.  A package function goes in a lambda, so
     that it is looked up per call."""
-    return _Slot(lambda t, chk: parse(t.take(what)), show)
+    return _Slot(lambda p: parse(p.take(what)), show)
 
 
 def _opt(word: str, slot: _Slot, default=None) -> _Slot:
     """`[word <value>]`: the slot's value when the line goes on with `word`, else
     `default`, which the printer leaves out."""
 
-    def read(t: _Tokens, chk: _ParseChecker):
-        if t.peek() != word:
+    def read(p: _Parse):
+        if p.peek() != word:
             return default
-        t.pos += 1
-        return slot.read(t, chk)
+        p.pos += 1
+        return slot.read(p)
 
     return _Slot(read, lambda v: "" if v == default else f"{word} {slot.show(v)}")
 
@@ -586,10 +574,10 @@ def _opt(word: str, slot: _Slot, default=None) -> _Slot:
 def _list(item: _Slot, stop: str | None = None) -> _Slot:
     """Items up to the word `stop` or the end of the line, as a tuple."""
 
-    def read(t: _Tokens, chk: _ParseChecker) -> tuple:
+    def read(p: _Parse) -> tuple:
         out = []
-        while t.peek() not in (None, stop):
-            out.append(item.read(t, chk))
+        while p.peek() not in (None, stop):
+            out.append(item.read(p))
         return tuple(out)
 
     return _Slot(read, lambda items: " ".join(item.show(v) for v in items))
@@ -598,23 +586,24 @@ def _list(item: _Slot, stop: str | None = None) -> _Slot:
 def _class(what: str) -> _Slot:
     """A class over the declared generators and curves."""
 
-    def read(t: _Tokens, chk: _ParseChecker) -> Lincomb:
-        lc = parse_lincomb(t.take(what))
+    def read(p: _Parse) -> Lincomb:
+        lc = parse_lincomb(p.take(what))
+        gens, curves = p.pools["generator"], p.pools["curve"]
         for _c, name in lc:
-            if name not in chk.gens and name not in chk.curves:
+            if name not in gens and name not in curves:
                 raise ValueError(f"unknown class {name!r}")
         return lc
 
     return _Slot(read, lambda lc: lincomb_to_str(lc))
 
 
-def _read_curve_list(t: _Tokens, chk: _ParseChecker) -> tuple[str, ...]:
-    return tuple(chk.known("curves", c) for c in t.take("curve list").split(","))
+def _read_curve_list(p: _Parse) -> tuple[str, ...]:
+    return tuple(p.known("curve", c) for c in p.take("curve list").split(","))
 
 
-def _read_incidences(t: _Tokens, chk: _ParseChecker) -> tuple[tuple[str, int], ...]:
+def _read_incidences(p: _Parse) -> tuple[tuple[str, int], ...]:
     at = []
-    for item in t.take("incidence list").split(","):
+    for item in p.take("incidence list").split(","):
         if ":" not in item:
             raise ValueError(f"bad incidence {item!r} (use curve:mult)")
         cname, _, mult_s = item.partition(":")
@@ -622,7 +611,7 @@ def _read_incidences(t: _Tokens, chk: _ParseChecker) -> tuple[tuple[str, int], .
             mult = int(mult_s)
         except ValueError:
             raise ValueError(f"bad multiplicity in {item!r}") from None
-        at.append((chk.known("curves", cname), mult))
+        at.append((p.known("curve", cname), mult))
     return tuple(at)
 
 
@@ -630,13 +619,14 @@ def _read_values(tok: str) -> tuple[swledger.LinExpr, ...]:
     return tuple(sorted(swledger.parse_linexpr(v) for v in tok.split(",")))
 
 
-_CHAIN = _known("chain name", "chains")
-_CURVE = _known("curve name", "curves")
-_GEN = _known("generator", "gens", _q)
-_MCG = _known("mcg report name", "mcgs")
-_LEDGER = _known("ledger name", "ledgers")
-_SOURCE = _known("source ledger", "ledgers")
-_BLOWN_DOWN = _known("ledger name", "blowdown_ledgers")
+_CHAIN = _known("chain name", "chain")
+_CURVE = _known("curve name", "curve")
+_GEN = _known("generator", "generator", _q)
+_MCG = _known("mcg report name", "mcg report")
+_LEDGER = _known("ledger name", "ledger")
+_SOURCE = _known("source ledger", "ledger")
+_BLOWN_DOWN = _known("ledger name", "blown-down ledger")
+_BLOWDOWN_LEDGER = _new("ledger name", "ledger", "blown-down ledger")
 _CLASS = _class("class expression")
 # Ledger classes are over the ledger's own basis, which is only known at run time.
 _LEDGER_CLASS = _parsed("class expression", lambda s: parse_lincomb(s),
@@ -726,62 +716,61 @@ _KINDS: dict[str, _Kind] = {
          _opt("flags", _list(_text("flag"), stop="basis"), ()), "basis", _GENS),
         lambda run, *args: setattr(run, "cfg", homcalc.new_config(*args)),
         ((frozenset({"ambient"}), "duplicate ambient declaration"),),
-        _ParseChecker.ambient),
+        _Parse.ambient),
     "pair": _Kind(
         (_GEN, _GEN, _int("pairing value")),
         lambda run, *args: run.move(homcalc.set_pairing, *args),
         ((frozenset({"curve", "blowup", "smooth", "surgery"}),
           "pair must precede construction steps"),)),
     "curve": _Kind(
-        (_new("curve name", "curves"), "class", _CLASS,
+        (_new("curve name", "curve"), "class", _CLASS,
          _opt("genus", _int("genus"), 0), _opt("dp", _int("double-point count"), 0)),
         lambda run, name, lc, genus, dp: run.move(
             homcalc.add_curve, homcalc.Curve(name, run._class_vec(lc), genus, dp)),
-        (_DROPPED,), _ParseChecker.curve),
+        (_DROPPED,), _Parse.curve),
     "blowup": _Kind(
-        (_new("exceptional name", "gens", "curves"),
+        (_new("exceptional name", "generator", "curve"),
          _opt("at", _Slot(_read_incidences, lambda at: ",".join(f"{c}:{m}" for c, m in at)), ()),
          _opt("doublepoint", _CURVE)),
         lambda run, *args: run.move(homcalc.blow_up, *args),
         ((frozenset({"blowdown"}), "cannot blow up after the blow-down"),
-         (frozenset({"chain"}), "blowup must precede every chain")), _ParseChecker.blowup),
+         (frozenset({"chain"}), "blowup must precede every chain"))),
     "smooth": _Kind(
-        (_Slot(lambda t, chk: t.take_name("new curve name")), _CURVE, _CURVE),
+        (_Slot(lambda p: p.take_name("new curve name")), _CURVE, _CURVE),
         lambda run, *args: run.move(homcalc.smooth, *args),
         ((frozenset({"blowdown"}), "cannot smooth after the blow-down"),
-         (frozenset({"chain"}), "smooth must precede every chain")), _ParseChecker.smooth),
+         (frozenset({"chain"}), "smooth must precede every chain")), _Parse.smooth),
     "surgery": _Kind(
         (_text("manifold label"), _opt("flags", _list(_text("flag")), ())),
         lambda run, *args: run.move(homcalc.knot_surgery_shadow, *args),
         ((frozenset({"blowdown"}), "cannot relabel after the blow-down"),)),
     "chain": _Kind(
-        (_new("chain name", "chains"), "=", _Slot(_read_curve_list, ",".join)),
-        _Runner.chain, (_DROPPED,), lambda chk, name, curves: chk.chains.add(name)),
+        (_new("chain name", "chain"), "=", _Slot(_read_curve_list, ",".join)),
+        _Runner.chain, (_DROPPED,)),
     "blowdown": _Kind(
         (_CHAIN, _opt("label", _text("manifold label"))),
         lambda run, chain, label: run.move(
             homcalc.rational_blowdown, run.chains[chain].weights, label),
-        ((frozenset({"blowdown"}), "already blown down"),), _ParseChecker.blowdown),
+        ((frozenset({"blowdown"}), "already blown down"),), _Parse.blowdown),
     "mcg": _Kind(
-        (_new("report name", "mcgs"), "expected", _int("expected twist count"),
+        (_new("report name", "mcg report"), "expected", _int("expected twist count"),
          "twists", _list(_parsed("twist spec", _parse_twistspec, _show_twist))),
-        _Runner.mcg, declare=_ParseChecker.mcg),
+        _Runner.mcg, declare=_Parse.mcg),
     "sw ledger": _Kind(
-        (_new("ledger name", "ledgers"), "e", _int("Euler characteristic"),
+        (_new("ledger name", "ledger"), "e", _int("Euler characteristic"),
          "sigma", _int("signature"), "fiber", _class("fiber class"),
          "knots", _parsed("knot list", _parse_knots, _show_knots)),
-        _Runner.sw_ledger, declare=lambda chk, name, *_: chk.ledgers.add(name)),
+        _Runner.sw_ledger),
     "sw blowups": _Kind(
-        (_new("ledger name", "ledgers"), _SOURCE, _list(_GEN)),
-        _Runner.sw_blowups, declare=_ParseChecker.sw_blowups),
+        (_new("ledger name", "ledger"), _SOURCE, _list(_GEN)),
+        _Runner.sw_blowups, declare=_Parse.sw_blowups),
     "sw blowdown": _Kind(
-        (_new("ledger name", "ledgers"), _SOURCE, _CHAIN, "vanishing-r", "vanishing-background",
+        (_BLOWDOWN_LEDGER, _SOURCE, _CHAIN, "vanishing-r", "vanishing-background",
          _opt("label", _text("manifold label"))),
-        _Runner.sw_blowdown, (_DROPPED,), _ParseChecker.sw_blowdown),
+        _Runner.sw_blowdown, (_DROPPED,)),
     "sw chambered-blowdown": _Kind(
-        (_new("ledger name", "ledgers"), _SOURCE, _CHAIN, _opt("label", _text("manifold label"))),
-        lambda run, *args: run.sw_blowdown(*args, chambered=True),
-        (_DROPPED,), _ParseChecker.sw_blowdown),
+        (_BLOWDOWN_LEDGER, _SOURCE, _CHAIN, _opt("label", _text("manifold label"))),
+        lambda run, *args: run.sw_blowdown(*args, chambered=True), (_DROPPED,)),
     "assert chain": _assertion((_CHAIN, _weights("weights")), lambda run, name, weights: _equal(
         f"chain {name} weights", weights, run.chains[name].weights,
         lambda w: hirzebruch.chain_to_str(w))),

@@ -250,6 +250,13 @@ def test_report_text_format():
      "line 7: curve data was dropped by the blow-down"),
     (LEDGER + "pair S S -4\ncurve c class S\nchain C = c\nblowdown C\n"
      "sw chambered-blowdown m l C\n", "line 7: curve data was dropped by the blow-down"),
+    # a name joins its pool only once its line parses, so its own line cannot name it
+    ("ambient X e 4 sigma 0 basis S\ncurve c class c\n", "line 2: unknown class 'c'"),
+    ("ambient X e 4 sigma 0 basis S\ncurve c class S\nblowup E at E:1\n",
+     "line 3: unknown curve 'E'"),
+    (LEDGER + "blowup E\nsw blowups m m E\n", "line 4: unknown ledger 'm'"),
+    (LEDGER + "pair S S -4\ncurve c class S\nchain C = c\n"
+     "sw blowdown m m C vanishing-r vanishing-background\n", "line 6: unknown ledger 'm'"),
 ])
 def test_parse_errors(text, message):
     with pytest.raises(ScenarioError) as exc:
