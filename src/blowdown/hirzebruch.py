@@ -58,13 +58,20 @@ Chain = tuple[int, ...]
 MAX_CHAIN = 4096
 
 
+def _fraction(num: int, den: int) -> str:
+    """num/den for a message.  str(int) stops at 4300 digits by default, 640 at
+    the lowest, so past 2,000 bits a fraction is named by its larger part's size."""
+    bits, part = max((num.bit_length(), "numerator"), (den.bit_length(), "denominator"))
+    return f"{num}/{den}" if bits <= 2000 else f"a fraction with a {bits}-bit {part}"
+
+
 def hj_expand(num: int, den: int) -> tuple[int, ...]:
     """Coefficients (all >= 2) of num/den = c1 - 1/(c2 - 1/(... - 1/ck)),
     k <= MAX_CHAIN; a longer expansion raises ValueError."""
     if den < 1 or num <= den:
-        raise ValueError(f"need num > den >= 1, got {num}/{den}")
+        raise ValueError(f"need num > den >= 1, got {_fraction(num, den)}")
     if math.gcd(num, den) != 1:
-        raise ValueError(f"{num} and {den} are not coprime")
+        raise ValueError(f"num and den of {_fraction(num, den)} are not coprime")
     out = []
     a, b = num, den
     for _ in range(MAX_CHAIN):
@@ -73,10 +80,7 @@ def hj_expand(num: int, den: int) -> tuple[int, ...]:
         a, b = b, c * b - a
         if b == 0:
             return tuple(out)
-    # str(int) stops at 4300 digits by default, 640 at the lowest: name a longer one by size
-    bits = num.bit_length()
-    what = f"{num}/{den}" if bits <= 2000 else f"a fraction with a {bits}-bit numerator"
-    raise ValueError(f"the expansion of {what} has more than {MAX_CHAIN} coefficients")
+    raise ValueError(f"the expansion of {_fraction(num, den)} has more than {MAX_CHAIN} coefficients")
 
 
 def chain_for_cpq(p: int, q: int) -> Chain:

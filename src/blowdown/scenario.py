@@ -80,13 +80,22 @@ Lincomb = tuple[tuple[int, str], ...]
 _TERM = r"([+-]?)(?:(\d+)\*?)?([A-Za-z_][A-Za-z0-9_]*)"  # sign, coefficient, name
 
 
+def _int_in(field: str, text: str, token: str) -> int:
+    """The integer `text`, read from inside `token`; a ValueError names the field
+    and the token, also for more digits than Python reads."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad {field} in {token!r}") from None
+
+
 def parse_lincomb(text: str) -> Lincomb:
     s = text.replace(" ", "")
     if s.isascii() and s.isidentifier():  # one name, the usual case
         return ((1, s),)
     # terms, each followed by a sign or the end
     if re.fullmatch(r"(?:[+-]?(?:\d+\*?)?[A-Za-z_][A-Za-z0-9_]*(?=[+-]|$))+", s):
-        return tuple((-int(c or 1) if sign == "-" else int(c or 1), name)
+        return tuple((_int_in("class coefficient", sign + (c or "1"), text), name)
                      for sign, c, name in re.findall(_TERM, s))
     if not s:
         raise ValueError("empty class expression")
@@ -96,17 +105,9 @@ def parse_lincomb(text: str) -> Lincomb:
 
 
 def lincomb_to_str(lc: Lincomb) -> str:
-    parts = []
-    for coef, name in lc:
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        term = name if mag == 1 else f"{mag}*{name}"
-        parts.append((sign, term))
-    first_sign, first_term = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_term
-    for sign, term in parts[1:]:
-        out += sign + term
-    return out
+    text = "".join(("-" if c < 0 else "+") + (f"{abs(c)}*" if abs(c) != 1 else "") + name
+                   for c, name in lc)
+    return text.removeprefix("+")
 
 
 def resolve_lincomb(lc: Lincomb, basis) -> tuple[int, ...]:
@@ -235,7 +236,7 @@ def _parse_twistspec(tok: str) -> mcg.Twist:
     m = re.fullmatch(r"([ab])(?:\*(\d+))?(?:~(\S+))?", tok)
     if not m:
         raise ValueError(f"bad twist spec {tok!r}")
-    mult = int(m.group(2)) if m.group(2) else 1
+    mult = _int_in("twist multiplicity", m.group(2), tok) if m.group(2) else 1
     conj = mcg.parse_word(m.group(3)) if m.group(3) else ()
     return mcg.Twist(m.group(1), conj, mult)
 
@@ -255,7 +256,7 @@ def _parse_knots(tok: str) -> tuple[int | None, ...]:
         m = re.fullmatch(r"twist\((n|-?\d+)\)", item)
         if not m:
             raise ValueError(f"bad knot spec {item!r} (use twist(n), twist(3), or none)")
-        out.append(None if m.group(1) == "n" else int(m.group(1)))
+        out.append(None if m.group(1) == "n" else _int_in("knot parameter", m.group(1), item))
     return tuple(out)
 
 
@@ -607,10 +608,7 @@ def _read_incidences(p: _Parse) -> tuple[tuple[str, int], ...]:
         if ":" not in item:
             raise ValueError(f"bad incidence {item!r} (use curve:mult)")
         cname, _, mult_s = item.partition(":")
-        try:
-            mult = int(mult_s)
-        except ValueError:
-            raise ValueError(f"bad multiplicity in {item!r}") from None
+        mult = _int_in("multiplicity", mult_s, item)
         at.append((p.known("curve", cname), mult))
     return tuple(at)
 

@@ -111,10 +111,13 @@ def parse_linexpr(text: str) -> LinExpr:
         if not m:
             raise ValueError(f"bad term in value expression {text!r}")
         sign = -1 if m.group(1).count("-") % 2 else 1
-        if m.group(2):
-            c0 += sign * int(m.group(2))
-        else:
-            c1 += sign * int(m.group(3) or 1)
+        try:
+            if m.group(2):
+                c0 += sign * int(m.group(2))
+            else:
+                c1 += sign * int(m.group(3) or 1)
+        except ValueError:  # more digits than Python reads
+            raise ValueError(f"bad coefficient in value expression {text!r}") from None
     return LinExpr(c0, c1)
 
 

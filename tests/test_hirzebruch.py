@@ -41,6 +41,20 @@ def test_hj_expand_validates():
         hj.hj_expand(5, 0)
 
 
+def test_hj_expand_names_a_number_past_2000_bits_by_its_size():
+    big = 10 ** 5000  # 16,610 bits, more digits than Python writes by default
+    for num, den, message in (
+            (big, big, "need num > den >= 1, got a fraction with a 16610-bit numerator"),
+            (big, 10, "num and den of a fraction with a 16610-bit numerator are not coprime"),
+            (10, big, "need num > den >= 1, got a fraction with a 16610-bit denominator"),
+            (3, 2 ** 2000, "need num > den >= 1, got a fraction with a 2001-bit denominator"),
+            (3, 2 ** 2000 - 1, f"need num > den >= 1, got 3/{2 ** 2000 - 1}"),
+            (4, 2, "num and den of 4/2 are not coprime")):
+        with pytest.raises(ValueError) as exc:
+            hj.hj_expand(num, den)
+        assert str(exc.value) == message
+
+
 def cf_value(coeffs) -> Fraction:
     """Evaluate c1 - 1/(c2 - 1/(...)) exactly: the oracle for `hj_expand`."""
     x = Fraction(coeffs[-1])

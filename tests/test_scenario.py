@@ -231,6 +231,8 @@ def test_report_text_format():
      "line 3: bad incidence 'c' (use curve:mult)"),
     ("ambient X e 4 sigma 0 basis S\ncurve c class S\nblowup E at c:x\n",
      "line 3: bad multiplicity in 'c:x'"),
+    # the multiplicity is read before the curve is looked up
+    ("ambient X e 4 sigma 0 basis S\nblowup E at z:x\n", "line 2: bad multiplicity in 'z:x'"),
     ("ambient X e 4 sigma 0 basis S\ncurve c class S genus -1\n",
      "line 2: genus must be >= 0"),
     ("ambient X e 4 sigma 0 basis S\npair S S 0\ncurve c class S\nchain C = c\n"
@@ -655,6 +657,22 @@ def test_over_long_word_exponent_reports_its_line_and_position():
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(text)
     assert str(exc.value) == f"line 3: exponent too long at position 2 in {word!r}"
+
+
+NINES = "9" * 5000  # more digits than Python converts by default
+
+
+@pytest.mark.parametrize("text,message", [
+    ("mcg m expected 1 twists a*{}\n", "line 2: bad twist multiplicity in 'a*{}'"),
+    ("curve c class {}*S\n", "line 2: bad class coefficient in '{}*S'"),
+    ("sw ledger l e 4 sigma 0 fiber S knots twist({})\n", "line 2: bad knot parameter in 'twist({})'"),
+    ("sw ledger l e 4 sigma 0 fiber S knots none\nassert sw-value l S {}\n",
+     "line 3: bad coefficient in value expression '{}'"),
+])
+def test_an_over_long_number_inside_a_token_names_its_field(text, message):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario("ambient X e 4 sigma 0 basis S\n" + text.format(NINES))
+    assert str(exc.value) == message.format(NINES)
 
 
 def run_timed(text):
@@ -1379,3 +1397,4 @@ def test_parse_print_parse_round_trip(text):
 def test_scenario_module_reexports():
     assert scenario.run_scenario is run_scenario
     assert issubclass(ScenarioError, ValueError)
+
