@@ -69,6 +69,39 @@ def test_a_float_is_caught():
     assert sorted(float_uses(source)) == ["/", "/=", "1.5", "2j", "Fraction", "float"]
 
 
+PROCESS_SETTINGS = ("set_int_max_str_digits", "setrecursionlimit")
+
+
+def process_setting_calls(source: str) -> list[str]:
+    """The calls in `source` of `sys.set_int_max_str_digits` or
+    `sys.setrecursionlimit`, however `sys` or the function was imported."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in PROCESS_SETTINGS:
+                found.append(name)
+    return found
+
+
+def test_package_changes_no_process_wide_setting():
+    """Each of these changes a limit for the whole process, the caller's code
+    included: a long number or a deep input must be refused by the package,
+    not admitted by raising the interpreter's limit."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert process_setting_calls(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_a_process_setting_call_is_caught():
+    source = ("import sys\nimport sys as system\nfrom sys import setrecursionlimit\n"
+              "sys.set_int_max_str_digits(0)\nsystem.setrecursionlimit(10 ** 6)\n"
+              "def f():\n    setrecursionlimit(5000)\n"
+              "sys.getrecursionlimit()\nsys.get_int_max_str_digits()\n")
+    assert process_setting_calls(source) == [
+        "set_int_max_str_digits", "setrecursionlimit", "setrecursionlimit"]
+
+
 def cut_summaries(source: str) -> list[str]:
     """The modules, classes and functions in `source` whose docstring's first
     paragraph stops mid-sentence, so that `help()` shows half a sentence."""

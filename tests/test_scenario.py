@@ -1398,3 +1398,28 @@ def test_scenario_module_reexports():
     assert scenario.run_scenario is run_scenario
     assert issubclass(ScenarioError, ValueError)
 
+
+@pytest.mark.parametrize("name", ["c79", "c89", "c169", "c301"])
+def test_odd_p_constructions_keep_the_canonical_pair(name):
+    """ROADMAP item 20's odd-p half.  With an SW ledger seeded by the knot
+    surgery, tracked through the file's blow-ups and blown down in chambers,
+    only +-(T + E_1 + ... + E_m) survive: -(T + sum E_i) restricts to the
+    chain's canonical vector (w_j + 2), and the values are the seed's +-n
+    widened to +-n - 1, +-n, +-n + 1.  The corpus files stay unchanged."""
+    text = CORPUS[name]
+    names = re.findall(r"^blowup (\S+)", text, re.M)
+    weights = hirzebruch.parse_chain(re.search(r"^assert chain C (\S+)$", text, re.M)[1])
+    total = "T" + "".join("+" + e for e in names)
+    minus = "-" + total.replace("+", "-")
+    added = ("sw ledger base e 12 sigma -8 fiber F knots twist(n)\n"
+             f"sw blowups blown base {' '.join(names)}\n"
+             "sw chambered-blowdown final blown C label Z\n"
+             "assert sw-entries final 2\n"
+             f"assert sw-restriction final {minus} "
+             f"{hirzebruch.chain_to_str(tuple(w + 2 for w in weights))}\n"
+             f"assert sw-value-set final {total} n-1,n,n+1\n"
+             f"assert sw-value-set final {minus} -n-1,-n,1-n\n")
+    at = text.index("\nblowdown C") + 1
+    report = run_scenario(parse_scenario(text[:at] + added + text[at:], name=name))
+    assert report.all_passed, [r for r in report.records if not r.passed]
+    assert report.total == text.count("\nassert ") + 4
