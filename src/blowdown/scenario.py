@@ -95,8 +95,8 @@ def parse_lincomb(text: str) -> Lincomb:
         return ((1, s),)
     # terms, each followed by a sign or the end
     if re.fullmatch(r"(?:[+-]?(?:\d+\*?)?[A-Za-z_][A-Za-z0-9_]*(?=[+-]|$))+", s):
-        return tuple((_int_in("class coefficient", sign + (c or "1"), text), name)
-                     for sign, c, name in re.findall(_TERM, s))
+        return tuple((_int_in("class coefficient", sign + c, text) if c else -1 if sign == "-" else 1,
+                      name) for sign, c, name in re.findall(_TERM, s))
     if not s:
         raise ValueError("empty class expression")
     # cut before every sign but a leading one: one of the pieces is a bad term
@@ -156,7 +156,7 @@ class _Parse:
         self.pos = 0
         self.pools: dict[str, set[str]] = {noun: set() for noun in (
             "generator", "curve", "chain", "mcg report", "ledger", "blown-down ledger")}
-        self.new: list[tuple[str, tuple[str, ...]]] = []  # (name, nouns) of this line
+        self.new: list[tuple[set[str], str]] = []  # (pool, name) pairs of this line
         self.seen: set[str] = set()
 
     def peek(self):
@@ -192,10 +192,6 @@ class _Parse:
             raise ValueError(f"expected {word!r}, got {tok!r}")
         self.pos += 1
 
-    def need(self, cond: bool, msg: str):
-        if not cond:
-            raise ValueError(msg)
-
     def known(self, noun: str, name: str) -> str:
         """`name`, if it is in the pool `noun`."""
         if name not in self.pools[noun]:
@@ -205,14 +201,19 @@ class _Parse:
         return name
 
     def ambient(self, _label, _e, _sigma, _flags, basis):
-        self.need(bool(basis), "ambient needs at least one basis generator")
-        self.need("basis" not in basis, "'basis' is reserved and cannot name a generator")
-        self.need(len(set(basis)) == len(basis), "duplicate basis generator")
+        if not basis:
+            raise ValueError("ambient needs at least one basis generator")
+        if "basis" in basis:
+            raise ValueError("'basis' is reserved and cannot name a generator")
+        if len(set(basis)) != len(basis):
+            raise ValueError("duplicate basis generator")
         self.pools["generator"].update(basis)
 
     def curve(self, _name, _lc, genus, dp):
-        self.need(genus >= 0, "genus must be >= 0")
-        self.need(dp >= 0, "double-point count must be >= 0")
+        if genus < 0:
+            raise ValueError("genus must be >= 0")
+        if dp < 0:
+            raise ValueError("double-point count must be >= 0")
 
     def smooth(self, name, c1, c2):
         curves = self.pools["curve"]
@@ -226,10 +227,12 @@ class _Parse:
         self.pools["generator"].clear()
 
     def mcg(self, _name, _expected, twists):
-        self.need(bool(twists), "mcg directive needs at least one twist")
+        if not twists:
+            raise ValueError("mcg directive needs at least one twist")
 
     def sw_blowups(self, _name, _source, gens):
-        self.need(bool(gens), "sw blowups needs at least one exceptional class")
+        if not gens:
+            raise ValueError("sw blowups needs at least one exceptional class")
 
 
 def _parse_twistspec(tok: str) -> mcg.Twist:
@@ -318,9 +321,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 raise ValueError(f"unexpected trailing token {tokens[p.pos]!r}")
             p.seen.add(kind)
             while p.new:  # the line parsed: each name it declares joins its pools
-                new, nouns = p.new.pop()
-                for noun in nouns:
-                    p.pools[noun].add(new)
+                pool, new = p.new.pop()
+                pool.add(new)
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from None
         steps.append(Step(kind, tuple(args), lineno))
@@ -531,9 +533,10 @@ def _new(what: str, *nouns: str) -> _Slot:
     def read(p: _Parse) -> str:
         name = p.take_name(what)
         for noun in nouns:
-            if name in p.pools[noun]:
+            pool = p.pools[noun]
+            if name in pool:
                 raise ValueError(f"{noun} {name!r} already declared")
-        p.new.append((name, nouns))
+            p.new.append((pool, name))
         return name
 
     return _Slot(read)

@@ -1401,11 +1401,13 @@ def test_scenario_module_reexports():
 
 @pytest.mark.parametrize("name", ["c79", "c89", "c169", "c301"])
 def test_odd_p_constructions_keep_the_canonical_pair(name):
-    """ROADMAP item 20's odd-p half.  With an SW ledger seeded by the knot
-    surgery, tracked through the file's blow-ups and blown down in chambers,
-    only +-(T + E_1 + ... + E_m) survive: -(T + sum E_i) restricts to the
-    chain's canonical vector (w_j + 2), and the values are the seed's +-n
-    widened to +-n - 1, +-n, +-n + 1.  The corpus files stay unchanged."""
+    """An odd-p C_{p,q} construction certified by an SW ledger.  Seeded by the
+    knot surgery, tracked through the file's blow-ups and blown down in
+    chambers, the ledger keeps only +-(T + E_1 + ... + E_m): -(T + sum E_i)
+    restricts to the chain's canonical vector (w_j + 2), and the values are
+    the seed's +-n widened to +-n - 1, +-n, +-n + 1.  The three ledger lines
+    are inserted here, since a new line in a bundled file would change the
+    corpus reports."""
     text = CORPUS[name]
     names = re.findall(r"^blowup (\S+)", text, re.M)
     weights = hirzebruch.parse_chain(re.search(r"^assert chain C (\S+)$", text, re.M)[1])
