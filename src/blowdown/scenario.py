@@ -49,16 +49,17 @@ formula's premises; a failure names the first bad pair or both (e, sigma).
 
 Every line parses to one `Step(kind, args)`.  Its kind is a key of `_KINDS`:
 the first word, or the first two for `sw` and `assert` lines.  Each entry
-gives the line's syntax (keywords, and argument slots that read, check and
-print one value each), the placement rules checked before any argument is
-read, what the line declares beyond its new names, and what running it does;
+gives the line's syntax (keywords, and argument slots that each read, check
+and print one value), the placement rules checked before any argument is
+read, for `ambient`, `smooth` and `blowdown` what the line adds to or removes
+from the name pools beyond its new names, and what running it does;
 `parse_scenario`, `print_directive` and `_Runner.run` are one loop each over
 that table.  The slot that reads a new name declares it, and the name joins
 its pool once the whole line parses, so no other slot of the line can refer
-to it: `curve c class c` fails.  A line's slots and `declare(p, *args)`, over
-the parse state `p`, raise a plain ValueError, and `parse_scenario` prefixes
-it once with the line number.  The printer leaves out an optional part at its
-default (`genus 0`, `dp 0`, an empty flag list, no label).
+to it: `curve c class c` fails.  Reading and running raise plain ValueErrors,
+and only those get the line number, once in `parse_scenario` and once in
+`_Runner.run`.  The printer leaves out an optional part at its default
+(`genus 0`, `dp 0`, an empty flag list, no label).
 
 Reports are byte-deterministic; parse(print(parse(text))) == parse(text).
 """
@@ -147,8 +148,9 @@ class _Parse:
     the kinds of the lines parsed so far, which the placement rules read.
 
     A name a line declares waits in `new` until the whole line parses, so no
-    slot of its own line can refer to it.  The methods named after a kind check
-    and record what else its lines declare, once read.
+    slot of its own line can refer to it.  A slot checks the value it reads;
+    the methods named after `ambient`, `smooth` and `blowdown` record what else
+    their lines add to or remove from the pools, once read.
     """
 
     def __init__(self):
@@ -179,12 +181,15 @@ class _Parse:
                              "quotes, backslash, '#', ',' or ':')")
         return tok
 
-    def take_int(self, what: str) -> int:
+    def take_int(self, what: str, least: int | None = None) -> int:
         tok = self.take(what)
         try:
-            return int(tok)
+            n = int(tok)
         except ValueError:
             raise ValueError(f"expected {what}, got {tok!r}") from None
+        if least is not None and n < least:
+            raise ValueError(f"{what} must be >= {least}")
+        return n
 
     def take_keyword(self, word: str):
         if self.peek() != word:
@@ -201,19 +206,11 @@ class _Parse:
         return name
 
     def ambient(self, _label, _e, _sigma, _flags, basis):
-        if not basis:
-            raise ValueError("ambient needs at least one basis generator")
         if "basis" in basis:
             raise ValueError("'basis' is reserved and cannot name a generator")
         if len(set(basis)) != len(basis):
             raise ValueError("duplicate basis generator")
         self.pools["generator"].update(basis)
-
-    def curve(self, _name, _lc, genus, dp):
-        if genus < 0:
-            raise ValueError("genus must be >= 0")
-        if dp < 0:
-            raise ValueError("double-point count must be >= 0")
 
     def smooth(self, name, c1, c2):
         curves = self.pools["curve"]
@@ -225,14 +222,6 @@ class _Parse:
     def blowdown(self, *_):
         self.pools["curve"].clear()
         self.pools["generator"].clear()
-
-    def mcg(self, _name, _expected, twists):
-        if not twists:
-            raise ValueError("mcg directive needs at least one twist")
-
-    def sw_blowups(self, _name, _source, gens):
-        if not gens:
-            raise ValueError("sw blowups needs at least one exceptional class")
 
 
 def _parse_twistspec(tok: str) -> mcg.Twist:
@@ -423,9 +412,8 @@ class _Runner:
         for step in self.scenario.directives:
             try:
                 _KINDS[step.kind].run(self, *step.args)
-            except (ValueError, KeyError) as exc:
-                msg = exc.args[0] if exc.args else str(exc)
-                raise ScenarioError(f"line {step.lineno}: {msg}") from exc
+            except ValueError as exc:
+                raise ScenarioError(f"line {step.lineno}: {exc}") from exc
         return Report(scenario=self.scenario.name, records=tuple(self.records))
 
     def move(self, change, *args):
@@ -436,12 +424,7 @@ class _Runner:
         """Resolve a linear combination of generators and/or curve names."""
         vec: dict[str, int] = {}
         for coef, name in lc:
-            if name in self.cfg.gram:
-                terms = ((name, 1),)
-            elif name in self.cfg.curves:
-                terms = self.cfg.curve(name).cls.items()
-            else:
-                raise ValueError(f"unknown class name {name!r}")
+            terms = ((name, 1),) if name in self.cfg.gram else self.cfg.curve(name).cls.items()
             for g, x in terms:
                 vec[g] = vec.get(g, 0) + coef * x
         return {g: x for g, x in vec.items() if x}
@@ -516,12 +499,12 @@ class _Slot(namedtuple("_Slot", "read show", defaults=(str,))):
 
 class _Kind(namedtuple("_Kind", "syntax run place declare", defaults=((), None))):
     """One kind of line.  `syntax` lists its keywords (strings) and argument
-    slots in order; `place` holds (kinds, message) pairs, checked before the
-    line is read, each failing if a line of one of `kinds` came before;
-    `declare(p, *args)` checks the line's arguments together and records what
-    it declares beyond the names its `_new` slots read; `run(runner, *args)`
-    runs it.  Reading and declaring raise plain ValueErrors, which
-    `parse_scenario` prefixes once."""
+    slots in order, each slot checking the value it reads; `place` holds
+    (kinds, message) pairs, checked before the line is read, each failing if a
+    line of one of `kinds` came before; `declare(p, *args)`, set for `ambient`,
+    `smooth` and `blowdown` only, checks the line's arguments together and
+    records what it adds to or removes from the pools; `run(runner, *args)`
+    runs it.  Each raises plain ValueErrors, and only those get a line number."""
 
     __slots__ = ()
 
@@ -552,8 +535,8 @@ def _text(what: str) -> _Slot:
     return _Slot(lambda p: p.take(what), _q)
 
 
-def _int(what: str) -> _Slot:
-    return _Slot(lambda p: p.take_int(what))
+def _int(what: str, least: int | None = None) -> _Slot:
+    return _Slot(lambda p: p.take_int(what, least))
 
 
 def _parsed(what: str, parse, show=str) -> _Slot:
@@ -575,13 +558,16 @@ def _opt(word: str, slot: _Slot, default=None) -> _Slot:
     return _Slot(read, lambda v: "" if v == default else f"{word} {slot.show(v)}")
 
 
-def _list(item: _Slot, stop: str | None = None) -> _Slot:
-    """Items up to the word `stop` or the end of the line, as a tuple."""
+def _list(item: _Slot, stop: str | None = None, empty: str | None = None) -> _Slot:
+    """Items up to the word `stop` or the end of the line, as a tuple; none is
+    the error `empty`, when one is given."""
 
     def read(p: _Parse) -> tuple:
         out = []
         while p.peek() not in (None, stop):
             out.append(item.read(p))
+        if empty and not out:
+            raise ValueError(empty)
         return tuple(out)
 
     return _Slot(read, lambda items: " ".join(item.show(v) for v in items))
@@ -640,7 +626,6 @@ _VALUES = _parsed("value set", _read_values, lambda vs: ",".join(_VALUE.show(v) 
 _LABEL = _text("label")
 _FINGERPRINT = _parsed("fingerprint string or none", lambda s: None if s == "none" else s,
                        lambda s: "none" if s is None else _q(s))
-_GENS = _list(_text("generator"))
 _DROPPED = (frozenset({"blowdown"}), "curve data was dropped by the blow-down")
 
 
@@ -714,7 +699,8 @@ def _assertion(slots: tuple[_Slot, ...], check) -> _Kind:
 _KINDS: dict[str, _Kind] = {
     "ambient": _Kind(
         (_text("manifold label"), "e", _int("Euler characteristic"), "sigma", _int("signature"),
-         _opt("flags", _list(_text("flag"), stop="basis"), ()), "basis", _GENS),
+         _opt("flags", _list(_text("flag"), stop="basis"), ()), "basis",
+         _list(_text("generator"), empty="ambient needs at least one basis generator")),
         lambda run, *args: setattr(run, "cfg", homcalc.new_config(*args)),
         ((frozenset({"ambient"}), "duplicate ambient declaration"),),
         _Parse.ambient),
@@ -725,10 +711,10 @@ _KINDS: dict[str, _Kind] = {
           "pair must precede construction steps"),)),
     "curve": _Kind(
         (_new("curve name", "curve"), "class", _CLASS,
-         _opt("genus", _int("genus"), 0), _opt("dp", _int("double-point count"), 0)),
+         _opt("genus", _int("genus", 0), 0), _opt("dp", _int("double-point count", 0), 0)),
         lambda run, name, lc, genus, dp: run.move(
             homcalc.add_curve, homcalc.Curve(name, run._class_vec(lc), genus, dp)),
-        (_DROPPED,), _Parse.curve),
+        (_DROPPED,)),
     "blowup": _Kind(
         (_new("exceptional name", "generator", "curve"),
          _opt("at", _Slot(_read_incidences, lambda at: ",".join(f"{c}:{m}" for c, m in at)), ()),
@@ -755,16 +741,18 @@ _KINDS: dict[str, _Kind] = {
         ((frozenset({"blowdown"}), "already blown down"),), _Parse.blowdown),
     "mcg": _Kind(
         (_new("report name", "mcg report"), "expected", _int("expected twist count"),
-         "twists", _list(_parsed("twist spec", _parse_twistspec, _show_twist))),
-        _Runner.mcg, declare=_Parse.mcg),
+         "twists", _list(_parsed("twist spec", _parse_twistspec, _show_twist),
+                         empty="mcg directive needs at least one twist")),
+        _Runner.mcg),
     "sw ledger": _Kind(
         (_new("ledger name", "ledger"), "e", _int("Euler characteristic"),
          "sigma", _int("signature"), "fiber", _class("fiber class"),
          "knots", _parsed("knot list", _parse_knots, _show_knots)),
         _Runner.sw_ledger),
     "sw blowups": _Kind(
-        (_new("ledger name", "ledger"), _SOURCE, _list(_GEN)),
-        _Runner.sw_blowups, declare=_Parse.sw_blowups),
+        (_new("ledger name", "ledger"), _SOURCE,
+         _list(_GEN, empty="sw blowups needs at least one exceptional class")),
+        _Runner.sw_blowups),
     "sw blowdown": _Kind(
         (_BLOWDOWN_LEDGER, _SOURCE, _CHAIN, "vanishing-r", "vanishing-background",
          _opt("label", _text("manifold label"))),

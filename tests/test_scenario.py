@@ -235,6 +235,12 @@ def test_report_text_format():
     ("ambient X e 4 sigma 0 basis S\nblowup E at z:x\n", "line 2: bad multiplicity in 'z:x'"),
     ("ambient X e 4 sigma 0 basis S\ncurve c class S genus -1\n",
      "line 2: genus must be >= 0"),
+    ("ambient X e 4 sigma 0 basis S\ncurve c class S dp -1\n",
+     "line 2: double-point count must be >= 0"),
+    # each slot checks the value it reads, so of two errors the first one read is reported
+    ("ambient X e 4 sigma 0 basis S\ncurve c class S genus -1 dp x\n",
+     "line 2: genus must be >= 0"),
+    ("ambient X e 4 sigma 0 basis\n", "line 1: ambient needs at least one basis generator"),
     ("ambient X e 4 sigma 0 basis S\npair S S 0\ncurve c class S\nchain C = c\n"
      "sw ledger l e 4 sigma 0 fiber S knots none\n"
      "sw blowdown m l C vanishing vanishing-background\n",
@@ -414,6 +420,17 @@ def test_runtime_errors_carry_line_numbers():
     with pytest.raises(ScenarioError,
                        match=r"^line 4: fiber class squares to -1, expected 0$"):
         run_scenario(parse_scenario(text))
+
+
+def test_runner_numbers_only_value_errors(monkeypatch):
+    # a KeyError is no input error: no well-formed scenario reaches one, so a
+    # package function that raises it is a defect, and it propagates unchanged
+    def broken(*_args):
+        raise KeyError("broken")
+
+    monkeypatch.setattr(homcalc, "extract_chain", broken)
+    with pytest.raises(KeyError, match="^'broken'$"):
+        run_scenario(parse_scenario(MINIMAL))
 
 
 def qn_with(old: str, new: str) -> tuple[str, int]:
