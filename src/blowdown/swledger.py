@@ -183,12 +183,7 @@ class Entries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Entries):
             return NotImplemented
-        if len(self.base) << self.m != len(other.base) << other.m:
-            return False
-        # write out the places free in one view only, as two tuples in class order
-        both = set(self.free) & set(other.free)
-        return (tuple(Entries(self.base, tuple(i for i in self.free if i not in both)))
-                == tuple(Entries(other.base, tuple(i for i in other.free if i not in both))))
+        return _same_view(self, other, [e[1:] for e in self.base], [e[1:] for e in other.base])
 
     def __repr__(self) -> str:
         return f"Entries({len(self.base)} base entries x 2^{self.m} signs)"
@@ -200,6 +195,19 @@ def _put(cls: tuple, places, values) -> tuple:
     for i, x in zip(places, values):
         out[i] = x
     return tuple(out)
+
+
+def _same_view(a: Entries, b: Entries, pay_a, pay_b) -> bool:
+    """Whether two views, base entry i of each carrying `pay[i]`, hold the same
+    (class, payload) pairs, by the rule `Entries` states."""
+    if len(a.base) << a.m != len(b.base) << b.m:
+        return False
+
+    def written(view, other, pay):  # the places free in `view` only, written out
+        narrow = Entries(view.base, tuple(i for i in view.free if i not in other.free))
+        return [(cls, pay[i]) for cls, i in _spread(narrow)]
+
+    return written(a, b, pay_a) == written(b, a, pay_b)
 
 
 def _spread(entries: Entries):
@@ -361,7 +369,8 @@ class BlowdownResult(namedtuple("BlowdownResult", "ledger base_restrictions cham
     restriction and value with its sign twins.  `restrictions` and
     `value_sets` yield one (class, ...) pair per entry, in class order, and
     build no Entry; a lookup puts 0 at the m places and bisects the base.  A
-    result equals its written-out twin's."""
+    result equals its written-out twin's; equality compares the ledgers, then
+    (class, restriction) pairs by the same rule, at the same cost."""
 
     __slots__ = ()
 
@@ -393,7 +402,8 @@ class BlowdownResult(namedtuple("BlowdownResult", "ledger base_restrictions cham
         if not isinstance(other, BlowdownResult):
             return NotImplemented
         return ((self.ledger, self.chambered) == (other.ledger, other.chambered)
-                and list(self.restrictions) == list(other.restrictions))
+                and _same_view(self.ledger.entries, other.ledger.entries,
+                               self.base_restrictions, other.base_restrictions))
 
     def __ne__(self, other):
         return not self == other

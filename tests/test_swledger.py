@@ -1141,6 +1141,30 @@ def test_blowdown_keeps_zero_rows_free_wherever_they_sit(monkeypatch):
         assert list(exact.restrictions) == list(chambered.restrictions)
 
 
+def test_blowdown_results_compare_without_writing_out_shared_signs(monkeypatch):
+    # Q_n's blow-down with 16 zero-row names after E1 and E2: the two results
+    # share their 16 free places, so equality writes out no sign, where a
+    # written-out comparison would put 2^16 signs per base entry and side
+    names = QN_WIDE_NAMES[:2] + tuple(f"Z{i}" for i in range(1, 17))
+    rows = QN_ROWS + ((0,) * 6,) * 16
+    result, twin = (sw.rational_blowdown_ledger(
+        qn_wide_ledger(names=names), QN_CHAIN, rows, corrections=(True, True)) for _ in range(2))
+    assert result is not twin and result.ledger.entries.m == 16
+    calls = []
+    put = sw._put
+    monkeypatch.setattr(sw, "_put", lambda *args: calls.append(args) or put(*args))
+    assert result == twin
+    # one class per base entry, for the ledgers and the restrictions of both sides
+    assert len(calls) <= 4 * len(result.ledger.entries.base), len(calls)
+    assert not result != twin
+    # one base restriction changed: unequal, though the ledgers are equal
+    restrictions = twin.base_restrictions
+    changed = twin._replace(base_restrictions=(tuple(-r for r in restrictions[0]),)
+                            + restrictions[1:])
+    assert changed.ledger == result.ledger
+    assert result != changed and changed != result
+
+
 def test_blowdown_of_a_view_with_inner_free_signs_matches_eager_scan():
     # a Q_n blow-down keeps its Z names as free signs wherever they sit; that
     # view is blown up again and blown down on a second chain, on which some
