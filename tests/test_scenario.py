@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -1262,6 +1263,42 @@ def test_corpus_calls_every_homcalc_function_at_its_module_attribute(monkeypatch
     capsys.readouterr()
     assert "rational_blowdown" in calls and "new_config" in calls
     assert min(calls.values()) >= 1, calls
+
+
+def test_corpus_runs_each_layer_function_through_its_module_attribute(monkeypatch, capsys):
+    # the benchmark's tracer wraps the public functions of the six layer
+    # modules at their module attributes, so a call through a reference bound
+    # earlier would run unseen: on one corpus run, each function's code runs
+    # (seen by a profiler, by code object) as often as its wrapper does
+    layers = (cli, scenario, homcalc, hirzebruch, mcg, swledger)
+    public = {(mod, name): fn for mod in layers for name, fn in vars(mod).items()
+              if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == mod.__name__}
+    # a profiler would count each resume of a generator as a call
+    assert not any(map(inspect.isgeneratorfunction, public.values()))
+    by_code = {fn.__code__: key for key, fn in public.items()}
+    ran, wrapped = Counter(), Counter()
+
+    def wrap(key, fn):
+        def seen(*args, **kwargs):
+            wrapped[key] += 1
+            return fn(*args, **kwargs)
+        return seen
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code in by_code:
+            ran[by_code[frame.f_code]] += 1
+
+    for key, fn in public.items():
+        monkeypatch.setattr(*key, wrap(key, fn))
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        status = cli.main(["corpus"])
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert status == 0 and {mod for mod, _ in ran} == set(layers)
+    assert ran == wrapped, sorted(key[1] for key in ran | wrapped if ran[key] != wrapped[key])
 
 
 def test_cli_verify_reports_failures(tmp_path, capsys):
