@@ -124,7 +124,7 @@ def _parity_mask(v) -> int:
 
 
 class ChainData(namedtuple("ChainData", "p q coeffs parity target")):
-    """Everything the certifier reads off a C_{p,q} chain, from one sweep (`chain_data`).
+    """What the certifier reads off a C_{p,q} chain: one sweep, then a parity pass (`chain_data`).
 
     coeffs present coker(Gram) = Z_{p^2}: v maps to sum(v_i * coeffs_i) mod
     p^2, and coeffs[0] = 1, so the first sphere's dual generates.  v extends
