@@ -130,7 +130,7 @@ def alexander_twist(n: int | None = None) -> LinExpr:
     return LinExpr(0, 1) if n is None else LinExpr(n, 0)
 
 
-Entry = namedtuple("Entry", "cls value square verified", defaults=(True,))
+Entry = namedtuple("Entry", "cls value square verified restriction", defaults=(True, None))
 _class_of = attrgetter("cls")
 
 
@@ -183,7 +183,13 @@ class Entries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Entries):
             return NotImplemented
-        return _same_view(self, other, [e[1:] for e in self.base], [e[1:] for e in other.base])
+        if len(self.base) << self.m != len(other.base) << other.m:
+            return False
+
+        def written(view, other):  # the places free in `view` only, written out
+            return list(Entries(view.base, tuple(i for i in view.free if i not in other.free)))
+
+        return written(self, other) == written(other, self)
 
     def __repr__(self) -> str:
         return f"Entries({len(self.base)} base entries x 2^{self.m} signs)"
@@ -195,19 +201,6 @@ def _put(cls: tuple, places, values) -> tuple:
     for i, x in zip(places, values):
         out[i] = x
     return tuple(out)
-
-
-def _same_view(a: Entries, b: Entries, pay_a, pay_b) -> bool:
-    """Whether two views, base entry i of each carrying `pay[i]`, hold the same
-    (class, payload) pairs, by the rule `Entries` states."""
-    if len(a.base) << a.m != len(b.base) << b.m:
-        return False
-
-    def written(view, other, pay):  # the places free in `view` only, written out
-        narrow = Entries(view.base, tuple(i for i in view.free if i not in other.free))
-        return [(cls, pay[i]) for cls, i in _spread(narrow)]
-
-    return written(a, b, pay_a) == written(b, a, pay_b)
 
 
 def _spread(entries: Entries):
@@ -362,21 +355,22 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
     )
 
 
-class BlowdownResult(namedtuple("BlowdownResult", "ledger base_restrictions chambered")):
-    """The blown-down ledger and the restriction of each base entry of its
-    view: the view's m free places are the exceptional classes whose
-    chain-pairing rows are zero, wherever they sit, and a class shares its
-    restriction and value with its sign twins.  `restrictions` and
+class BlowdownResult(namedtuple("BlowdownResult", "ledger chambered")):
+    """The blown-down ledger, whose base entries carry their restrictions, and
+    the chamber flag: the view's m free places are the exceptional classes
+    whose chain-pairing rows are zero, wherever they sit, and a class shares
+    its restriction and value with its sign twins.  `restrictions` and
     `value_sets` yield one (class, ...) pair per entry, in class order, and
     build no Entry; a lookup puts 0 at the m places and bisects the base.  A
-    result equals its written-out twin's; equality compares the ledgers, then
-    (class, restriction) pairs by the same rule, at the same cost."""
+    result equals its written-out twin's: equality is the ledgers' view rule,
+    restrictions included, and the flags'."""
 
     __slots__ = ()
 
     @property
     def restrictions(self):
-        return ((cls, self.base_restrictions[i]) for cls, i in _spread(self.ledger.entries))
+        base = self.ledger.entries.base
+        return ((cls, base[i].restriction) for cls, i in _spread(self.ledger.entries))
 
     @property
     def value_sets(self):
@@ -384,7 +378,7 @@ class BlowdownResult(namedtuple("BlowdownResult", "ledger base_restrictions cham
         return ((cls, values[i]) for cls, i in _spread(self.ledger.entries))
 
     def restriction_of(self, cls) -> tuple[int, ...]:
-        return self.base_restrictions[self._index(cls)]
+        return self.ledger.entries.base[self._index(cls)].restriction
 
     def value_set_of(self, cls) -> tuple[LinExpr, ...]:
         return self._values(self.ledger.entries.base[self._index(cls)].value)
@@ -397,16 +391,6 @@ class BlowdownResult(namedtuple("BlowdownResult", "ledger base_restrictions cham
 
     def _values(self, v: LinExpr) -> tuple[LinExpr, ...]:
         return (v.shift(-1), v, v.shift(1)) if self.chambered else (v,)
-
-    def __eq__(self, other):
-        if not isinstance(other, BlowdownResult):
-            return NotImplemented
-        return ((self.ledger, self.chambered) == (other.ledger, other.chambered)
-                and _same_view(self.ledger.entries, other.ledger.entries,
-                               self.base_restrictions, other.base_restrictions))
-
-    def __ne__(self, other):
-        return not self == other
 
 
 def _survivors(test, base, rows, walked):
@@ -485,14 +469,14 @@ def _blowdown_core(ledger: Ledger, chain, chain_pairings, new_label, chambered: 
             raise ValueError(f"class {first} has {exc}") from None
         for cls, r in found:
             square = ent.square - hirzebruch.gram_inverse_form(chain, r)
-            survivors.append((Entry(cls, ent.value, square, ent.verified), r))
+            survivors.append(Entry(cls, ent.value, square, ent.verified, r))
     # a walked place before a base coordinate interleaves the base entries'
     # survivors
-    survivors.sort(key=lambda s: s[0].cls)
+    survivors.sort(key=_class_of)
     label = new_label if new_label is not None else f"{ledger.label} (chain blown down)"
     out = Ledger(label=label, e=ledger.e - len(chain), sigma=ledger.sigma + len(chain),
-                 basis=ledger.basis, entries=Entries(tuple(s[0] for s in survivors), free))
-    return BlowdownResult(out, tuple(s[1] for s in survivors), chambered)
+                 basis=ledger.basis, entries=Entries(tuple(survivors), free))
+    return BlowdownResult(out, chambered)
 
 
 def rational_blowdown_ledger(
@@ -532,8 +516,8 @@ def substitute(ledger: Ledger, n: int) -> Ledger:
     the same m: a concrete entry is kept as it is (entries are frozen), each
     symbolic one gets its value at n, and nothing is written out or sorted
     again."""
-    base = tuple(Entry(ent.cls, LinExpr(ent.value.subst(n), 0), ent.square, ent.verified)
-                 if ent.value.c1 else ent for ent in ledger.entries.base)
+    base = tuple(Entry(ent.cls, LinExpr(ent.value.subst(n), 0), ent.square, ent.verified,
+                       ent.restriction) if ent.value.c1 else ent for ent in ledger.entries.base)
     return Ledger(ledger.label, ledger.e, ledger.sigma, ledger.basis,
                   Entries(base, ledger.entries.free))
 

@@ -49,9 +49,10 @@ def test_record_fields_are_read_only(name):
 # `new_config` and the `_KINDS` entries build records by position.
 FIELDS = {
     "LinExpr": (("c0", "c1"), {"c0": 0, "c1": 0}),
-    "Entry": (("cls", "value", "square", "verified"), {"verified": True}),
+    "Entry": (("cls", "value", "square", "verified", "restriction"),
+              {"verified": True, "restriction": None}),
     "Ledger": (("label", "e", "sigma", "basis", "entries"), {}),
-    "BlowdownResult": (("ledger", "base_restrictions", "chambered"), {}),
+    "BlowdownResult": (("ledger", "chambered"), {}),
     "Curve": (("name", "cls", "genus", "double_points"), {"genus": 0, "double_points": 0}),
     "CurveConfig": (("gram", "curves", "e", "sigma", "label", "flags"), {"flags": frozenset()}),
     "Twist": (("cycle", "conjugator", "multiplicity"), {"conjugator": (), "multiplicity": 1}),

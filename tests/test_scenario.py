@@ -766,7 +766,7 @@ def test_sw_blowdown_rows_at_the_chain_bound_cost_their_nonzero_pairings(monkeyp
     seed = swledger.Ledger("seed", 2 * k, 0, ("T", *exceptional), ())
     run.sw["blown"] = scenario._SwRec(ledger=seed, tracked=tuple(tracked))
     seen = record_blowdown_rows(
-        monkeypatch, lambda ledger: swledger.BlowdownResult(ledger, (), False))
+        monkeypatch, lambda ledger: swledger.BlowdownResult(ledger, False))
     start = time.perf_counter()
     run.sw_blowdown("final", "blown", "C", None)
     elapsed = time.perf_counter() - start

@@ -586,9 +586,11 @@ def test_view_reads_match_a_sorted_write_out():
         view = random_view(rng)
         order = written_out(view)
         assert list(view) == [sw.Entry(cls, *view.base[i][1:]) for cls, i in order]
-        ledger = sw.Ledger("v", 0, 0, tuple(f"G{j}" for j in range(len(view.base[0].cls))), view)
+        marked = sw.Entries(tuple(ent._replace(restriction=(i,)) for i, ent in enumerate(view.base)),
+                            view.free)
+        ledger = sw.Ledger("v", 0, 0, tuple(f"G{j}" for j in range(len(view.base[0].cls))), marked)
         chambered = rng.random() < 0.5
-        result = sw.BlowdownResult(ledger, tuple((i,) for i in range(len(view.base))), chambered)
+        result = sw.BlowdownResult(ledger, chambered)
         assert list(result.restrictions) == [(cls, (i,)) for cls, i in order]
         shifts = (-1, 0, 1) if chambered else (0,)
         assert list(result.value_sets) == [
@@ -774,7 +776,7 @@ def test_blowdown_keeps_trailing_zero_rows_as_free_signs():
             results.append(result)
             assert result.ledger.entries.m == zero_rows and twin.ledger.entries.m == 0
             assert result == twin and twin == result and not result != twin
-            assert len(result.base_restrictions) == len(result.ledger.entries.base)
+            assert all(len(ent.restriction) == len(chain) for ent in result.ledger.entries.base)
             for cls, r in twin.restrictions:
                 assert result.restriction_of(cls) == r
                 assert result.value_set_of(list(cls)) == twin.value_set_of(cls)
@@ -1154,14 +1156,15 @@ def test_blowdown_results_compare_without_writing_out_shared_signs(monkeypatch):
     put = sw._put
     monkeypatch.setattr(sw, "_put", lambda *args: calls.append(args) or put(*args))
     assert result == twin
-    # one class per base entry, for the ledgers and the restrictions of both sides
+    # at most a few classes per base entry, never one per sign
     assert len(calls) <= 4 * len(result.ledger.entries.base), len(calls)
     assert not result != twin
-    # one base restriction changed: unequal, though the ledgers are equal
-    restrictions = twin.base_restrictions
-    changed = twin._replace(base_restrictions=(tuple(-r for r in restrictions[0]),)
-                            + restrictions[1:])
-    assert changed.ledger == result.ledger
+    # one base restriction negated: unequal
+    entries = twin.ledger.entries
+    first = entries.base[0]
+    changed = twin._replace(ledger=twin.ledger._replace(entries=sw.Entries(
+        (first._replace(restriction=tuple(-x for x in first.restriction)),) + entries.base[1:],
+        entries.free)))
     assert result != changed and changed != result
 
 
