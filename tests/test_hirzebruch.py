@@ -250,6 +250,8 @@ def test_gram_solve_and_inverse_form():
     # 1/-4 is not an integer: the sweep raises rather than round
     with pytest.raises(ValueError, match=r"^v\^T G\^-1 v = N_k/D_k = 1/-4 is not an integer$"):
         hj.gram_inverse_form(chain, (1,))
+    with pytest.raises(ValueError, match=r"^length mismatch$"):
+        hj.gram_inverse_form(chain, (1, 2))
     chain2 = hj.chain_for_cpq(3, 1)
     x = gram_solve(chain2, (-3, 0))
     g = gram_matrix(chain2)

@@ -100,6 +100,9 @@ def test_smooth_pair():
     # (-1) + (-2) + 2*1 = -1
     assert homcalc.square(out, "u") == -1
     assert u.genus == 0 and u.double_points == 0
+    taken = homcalc.add_curve(cfg, Curve("e", {"S": 1}))
+    with pytest.raises(ConfigError, match=r"^curve 'e' already exists$"):
+        homcalc.smooth(taken, "e", "s", "t")
 
 
 def test_smooth_needs_positive_pairing():

@@ -193,6 +193,8 @@ def test_verify_fibration_failures():
     # right count but wrong expectation
     report2 = mcg.verify_fibration(facts["I7"], 11)
     assert report2.is_identity and not report2.passed
+    with pytest.raises(ValueError, match=r"^expected_twists must be >= 0$"):
+        mcg.verify_fibration((Twist("a"),), -1)
 
 
 def test_verify_fibration_never_evaluates_its_expanded_word(monkeypatch):

@@ -184,6 +184,10 @@ def test_report_text_format():
      "line 2: unknown class 'Q'"),
     ("ambient X e 4 sigma 0 basis S\ncurve c class S\ncurve c class S\n",
      "line 3: curve 'c' already declared"),
+    ("ambient X e 4 sigma 0 basis S\ncurve c class S\ncurve d class S\ncurve e class S\n"
+     "smooth e c d\n", "line 5: curve 'e' already declared"),
+    (LEDGER + "sw ledger m e 4 sigma 0 fiber S knots foo\n",
+     "line 3: bad knot spec 'foo' (use twist(n), twist(3), or none)"),
     ("ambient X e 4 sigma 0 basis S\nchain C = c\n",
      "line 2: unknown curve 'c'"),
     ("ambient X e 4 sigma 0 basis S S\n",
@@ -421,6 +425,9 @@ def test_runtime_errors_carry_line_numbers():
     with pytest.raises(ScenarioError,
                        match=r"^line 4: fiber class squares to -1, expected 0$"):
         run_scenario(parse_scenario(text))
+    # a ledger's basis is (T,): an unknown name in a class parses, and stops its line
+    with pytest.raises(ScenarioError, match=r"^line 4: unknown generator 'X'$"):
+        run_scenario(parse_scenario(LEDGER + "pair S S 0\nassert sw-value l X 1\n"))
 
 
 def test_runner_numbers_only_value_errors(monkeypatch):
@@ -984,6 +991,8 @@ def test_cli_hj_json(capsys):
 def test_cli_hj_rejects_bad_pair(capsys):
     assert cli.main(["hj", "4", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert cli.main(["hj", "1", "2"]) == 2
+    assert capsys.readouterr().err == "error: need p > q > 0, got p=1, q=2\n"
 
 
 def test_cli_hj_bounds_the_chain_length(capsys):
@@ -1019,6 +1028,10 @@ def test_cli_identify(capsys):
 def test_cli_identify_bad_input(capsys):
     assert cli.main(["identify", "abc"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert cli.main(["identify", "()"]) == 2
+    assert capsys.readouterr().err == "error: empty chain\n"
+    assert cli.main(["identify", "(-2,x)"]) == 2
+    assert capsys.readouterr().err == "error: chain entries must be integers: '(-2,x)'\n"
 
 
 def test_cli_mcg_suite(capsys):

@@ -234,6 +234,10 @@ def test_blow_up_ledger_rejects_a_repeated_name():
         sw.blow_up_ledger(led, 2, names=("E1", "E1"))
     with pytest.raises(ValueError, match=r"^tracked class 'T' already exists$"):
         sw.blow_up_ledger(led, 1, names=("T",))
+    with pytest.raises(ValueError, match=r"^count must be >= 1$"):
+        sw.blow_up_ledger(led, 0)
+    with pytest.raises(ValueError, match=r"^expected 2 names, got 1$"):
+        sw.blow_up_ledger(led, 2, ("E1",))
 
 
 def test_blow_up_ledger_default_names():
@@ -295,6 +299,9 @@ def test_rational_blowdown_validates_shapes():
         sw.rational_blowdown_ledger(blown, QN_CHAIN, QN_ROWS[:2], corrections=(True, True))
     with pytest.raises(ValueError):
         sw.rational_blowdown_ledger(blown, (-2, -2), QN_ROWS, corrections=(True, True))
+    rows = (QN_ROWS[0][:-1],) + QN_ROWS[1:]
+    with pytest.raises(ValueError, match=r"^chain-pairing row length does not match the chain$"):
+        sw.rational_blowdown_ledger(blown, QN_CHAIN, rows, corrections=(True, True))
 
 
 def test_blowdown_checks_each_survivors_formal_dimension():
@@ -1229,6 +1236,30 @@ def test_blowdown_sorts_survivors_that_an_inner_walked_sign_interleaves():
         (1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 1, 1)]
 
 
+def test_blow_up_of_a_blown_down_ledger_writes_no_restriction():
+    # a restriction is to the chain just blown down: a descendant K +- E has
+    # none that the ledger knows, and a second blow-down restricts afresh, as
+    # the eager scan does
+    rng = random.Random(4301)
+    chains = [c for cs in cpq_chains_by_length(4).values() for c in cs]
+    survivors = 0
+    for names in (["E1", "E2", "Z1"], ["Z1", "E1", "Z2", "E2"], ["E2", "Z1", "Z2", "Z3", "E1"]):
+        blown, rows = qn_placed_ledger(names)
+        first = sw.rational_blowdown_ledger(blown, QN_CHAIN, rows, corrections=(True, True)).ledger
+        assert all(len(ent.restriction) == len(QN_CHAIN) for ent in first.entries.base)
+        lazy = sw.blow_up_ledger(first, 2)
+        assert all(ent.restriction is None for ent in lazy.entries.base)
+        eager = eager_blow_up(first._replace(entries=tuple(first.entries)), 2,
+                              lazy.basis[len(first.basis):])
+        for chain in rng.sample(chains, 4):
+            # a canonical-type T row and even rows elsewhere, as above
+            rows = [tuple(w + 2 + 2 * rng.randint(-1, 1) for w in chain)]
+            rows += [(2 * rng.choice((-1, 1)),) + tuple(2 * rng.randint(-1, 1) for _ in chain[1:])
+                     for _ in lazy.basis[1:]]
+            survivors += check_blowdown(lazy, eager, chain, rows)
+    assert survivors >= 60, survivors
+
+
 def test_ledger_report_writes_free_signs_in_place():
     # Z1 Z2 E1 Z3 Z4 Z5 E2 Z6 Z7 Z8: +-1 at each Z place, between E1 and E2
     blown, rows = qn_placed_ledger(INNER_PLACEMENT)
@@ -1262,6 +1293,15 @@ def test_substitute_keeps_concrete_entries():
     led = qn_wide_blowdowns(qn_wide_ledger())[0].ledger
     assert [(e.cls, e.value, e.square) for e in sw.substitute(led, 7).entries] == [
         (e.cls, LinExpr(e.value.subst(7), 0), e.square) for e in led.entries]
+
+
+def test_substitute_keeps_each_survivors_restriction():
+    for result in qn_wide_blowdowns(qn_wide_ledger()):
+        base = result.ledger.entries.base
+        concrete = sw.substitute(result.ledger, 7).entries.base
+        assert all(ent.value.c1 for ent in base)  # every entry gets a new value
+        assert [ent.restriction for ent in concrete] == [ent.restriction for ent in base]
+        assert all(len(ent.restriction) == len(QN_CHAIN) for ent in concrete)
 
 
 def test_blowdown_and_substitute_do_not_sort_the_survivors_again(monkeypatch):
