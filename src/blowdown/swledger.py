@@ -52,12 +52,13 @@ and SW(K +- E) = SW(K) (Fintushel-Stern 1995).  So every free place with a
 zero row stays a free place of the result, at the same index, and m above
 counts only the walked ones.  Every other free place is walked where it sits,
 and the walk yields each base entry with its survivors' (class, restriction)
-pairs; the blow-down builds one Entry per walked survivor: the square is the
-base's minus v^T G^-1 v, and the dimension check is shared per base entry.  A
-walked place before a base coordinate interleaves the base entries' survivors,
-so they are sorted by class at the end.  `substitute` keeps an entry whose
-value is already concrete and the view's free places, and substitutes each
-symbolic value where it sits, so it costs only the base entries that change.
+pairs; the blow-down builds one Entry per walked survivor, which carries its
+restriction: the square is the base's minus v^T G^-1 v, and the dimension
+check is shared per base entry.  A walked place before a base coordinate
+interleaves the base entries' survivors, so they are sorted by class at the
+end.  `substitute` keeps an entry whose value is already concrete and the
+view's free places, and substitutes each symbolic value where it sits, so it
+costs only the base entries that change.
 """
 
 from __future__ import annotations
@@ -141,17 +142,17 @@ class Entries:
     indices of m free exceptional signs.  Each base class is written over the
     whole basis with 0 at every free place, and the base entry stands for its
     2^m descendants, its class with a sign +-1 at each free place; they share
-    its value, flag and square.  Each base entry's descendants come in class
-    order, as the free places ascend and -1 comes before +1, so iteration is
-    one lazy merge of them, ties in base order.  Its length is len(base) << m
-    (see `entry_count` for m >= 63), and nothing is built until an entry is
-    read.  Two views are equal when their counts are and, once each writes
-    out the places that are free in it and not in the other, their bases are,
-    which costs the written-out bases' size.  The base is taken as given,
-    already sorted.  A base class that is not 0 at a free place, whose
-    entries lookup could not find, is a ValueError (checked in O(base x m),
-    one `itemgetter` over the free places per entry); it names the first such
-    place, then the first entry there.
+    its value, flag, square and restriction.  Each base entry's descendants
+    come in class order, as the free places ascend and -1 comes before +1, so
+    iteration is one lazy merge of them, ties in base order.  Its length is
+    len(base) << m (see `entry_count` for m >= 63), and nothing is built until
+    an entry is read.  Two views are equal when their counts are and, once
+    each writes out the places that are free in it and not in the other, their
+    bases are, restrictions included, which costs the written-out bases' size.
+    The base is taken as given, already sorted.  A base class that is not 0 at
+    a free place, whose entries lookup could not find, is a ValueError
+    (checked in O(base x m), one `itemgetter` over the free places per entry);
+    it names the first such place, then the first entry there.
     """
 
     __slots__ = ("base", "free")
@@ -186,8 +187,8 @@ class Entries:
         if len(self.base) << self.m != len(other.base) << other.m:
             return False
 
-        def written(view, other):  # the places free in `view` only, written out
-            return list(Entries(view.base, tuple(i for i in view.free if i not in other.free)))
+        def written(a, b):  # `a` with the places free in it and not in `b` written out
+            return list(Entries(a.base, tuple(i for i in a.free if i not in b.free)))
 
         return written(self, other) == written(other, self)
 
@@ -322,7 +323,8 @@ def blow_up_ledger(ledger: Ledger, count: int, names=None) -> Ledger:
     sign choices a_i = +-1, keeping its value.  Squares drop by count, so the
     formal dimension of every descendant equals its parent's.  The entries are
     an `Entries` view whose base is the old one, each class padded with a 0
-    per name and its square lowered by count, and whose free places gain the
+    per name, its square lowered by count and no restriction kept (the ledger
+    knows none of K +- E to the old chain), and whose free places gain the
     new names' indices at the end of the basis.  So this writes out no sign
     and costs O(len(base) * len(basis)); a blow-down of the result walks
     O(m*min(p, 2^ceil(m/2)) + len(base)*2^floor(m/2)) (signs, residue)
